@@ -1,29 +1,25 @@
 //! Sharded-router throughput on the 8192-interval workload.
 //!
-//! Three architectures serve the same aggregate contact load (4 client
-//! threads, 1024 progress updates each):
+//! The same aggregate contact load (4 client threads, 1024 progress
+//! updates each) served by the one coordinator path at two lock counts:
 //!
-//! * `farmer_channel_update_x1024_threads4/1` — the pre-sharding
-//!   architecture: one coordinator behind a farmer thread, every
-//!   contact a blocking channel round-trip (what `runtime.rs` does at
-//!   `shards = 1`);
 //! * `router_update_x1024_threads4/1` — a one-shard [`ShardRouter`]
-//!   contacted directly (lock-per-contact, no funnel);
+//!   contacted directly (what `runtime::run` does by default): four
+//!   holders contend on one lock;
 //! * `router_update_x1024_threads4/4` — four shards, each client thread
 //!   homed on its own shard, so contacts don't share a lock at all.
 //!
-//! The headline claim CI gates on: the S=4 router must beat the
-//! funneled farmer by ≥ 2× aggregate throughput (~3.4× on the 1-core
-//! build box, more on real hardware). The S=4/S=1 router pair isolates
-//! the lock-spreading win: ~1.4× on one core from contention relief
-//! alone, scaling with cores once shard locks stop sharing them.
+//! The pair isolates the lock-spreading win: ~1.4× on one core from
+//! contention relief alone, scaling with cores once shard locks stop
+//! sharing them. CI gates that the S=4 advantage does not regress more
+//! than 25 % below the checked-in baseline's. (The farmer-thread funnel
+//! this bench used to compare against is gone from the runtime; its
+//! last measurement — 24.0 ms against 8.9 ms for the S=1 router — is in
+//! CHANGES.md.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gridbnb_core::{
-    Coordinator, CoordinatorConfig, Interval, Request, Response, ShardRouter, UBig, WorkerId,
-};
+use gridbnb_core::{CoordinatorConfig, Interval, Request, Response, ShardRouter, UBig, WorkerId};
 use std::hint::black_box;
-use std::sync::mpsc::{channel, Sender};
 
 const WORKERS: u64 = 8192;
 const THREADS: usize = 4;
@@ -113,41 +109,6 @@ fn drive_router(router: &ShardRouter, clients: &[Client]) {
     });
 }
 
-/// The same aggregate load through the pre-sharding funnel: one farmer
-/// thread owns the coordinator, clients block on a reply channel per
-/// contact.
-fn drive_funnel(coordinator: &mut Coordinator, clients: &[Client]) {
-    type FunnelEnvelope = (Request, Sender<Response>);
-    let (req_tx, req_rx) = channel::<FunnelEnvelope>();
-    std::thread::scope(|scope| {
-        let coordinator = &mut *coordinator;
-        scope.spawn(move || {
-            let mut now = 1_000_000u64;
-            while let Ok((request, reply)) = req_rx.recv() {
-                now += 1;
-                let _ = reply.send(coordinator.handle(request, now));
-            }
-        });
-        for (worker, copy) in clients {
-            let req_tx = req_tx.clone();
-            scope.spawn(move || {
-                let (reply_tx, reply_rx) = channel::<Response>();
-                for j in 0..OPS_PER_THREAD {
-                    let reported =
-                        Interval::new(copy.begin().add(&UBig::from(j + 1)), copy.end().clone());
-                    let request = Request::Update {
-                        worker: *worker,
-                        interval: reported,
-                    };
-                    req_tx.send((request, reply_tx.clone())).unwrap();
-                    black_box(reply_rx.recv().unwrap());
-                }
-            });
-        }
-        drop(req_tx);
-    });
-}
-
 fn bench_shard(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard");
     group.sample_size(10);
@@ -195,38 +156,6 @@ fn bench_shard(c: &mut Criterion) {
             },
         );
     }
-
-    // The pre-sharding architecture under the identical load.
-    let funnel_base = router_with(1);
-    let funnel_clients = clients_of(&funnel_base);
-    let coordinator_base = Coordinator::new(root(), config());
-    let coordinator_base = {
-        let mut coordinator = coordinator_base;
-        for w in 0..WORKERS {
-            let _ = coordinator.handle(
-                Request::Join {
-                    worker: WorkerId(w),
-                    power: 50 + w % 100,
-                },
-                w,
-            );
-        }
-        coordinator
-    };
-    group.bench_with_input(
-        BenchmarkId::new("farmer_channel_update_x1024_threads4", 1usize),
-        &(&coordinator_base, &funnel_clients),
-        |b, (base, clients)| {
-            b.iter_batched(
-                || (*base).clone(),
-                |mut coordinator| {
-                    drive_funnel(&mut coordinator, clients);
-                    coordinator
-                },
-                criterion::BatchSize::SmallInput,
-            )
-        },
-    );
     group.finish();
 }
 

@@ -1,7 +1,7 @@
 //! Shared harness utilities for the table/figure regenerators.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §5 for the index). They share the simulation
+//! paper. They share the simulation
 //! presets defined here so that `table2`, `fig7`, `scalability` and
 //! `redundancy` are views of the same experimental setup.
 

@@ -19,7 +19,6 @@
 //! Writes are atomic (temp file + rename) so a farmer crash mid-save
 //! cannot corrupt the previous checkpoint.
 
-use crate::Coordinator;
 use gridbnb_bigint::UBig;
 use gridbnb_coding::Interval;
 use gridbnb_engine::Solution;
@@ -265,31 +264,17 @@ impl CheckpointStore {
         }
     }
 
-    /// Saves the coordinator state atomically (both files).
-    pub fn save(&self, coordinator: &Coordinator) -> Result<(), CheckpointError> {
-        let intervals: Vec<Interval> = coordinator
-            .entries()
-            .iter()
-            .map(|e| e.interval.clone())
-            .collect();
-        write_atomic(&self.intervals_path, &encode_intervals(&intervals))?;
-        write_atomic(
-            &self.solution_path,
-            &encode_solution(coordinator.solution()),
-        )?;
-        Ok(())
-    }
-
-    /// Loads `(intervals, solution)` from the two files.
+    /// Loads `(intervals, solution)` from the two files — the v1
+    /// (single-shard, markerless) reader.
     pub fn load(&self) -> Result<(Vec<Interval>, Option<Solution>), CheckpointError> {
         let itext = fs::read_to_string(&self.intervals_path)?;
         let stext = fs::read_to_string(&self.solution_path)?;
         Ok((decode_intervals(&itext)?, decode_solution(&stext)?))
     }
 
-    /// Saves a sharded router's state atomically (both files). At
-    /// `S = 1` the output is indistinguishable from
-    /// [`CheckpointStore::save`].
+    /// Saves a router's state atomically (both files). At `S = 1` the
+    /// output is the markerless v1 format [`CheckpointStore::load`]
+    /// reads.
     pub fn save_sharded(&self, router: &crate::ShardRouter) -> Result<(), CheckpointError> {
         let (shards, solution) = router.snapshot();
         write_atomic(&self.intervals_path, &encode_sharded_intervals(&shards))?;
@@ -452,36 +437,36 @@ mod tests {
 
     #[test]
     fn store_save_load_round_trip() {
-        use crate::{Coordinator, CoordinatorConfig, Request, WorkerId};
+        use crate::{CoordinatorConfig, Request, ShardRouter, WorkerId};
         let dir = std::env::temp_dir().join(format!("gridbnb-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let store = CheckpointStore::new(dir.join("intervals.txt"), dir.join("solution.txt"));
         assert!(!store.exists());
 
-        let mut coord = Coordinator::new(iv(0, 5040), CoordinatorConfig::default());
+        let router = ShardRouter::new(iv(0, 5040), 1, CoordinatorConfig::default()).unwrap();
         // Hand out a couple of units and record a solution.
-        let _ = coord.handle(
+        let _ = router.handle(
             Request::Join {
                 worker: WorkerId(1),
                 power: 10,
             },
             0,
         );
-        let _ = coord.handle(
+        let _ = router.handle(
             Request::Update {
                 worker: WorkerId(1),
                 interval: iv(100, 5040),
             },
             1,
         );
-        let _ = coord.handle(
+        let _ = router.handle(
             Request::ReportSolution {
                 worker: WorkerId(1),
                 solution: Solution::new(42, vec![1, 2, 3]),
             },
             2,
         );
-        store.save(&coord).unwrap();
+        store.save_sharded(&router).unwrap();
         assert!(store.exists());
 
         let (intervals, solution) = store.load().unwrap();

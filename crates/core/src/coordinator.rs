@@ -600,8 +600,7 @@ impl Coordinator {
     }
 
     /// Handles a whole batch of requests at injected time `now_ns` —
-    /// the amortized entry point behind one lock acquisition of a
-    /// sharded or funneled executor.
+    /// the amortized entry point behind one shard-lock acquisition.
     ///
     /// Semantically this is exactly `requests.map(|r| handle(r, now))`
     /// (same responses, same final state, same counters — pinned by a

@@ -1,8 +1,7 @@
 //! Cross-worker contact gateway: many workers' request batches merged
 //! into shared per-shard bundles.
 //!
-//! PR 4's coalescing lets one worker fold its *own* requests into a
-//! bundle, but every worker still pays its own
+//! Coalescing lets one worker fold its *own* requests into a bundle, but every worker still pays its own
 //! [`ShardRouter::handle_bundle`] call — one lock acquisition per shard
 //! it touches. With `W` workers and `S ≪ W` shards, the same shard's
 //! lock is taken up to `W/S` times per contact window for work that
@@ -33,16 +32,14 @@
 //!   late submitter). Empty flushes are free: no contact, no work.
 //! * **Flush execution** — the buffered submissions are concatenated
 //!   (arrival order, each submission's internal order preserved) into
-//!   one [`BundleHandler::handle_bundle`] call: one lock acquisition per
+//!   one [`ShardRouter::handle_bundle`] call: one lock acquisition per
 //!   *touched shard* per flush, however many workers contributed. The
 //!   responses come back in input order and are routed to each
 //!   submitting worker over its reply channel, in its request order.
 //!
-//! The gateway fronts anything that can serve a combined bundle — the
-//! [`BundleHandler`] trait. Production uses two implementations: the
-//! [`ShardRouter`] (the sharded path), and the runtime's farmer channel
-//! (the classic single-coordinator path, so PR 3's funnel amortizes
-//! contacts exactly like the sharded tier).
+//! The gateway fronts the [`ShardRouter`] — the one coordinator path —
+//! in the in-process runtime and in the `gridbnb-net` socket server
+//! alike; a run has one only when its configuration asks for one.
 //!
 //! Semantics are pinned by the property oracle in
 //! `tests/gateway_props.rs`: a flush's outcome — every worker's
@@ -56,7 +53,7 @@
 //! shard runs) without new coordinator code.
 //!
 //! **Observability.** Every counter the gateway keeps lives on the
-//! handler's [`MetricsRegistry`] — `gbnb_gateway_*` families — and
+//! router's [`MetricsRegistry`] — `gbnb_gateway_*` families — and
 //! [`ContactGateway::stats`] merely reads those cells back, so there is
 //! exactly one source of truth for flush-cause accounting. The
 //! [`GatewayMode::Adaptive`] policy closes the loop: it reads the
@@ -71,66 +68,13 @@
 //! simulated workers' update snapshots and deliver each queue as one
 //! shared bundle per flush event.
 
-use crate::{Request, Response, ShardEnvelope, ShardId, ShardRouter};
+use crate::{Request, Response, ShardEnvelope, ShardRouter};
 use crossbeam::channel::{unbounded, Sender};
 use gridbnb_metrics::{
     exponential_buckets, latency_buckets_ns, Counter, Gauge, Histogram, MetricsRegistry,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Anything a [`ContactGateway`] can flush combined bundles into: the
-/// sharded router, or the classic farmer channel. The contract is the
-/// router's: responses come back one per envelope, in input order.
-pub trait BundleHandler {
-    /// Stamps a request with the shard that will serve it.
-    fn envelope(&self, request: Request) -> ShardEnvelope;
-
-    /// Serves one combined bundle at injected time `now_ns`; responses
-    /// in input order, each stamped with the serving shard. A handler
-    /// that can no longer serve (torn down mid-run) may return fewer
-    /// responses; the gateway then answers every submitter with an
-    /// empty reply — the dead-transport sentinel.
-    fn handle_bundle(&self, bundle: Vec<ShardEnvelope>, now_ns: u64) -> Vec<(ShardId, Response)>;
-
-    /// `true` iff the computation behind this handler is globally over
-    /// — a terminated handler never buffers (nobody may come along to
-    /// flush a late straggler).
-    fn is_terminated(&self) -> bool;
-
-    /// The registry the gateway registers its `gbnb_gateway_*` metrics
-    /// on, so one scrape covers the whole serving path.
-    fn metrics(&self) -> MetricsRegistry;
-
-    /// Mean nanoseconds a backing shard lock is held per contact — the
-    /// contention signal the adaptive policy grows on. Zero when the
-    /// handler has no such measurement.
-    fn contention_ns(&self) -> u64 {
-        0
-    }
-}
-
-impl BundleHandler for &ShardRouter {
-    fn envelope(&self, request: Request) -> ShardEnvelope {
-        ShardRouter::envelope(self, request)
-    }
-
-    fn handle_bundle(&self, bundle: Vec<ShardEnvelope>, now_ns: u64) -> Vec<(ShardId, Response)> {
-        ShardRouter::handle_bundle(self, bundle, now_ns)
-    }
-
-    fn is_terminated(&self) -> bool {
-        ShardRouter::is_terminated(self)
-    }
-
-    fn metrics(&self) -> MetricsRegistry {
-        ShardRouter::metrics(self).clone()
-    }
-
-    fn contention_ns(&self) -> u64 {
-        ShardRouter::mean_lock_hold_ns(self)
-    }
-}
 
 /// How a [`ContactGateway`] sizes its fan-in over a run's lifetime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -346,7 +290,7 @@ struct Buffer {
 /// nothing when each serviced contact is this cheap.
 const GROW_CONTENTION_NS: u64 = 200;
 
-/// The shared collection tier in front of a [`BundleHandler`]: many
+/// The shared collection tier in front of a [`ShardRouter`]: many
 /// workers submit request batches, the gateway flushes them as combined
 /// bundles (see the module docs for triggers and semantics).
 ///
@@ -356,8 +300,8 @@ const GROW_CONTENTION_NS: u64 = 200;
 /// silently skipped by a final flush. Submitters that don't trigger a
 /// flush only hold the lock long enough to append.
 #[derive(Debug)]
-pub struct ContactGateway<H: BundleHandler> {
-    handler: H,
+pub struct ContactGateway<'r> {
+    router: &'r ShardRouter,
     policy: GatewayPolicy,
     /// The effective (possibly adaptively resized) size trigger.
     fan_in: AtomicUsize,
@@ -365,16 +309,16 @@ pub struct ContactGateway<H: BundleHandler> {
     inner: Mutex<Buffer>,
 }
 
-impl<H: BundleHandler> ContactGateway<H> {
-    /// A gateway collecting contacts for `handler` under `policy`,
-    /// registering its `gbnb_gateway_*` metrics on the handler's
-    /// registry.
-    pub fn new(handler: H, policy: GatewayPolicy) -> Self {
+impl<'r> ContactGateway<'r> {
+    /// A gateway collecting contacts for `router` under `policy`,
+    /// registering its `gbnb_gateway_*` metrics on the router's
+    /// registry, so one scrape covers the whole serving path.
+    pub fn new(router: &'r ShardRouter, policy: GatewayPolicy) -> Self {
         let policy = policy.clamped();
-        let metrics = GatewayMetrics::register(&handler.metrics());
+        let metrics = GatewayMetrics::register(router.metrics());
         metrics.fan_in.set(policy.fan_in as u64);
         ContactGateway {
-            handler,
+            router,
             policy,
             fan_in: AtomicUsize::new(policy.fan_in),
             metrics,
@@ -382,9 +326,9 @@ impl<H: BundleHandler> ContactGateway<H> {
         }
     }
 
-    /// The handler this gateway flushes into.
-    pub fn handler(&self) -> &H {
-        &self.handler
+    /// The router this gateway flushes into.
+    pub fn router(&self) -> &'r ShardRouter {
+        self.router
     }
 
     /// The configured fan-in policy.
@@ -446,7 +390,7 @@ impl<H: BundleHandler> ContactGateway<H> {
         });
         let envelopes: Vec<ShardEnvelope> = requests
             .into_iter()
-            .map(|r| self.handler.envelope(r))
+            .map(|r| self.router.envelope(r))
             .collect();
         let count = envelopes.len();
         let (tx, rx) = unbounded::<Vec<Response>>();
@@ -464,13 +408,13 @@ impl<H: BundleHandler> ContactGateway<H> {
             });
             // Trigger order mirrors urgency: a termination-sensitive
             // request must go out now whatever the buffer holds; a full
-            // buffer flushes by size; a terminated handler never buffers
+            // buffer flushes by size; a terminated router never buffers
             // (nobody may come along later to flush a late straggler).
             let cause = if sensitive {
                 Some(FlushCause::Sensitive)
             } else if buffer.buffered >= self.fan_in.load(Ordering::Relaxed) {
                 Some(FlushCause::Size)
-            } else if self.handler.is_terminated() {
+            } else if self.router.is_terminated() {
                 Some(FlushCause::Forced)
             } else {
                 None
@@ -481,7 +425,7 @@ impl<H: BundleHandler> ContactGateway<H> {
         }
         // A closed channel means the gateway was torn down with the
         // submission unflushed; answer like a dead transport (the
-        // worker loop treats an empty reply as termination).
+        // worker treats an empty reply as termination).
         rx.recv().unwrap_or_default()
     }
 
@@ -513,7 +457,7 @@ impl<H: BundleHandler> ContactGateway<H> {
     }
 
     /// Concatenates the pending submissions into one shared bundle,
-    /// serves it through the handler, and routes each slice of the
+    /// serves it through the router, and routes each slice of the
     /// reply back to its submitter. Called with the buffer lock held,
     /// so a concurrent submission either made it into this flush or
     /// observes the emptied buffer — never neither.
@@ -529,29 +473,20 @@ impl<H: BundleHandler> ContactGateway<H> {
         let mut bundle = Vec::with_capacity(buffer.buffered);
         buffer.buffered = 0;
         let mut splits: Vec<(usize, Sender<Vec<Response>>)> = Vec::with_capacity(pending.len());
-        let mut total = 0usize;
         for submission in pending {
-            total += submission.envelopes.len();
             splits.push((submission.envelopes.len(), submission.reply));
             bundle.extend(submission.envelopes);
         }
-        let served = self.handler.handle_bundle(bundle, now_ns);
-        let complete = served.len() == total;
+        let total = bundle.len();
+        // One response per envelope, in input order.
+        let mut responses = self.router.handle_bundle(bundle, now_ns).into_iter();
         let mut retries = 0u64;
-        let mut responses = served.into_iter();
         for (len, reply) in splits {
-            let slice: Vec<Response> = if complete {
-                responses
-                    .by_ref()
-                    .take(len)
-                    .map(|(_, response)| response)
-                    .collect()
-            } else {
-                // The handler died under this flush (a torn-down farmer
-                // channel): every submitter gets the empty dead-transport
-                // reply rather than someone else's responses.
-                Vec::new()
-            };
+            let slice: Vec<Response> = responses
+                .by_ref()
+                .take(len)
+                .map(|(_, response)| response)
+                .collect();
             retries += slice
                 .iter()
                 .filter(|r| matches!(r, Response::Retry))
@@ -579,8 +514,8 @@ impl<H: BundleHandler> ContactGateway<H> {
 
     /// One adaptive-policy step after a flush: the decision inputs are
     /// the flush cause, how long the oldest submission waited, endgame
-    /// `Retry` backpressure in the served bundle, and the handler's
-    /// lock-contention hint. No-op under [`GatewayMode::Fixed`].
+    /// `Retry` backpressure in the served bundle, and the router's
+    /// mean lock-hold (the contention hint). No-op under [`GatewayMode::Fixed`].
     fn adapt(&self, cause: FlushCause, age_ns: u64, retries: u64) {
         let GatewayMode::Adaptive {
             min_fan_in,
@@ -591,9 +526,9 @@ impl<H: BundleHandler> ContactGateway<H> {
         };
         let current = self.fan_in.load(Ordering::Relaxed);
         let shrink =
-            retries > 0 || self.handler.is_terminated() || matches!(cause, FlushCause::Deadline);
+            retries > 0 || self.router.is_terminated() || matches!(cause, FlushCause::Deadline);
         let filled_fast = age_ns.saturating_mul(4) <= self.policy.max_delay_ns;
-        let contended = self.handler.contention_ns() >= GROW_CONTENTION_NS;
+        let contended = self.router.mean_lock_hold_ns() >= GROW_CONTENTION_NS;
         let next = if shrink {
             (current / 2).max(min_fan_in)
         } else if matches!(cause, FlushCause::Size) && filled_fast && contended {
@@ -611,12 +546,5 @@ impl<H: BundleHandler> ContactGateway<H> {
         }
         self.fan_in.store(next, Ordering::Relaxed);
         self.metrics.fan_in.set(next as u64);
-    }
-}
-
-impl<'r> ContactGateway<&'r ShardRouter> {
-    /// The router this gateway flushes into.
-    pub fn router(&self) -> &'r ShardRouter {
-        self.handler
     }
 }

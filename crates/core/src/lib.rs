@@ -26,12 +26,14 @@
 //! [`mod@gateway`] module docs), so at `W ≫ S` the per-shard lock is
 //! taken once per flush instead of once per worker.
 //!
-//! Two executors drive the same coordinator (sharded or not):
+//! Two executors drive the same router:
 //!
-//! * [`runtime`] — a real multi-threaded farmer–worker runtime
-//!   following the pull model (workers always initiate), with optional
-//!   fault injection: one farmer thread behind crossbeam channels at
-//!   `shards = 1`, direct per-shard contacts at `shards > 1`;
+//! * [`runtime`] — the farmer–worker runtime following the pull model
+//!   (workers always initiate), with optional fault injection: one
+//!   worker state machine contacting the router directly (one shard by
+//!   default; `shards` only sets how many locks the root range is split
+//!   over), stepped by real threads or — in replicable mode — by a
+//!   single-threaded logical-clock scheduler;
 //! * the discrete-event grid simulator in `gridbnb-grid`, which replays
 //!   the identical protocol over thousands of simulated volatile hosts to
 //!   reproduce the paper's Table 2 and Figure 7.
@@ -54,7 +56,7 @@ pub use coordinator::{
     compare_len_per_power, compare_len_per_power_exact, BatchOutcome, ConfigError, Coordinator,
     CoordinatorConfig, CoordinatorStats, Holder, IntervalEntry,
 };
-pub use gateway::{BundleHandler, ContactGateway, GatewayMode, GatewayPolicy, GatewayStats};
+pub use gateway::{ContactGateway, GatewayMode, GatewayPolicy, GatewayStats};
 pub use protocol::{Request, Response, ShardEnvelope, ShardId, WorkerId};
 pub use shard::ShardRouter;
 pub use storage::{

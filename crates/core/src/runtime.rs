@@ -1,22 +1,43 @@
-//! Multi-threaded farmer–worker runtime.
+//! The farmer–worker runtime: one coordinator path, one worker state
+//! machine, two drivers.
 //!
-//! With one shard (the default), a farmer thread owns the
-//! [`Coordinator`] and worker threads speak the pull-model protocol over
-//! crossbeam channels: every message is worker-initiated, the farmer
-//! only replies. Workers interleave exploration (`poll_nodes` node
-//! visits per slice) with protocol contacts, exactly like the paper's
-//! B&B processes that "regularly contact the coordinator to update
-//! their interval".
+//! **One coordinator path.** The paper's workers contact the
+//! coordinator directly, and so do these: every in-process run serves
+//! its contacts from a [`ShardRouter`] — the root range split over
+//! [`RuntimeConfig::shards`] independently locked coordinators (one by
+//! default), called straight from the worker threads. There is no
+//! farmer thread and no request channel; `shards` only sets how many
+//! locks the root range is spread over, so contacts to different shards
+//! proceed in parallel. Work stealing between shards and the shared
+//! non-empty count keep the exactness guarantee: runs terminate only
+//! when every shard's `INTERVALS` is empty. An optional
+//! [`ContactGateway`] ([`RuntimeConfig::gateway`]) merges many workers'
+//! bundles in front of the router. What the paper's farmer does
+//! *besides* answering — stale-holder expiry, periodic checkpoints, log
+//! compaction, the gateway's deadline flush — runs on a light
+//! supervisor thread, which parks until the next of those is due and is
+//! unparked when the last worker has joined: nothing sleeps out a timer
+//! to learn that the run is over.
 //!
-//! With [`RuntimeConfig::shards`] > 1, the farmer funnel disappears:
-//! workers contact their home shard of a [`ShardRouter`] directly (each
-//! shard is an independently locked [`Coordinator`]), so contacts to
-//! different shards proceed in parallel instead of serializing through
-//! one channel. A light supervisor thread takes over the farmer's
-//! housekeeping (stale-holder expiry, periodic checkpoints). Work
-//! stealing between shards and the shared non-empty count keep the
-//! exactness guarantee: runs terminate only when every shard's
-//! `INTERVALS` is empty.
+//! **One worker state machine.** `Worker::step` is the worker: a work
+//! request (carrying any unreported solution in the same bundle) when
+//! it holds no unit; otherwise one exploration slice of
+//! [`RuntimeConfig::poll_nodes`] node visits followed — in this order —
+//! by the fresh-best `UpdateAndReport`, the scripted crash, unit
+//! exhaustion, and the periodic (possibly coalesced) `Update`, exactly
+//! like the paper's B&B processes that "regularly contact the
+//! coordinator to update their interval". It speaks through the
+//! [`Transport`] trait, so the same code runs against the in-process
+//! router, the gateway, or a socket ([`run_workers`]).
+//!
+//! **Two drivers.** The threaded driver gives every worker a thread
+//! that steps it until done. Under [`ReplicablePolicy::deterministic`]
+//! a single-threaded scheduler steps the *same* workers in a
+//! seed-shuffled round-robin over a logical clock; the only inputs that
+//! differ are the transport (one tick per request) and the clock
+//! ([`CoalescePolicy::max_silence`] is wall-clock-only). That driver
+//! has no supervisor: periodic checkpoints and compactions do not
+//! happen, the terminal ones do.
 //!
 //! Fault tolerance is exercisable in-process: a [`ChaosConfig`] makes
 //! chosen workers "crash" (silently abandon their explorer, losing all
@@ -31,14 +52,14 @@ use crate::checkpoint::CheckpointStore;
 use crate::storage::StorageBackend;
 use crate::trace::{RunTrace, TraceMeta};
 use crate::transport::{
-    Envelope, GatewayTransport, ProtocolError, RouterTransport, Transport, TransportError,
+    GatewayTransport, LogicalClockTransport, ProtocolError, RouterTransport, Transport,
+    TransportError,
 };
 use crate::wal::WalStore;
 use crate::{
-    BundleHandler, ConfigError, ContactGateway, Coordinator, CoordinatorConfig, CoordinatorStats,
-    GatewayPolicy, GatewayStats, Request, Response, ShardEnvelope, ShardId, ShardRouter, WorkerId,
+    ConfigError, ContactGateway, CoordinatorConfig, CoordinatorStats, GatewayPolicy, GatewayStats,
+    Request, Response, ShardRouter, WorkerId,
 };
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gridbnb_bigint::UBig;
 use gridbnb_coding::Interval;
 use gridbnb_engine::{IntervalExplorer, Problem, SearchStats, Solution};
@@ -47,7 +68,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Periodic farmer checkpointing policy.
+/// Periodic checkpointing policy.
 #[derive(Clone, Debug)]
 pub struct CheckpointPolicy {
     /// Where the two files go.
@@ -163,11 +184,11 @@ impl Default for RetryPolicy {
 /// * steal victim = the shard whose donatable piece has the lowest
 ///   left endpoint (seed-rotated scan breaks exact ties);
 /// * donation = the largest *ordered* candidate
-///   ([`Coordinator::steal_ordered`] — tier, then length, then lowest
+///   ([`crate::Coordinator::steal_ordered`] — tier, then length, then lowest
 ///   left endpoint) instead of entry-vector position.
 ///
 /// With [`ReplicablePolicy::deterministic`] set the run is driven by a
-/// single-threaded scheduler over logical workers on a logical clock —
+/// single-threaded scheduler stepping the workers on a logical clock —
 /// two runs with the same seed produce **byte-identical** traces and
 /// identical per-shard counters (the headline property test). With it
 /// clear, the ordered rules and the trace run on real threads: the
@@ -193,10 +214,11 @@ pub struct ReplicablePolicy {
 pub struct RuntimeConfig {
     /// Number of worker threads.
     pub workers: usize,
-    /// Number of coordinator shards. `1` (the default) runs the classic
-    /// single farmer thread behind a request channel; `> 1` partitions
-    /// the root range across a [`ShardRouter`] that workers contact
-    /// directly, multiplying contact throughput.
+    /// Number of coordinator shards: how many independently locked
+    /// coordinators the [`ShardRouter`] splits the root range over.
+    /// Workers contact their home shard directly whatever the count;
+    /// `1` (the default) is one lock, `> 1` multiplies contact
+    /// throughput.
     pub shards: usize,
     /// Node visits explored between two coordinator contacts.
     pub poll_nodes: u64,
@@ -208,9 +230,7 @@ pub struct RuntimeConfig {
     /// many workers' contacts into one bundle per flush — one lock
     /// acquisition per *touched shard* per flush instead of one per
     /// worker. Orthogonal to [`RuntimeConfig::coalesce`] (which folds
-    /// one worker's slices); the two compose. A gateway at `shards = 1`
-    /// runs through a single-shard [`ShardRouter`] (response-identical
-    /// to the bare coordinator, property-pinned).
+    /// one worker's slices); the two compose.
     pub gateway: Option<GatewayPolicy>,
     /// Coordinator knobs (threshold, timeout, initial upper bound).
     pub coordinator: CoordinatorConfig,
@@ -219,9 +239,8 @@ pub struct RuntimeConfig {
     pub worker_powers: Vec<u64>,
     /// Optional periodic checkpointing.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Optional durable operation log (see [`DurabilityPolicy`]). Runs
-    /// with a policy always take the router path, whatever the shard
-    /// count — the journal hangs off the [`ShardRouter`].
+    /// Optional durable operation log (see [`DurabilityPolicy`]); the
+    /// journal hangs off the [`ShardRouter`].
     pub durability: Option<DurabilityPolicy>,
     /// Optional fault injection.
     pub chaos: Option<ChaosConfig>,
@@ -235,8 +254,7 @@ pub struct RuntimeConfig {
     /// Optional replicable mode (see [`ReplicablePolicy`]): ordered
     /// steal rules, an event trace, and — when `deterministic` — a
     /// single-threaded logical-clock driver producing byte-identical
-    /// traces per seed. Runs with a policy always take the router
-    /// path.
+    /// traces per seed.
     pub replicable: Option<ReplicablePolicy>,
     /// How workers retry contacts that fail transiently (see
     /// [`RetryPolicy`]).
@@ -468,7 +486,7 @@ pub struct WorkerReport {
     /// Total interval length it consumed (including progress lost in
     /// crashes, which other workers re-explore).
     pub consumed: UBig,
-    /// Time spent exploring (busy), as opposed to waiting on the farmer.
+    /// Time spent exploring (busy), as opposed to waiting on a contact.
     pub busy: Duration,
     /// Wall time of the thread.
     pub wall: Duration,
@@ -482,19 +500,16 @@ pub struct RunReport {
     /// `min(initial upper bound, best found)`: the proven optimum once
     /// the run completes.
     pub proven_optimum: Option<u64>,
-    /// Farmer-side protocol counters (summed over shards when sharded).
+    /// Coordinator-side protocol counters, summed over shards.
     pub coordinator_stats: CoordinatorStats,
-    /// The same counters per shard, in shard order (a single-shard or
-    /// classic farmer run reports one entry). Replicability tests
+    /// The same counters per shard, in shard order. Replicability tests
     /// compare these across same-seed runs — the aggregated sum could
     /// mask two runs that distributed the work differently.
     pub shard_stats: Vec<CoordinatorStats>,
     /// Cross-shard work steals (0 on single-shard runs).
     pub steals: u64,
     /// Lock-acquiring router contacts actually served
-    /// ([`ShardRouter::contacts`]); 0 on classic single-farmer runs
-    /// (the farmer channel has no shard locks to count). With a
-    /// gateway this is the amortized number — far below the workers'
+    /// ([`ShardRouter::contacts`]). With a gateway this is the amortized number — far below the workers'
     /// own submission count ([`RunReport::total_contacts`]).
     pub router_contacts: u64,
     /// Gateway aggregation counters, when a gateway was configured.
@@ -503,9 +518,12 @@ pub struct RunReport {
     pub workers: Vec<WorkerReport>,
     /// Wall-clock duration of the whole run.
     pub wall: Duration,
-    /// Total time the farmer spent handling requests and checkpointing.
+    /// Total time spent doing the paper's farmer's work: serving
+    /// requests — the time the shard locks were held, summed over
+    /// shards (`gbnb_shard_lock_hold_ns`) — plus the supervisor's
+    /// housekeeping (expiry, checkpoints, compaction, gateway flushes).
     pub farmer_busy: Duration,
-    /// Checkpoint files written by the farmer.
+    /// Checkpoint files written by the supervisor.
     pub farmer_checkpoints: u64,
     /// Checkpoint writes that **failed** (also counted on
     /// `gbnb_checkpoint_failures_total`). Non-zero means the on-disk
@@ -593,8 +611,10 @@ impl RunReport {
         self.worker_busy().as_secs_f64() / wall
     }
 
-    /// Farmer CPU exploitation: farmer busy time over run wall time (the
-    /// paper reports 1.7 %).
+    /// Farmer CPU exploitation: [`RunReport::farmer_busy`] over run wall
+    /// time (the paper reports 1.7 %). With several shards the locks are
+    /// held in parallel, so this is the load on the coordinator as a
+    /// whole, not on any one core.
     pub fn farmer_exploitation(&self) -> f64 {
         if self.wall.as_secs_f64() == 0.0 {
             return 0.0;
@@ -676,58 +696,7 @@ impl WorkerMetrics {
     }
 }
 
-/// [`BundleHandler`] over the classic farmer channel: the single-shard
-/// counterpart of handing the gateway a [`ShardRouter`]. A flush sends
-/// the combined bundle through one channel round-trip to the farmer
-/// thread, which folds it through `Coordinator::apply_batch` — so at
-/// `shards = 1` many workers' contacts still merge into one channel
-/// send and one batch application per flush.
-struct FarmerChannelHandler {
-    req_tx: Sender<Envelope>,
-    registry: MetricsRegistry,
-    /// Latches once any flush comes back with a `Terminate`: the
-    /// gateway's adaptive mode reads this to shrink its fan-in during
-    /// the endgame, and `submit` uses it to flush without waiting.
-    terminated: AtomicBool,
-}
-
-impl BundleHandler for &FarmerChannelHandler {
-    fn envelope(&self, request: Request) -> ShardEnvelope {
-        ShardEnvelope {
-            shard: ShardId(0),
-            request,
-        }
-    }
-
-    fn handle_bundle(&self, bundle: Vec<ShardEnvelope>, _now_ns: u64) -> Vec<(ShardId, Response)> {
-        let requests: Vec<Request> = bundle.into_iter().map(|e| e.request).collect();
-        let (reply_tx, reply_rx) = unbounded();
-        if self.req_tx.send((requests, reply_tx)).is_err() {
-            // The farmer hung up: the gateway's empty-reply sentinel
-            // tells every parked submitter the run is over.
-            return Vec::new();
-        }
-        match reply_rx.recv() {
-            Ok(responses) => {
-                if responses.iter().any(|r| matches!(r, Response::Terminate)) {
-                    self.terminated.store(true, Ordering::Release);
-                }
-                responses.into_iter().map(|r| (ShardId(0), r)).collect()
-            }
-            Err(_) => Vec::new(),
-        }
-    }
-
-    fn is_terminated(&self) -> bool {
-        self.terminated.load(Ordering::Acquire)
-    }
-
-    fn metrics(&self) -> MetricsRegistry {
-        self.registry.clone()
-    }
-}
-
-/// Runs the grid-enabled B&B on `problem` with real threads.
+/// Runs the grid-enabled B&B on `problem`.
 ///
 /// Blocks until the whole root interval is explored or eliminated, then
 /// returns the proof-of-optimality report.
@@ -737,188 +706,28 @@ pub fn run<P: Problem>(problem: &P, config: &RuntimeConfig) -> RunReport {
     run_on(problem, root, config)
 }
 
-/// Runs on an explicit root interval (used to resume from a checkpoint:
-/// restore the coordinator yourself and call [`run_with_coordinator`],
-/// or the router and call [`run_with_router`]).
+/// Runs on an explicit root interval: splits it over `config.shards`
+/// locks of a fresh [`ShardRouter`] and hands over to
+/// [`run_with_router`]. To resume from a checkpoint or a recovered log,
+/// restore the router yourself ([`ShardRouter::restore`]) and call
+/// [`run_with_router`] directly.
 pub fn run_on<P: Problem>(problem: &P, root: Interval, config: &RuntimeConfig) -> RunReport {
     config.assert_valid();
-    // A deterministic replicable run is driven by the single-threaded
-    // logical-clock scheduler — byte-identical traces per seed.
-    if config.replicable.is_some_and(|p| p.deterministic) {
-        return run_replicable(problem, root, config);
-    }
-    // The gateway aggregates in front of a ShardRouter, so a gateway
-    // run at shards = 1 still takes the router path (response-identical
-    // to the bare coordinator, property-pinned). Replicable rules hang
-    // off the router, so those runs take it too.
-    if config.shards > 1
-        || config.gateway.is_some()
-        || config.durability.is_some()
-        || config.replicable.is_some()
-    {
-        let router = ShardRouter::new(root, config.shards, config.coordinator.clone())
-            .expect("invalid coordinator config");
-        run_with_router(problem, router, config)
-    } else {
-        let coordinator = Coordinator::new(root, config.coordinator.clone());
-        run_with_coordinator(problem, coordinator, config)
-    }
+    let router = ShardRouter::new(root, config.shards, config.coordinator.clone())
+        .expect("invalid coordinator config");
+    run_with_router(problem, router, config)
 }
 
-/// Runs with a pre-built coordinator (fresh or restored from a
-/// [`CheckpointStore`]) behind the classic single farmer thread.
-/// `config.shards` is ignored here — a pre-built coordinator is by
-/// definition one shard.
+/// Runs with a pre-built [`ShardRouter`] — fresh, restored from a
+/// checkpoint ([`CheckpointStore::load_sharded`], or the single-shard
+/// v1 reader [`CheckpointStore::load`]) or rebuilt from a recovered
+/// log ([`WalStore::recover`]). The router's own shard count applies;
+/// `config.shards` is only read by [`run_on`].
 ///
-/// Worker contacts funnel through a [`ContactGateway`] over the farmer
-/// channel, so even the classic path amortizes: many workers' bundles
-/// merge into one channel round-trip and one `apply_batch` per flush.
-/// With no explicit [`RuntimeConfig::gateway`] policy the fan-in is a
-/// modest `min(workers, 4)` and the deadline at most 1 ms, so lightly
-/// threaded runs keep their latency; the response stream is pinned
-/// response-identical to the ungated channel by an exactness test.
-pub fn run_with_coordinator<P: Problem>(
-    problem: &P,
-    coordinator: Coordinator,
-    config: &RuntimeConfig,
-) -> RunReport {
-    config.assert_valid();
-    let started = Instant::now();
-    let root_length = coordinator.root().length();
-    let (req_tx, req_rx) = unbounded::<Envelope>();
-    let fresh_ids = AtomicU64::new(config.workers as u64);
-    let registry = config.metrics.clone().unwrap_or_default();
-    let worker_metrics = WorkerMetrics::register(&registry);
-    let policy = config.gateway.unwrap_or_else(|| {
-        // Defaults tuned for the in-process channel: small fan-in, and
-        // a deadline that is both proportional to the holder timeout
-        // (a parked submitter is silent towards the coordinator) and
-        // capped at 1 ms so huge timeouts cannot park workers long.
-        let max_delay_ns = (config.coordinator.holder_timeout_ns / 8).clamp(1, 1_000_000);
-        GatewayPolicy::new(config.workers.min(4), max_delay_ns)
-    });
-    let handler = FarmerChannelHandler {
-        req_tx,
-        registry: registry.clone(),
-        terminated: AtomicBool::new(false),
-    };
-    let gateway = ContactGateway::new(&handler, policy);
-    let gateway = &gateway;
-    let workers_done = AtomicBool::new(false);
-    let farmer_done = AtomicBool::new(false);
-
-    let mut worker_reports: Vec<WorkerReport> = Vec::new();
-    let mut farmer_out: Option<(Coordinator, Duration, u64, u64)> = None;
-    let mut sweeper_busy = Duration::ZERO;
-    let checkpoint_failed = registry.counter("gbnb_checkpoint_failures_total", &[]);
-
-    crossbeam::thread::scope(|scope| {
-        let workers_done = &workers_done;
-        let farmer_done = &farmer_done;
-        let worker_metrics = &worker_metrics;
-        let checkpoint_failed = &checkpoint_failed;
-        let farmer = scope.spawn(|_| {
-            farmer_loop(
-                coordinator,
-                req_rx,
-                config,
-                started,
-                farmer_done,
-                checkpoint_failed,
-            )
-        });
-        // The deadline sweeper plays the sharded supervisor's gateway
-        // role: it guarantees liveness when every submitter is parked
-        // below the fan-in.
-        let sweeper = scope.spawn(move |_| channel_gateway_sweeper(gateway, started, workers_done));
-        let mut handles = Vec::new();
-        for index in 0..config.workers {
-            let fresh_ids = &fresh_ids;
-            let power = config.worker_powers[index % config.worker_powers.len()];
-            let crash = config
-                .chaos
-                .as_ref()
-                .and_then(|c| c.crashes.iter().find(|p| p.worker_index == index))
-                .copied();
-            handles.push(scope.spawn(move |_| {
-                let transport = GatewayTransport::new(gateway, started);
-                worker_loop(
-                    problem,
-                    index,
-                    power,
-                    crash,
-                    &transport,
-                    fresh_ids,
-                    0,
-                    config,
-                    worker_metrics,
-                )
-            }));
-        }
-        for h in handles {
-            worker_reports.push(h.join().expect("worker thread panicked"));
-        }
-        // Teardown order matters: the sweeper's final flush (anyone
-        // parked at this instant) still needs the farmer answering, so
-        // the farmer's stop flag is set only after the sweeper joins.
-        workers_done.store(true, Ordering::Release);
-        sweeper_busy = sweeper.join().expect("sweeper thread panicked");
-        farmer_done.store(true, Ordering::Release);
-        farmer_out = Some(farmer.join().expect("farmer thread panicked"));
-    })
-    .expect("scope panicked");
-
-    let (coordinator, farmer_busy, farmer_checkpoints, checkpoint_failures) =
-        farmer_out.expect("farmer result");
-    let solution = coordinator.solution().cloned();
-    RunReport {
-        proven_optimum: coordinator.cutoff(),
-        solution,
-        coordinator_stats: *coordinator.stats(),
-        shard_stats: vec![*coordinator.stats()],
-        steals: 0,
-        router_contacts: 0,
-        gateway: Some(gateway.stats()),
-        workers: worker_reports,
-        wall: started.elapsed(),
-        farmer_busy: farmer_busy + sweeper_busy,
-        farmer_checkpoints,
-        checkpoint_failures,
-        root_length,
-        trace: None,
-    }
-}
-
-/// Deadline housekeeping for the channel-path gateway: polls
-/// [`ContactGateway::flush_stale`] at half the deadline until every
-/// worker thread has returned, then runs one final
-/// [`ContactGateway::flush_now`] for anyone parked at that instant.
-fn channel_gateway_sweeper(
-    gateway: &ContactGateway<&FarmerChannelHandler>,
-    started: Instant,
-    workers_done: &AtomicBool,
-) -> Duration {
-    let mut busy = Duration::ZERO;
-    let poll = Duration::from_nanos(gateway.policy().max_delay_ns / 2)
-        .clamp(Duration::from_micros(200), Duration::from_millis(50));
-    while !workers_done.load(Ordering::Acquire) {
-        std::thread::sleep(poll);
-        let t0 = Instant::now();
-        gateway.flush_stale(started.elapsed().as_nanos() as u64);
-        busy += t0.elapsed();
-    }
-    let t0 = Instant::now();
-    gateway.flush_now(started.elapsed().as_nanos() as u64);
-    busy += t0.elapsed();
-    busy
-}
-
-/// Runs with a pre-built [`ShardRouter`] (fresh, or restored from a
-/// sharded checkpoint via [`CheckpointStore::load_sharded`]). Workers
-/// contact their home shard directly — there is no farmer thread and no
-/// request channel, so contacts to different shards proceed in
-/// parallel. A supervisor thread handles stale-holder expiry and
-/// periodic checkpoints.
+/// The run is driven on worker threads plus a supervisor, or — under
+/// [`ReplicablePolicy::deterministic`] — by the single-threaded
+/// logical-clock scheduler; the workers are the same state machine
+/// either way (see the module docs).
 pub fn run_with_router<P: Problem>(
     problem: &P,
     router: ShardRouter,
@@ -927,8 +736,56 @@ pub fn run_with_router<P: Problem>(
     config.assert_valid();
     let started = Instant::now();
     let root_length = router.root().length();
+    let router = &equip_router(router, config);
+    let lock_hold_before = router.lock_hold_ns();
+    let worker_metrics = WorkerMetrics::register(router.metrics());
     let fresh_ids = AtomicU64::new(config.workers as u64);
-    let workers_done = AtomicBool::new(false);
+    let deterministic = config.replicable.filter(|policy| policy.deterministic);
+    let cx = WorkerContext {
+        config,
+        metrics: &worker_metrics,
+        fresh_ids: &fresh_ids,
+        wall_clock: deterministic.is_none(),
+    };
+    let gateway = config
+        .gateway
+        .map(|policy| ContactGateway::new(router, policy));
+
+    let (workers, housekeeping) = match deterministic {
+        Some(policy) => {
+            let workers = drive_on_logical_clock(problem, router, &cx, policy.seed);
+            let mut housekeeping = Housekeeping::new(router);
+            housekeeping.finish(router, config);
+            (workers, housekeeping)
+        }
+        None => drive_on_threads(problem, router, gateway.as_ref(), &cx, started),
+    };
+
+    // With no farmer thread, the time the shard locks were held is
+    // where the paper's "farmer" time went.
+    let served = Duration::from_nanos(router.lock_hold_ns() - lock_hold_before);
+    RunReport {
+        proven_optimum: router.cutoff(),
+        solution: router.solution(),
+        coordinator_stats: router.stats(),
+        shard_stats: router.shard_stats(),
+        steals: router.steals(),
+        router_contacts: router.contacts(),
+        gateway: gateway.map(|g| g.stats()),
+        workers,
+        wall: started.elapsed(),
+        farmer_busy: housekeeping.busy + served,
+        farmer_checkpoints: housekeeping.checkpoints,
+        checkpoint_failures: housekeeping.checkpoint_failures,
+        root_length,
+        trace: router.trace().cloned(),
+    }
+}
+
+/// Attaches what the run's policies ask for, in the one order that
+/// lands every series on the run registry: metrics, then the durable
+/// log, then the replicable rules and the trace.
+fn equip_router(router: ShardRouter, config: &RuntimeConfig) -> ShardRouter {
     // An injected registry re-homes the router's series so every layer
     // of the run is scrapeable from the one place.
     let router = match &config.metrics {
@@ -939,7 +796,6 @@ pub fn run_with_router<P: Problem>(
     // *current* state — which is the recovered state when the caller
     // rebuilt the router from [`WalStore::recover`] — so a run killed
     // at any instant resumes from here plus the journaled deltas.
-    // After `with_metrics`, so `gbnb_wal_*` lands on the run registry.
     let router = match &config.durability {
         Some(policy) => {
             let (intervals, solution) = router.snapshot();
@@ -949,114 +805,77 @@ pub fn run_with_router<P: Problem>(
         }
         None => router,
     };
-    // Replicable rules (ordered steals) and the event trace attach
-    // last, so the trace counters land on the run registry too.
-    let router = match &config.replicable {
-        Some(policy) => {
-            let router = router.with_replicable(policy.seed);
-            if policy.record_trace {
-                let meta = TraceMeta {
-                    seed: policy.seed,
-                    workers: config.workers as u64,
-                    shards: config.shards as u64,
-                };
-                let trace = Arc::new(RunTrace::new(meta, router.metrics()));
-                router.with_trace(trace)
-            } else {
-                router
-            }
-        }
-        None => router,
+    let Some(policy) = &config.replicable else {
+        return router;
     };
-    let router = &router;
-    let worker_metrics = WorkerMetrics::register(router.metrics());
-    let gateway = config
-        .gateway
-        .map(|policy| ContactGateway::new(router, policy));
-    let gateway = gateway.as_ref();
+    let router = router.with_replicable(policy.seed);
+    if !policy.record_trace {
+        return router;
+    }
+    let meta = TraceMeta {
+        seed: policy.seed,
+        workers: config.workers as u64,
+        shards: router.shard_count() as u64,
+    };
+    let trace = Arc::new(RunTrace::new(meta, router.metrics()));
+    router.with_trace(trace)
+}
 
-    let mut worker_reports: Vec<WorkerReport> = Vec::new();
-    let mut supervisor_out = (Duration::ZERO, 0u64, 0u64);
-
+/// The threaded driver: one thread per [`Worker`], each stepping until
+/// done over its own transport, plus the supervisor. The supervisor is
+/// unparked the moment the last worker has joined, so teardown costs a
+/// notification, not a timer.
+fn drive_on_threads<P: Problem>(
+    problem: &P,
+    router: &ShardRouter,
+    gateway: Option<&ContactGateway<'_>>,
+    cx: &WorkerContext<'_>,
+    started: Instant,
+) -> (Vec<WorkerReport>, Housekeeping) {
+    let workers_done = &AtomicBool::new(false);
     crossbeam::thread::scope(|scope| {
-        let workers_done = &workers_done;
-        let worker_metrics = &worker_metrics;
-        let supervisor =
-            scope.spawn(move |_| supervisor_loop(router, gateway, config, started, workers_done));
-        let mut handles = Vec::new();
-        for index in 0..config.workers {
-            let fresh_ids = &fresh_ids;
-            let power = config.worker_powers[index % config.worker_powers.len()];
-            let crash = config
-                .chaos
-                .as_ref()
-                .and_then(|c| c.crashes.iter().find(|p| p.worker_index == index))
-                .copied();
-            handles.push(scope.spawn(move |_| {
-                // The gateway merges a worker's batch with other
-                // workers' into a shared bundle and blocks until a
-                // flush serves it; without one, bundles go straight
-                // into the worker's home shard.
-                let transport: Box<dyn Transport + Send> = match gateway {
-                    Some(gateway) => Box::new(GatewayTransport::new(gateway, started)),
-                    None => Box::new(RouterTransport::new(router, started)),
-                };
-                worker_loop(
-                    problem,
-                    index,
-                    power,
-                    crash,
-                    transport.as_ref(),
-                    fresh_ids,
-                    0,
-                    config,
-                    worker_metrics,
-                )
-            }));
-        }
-        // Collect panics instead of unwinding immediately: the done
-        // flag must be set either way, or the supervisor (which only
-        // exits on termination or that flag) would block the scope's
-        // implicit join forever — a worker panic would hang the run
-        // instead of propagating. The channel runtime gets this for
-        // free (a panicked worker drops its Sender and disconnects the
-        // farmer); this restores parity.
+        let supervisor = scope
+            .spawn(move |_| supervisor_loop(router, gateway, cx.config, started, workers_done));
+        let handles: Vec<_> = (0..cx.config.workers)
+            .map(|index| {
+                scope.spawn(move |_| {
+                    let worker = Worker::new(problem, index, 0, cx.config);
+                    // The gateway merges a worker's batch with other
+                    // workers' into a shared bundle and blocks until a
+                    // flush serves it; without one, bundles go straight
+                    // into the worker's home shard.
+                    match gateway {
+                        Some(gateway) => worker.run(&GatewayTransport::new(gateway, started), cx),
+                        None => worker.run(&RouterTransport::new(router, started), cx),
+                    }
+                })
+            })
+            .collect();
+        // Collect panics instead of unwinding immediately: the
+        // supervisor only leaves on termination or this notification,
+        // so a worker panic must still reach it or the scope's implicit
+        // join would hang the run instead of propagating.
+        let mut reports = Vec::with_capacity(handles.len());
         let mut worker_panic = None;
-        for h in handles {
-            match h.join() {
-                Ok(report) => worker_reports.push(report),
+        for handle in handles {
+            match handle.join() {
+                Ok(report) => reports.push(report),
                 Err(panic) => worker_panic = Some(panic),
             }
         }
         workers_done.store(true, Ordering::Release);
-        supervisor_out = supervisor.join().expect("supervisor thread panicked");
+        supervisor.thread().unpark();
+        let housekeeping = supervisor.join().expect("supervisor thread panicked");
         if let Some(panic) = worker_panic {
             std::panic::resume_unwind(panic);
         }
+        (reports, housekeeping)
     })
-    .expect("scope panicked");
-
-    let (farmer_busy, farmer_checkpoints, checkpoint_failures) = supervisor_out;
-    RunReport {
-        proven_optimum: router.cutoff(),
-        solution: router.solution(),
-        coordinator_stats: router.stats(),
-        shard_stats: router.shard_stats(),
-        steals: router.steals(),
-        router_contacts: router.contacts(),
-        gateway: gateway.map(|g| g.stats()),
-        workers: worker_reports,
-        wall: started.elapsed(),
-        farmer_busy,
-        farmer_checkpoints,
-        checkpoint_failures,
-        root_length,
-        trace: router.trace().cloned(),
-    }
+    .expect("scope panicked")
 }
 
-/// SplitMix64 step: the driver's only randomness source, fully
-/// determined by the policy seed.
+/// SplitMix64 step: the deterministic driver's only randomness source,
+/// fully determined by the policy seed.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -1065,399 +884,170 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What one logical worker did with its scheduler visit.
-enum StepOutcome {
-    /// Explored a slice or completed a contact — the round made
-    /// progress.
-    Advanced,
-    /// Its work request came back [`Response::Retry`]: the endgame
-    /// intervals are all in their holders' hands.
-    Blocked,
-}
-
-/// One logical worker of the deterministic driver: the exact state the
-/// threaded [`worker_loop`] keeps on its stack, laid out so a
-/// single-threaded scheduler can advance it one step at a time.
-struct LogicalWorker<'p, P: Problem> {
-    id: WorkerId,
-    power: u64,
-    joining: bool,
-    done: bool,
-    crash: Option<CrashPlan>,
-    pending_solution: Option<Solution>,
-    /// The in-flight unit: explorer plus its start position (for
-    /// consumed-length accounting).
-    unit: Option<(IntervalExplorer<'p, P>, UBig)>,
-    slices_since_contact: u64,
-    report: WorkerReport,
-}
-
-impl<P: Problem> LogicalWorker<'_, P> {
-    /// Folds the finished (or abandoned) unit into the report.
-    fn retire_unit(&mut self, metrics: &WorkerMetrics) {
-        if let Some((explorer, unit_start)) = self.unit.take() {
-            self.report.consumed += &explorer.position().saturating_sub(&unit_start);
-            metrics.bound_calls.add(explorer.stats().bound_calls);
-            self.report.stats.merge(explorer.stats());
-        }
-    }
-}
-
-/// The deterministic replicable driver: `config.workers` **logical**
-/// workers advanced one step at a time by a single-threaded scheduler,
-/// over a **logical clock** that ticks once per coordinator contact.
+/// The deterministic replicable driver: the same [`Worker`]s the
+/// threads run, advanced one [`Worker::step`] at a time by a
+/// single-threaded scheduler. Only two inputs differ from the threaded
+/// driver:
 ///
-/// Determinism comes from three substitutions, each mirroring the
-/// threaded path exactly otherwise:
+/// * *transport and clock* — contacts go through a
+///   [`LogicalClockTransport`], whose `now_ns` is a tick counter, so
+///   holder heartbeats and expiry decisions are functions of contact
+///   order, not wall time (and [`CoalescePolicy::max_silence`], a
+///   wall-clock deadline, does not fire);
+/// * *scheduler* — workers are visited in a seed-shuffled round-robin
+///   instead of by the OS. When a whole round yields only
+///   [`Step::Blocked`] (the crashed-holder endgame) the clock
+///   fast-forwards to the next expiry instant — per-contact ticks make
+///   every heartbeat unique, so exactly the stalest holder expires.
 ///
-/// * *scheduler* — workers run in a seed-shuffled round-robin instead
-///   of OS scheduling; a worker's step is one exploration slice or one
-///   contact, in [`worker_loop`]'s order (fresh-best report, scripted
-///   crash, exhaustion, periodic update);
-/// * *clock* — `now_ns` is a tick counter, so holder heartbeats and
-///   expiry decisions are functions of contact order, not wall time.
-///   Stale holders are expired right before every contact, and when a
-///   whole round yields only [`Response::Retry`] (the crashed-holder
-///   endgame) the clock fast-forwards to the next expiry instant —
-///   per-contact ticks make every heartbeat unique, so exactly the
-///   stalest holder expires, deterministically;
-/// * *coalescing* — only the slice-count trigger fires
-///   ([`CoalescePolicy::max_silence`] is wall-clock and is ignored
-///   here).
-///
-/// Checkpoint and durability policies are not serviced in this mode
-/// (there is no supervisor thread); [`RunReport::trace`] is the
-/// replicable artifact. Two calls with the same problem, config and
-/// seed produce byte-identical traces and identical per-shard
-/// counters — the property the replicable test suite pins.
-fn run_replicable<P: Problem>(problem: &P, root: Interval, config: &RuntimeConfig) -> RunReport {
-    config.assert_valid();
-    let policy = config
-        .replicable
-        .expect("replicable driver without a policy");
-    let started = Instant::now();
-    let root_length = root.length();
-    let registry = config.metrics.clone().unwrap_or_default();
-    let mut router = ShardRouter::new(root, config.shards, config.coordinator.clone())
-        .expect("invalid coordinator config")
-        .with_metrics(&registry)
-        .with_replicable(policy.seed);
-    if policy.record_trace {
-        let meta = TraceMeta {
-            seed: policy.seed,
-            workers: config.workers as u64,
-            shards: config.shards as u64,
-        };
-        let trace = Arc::new(RunTrace::new(meta, router.metrics()));
-        router = router.with_trace(trace);
-    }
-    let worker_metrics = WorkerMetrics::register(router.metrics());
-
-    let mut workers: Vec<LogicalWorker<'_, P>> = (0..config.workers)
-        .map(|index| LogicalWorker {
-            id: WorkerId(index as u64),
-            power: config.worker_powers[index % config.worker_powers.len()],
-            joining: true,
-            done: false,
-            crash: config
-                .chaos
-                .as_ref()
-                .and_then(|c| c.crashes.iter().find(|p| p.worker_index == index))
-                .copied(),
-            pending_solution: None,
-            unit: None,
-            slices_since_contact: 0,
-            report: WorkerReport::default(),
-        })
+/// Two calls with the same problem, config and seed produce
+/// byte-identical traces and identical per-shard counters — the
+/// property the replicable test suite pins, across commits too.
+fn drive_on_logical_clock<P: Problem>(
+    problem: &P,
+    router: &ShardRouter,
+    cx: &WorkerContext<'_>,
+    seed: u64,
+) -> Vec<WorkerReport> {
+    let transport = LogicalClockTransport::new(router);
+    let mut workers: Vec<Worker<'_, P>> = (0..cx.config.workers)
+        .map(|index| Worker::new(problem, index, 0, cx.config))
         .collect();
-    let mut fresh_ids = config.workers as u64;
 
     // Seeded Fisher–Yates: the one fixed visiting order of the run.
-    let mut order: Vec<usize> = (0..config.workers).collect();
-    let mut rng = policy.seed;
+    let mut order: Vec<usize> = (0..workers.len()).collect();
+    let mut rng = seed;
     for i in (1..order.len()).rev() {
         let j = (splitmix64(&mut rng) % (i as u64 + 1)) as usize;
         order.swap(i, j);
     }
 
-    // The logical clock: one tick per coordinator contact, so every
-    // heartbeat lands on a distinct instant.
-    let mut tick: u64 = 0;
-    let contact = |router: &ShardRouter, tick: &mut u64, request: Request| -> Response {
-        *tick += 1;
-        router.expire_stale_holders(*tick);
-        router.handle(request, *tick)
-    };
-
-    loop {
-        let mut any_advanced = false;
-        let mut all_done = true;
-        for &w in &order {
-            let state = &mut workers[w];
-            if state.done {
-                continue;
+    while !order.is_empty() {
+        let mut progressed = false;
+        order.retain(|&w| match workers[w].step(&transport, cx) {
+            Step::Advanced => {
+                progressed = true;
+                true
             }
-            all_done = false;
-            let outcome = if state.unit.is_none() {
-                // Work request step, mirroring the 'units head: an
-                // unreported solution rides the same visit (its own
-                // tick — a bundle's requests are served in order).
-                if let Some(solution) = state.pending_solution.take() {
-                    let worker = state.id;
-                    let _ = contact(
-                        &router,
-                        &mut tick,
-                        Request::ReportSolution { worker, solution },
-                    );
-                }
-                let request = if state.joining {
-                    Request::Join {
-                        worker: state.id,
-                        power: state.power,
-                    }
-                } else {
-                    Request::RequestWork {
-                        worker: state.id,
-                        power: state.power,
-                    }
-                };
-                state.joining = false;
-                state.report.contacts += 1;
-                worker_metrics.contacts.inc();
-                match contact(&router, &mut tick, request) {
-                    Response::Work { interval, cutoff } => {
-                        state.report.units += 1;
-                        worker_metrics.units.inc();
-                        let explorer = IntervalExplorer::with_pooling(
-                            problem,
-                            &interval,
-                            cutoff,
-                            config.pooling,
-                        );
-                        let start = explorer.position().clone();
-                        state.unit = Some((explorer, start));
-                        state.slices_since_contact = 0;
-                        StepOutcome::Advanced
-                    }
-                    Response::Terminate => {
-                        state.done = true;
-                        StepOutcome::Advanced
-                    }
-                    Response::Retry => StepOutcome::Blocked,
-                    other => {
-                        state.report.transport_failure = Some(
-                            ProtocolError::UnexpectedResponse {
-                                expected: "Work, Terminate or Retry",
-                                got: format!("{other:?}"),
-                            }
-                            .into(),
-                        );
-                        state.done = true;
-                        StepOutcome::Advanced
-                    }
-                }
-            } else {
-                // Exploration step: one slice, then worker_loop's exact
-                // follow-up order.
-                let (explorer, _) = state.unit.as_mut().expect("unit checked above");
-                let t0 = Instant::now();
-                explorer.run(config.poll_nodes);
-                let slice = t0.elapsed();
-                state.report.busy += slice;
-                worker_metrics.slice_ns.observe(slice.as_nanos() as u64);
-                worker_metrics.busy_ns.add(slice.as_nanos() as u64);
-                state.slices_since_contact += 1;
-                let mut contacted_this_slice = false;
-                let mut fresh = explorer.take_fresh_best();
-                let mut ended = false;
-                if fresh.is_some() && !explorer.is_exhausted() {
-                    state.report.contacts += 1;
-                    worker_metrics.contacts.inc();
-                    let response = contact(
-                        &router,
-                        &mut tick,
-                        Request::UpdateAndReport {
-                            worker: state.id,
-                            interval: explorer.current_interval(),
-                            solution: fresh.take(),
-                        },
-                    );
-                    state.report.checkpoint_ops += 1;
-                    match adopt_update_ack(response, explorer) {
-                        Ok(true) => {}
-                        Ok(false) => ended = true,
-                        Err(e) => {
-                            state.report.transport_failure = Some(e.into());
-                            ended = true;
-                        }
-                    }
-                    state.slices_since_contact = 0;
-                    contacted_this_slice = true;
-                }
-                if ended {
-                    state.retire_unit(&worker_metrics);
-                    state.done = true;
-                    StepOutcome::Advanced
-                } else if state.crash.is_some_and(|plan| {
-                    state.report.stats.explored
-                        + state.unit.as_ref().map_or(0, |(e, _)| e.stats().explored)
-                        >= plan.after_nodes
-                }) {
-                    // Scripted crash: lose the explorer and any solution
-                    // still waiting for the work-request bundle.
-                    let plan = state.crash.take().expect("crash plan checked above");
-                    state.report.crashes += 1;
-                    state.retire_unit(&worker_metrics);
-                    state.pending_solution = None;
-                    if plan.rejoin {
-                        state.id = WorkerId(fresh_ids);
-                        fresh_ids += 1;
-                        state.joining = true;
-                    } else {
-                        state.done = true;
-                    }
-                    StepOutcome::Advanced
-                } else if state.unit.as_ref().is_some_and(|(e, _)| e.is_exhausted()) {
-                    state.pending_solution = fresh.take();
-                    state.retire_unit(&worker_metrics);
-                    StepOutcome::Advanced
-                } else {
-                    // Periodic checkpoint: only the deterministic
-                    // slice-count trigger — max_silence is wall-clock.
-                    let due = !contacted_this_slice
-                        && match &config.coalesce {
-                            None => true,
-                            Some(policy) => state.slices_since_contact >= policy.slices_per_contact,
-                        };
-                    if due {
-                        let (explorer, _) = state.unit.as_mut().expect("unit survives the slice");
-                        state.report.contacts += 1;
-                        worker_metrics.contacts.inc();
-                        let response = contact(
-                            &router,
-                            &mut tick,
-                            Request::Update {
-                                worker: state.id,
-                                interval: explorer.current_interval(),
-                            },
-                        );
-                        state.report.checkpoint_ops += 1;
-                        match adopt_update_ack(response, explorer) {
-                            Ok(true) => {}
-                            Ok(false) => {
-                                state.retire_unit(&worker_metrics);
-                                state.done = true;
-                            }
-                            Err(e) => {
-                                state.report.transport_failure = Some(e.into());
-                                state.retire_unit(&worker_metrics);
-                                state.done = true;
-                            }
-                        }
-                        state.slices_since_contact = 0;
-                    }
-                    StepOutcome::Advanced
-                }
-            };
-            if matches!(outcome, StepOutcome::Advanced) {
-                any_advanced = true;
+            Step::Blocked => true,
+            Step::Done => {
+                progressed = true;
+                false
             }
-        }
-        if all_done {
-            break;
-        }
-        if !any_advanced {
+        });
+        if !progressed {
             // Every live worker is parked on Retry: the remaining
-            // intervals belong to crashed holders. Fast-forward the
-            // clock to the earliest expiry instant instead of spinning
-            // one tick at a time through a (logical) timeout.
-            match router.next_expiry_at() {
-                Some(at) => {
-                    tick = tick.max(at);
-                    router.expire_stale_holders(tick);
-                }
-                None => {
-                    // Nothing to expire and nothing stealable: the next
-                    // round observes global termination.
-                    tick += 1;
-                }
+            // intervals belong to crashed holders.
+            transport.fast_forward();
+        }
+    }
+    workers.into_iter().map(Worker::finish).collect()
+}
+
+/// What the supervisor did besides waiting, as [`RunReport`] tallies.
+struct Housekeeping {
+    busy: Duration,
+    checkpoints: u64,
+    checkpoint_failures: u64,
+    /// `gbnb_checkpoint_failures_total`.
+    checkpoint_failed: Counter,
+}
+
+impl Housekeeping {
+    fn new(router: &ShardRouter) -> Self {
+        Housekeeping {
+            busy: Duration::ZERO,
+            checkpoints: 0,
+            checkpoint_failures: 0,
+            checkpoint_failed: router
+                .metrics()
+                .counter("gbnb_checkpoint_failures_total", &[]),
+        }
+    }
+
+    fn checkpoint(&mut self, policy: &CheckpointPolicy, router: &ShardRouter) {
+        match policy.store.save_sharded(router) {
+            Ok(()) => self.checkpoints += 1,
+            Err(_) => {
+                self.checkpoint_failures += 1;
+                self.checkpoint_failed.inc();
             }
         }
     }
 
-    let mut worker_reports = Vec::with_capacity(workers.len());
-    for mut state in workers {
-        state.retire_unit(&worker_metrics);
-        state.report.wall = started.elapsed();
-        worker_reports.push(state.report);
-    }
-    RunReport {
-        proven_optimum: router.cutoff(),
-        solution: router.solution(),
-        coordinator_stats: router.stats(),
-        shard_stats: router.shard_stats(),
-        steals: router.steals(),
-        router_contacts: router.contacts(),
-        gateway: None,
-        workers: worker_reports,
-        wall: started.elapsed(),
-        farmer_busy: Duration::ZERO,
-        farmer_checkpoints: 0,
-        checkpoint_failures: 0,
-        root_length,
-        trace: router.trace().cloned(),
+    /// Terminal housekeeping, under either driver: a final checkpoint
+    /// so a restart sees the terminal state, and a final compaction so
+    /// a finished campaign's backend holds the terminal snapshot
+    /// (usually empty intervals) and no segments — a restart recovers
+    /// the proof instead of redoing work.
+    fn finish(&mut self, router: &ShardRouter, config: &RuntimeConfig) {
+        let t0 = Instant::now();
+        if let Some(policy) = &config.checkpoint {
+            self.checkpoint(policy, router);
+        }
+        if config.durability.is_some() {
+            // A failed compaction leaves the previous manifest
+            // committed and is counted on
+            // `gbnb_wal_compaction_failures_total` by the store.
+            let _ = router.compact_wal();
+        }
+        self.busy += t0.elapsed();
     }
 }
 
-/// Housekeeping for sharded runs: what the farmer loop did besides
-/// answering requests — expire stale holders (the recovery path for
-/// crashed workers), enforce the gateway's deadline flush (the trigger
-/// that guarantees liveness when every submitter is parked below the
-/// fan-in), and write periodic checkpoints. Exits when the run
-/// terminates or every worker thread has returned — after one final
+/// Longest the supervisor sleeps without re-reading
+/// [`ShardRouter::next_expiry_at`]: a holder that appears while it
+/// sleeps has a deadline it has not seen yet.
+const EXPIRY_REREAD: Duration = Duration::from_millis(50);
+
+/// Shortest supervisor sleep, whatever the policies' periods say.
+const SHORTEST_WAIT: Duration = Duration::from_millis(1);
+
+/// Housekeeping beside the worker threads: expire stale holders (the
+/// recovery path for crashed workers), enforce the gateway's deadline
+/// flush (the trigger that guarantees liveness when every submitter is
+/// parked below the fan-in), write periodic checkpoints and compact the
+/// log. It parks until the earliest of those is due and is unparked by
+/// the runtime when the last worker has joined; it then runs one final
 /// gateway flush, so no submitter blocked at that instant is stranded
-/// (later submitters see the terminated router and flush themselves).
+/// (later submitters see the terminated router and flush themselves),
+/// and the terminal housekeeping.
 fn supervisor_loop(
     router: &ShardRouter,
-    gateway: Option<&ContactGateway<&ShardRouter>>,
+    gateway: Option<&ContactGateway<'_>>,
     config: &RuntimeConfig,
     started: Instant,
     workers_done: &AtomicBool,
-) -> (Duration, u64, u64) {
-    let mut busy = Duration::ZERO;
-    let mut checkpoints = 0u64;
-    let mut checkpoint_failures = 0u64;
-    let checkpoint_failed = router
-        .metrics()
-        .counter("gbnb_checkpoint_failures_total", &[]);
+) -> Housekeeping {
+    let mut housekeeping = Housekeeping::new(router);
     let mut last_checkpoint = Instant::now();
     let mut last_compaction = Instant::now();
-    let mut tick = config
-        .checkpoint
-        .as_ref()
-        .map(|p| p.every)
-        .unwrap_or(Duration::from_millis(50))
-        .min(Duration::from_millis(50));
+    let mut period = EXPIRY_REREAD;
+    if let Some(policy) = &config.checkpoint {
+        period = period.min(policy.every);
+    }
     if let Some(policy) = &config.durability {
-        tick = tick.min(policy.compact_every);
+        period = period.min(policy.compact_every);
     }
     if let Some(gateway) = gateway {
         // Poll at least twice per gateway deadline, so a lone buffered
         // submission waits at most ~1.5 deadlines in the worst case.
-        let poll =
-            Duration::from_nanos(gateway.policy().max_delay_ns / 2).max(Duration::from_millis(1));
-        tick = tick.min(poll);
+        period = period.min(Duration::from_nanos(gateway.policy().max_delay_ns / 2));
     }
-    while !workers_done.load(Ordering::Acquire) && !router.is_terminated() {
-        // Sleep until the earliest holder becomes expirable or the next
-        // housekeeping tick, whichever is sooner.
+    // A zero period (`every` or `compact_every` of zero) must not turn
+    // the wait into a spin.
+    let period = period.max(SHORTEST_WAIT);
+    loop {
+        // Park until the earliest holder becomes expirable or the next
+        // housekeeping period, whichever is sooner.
         let now_ns = started.elapsed().as_nanos() as u64;
-        let wait = router
-            .next_expiry_at()
-            .map(|t| Duration::from_nanos(t.saturating_sub(now_ns)).max(Duration::from_millis(1)))
-            .unwrap_or(tick)
-            .min(tick);
-        std::thread::sleep(wait);
+        let wait = router.next_expiry_at().map_or(period, |at| {
+            Duration::from_nanos(at.saturating_sub(now_ns)).clamp(SHORTEST_WAIT, period)
+        });
+        std::thread::park_timeout(wait);
+        if workers_done.load(Ordering::Acquire) || router.is_terminated() {
+            break;
+        }
         let t0 = Instant::now();
         if let Some(gateway) = gateway {
             gateway.flush_stale(started.elapsed().as_nanos() as u64);
@@ -1465,26 +1055,18 @@ fn supervisor_loop(
         router.expire_stale_holders(started.elapsed().as_nanos() as u64);
         if let Some(policy) = &config.checkpoint {
             if last_checkpoint.elapsed() >= policy.every {
-                match policy.store.save_sharded(router) {
-                    Ok(()) => checkpoints += 1,
-                    Err(_) => {
-                        checkpoint_failures += 1;
-                        checkpoint_failed.inc();
-                    }
-                }
+                housekeeping.checkpoint(policy, router);
                 last_checkpoint = Instant::now();
             }
         }
         if let Some(policy) = &config.durability {
             if last_compaction.elapsed() >= policy.compact_every {
-                // A failed compaction leaves the previous manifest
-                // committed and is counted on
-                // `gbnb_wal_compaction_failures_total` by the store.
+                // Failures are counted by the store (see `finish`).
                 let _ = router.compact_wal();
                 last_compaction = Instant::now();
             }
         }
-        busy += t0.elapsed();
+        housekeeping.busy += t0.elapsed();
     }
     // Final gateway sweep: whoever is parked in the buffer right now
     // gets served; anyone submitting after this observes the
@@ -1492,129 +1074,10 @@ fn supervisor_loop(
     if let Some(gateway) = gateway {
         let t0 = Instant::now();
         gateway.flush_now(started.elapsed().as_nanos() as u64);
-        busy += t0.elapsed();
+        housekeeping.busy += t0.elapsed();
     }
-    // Final checkpoint so a restart sees the terminal state.
-    if let Some(policy) = &config.checkpoint {
-        let t0 = Instant::now();
-        match policy.store.save_sharded(router) {
-            Ok(()) => checkpoints += 1,
-            Err(_) => {
-                checkpoint_failures += 1;
-                checkpoint_failed.inc();
-            }
-        }
-        busy += t0.elapsed();
-    }
-    // Final compaction: a finished campaign's backend holds the terminal
-    // snapshot (usually empty intervals) and no segments, so a restart
-    // recovers the proof instead of redoing work.
-    if config.durability.is_some() {
-        let t0 = Instant::now();
-        let _ = router.compact_wal();
-        busy += t0.elapsed();
-    }
-    (busy, checkpoints, checkpoint_failures)
-}
-
-fn farmer_loop(
-    mut coordinator: Coordinator,
-    req_rx: Receiver<Envelope>,
-    config: &RuntimeConfig,
-    started: Instant,
-    done: &AtomicBool,
-    checkpoint_failed: &Counter,
-) -> (Coordinator, Duration, u64, u64) {
-    let mut busy = Duration::ZERO;
-    let mut checkpoints = 0u64;
-    let mut checkpoint_failures = 0u64;
-    let mut last_checkpoint = Instant::now();
-    let tick = config
-        .checkpoint
-        .as_ref()
-        .map(|p| p.every)
-        .unwrap_or(Duration::from_millis(50));
-    loop {
-        // Sleep until a request arrives, the next checkpoint is due, or
-        // the earliest holder becomes expirable — the coordinator's
-        // heartbeat index makes that instant an O(1) query, so no
-        // periodic full sweep is needed.
-        let now_ns = started.elapsed().as_nanos() as u64;
-        let wait = coordinator
-            .next_expiry_at()
-            .map(|t| Duration::from_nanos(t.saturating_sub(now_ns)).max(Duration::from_millis(1)))
-            .unwrap_or(tick)
-            .min(tick);
-        match req_rx.recv_timeout(wait) {
-            Ok((requests, reply_tx)) => {
-                let t0 = Instant::now();
-                let now_ns = started.elapsed().as_nanos() as u64;
-                let mut responses = Vec::with_capacity(requests.len());
-                let mut pending = requests;
-                loop {
-                    let outcome = coordinator.apply_batch(pending, now_ns);
-                    responses.extend(outcome.responses);
-                    match outcome.stalled {
-                        None => break,
-                        Some((_, rest)) => {
-                            // Single coordinator: nobody to steal from,
-                            // the local Terminate is the global one.
-                            responses.push(Response::Terminate);
-                            if rest.is_empty() {
-                                break;
-                            }
-                            pending = rest;
-                        }
-                    }
-                }
-                busy += t0.elapsed();
-                // A dropped worker (crash between send and reply) is fine.
-                let _ = reply_tx.send(responses);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // The gateway's handler keeps a Sender alive for the
-                // whole run, so teardown is flag-driven: the runtime
-                // raises `done` once the final gateway flush is served.
-                if done.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-        let t0 = Instant::now();
-        {
-            // Expiry visits only holders that are actually stale; with
-            // none due this is a constant-time check.
-            let now_ns = started.elapsed().as_nanos() as u64;
-            coordinator.expire_stale_holders(now_ns);
-        }
-        if let Some(policy) = &config.checkpoint {
-            if last_checkpoint.elapsed() >= policy.every {
-                match policy.store.save(&coordinator) {
-                    Ok(()) => checkpoints += 1,
-                    Err(_) => {
-                        checkpoint_failures += 1;
-                        checkpoint_failed.inc();
-                    }
-                }
-                last_checkpoint = Instant::now();
-            }
-        }
-        busy += t0.elapsed();
-    }
-    // Final checkpoint so a restart sees the terminal state.
-    if let Some(policy) = &config.checkpoint {
-        let t0 = Instant::now();
-        match policy.store.save(&coordinator) {
-            Ok(()) => checkpoints += 1,
-            Err(_) => {
-                checkpoint_failures += 1;
-                checkpoint_failed.inc();
-            }
-        }
-        busy += t0.elapsed();
-    }
-    (coordinator, busy, checkpoints, checkpoint_failures)
+    housekeeping.finish(router, config);
+    housekeeping
 }
 
 /// Client-side half of a run: spawns `config.workers` worker threads,
@@ -1640,66 +1103,35 @@ where
     F: Fn(usize) -> T + Sync,
 {
     config.assert_valid();
-    let fresh_ids = AtomicU64::new(id_base + config.workers as u64);
     let registry = config.metrics.clone().unwrap_or_default();
-    let worker_metrics = WorkerMetrics::register(&registry);
-    let mut worker_reports: Vec<WorkerReport> = Vec::new();
+    let cx = &WorkerContext {
+        config,
+        metrics: &WorkerMetrics::register(&registry),
+        fresh_ids: &AtomicU64::new(id_base + config.workers as u64),
+        wall_clock: true,
+    };
     crossbeam::thread::scope(|scope| {
-        let fresh_ids = &fresh_ids;
         let connect = &connect;
-        let worker_metrics = &worker_metrics;
-        let mut handles = Vec::new();
-        for index in 0..config.workers {
-            let power = config.worker_powers[index % config.worker_powers.len()];
-            let crash = config
-                .chaos
-                .as_ref()
-                .and_then(|c| c.crashes.iter().find(|p| p.worker_index == index))
-                .copied();
-            handles.push(scope.spawn(move |_| {
-                let transport = connect(index);
-                worker_loop(
-                    problem,
-                    index,
-                    power,
-                    crash,
-                    &transport,
-                    fresh_ids,
-                    id_base,
-                    config,
-                    worker_metrics,
-                )
-            }));
-        }
-        for h in handles {
-            worker_reports.push(h.join().expect("worker thread panicked"));
-        }
+        let handles: Vec<_> = (0..config.workers)
+            .map(|index| {
+                scope.spawn(move |_| {
+                    let transport = connect(index);
+                    Worker::new(problem, index, id_base, config).run(&transport, cx)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect()
     })
-    .expect("scope panicked");
-    worker_reports
+    .expect("scope panicked")
 }
 
 /// Sends one bundle through the transport, re-sending after a backoff
 /// on transient failures per `policy` (retries are tallied into
 /// `report`). Checks the one-response-per-request contract on success —
 /// a mismatch is a [`ProtocolError::ResponseCount`], never a panic.
-fn contact_with_retry<T: Transport + ?Sized>(
-    transport: &T,
-    requests: Vec<Request>,
-    policy: &RetryPolicy,
-    report: &mut WorkerReport,
-    metrics: &WorkerMetrics,
-) -> Result<Vec<Response>, TransportError> {
-    // The whole contact — round-trip, gateway park, retry backoffs —
-    // is worker idle time: it holds work it is not exploring.
-    let t0 = Instant::now();
-    let result = send_with_retry(transport, requests, policy, report);
-    let waited = t0.elapsed().as_nanos() as u64;
-    metrics.idle_wait_ns.observe(waited);
-    metrics.idle_ns.add(waited);
-    result
-}
-
 fn send_with_retry<T: Transport + ?Sized>(
     transport: &T,
     requests: Vec<Request>,
@@ -1733,13 +1165,38 @@ fn send_with_retry<T: Transport + ?Sized>(
     }
 }
 
-/// One worker thread: explore slices, contact the coordinator through
-/// `transport` — a blocking channel round-trip to the farmer thread, a
-/// direct call into the worker's home shard of a [`ShardRouter`], a
-/// gateway submission, or a socket round-trip to a remote server. Every
-/// contact is a request *bundle* (usually of one); with
-/// [`RuntimeConfig::coalesce`] set, periodic checkpoints are folded
-/// across slices, an improvement ships as one combined
+/// What every worker of a run shares, whichever driver steps it.
+struct WorkerContext<'a> {
+    config: &'a RuntimeConfig,
+    metrics: &'a WorkerMetrics,
+    /// Next identity for a crashed worker that rejoins.
+    fresh_ids: &'a AtomicU64,
+    /// Whether wall time means anything to the driver: the
+    /// [`CoalescePolicy::max_silence`] deadline only fires when it
+    /// does (never on the logical clock).
+    wall_clock: bool,
+}
+
+/// What one [`Worker::step`] did.
+enum Step {
+    /// Explored a slice or completed a contact.
+    Advanced,
+    /// The work request came back [`Response::Retry`]: the endgame
+    /// intervals are all in their holders' hands. Ask again later.
+    Blocked,
+    /// The worker's run is over: a `Terminate` reply, a scripted crash
+    /// without rejoin, or a transport failure.
+    Done,
+}
+
+/// The worker state machine — the only one. A worker explores slices
+/// and contacts the coordinator through whatever [`Transport`] its
+/// driver hands to [`Worker::step`]: a direct call into its home shard
+/// of a [`ShardRouter`], a gateway submission, a socket round-trip to a
+/// remote server, or the deterministic driver's logical-clock
+/// transport. Every contact is a request *bundle* (usually of one);
+/// with [`RuntimeConfig::coalesce`] set, periodic checkpoints are
+/// folded across slices, an improvement ships as one combined
 /// [`Request::UpdateAndReport`], and a spent unit's unreported solution
 /// rides the `RequestWork` bundle.
 ///
@@ -1749,256 +1206,302 @@ fn send_with_retry<T: Transport + ?Sized>(
 /// [`WorkerReport::transport_failure`] instead of panicking, so one
 /// flaky socket degrades a run (expiry redistributes the worker's
 /// interval) rather than aborting it.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<P: Problem, T: Transport + ?Sized>(
-    problem: &P,
-    index: usize,
+struct Worker<'p, P: Problem> {
+    problem: &'p P,
+    id: WorkerId,
     power: u64,
+    joining: bool,
     crash: Option<CrashPlan>,
-    transport: &T,
-    fresh_ids: &AtomicU64,
-    id_base: u64,
-    config: &RuntimeConfig,
-    metrics: &WorkerMetrics,
-) -> WorkerReport {
-    let thread_start = Instant::now();
-    let mut report = WorkerReport::default();
-    let mut id = WorkerId(id_base + index as u64);
-    let mut joining = true;
-    let mut crash = crash;
-    // A solution found on the last slice of a spent unit, awaiting the
-    // next work request's bundle.
-    let mut pending_solution: Option<Solution> = None;
+    /// A solution found on the last slice of a spent unit, awaiting the
+    /// next work request's bundle.
+    pending_solution: Option<Solution>,
+    /// The in-flight unit: explorer plus its start position (for
+    /// consumed-length accounting).
+    unit: Option<(IntervalExplorer<'p, P>, UBig)>,
+    slices_since_contact: u64,
+    last_contact: Instant,
+    born: Instant,
+    report: WorkerReport,
+}
 
-    // Contact failures land here; the macro-free equivalent of `?` for
-    // a loop that must record the error and fall out of 'units.
-    'units: loop {
-        let work_request = if joining {
-            Request::Join { worker: id, power }
-        } else {
-            Request::RequestWork { worker: id, power }
-        };
-        joining = false;
-        // Termination-sensitive flush: the work request always goes out
-        // now; an unreported solution shares the contact.
-        report.contacts += 1;
-        metrics.contacts.inc();
-        let bundle = match pending_solution.take() {
-            Some(solution) => vec![
-                Request::ReportSolution {
-                    worker: id,
-                    solution,
-                },
-                work_request,
-            ],
-            None => vec![work_request],
-        };
-        let response = match contact_with_retry(
+impl<'p, P: Problem> Worker<'p, P> {
+    fn new(problem: &'p P, index: usize, id_base: u64, config: &RuntimeConfig) -> Self {
+        let crash = config
+            .chaos
+            .as_ref()
+            .and_then(|c| c.crashes.iter().find(|p| p.worker_index == index))
+            .copied();
+        Worker {
+            problem,
+            id: WorkerId(id_base + index as u64),
+            power: config.worker_powers[index % config.worker_powers.len()],
+            joining: true,
+            crash,
+            pending_solution: None,
+            unit: None,
+            slices_since_contact: 0,
+            last_contact: Instant::now(),
+            born: Instant::now(),
+            report: WorkerReport::default(),
+        }
+    }
+
+    /// The threaded driver: step until done, backing off briefly while
+    /// the endgame has nothing to hand out.
+    fn run<T: Transport + ?Sized>(mut self, transport: &T, cx: &WorkerContext<'_>) -> WorkerReport {
+        loop {
+            match self.step(transport, cx) {
+                Step::Advanced => {}
+                Step::Blocked => std::thread::sleep(Duration::from_micros(200)),
+                Step::Done => break,
+            }
+        }
+        self.finish()
+    }
+
+    fn finish(mut self) -> WorkerReport {
+        self.report.wall = self.born.elapsed();
+        self.report
+    }
+
+    /// One scheduler visit: a work request when the worker holds no
+    /// unit, otherwise one exploration slice and the contact it calls
+    /// for.
+    fn step<T: Transport + ?Sized>(&mut self, transport: &T, cx: &WorkerContext<'_>) -> Step {
+        match self.unit.take() {
+            None => self.request_work(transport, cx),
+            Some((explorer, unit_start)) => self.explore(explorer, unit_start, transport, cx),
+        }
+    }
+
+    /// One contact: counts it, sends the bundle (with retries) and
+    /// returns the reply to its last request.
+    fn contact<T: Transport + ?Sized>(
+        &mut self,
+        transport: &T,
+        bundle: Vec<Request>,
+        cx: &WorkerContext<'_>,
+    ) -> Result<Response, TransportError> {
+        self.report.contacts += 1;
+        cx.metrics.contacts.inc();
+        // The whole contact — round-trip, gateway park, retry backoffs
+        // — is worker idle time: it holds work it is not exploring.
+        let t0 = Instant::now();
+        let result = send_with_retry(
             transport,
             bundle,
-            &config.transport_retry,
-            &mut report,
-            metrics,
-        ) {
-            Ok(mut responses) => responses.pop().expect("bundle was non-empty"),
-            Err(e) => {
-                report.transport_failure = failure_of(e);
-                break;
+            &cx.config.transport_retry,
+            &mut self.report,
+        );
+        let waited = t0.elapsed().as_nanos() as u64;
+        cx.metrics.idle_wait_ns.observe(waited);
+        cx.metrics.idle_ns.add(waited);
+        Ok(result?.pop().expect("bundle was non-empty"))
+    }
+
+    /// Termination-sensitive flush: the work request always goes out
+    /// now; an unreported solution shares the contact.
+    fn request_work<T: Transport + ?Sized>(
+        &mut self,
+        transport: &T,
+        cx: &WorkerContext<'_>,
+    ) -> Step {
+        let (worker, power) = (self.id, self.power);
+        let mut bundle = Vec::with_capacity(2);
+        if let Some(solution) = self.pending_solution.take() {
+            bundle.push(Request::ReportSolution { worker, solution });
+        }
+        bundle.push(if self.joining {
+            Request::Join { worker, power }
+        } else {
+            Request::RequestWork { worker, power }
+        });
+        self.joining = false;
+        match self.contact(transport, bundle, cx) {
+            Ok(Response::Work { interval, cutoff }) => {
+                self.report.units += 1;
+                cx.metrics.units.inc();
+                let explorer = IntervalExplorer::with_pooling(
+                    self.problem,
+                    &interval,
+                    cutoff,
+                    cx.config.pooling,
+                );
+                let unit_start = explorer.position().clone();
+                self.unit = Some((explorer, unit_start));
+                self.slices_since_contact = 0;
+                self.last_contact = Instant::now();
+                Step::Advanced
             }
-        };
-        let (interval, cutoff) = match response {
-            Response::Work { interval, cutoff } => (interval, cutoff),
-            Response::Terminate => break,
-            Response::Retry => {
-                // Sharded endgame: the remaining intervals are in their
-                // holders' hands. Back off briefly and ask again.
-                std::thread::sleep(Duration::from_micros(200));
-                continue 'units;
-            }
-            other => {
-                report.transport_failure = Some(
+            Ok(Response::Terminate) => Step::Done,
+            // Endgame: the remaining intervals are in their holders'
+            // hands.
+            Ok(Response::Retry) => Step::Blocked,
+            Ok(other) => {
+                self.report.transport_failure = Some(
                     ProtocolError::UnexpectedResponse {
                         expected: "Work, Terminate or Retry",
                         got: format!("{other:?}"),
                     }
                     .into(),
                 );
-                break;
+                Step::Done
             }
-        };
-        report.units += 1;
-        metrics.units.inc();
-        let mut explorer =
-            IntervalExplorer::with_pooling(problem, &interval, cutoff, config.pooling);
-        let unit_start_position = explorer.position().clone();
-        let mut slices_since_contact = 0u64;
-        let mut last_contact = Instant::now();
-
-        loop {
-            let t0 = Instant::now();
-            explorer.run(config.poll_nodes);
-            let slice = t0.elapsed();
-            report.busy += slice;
-            metrics.slice_ns.observe(slice.as_nanos() as u64);
-            metrics.busy_ns.add(slice.as_nanos() as u64);
-            slices_since_contact += 1;
-            let mut contacted_this_slice = false;
-
-            // Solution sharing rule 2: report improvements immediately —
-            // folded with this slice's checkpoint into one combined
-            // contact. On a spent unit the update would be vacuous, so
-            // the solution waits (a few microseconds) for the work
-            // request's bundle instead.
-            let mut fresh = explorer.take_fresh_best();
-            if fresh.is_some() && !explorer.is_exhausted() {
-                report.contacts += 1;
-                metrics.contacts.inc();
-                let bundle = vec![Request::UpdateAndReport {
-                    worker: id,
-                    interval: explorer.current_interval(),
-                    solution: fresh.take(),
-                }];
-                let mut responses = match contact_with_retry(
-                    transport,
-                    bundle,
-                    &config.transport_retry,
-                    &mut report,
-                    metrics,
-                ) {
-                    Ok(responses) => responses,
-                    Err(e) => {
-                        report.transport_failure = failure_of(e);
-                        break 'units;
-                    }
-                };
-                report.checkpoint_ops += 1;
-                match adopt_update_ack(
-                    responses.pop().expect("bundle was non-empty"),
-                    &mut explorer,
-                ) {
-                    Ok(true) => {}
-                    Ok(false) => break 'units,
-                    Err(e) => {
-                        report.transport_failure = Some(e.into());
-                        break 'units;
-                    }
-                }
-                slices_since_contact = 0;
-                last_contact = Instant::now();
-                contacted_this_slice = true;
+            Err(e) => {
+                self.report.transport_failure = failure_of(e);
+                Step::Done
             }
+        }
+    }
 
-            // Scripted crash: silently lose everything — including a
-            // solution still waiting for the work-request bundle.
-            if let Some(plan) = crash {
-                if report.stats.explored + explorer.stats().explored >= plan.after_nodes {
-                    crash = None;
-                    report.crashes += 1;
-                    report.consumed += &explorer.position().saturating_sub(&unit_start_position);
-                    metrics.bound_calls.add(explorer.stats().bound_calls);
-                    report.stats.merge(explorer.stats());
-                    if plan.rejoin {
-                        id = WorkerId(fresh_ids.fetch_add(1, Ordering::Relaxed));
-                        joining = true;
-                        continue 'units;
-                    }
-                    break 'units;
-                }
-            }
+    /// One exploration slice, then — in this order — the fresh-best
+    /// report, the scripted crash, unit exhaustion, and the periodic
+    /// (possibly coalesced) checkpoint.
+    fn explore<T: Transport + ?Sized>(
+        &mut self,
+        mut explorer: IntervalExplorer<'p, P>,
+        unit_start: UBig,
+        transport: &T,
+        cx: &WorkerContext<'_>,
+    ) -> Step {
+        let t0 = Instant::now();
+        explorer.run(cx.config.poll_nodes);
+        let slice = t0.elapsed();
+        self.report.busy += slice;
+        cx.metrics.slice_ns.observe(slice.as_nanos() as u64);
+        cx.metrics.busy_ns.add(slice.as_nanos() as u64);
+        self.slices_since_contact += 1;
+        let mut contacted_this_slice = false;
 
-            if explorer.is_exhausted() {
-                pending_solution = fresh.take();
-                break;
-            }
-
-            // Pull-model checkpoint: report the live interval, adopt the
-            // intersection, refresh the cutoff (solution sharing rule 3).
-            // Under a coalescing policy only every `slices_per_contact`-th
-            // slice contacts (or the silence deadline forces it).
-            let due = !contacted_this_slice
-                && match &config.coalesce {
-                    None => true,
-                    Some(policy) => {
-                        slices_since_contact >= policy.slices_per_contact
-                            || last_contact.elapsed() >= policy.max_silence
-                    }
-                };
-            if !due {
-                continue;
-            }
-            report.contacts += 1;
-            metrics.contacts.inc();
-            let bundle = vec![Request::Update {
-                worker: id,
+        // Solution sharing rule 2: report improvements immediately —
+        // folded with this slice's checkpoint into one combined
+        // contact. On a spent unit the update would be vacuous, so the
+        // solution waits (a few microseconds) for the work request's
+        // bundle instead.
+        let mut fresh = explorer.take_fresh_best();
+        if fresh.is_some() && !explorer.is_exhausted() {
+            let request = Request::UpdateAndReport {
+                worker: self.id,
                 interval: explorer.current_interval(),
-            }];
-            let mut responses = match contact_with_retry(
-                transport,
-                bundle,
-                &config.transport_retry,
-                &mut report,
-                metrics,
-            ) {
-                Ok(responses) => responses,
-                Err(e) => {
-                    report.transport_failure = failure_of(e);
-                    break 'units;
-                }
+                solution: fresh.take(),
             };
-            report.checkpoint_ops += 1;
-            match adopt_update_ack(
-                responses.pop().expect("bundle was non-empty"),
-                &mut explorer,
-            ) {
-                Ok(true) => {}
-                Ok(false) => break 'units,
-                Err(e) => {
-                    report.transport_failure = Some(e.into());
-                    break 'units;
-                }
+            if !self.checkpoint(request, &mut explorer, transport, cx) {
+                self.retire(explorer, unit_start, cx);
+                return Step::Done;
             }
-            slices_since_contact = 0;
-            last_contact = Instant::now();
+            contacted_this_slice = true;
         }
 
-        report.consumed += &explorer.position().saturating_sub(&unit_start_position);
-        metrics.bound_calls.add(explorer.stats().bound_calls);
-        report.stats.merge(explorer.stats());
+        // Scripted crash: silently lose everything — including a
+        // solution still waiting for the work-request bundle.
+        if let Some(plan) = self.crash {
+            if self.report.stats.explored + explorer.stats().explored >= plan.after_nodes {
+                self.crash = None;
+                self.report.crashes += 1;
+                self.retire(explorer, unit_start, cx);
+                if !plan.rejoin {
+                    return Step::Done;
+                }
+                self.id = WorkerId(cx.fresh_ids.fetch_add(1, Ordering::Relaxed));
+                self.joining = true;
+                return Step::Advanced;
+            }
+        }
+
+        if explorer.is_exhausted() {
+            self.pending_solution = fresh;
+            self.retire(explorer, unit_start, cx);
+            return Step::Advanced;
+        }
+
+        // Pull-model checkpoint: report the live interval, adopt the
+        // intersection, refresh the cutoff (solution sharing rule 3).
+        // Under a coalescing policy only every `slices_per_contact`-th
+        // slice contacts (or the silence deadline forces it).
+        let due = !contacted_this_slice
+            && match &cx.config.coalesce {
+                None => true,
+                Some(policy) => {
+                    self.slices_since_contact >= policy.slices_per_contact
+                        || (cx.wall_clock && self.last_contact.elapsed() >= policy.max_silence)
+                }
+            };
+        if due {
+            let request = Request::Update {
+                worker: self.id,
+                interval: explorer.current_interval(),
+            };
+            if !self.checkpoint(request, &mut explorer, transport, cx) {
+                self.retire(explorer, unit_start, cx);
+                return Step::Done;
+            }
+        }
+        self.unit = Some((explorer, unit_start));
+        Step::Advanced
     }
-    report.wall = thread_start.elapsed();
-    report
+
+    /// Sends an update-style request and folds the ack into the
+    /// explorer: adopt the intersected interval, observe the cutoff.
+    /// `false` ends the worker's run — cleanly on a `Terminate` reply
+    /// or a closed transport, with the failure recorded otherwise.
+    fn checkpoint<T: Transport + ?Sized>(
+        &mut self,
+        request: Request,
+        explorer: &mut IntervalExplorer<'p, P>,
+        transport: &T,
+        cx: &WorkerContext<'_>,
+    ) -> bool {
+        let response = match self.contact(transport, vec![request], cx) {
+            Ok(response) => response,
+            Err(e) => {
+                self.report.transport_failure = failure_of(e);
+                return false;
+            }
+        };
+        self.report.checkpoint_ops += 1;
+        match response {
+            Response::UpdateAck { interval, cutoff } => {
+                explorer.intersect_with(&interval);
+                if let Some(c) = cutoff {
+                    explorer.observe_external_cutoff(c);
+                }
+                self.slices_since_contact = 0;
+                self.last_contact = Instant::now();
+                true
+            }
+            Response::Terminate => false,
+            other => {
+                self.report.transport_failure = Some(
+                    ProtocolError::UnexpectedResponse {
+                        expected: "UpdateAck or Terminate",
+                        got: format!("{other:?}"),
+                    }
+                    .into(),
+                );
+                false
+            }
+        }
+    }
+
+    /// Folds a finished (or abandoned) unit into the report.
+    fn retire(
+        &mut self,
+        explorer: IntervalExplorer<'p, P>,
+        unit_start: UBig,
+        cx: &WorkerContext<'_>,
+    ) {
+        self.report.consumed += &explorer.position().saturating_sub(&unit_start);
+        cx.metrics.bound_calls.add(explorer.stats().bound_calls);
+        self.report.stats.merge(explorer.stats());
+    }
 }
 
-/// An orderly teardown — the farmer hung up after terminating, or the
-/// gateway answered a drain sentinel — is a clean end of the run, not a
+/// An orderly teardown — the gateway answered a drain sentinel, or the
+/// server hung up after terminating — is a clean end of the run, not a
 /// fault worth surfacing in the report.
 fn failure_of(e: TransportError) -> Option<TransportError> {
     match e {
         TransportError::Closed => None,
         other => Some(other),
-    }
-}
-
-/// Folds an update-style ack into the explorer: adopt the intersected
-/// interval, observe the cutoff. `Ok(false)` means the unit loop must
-/// end cleanly (termination reply); an unexpected variant is a protocol
-/// violation by the coordinator.
-fn adopt_update_ack<P: Problem>(
-    response: Response,
-    explorer: &mut IntervalExplorer<'_, P>,
-) -> Result<bool, ProtocolError> {
-    match response {
-        Response::UpdateAck { interval, cutoff } => {
-            explorer.intersect_with(&interval);
-            if let Some(c) = cutoff {
-                explorer.observe_external_cutoff(c);
-            }
-            Ok(true)
-        }
-        Response::Terminate => Ok(false),
-        other => Err(ProtocolError::UnexpectedResponse {
-            expected: "UpdateAck or Terminate",
-            got: format!("{other:?}"),
-        }),
     }
 }

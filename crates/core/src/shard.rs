@@ -542,6 +542,13 @@ impl ShardRouter {
         Ok(true)
     }
 
+    /// Total nanoseconds the shard locks have been held in service
+    /// sections — `gbnb_shard_lock_hold_ns` summed over shards. With no
+    /// farmer thread, this is the coordinator's busy time.
+    pub fn lock_hold_ns(&self) -> u64 {
+        self.metrics.shard_lock_hold.iter().map(|h| h.sum()).sum()
+    }
+
     /// Mean nanoseconds a shard lock was held per service section, over
     /// the router's lifetime — the contention hint the adaptive gateway
     /// policy reads. Zero before the first contact.
@@ -717,9 +724,13 @@ impl ShardRouter {
             loop {
                 self.metrics.contacts.inc();
                 self.metrics.shard_contacts[home].inc();
-                let t0 = Instant::now();
-                let (outcome, live) = {
+                let (outcome, live, held_ns) = {
                     let mut coordinator = self.shards[home].lock().expect("poisoned shard");
+                    // Timed from acquisition: waiting for the lock is
+                    // the caller's idle time, not the shard's busy time
+                    // (held spans of one shard never overlap, so their
+                    // sum is bounded by the wall time).
+                    let t0 = Instant::now();
                     let was_live = !coordinator.is_terminated();
                     let outcome = if self.trace.is_some() {
                         self.apply_group_traced(home, &mut coordinator, pending, now_ns)
@@ -734,9 +745,8 @@ impl ShardRouter {
                         self.state.fetch_sub(NON_EMPTY_UNIT, Ordering::AcqRel);
                     }
                     let live = coordinator.cardinality() as u64;
-                    (outcome, live)
+                    (outcome, live, t0.elapsed().as_nanos() as u64)
                 };
-                let held_ns = t0.elapsed().as_nanos() as u64;
                 self.metrics.shard_lock_hold[home].observe(held_ns);
                 self.metrics.batch_ns.observe(held_ns);
                 self.metrics.shard_live_intervals[home].set(live);
@@ -974,9 +984,10 @@ impl ShardRouter {
             Request::Join { worker, .. } | Request::RequestWork { worker, .. } => Some(*worker),
             _ => None,
         };
-        let t0 = Instant::now();
-        let (response, live) = {
+        let (response, live, held_ns) = {
             let mut coordinator = self.shards[idx].lock().expect("poisoned shard");
+            // Timed from acquisition (see `handle_bundle`).
+            let t0 = Instant::now();
             let was_live = !coordinator.is_terminated();
             let response = coordinator.handle(request, now_ns);
             self.journal_flush(idx, &mut coordinator);
@@ -992,9 +1003,8 @@ impl ShardRouter {
                 self.state.fetch_sub(NON_EMPTY_UNIT, Ordering::AcqRel);
             }
             let live = coordinator.cardinality() as u64;
-            (response, live)
+            (response, live, t0.elapsed().as_nanos() as u64)
         };
-        let held_ns = t0.elapsed().as_nanos() as u64;
         self.metrics.shard_lock_hold[idx].observe(held_ns);
         if let Some(h) = latency {
             h.observe(held_ns);

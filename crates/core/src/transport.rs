@@ -2,26 +2,27 @@
 //! a coordinator, wherever it lives.
 //!
 //! The paper's workers are remote processes contacting the farmer over
-//! the network; this workspace grew *in-process* contact paths first
-//! (direct [`ShardRouter`] calls and the [`ContactGateway`] — which
-//! fronts either the router or the classic farmer channel) and a socket
-//! path in the `gridbnb-net` crate. All of them implement this one
-//! trait, so the runtime's `worker_loop` — and every exactness test
-//! driving it — runs identically over any of them:
+//! the network; this workspace has *in-process* contact paths (direct
+//! [`ShardRouter`] calls, optionally through the [`ContactGateway`] in
+//! front of the router) and a socket path in the `gridbnb-net` crate.
+//! All of them implement this one trait, so the runtime's one worker
+//! state machine — and every exactness test driving it — runs
+//! identically over any of them:
 //!
 //! | impl | where the coordinator lives |
 //! |---|---|
-//! | [`RouterTransport`] | sharded router called directly |
-//! | [`GatewayTransport`] | shared gateway fronting a router or the farmer channel |
+//! | [`RouterTransport`] | the router (one shard or many), called directly |
+//! | [`GatewayTransport`] | shared gateway in front of the router |
+//! | `LogicalClockTransport` (crate-private) | the router, on the deterministic driver's tick counter |
 //! | `gridbnb_net::SocketTransport` | a TCP server, possibly remote |
 //!
 //! Failures are typed, not sentinel values: a contact returns
 //! [`TransportError`], whose [`TransportError::is_transient`] split
-//! drives the worker loop's retry-with-backoff policy (a flaky socket
+//! drives the worker's retry-with-backoff policy (a flaky socket
 //! is retried; a closed coordinator or a protocol violation is not).
 
-use crate::{BundleHandler, ContactGateway, Request, Response, ShardRouter};
-use crossbeam::channel::Sender;
+use crate::{ContactGateway, Request, Response, ShardRouter};
+use std::cell::Cell;
 use std::time::Instant;
 
 /// A violation of the coordinator protocol itself — malformed wire
@@ -108,8 +109,7 @@ impl std::error::Error for ProtocolError {}
 /// bundle after a backoff; permanent ones end the worker's run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TransportError {
-    /// The far side is gone for good: the channel hung up, the gateway
-    /// was torn down, or the server refused further business. This is
+    /// The far side is gone for good: the gateway was torn down, or the server refused further business. This is
     /// the typed form of the old "dead transport" sentinel — normal at
     /// the end of a run, fatal in the middle of one.
     Closed,
@@ -173,16 +173,8 @@ pub trait Transport {
     fn contact(&self, requests: Vec<Request>) -> Result<Vec<Response>, TransportError>;
 }
 
-/// One farmer-channel contact: a request bundle and the reply slot. A
-/// classic single request is a bundle of one; the farmer folds the
-/// whole bundle through `Coordinator::apply_batch` and answers all of
-/// it in one round-trip. Since the classic runtime routed its workers
-/// through the [`ContactGateway`], these are sent by the gateway's
-/// farmer-channel handler, one per flush.
-pub(crate) type Envelope = (Vec<Request>, Sender<Vec<Response>>);
-
-/// Direct sharded contacts: each bundle goes straight into the worker's
-/// home shard of a [`ShardRouter`] (no farmer funnel).
+/// Direct contacts: each bundle goes straight into the worker's home
+/// shard of a [`ShardRouter`].
 pub struct RouterTransport<'r> {
     router: &'r ShardRouter,
     started: Instant,
@@ -218,22 +210,21 @@ impl Transport for RouterTransport<'_> {
 
 /// Aggregated contacts: bundles are submitted to a shared
 /// [`ContactGateway`] that merges many workers' batches into one
-/// combined bundle per flush — fronting a [`ShardRouter`] or the
-/// farmer channel, whichever [`BundleHandler`] the gateway wraps.
-pub struct GatewayTransport<'g, H: BundleHandler> {
-    gateway: &'g ContactGateway<H>,
+/// combined bundle per flush in front of the [`ShardRouter`].
+pub struct GatewayTransport<'g> {
+    gateway: &'g ContactGateway<'g>,
     started: Instant,
 }
 
-impl<'g, H: BundleHandler> GatewayTransport<'g, H> {
+impl<'g> GatewayTransport<'g> {
     /// A transport submitting to `gateway`, with submission timestamps
     /// measured from `started`.
-    pub fn new(gateway: &'g ContactGateway<H>, started: Instant) -> Self {
+    pub fn new(gateway: &'g ContactGateway<'g>, started: Instant) -> Self {
         GatewayTransport { gateway, started }
     }
 }
 
-impl<H: BundleHandler> Transport for GatewayTransport<'_, H> {
+impl Transport for GatewayTransport<'_> {
     fn contact(&self, requests: Vec<Request>) -> Result<Vec<Response>, TransportError> {
         let sent = requests.len();
         let now_ns = self.started.elapsed().as_nanos() as u64;
@@ -244,6 +235,53 @@ impl<H: BundleHandler> Transport for GatewayTransport<'_, H> {
             return Err(TransportError::Closed);
         }
         Ok(responses)
+    }
+}
+
+/// The deterministic driver's path to the router: `now_ns` is a
+/// **logical clock** that ticks once per request, so every heartbeat
+/// lands on a distinct instant and holder expiry is a function of
+/// contact order, not wall time. Stale holders are expired right before
+/// every request is served.
+pub(crate) struct LogicalClockTransport<'r> {
+    router: &'r ShardRouter,
+    tick: Cell<u64>,
+}
+
+impl<'r> LogicalClockTransport<'r> {
+    pub(crate) fn new(router: &'r ShardRouter) -> Self {
+        LogicalClockTransport {
+            router,
+            tick: Cell::new(0),
+        }
+    }
+
+    /// Nothing can advance at the current tick: jump to the earliest
+    /// expiry instant (and expire that holder) instead of spinning one
+    /// tick at a time through a logical timeout. With nothing to expire
+    /// and nothing stealable, the next contact observes termination.
+    pub(crate) fn fast_forward(&self) {
+        match self.router.next_expiry_at() {
+            Some(at) => {
+                self.tick.set(self.tick.get().max(at));
+                self.router.expire_stale_holders(self.tick.get());
+            }
+            None => self.tick.set(self.tick.get() + 1),
+        }
+    }
+}
+
+impl Transport for LogicalClockTransport<'_> {
+    fn contact(&self, requests: Vec<Request>) -> Result<Vec<Response>, TransportError> {
+        Ok(requests
+            .into_iter()
+            .map(|request| {
+                let tick = self.tick.get() + 1;
+                self.tick.set(tick);
+                self.router.expire_stale_holders(tick);
+                self.router.handle(request, tick)
+            })
+            .collect())
     }
 }
 

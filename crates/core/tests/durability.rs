@@ -275,8 +275,8 @@ fn steal_with_failing_victim_append_duplicates_instead_of_losing() {
 
 /// Satellite check: a checkpoint store that cannot write is *surfaced*
 /// — `RunReport::checkpoint_failures` counts every failed save and the
-/// `gbnb_checkpoint_failures_total` series records it, on both the
-/// sharded supervisor path and the classic farmer path. Before this
+/// `gbnb_checkpoint_failures_total` series records it, at one shard
+/// and at several. Before this
 /// counter existed, `save().is_ok()` swallowed the error and a run with
 /// a dead store looked identical to a healthy one.
 #[test]

@@ -191,7 +191,7 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) -> Result<(), TestCaseError> 
 /// plus the flush groups (as index ranges into `submissions`).
 #[allow(clippy::type_complexity)]
 fn drive_gateway(
-    gateway: &ContactGateway<&ShardRouter>,
+    gateway: &ContactGateway<'_>,
     submissions: &[(WorkerId, Vec<Request>)],
     now: u64,
 ) -> Result<(Vec<Vec<Response>>, Vec<Vec<usize>>), TestCaseError> {

@@ -87,32 +87,41 @@ fn sharded_run_counters_match_the_report_exactly() {
     assert_histogram_invariants(&snapshot);
 }
 
-/// The classic single-farmer path now routes every worker contact
-/// through a [`gridbnb_core::ContactGateway`] over the farmer channel.
-/// Pin it: same optimum as the sequential solve and as a shards = 1
-/// router run, gateway stats present and self-consistent, and the
-/// registry's gateway counters equal to the stats struct the report
-/// carries (they are the same cells).
+/// The default run is the one-shard router, contacted directly: no
+/// implicit gateway, router contacts counted, and a gateway — when one
+/// is asked for — mirrored exactly in the registry (its stats struct
+/// and the `gbnb_gateway_*` counters are the same cells).
 #[test]
-fn classic_channel_gateway_is_exact_and_mirrored_in_metrics() {
+fn default_run_is_the_one_shard_router_and_mirrored_in_metrics() {
     let problem = small_flowshop(88);
     let expected = solve(&problem, None).best_cost;
 
     let registry = MetricsRegistry::new();
-    let classic = run(&problem, &fast_config(4).with_metrics(&registry));
-    assert_eq!(classic.proven_optimum, expected);
-    assert_eq!(classic.solution.as_ref().map(|s| s.cost), expected);
+    let default = run(&problem, &fast_config(4).with_metrics(&registry));
+    assert_eq!(default.proven_optimum, expected);
+    assert_eq!(default.solution.as_ref().map(|s| s.cost), expected);
+    assert!(default.gateway.is_none(), "no gateway was configured");
+    assert_eq!(default.shard_stats.len(), 1);
+    let snapshot = registry.snapshot();
+    // Ungated, every worker contact is one lock-acquiring router
+    // contact, and none goes through a gateway.
+    assert_eq!(default.router_contacts, default.total_contacts());
+    assert_eq!(
+        snapshot.counter("gbnb_router_contacts_total"),
+        default.router_contacts
+    );
+    assert_eq!(snapshot.counter("gbnb_gateway_submissions_total"), 0);
+    assert_histogram_invariants(&snapshot);
 
-    let routed = run(&problem, &fast_config(4).with_shards(1));
-    assert_eq!(routed.proven_optimum, expected);
-
-    let stats = classic
-        .gateway
-        .expect("classic runs aggregate through the channel gateway");
+    let registry = MetricsRegistry::new();
+    let gated = run(
+        &problem,
+        &fast_config(4).with_gateway(4).with_metrics(&registry),
+    );
+    assert_eq!(gated.proven_optimum, expected);
+    let stats = gated.gateway.expect("a configured gateway reports stats");
     assert!(stats.flushes > 0, "the gateway never flushed");
-    // One submission per contact, plus any backpressure resubmissions —
-    // never fewer than the contacts the workers counted.
-    assert!(stats.submissions >= classic.total_contacts());
+    assert_eq!(stats.submissions, gated.total_contacts());
     assert!(stats.requests >= stats.submissions);
 
     let snapshot = registry.snapshot();
@@ -127,7 +136,7 @@ fn classic_channel_gateway_is_exact_and_mirrored_in_metrics() {
     );
     assert_eq!(
         snapshot.counter("gbnb_worker_contacts_total"),
-        classic.total_contacts()
+        gated.total_contacts()
     );
     assert_histogram_invariants(&snapshot);
 }

@@ -10,8 +10,8 @@
 
 use gridbnb_core::runtime::{run, ChaosConfig, CrashPlan, RunReport, RuntimeConfig};
 use gridbnb_core::{
-    Interval, MetricsRegistry, Request, Response, RunTrace, ShardEnvelope, ShardId, ShardRouter,
-    TraceMeta, TraceReplayer, UBig, WorkerId,
+    Interval, MemoryBackend, MetricsRegistry, Request, Response, RunTrace, ShardEnvelope, ShardId,
+    ShardRouter, StorageBackend, TraceMeta, TraceReplayer, UBig, WalStore, WorkerId,
 };
 use gridbnb_engine::solve;
 use gridbnb_engine::toy::FullEnumeration;
@@ -283,4 +283,74 @@ fn threaded_replicable_trace_is_replayable() {
     let trace = report.trace.as_ref().expect("no trace");
     assert_eq!(report.steals, trace.steal_count());
     replay_to_final(&problem, &report, 4);
+}
+
+/// Length and CRC-32 of a deterministic run's encoded trace.
+fn trace_digest(report: &RunReport) -> (usize, u32) {
+    let encoded = report.trace.as_ref().expect("no trace").encode();
+    (encoded.len(), gridbnb_core::wal::crc32(encoded.as_bytes()))
+}
+
+/// The cross-commit half of "same seed, byte-identical trace": these
+/// digests were recorded at the commit *before* the logical-clock
+/// driver was folded onto the threaded runtime's worker state machine.
+/// A change to the worker's step order, the scheduler, the clock or the
+/// ordered steal rules moves them — re-record only on purpose.
+#[test]
+fn pinned_trace_digests_survive_refactors() {
+    // One crash-and-rejoin, one crash-no-rejoin, exhaustive search.
+    let problem = FullEnumeration::new(7);
+    let mut config = replicable_config(4, 2, 2007);
+    config.poll_nodes = 200;
+    config.chaos = Some(ChaosConfig {
+        crashes: vec![
+            CrashPlan {
+                worker_index: 1,
+                after_nodes: 1_000,
+                rejoin: true,
+            },
+            CrashPlan {
+                worker_index: 3,
+                after_nodes: 2_000,
+                rejoin: false,
+            },
+        ],
+    });
+    let report = run(&problem, &config);
+    assert_eq!(report.workers[1].crashes, 1);
+    assert_eq!(report.workers[3].crashes, 1);
+    assert_eq!(trace_digest(&report), (5818, 3_014_979_310));
+
+    // Coalesced contacts: every third slice checkpoints.
+    let problem = small_flowshop(21);
+    let mut config = replicable_config(4, 2, 11).with_coalescing(3);
+    config.poll_nodes = 25;
+    let report = run(&problem, &config);
+    assert_eq!(report.total_contacts(), 65);
+    assert_eq!(trace_digest(&report), (6045, 299_920_791));
+}
+
+/// The deterministic driver runs on the same router set-up as the
+/// threads, so a durability policy is honoured there too: the run is
+/// journaled, the terminal compaction commits the fully-explored state,
+/// and journaling leaves the search — and its trace — untouched.
+#[test]
+fn deterministic_run_with_durability_commits_the_terminal_state() {
+    let problem = small_flowshop(21);
+    let expected = solve(&problem, None).best_cost;
+    let plain = run(&problem, &replicable_config(4, 2, 11));
+    let backend = Arc::new(MemoryBackend::new());
+    let durable = run(
+        &problem,
+        &replicable_config(4, 2, 11).with_durability(
+            Arc::clone(&backend) as Arc<dyn StorageBackend>,
+            std::time::Duration::from_millis(5),
+        ),
+    );
+    assert_eq!(durable.proven_optimum, expected);
+    assert_equivalent(&plain, &durable);
+    let (_, state) = WalStore::recover(backend as Arc<dyn StorageBackend>).expect("recover");
+    assert_eq!(state.total_length(), UBig::zero());
+    assert_eq!(state.solution.map(|s| s.cost), expected);
+    assert_eq!(state.replayed_ops, 0, "terminal compaction left a log tail");
 }

@@ -4,10 +4,9 @@
 
 use gridbnb_core::checkpoint::CheckpointStore;
 use gridbnb_core::runtime::{
-    run, run_with_coordinator, run_with_router, ChaosConfig, CheckpointPolicy, CrashPlan,
-    RuntimeConfig,
+    run, run_with_router, ChaosConfig, CheckpointPolicy, CrashPlan, RuntimeConfig,
 };
-use gridbnb_core::{Coordinator, CoordinatorConfig, UBig};
+use gridbnb_core::{CoordinatorConfig, ShardRouter, UBig};
 use gridbnb_engine::toy::FullEnumeration;
 use gridbnb_engine::{solve, solve_interval};
 use gridbnb_flowshop::taillard::generate;
@@ -19,6 +18,14 @@ fn small_flowshop(seed: i64) -> FlowshopProblem {
     let instance = generate(9, 4, seed);
     FlowshopProblem::new(
         instance,
+        BoundMode::Johnson(gridbnb_flowshop::bounds::PairSelection::All),
+    )
+}
+
+/// A 7x3 flowshop: solved in well under a millisecond.
+fn tiny_flowshop() -> FlowshopProblem {
+    FlowshopProblem::new(
+        generate(7, 3, 5),
         BoundMode::Johnson(gridbnb_flowshop::bounds::PairSelection::All),
     )
 }
@@ -102,9 +109,9 @@ fn initial_upper_bound_is_honored() {
 
 #[test]
 fn crash_without_rejoin_preserves_exactness() {
-    // FullEnumeration forces an exhaustive 109 600-node search so the
+    // FullEnumeration forces an exhaustive 986 410-node search so the
     // scripted crashes reliably fire mid-exploration.
-    let problem = FullEnumeration::new(8);
+    let problem = FullEnumeration::new(9);
     let expected = solve(&problem, None).best_cost;
     let mut config = fast_config(4);
     config.poll_nodes = 200;
@@ -130,7 +137,7 @@ fn crash_without_rejoin_preserves_exactness() {
 
 #[test]
 fn crash_with_rejoin_preserves_exactness() {
-    let problem = FullEnumeration::new(8);
+    let problem = FullEnumeration::new(9);
     let expected = solve(&problem, None).best_cost;
     let mut config = fast_config(3);
     config.poll_nodes = 200;
@@ -148,7 +155,7 @@ fn crash_with_rejoin_preserves_exactness() {
 
 #[test]
 fn all_workers_crash_then_rejoin_still_completes() {
-    let problem = FullEnumeration::new(8);
+    let problem = FullEnumeration::new(9);
     let expected = solve(&problem, None).best_cost;
     let mut config = fast_config(3);
     config.poll_nodes = 200;
@@ -213,7 +220,7 @@ fn coalesced_sharded_runtime_stays_exact() {
 
 #[test]
 fn coalesced_runtime_survives_crashes() {
-    let problem = FullEnumeration::new(8);
+    let problem = FullEnumeration::new(9);
     let expected = solve(&problem, None).best_cost;
     let mut config = fast_config(4).with_shards(4).with_coalescing(6);
     config.poll_nodes = 200;
@@ -278,7 +285,7 @@ fn sharded_runtime_with_more_shards_than_workers_steals_to_finish() {
 
 #[test]
 fn sharded_runtime_survives_crashes() {
-    let problem = FullEnumeration::new(8);
+    let problem = FullEnumeration::new(9);
     let expected = solve(&problem, None).best_cost;
     let mut config = fast_config(4).with_shards(4);
     config.poll_nodes = 200;
@@ -314,7 +321,6 @@ fn sharded_heterogeneous_powers_still_exact() {
 
 #[test]
 fn sharded_checkpoint_written_and_restorable() {
-    use gridbnb_core::ShardRouter;
     let dir = std::env::temp_dir().join(format!("gridbnb-rt-shckpt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let store = CheckpointStore::new(dir.join("intervals.txt"), dir.join("solution.txt"));
@@ -351,7 +357,7 @@ fn coalesced_sharded_mid_run_checkpoint_restores_without_losing_intervals() {
     // optimum. Driven deterministically: each worker's explored prefix
     // is solved sequentially and reported, so the checkpoint state plus
     // the reports is a faithful mid-run snapshot.
-    use gridbnb_core::{Request, Response, ShardRouter, WorkerId};
+    use gridbnb_core::{Request, Response, WorkerId};
     use gridbnb_engine::Solution;
     let dir = std::env::temp_dir().join(format!("gridbnb-rt-coalesce-ckpt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -434,7 +440,6 @@ fn coalesced_sharded_checkpoint_files_written_and_restorable() {
     // End-to-end variant: a live coalesced + sharded run checkpointing
     // on a short period; the final file restores to the terminal state
     // with the proven solution.
-    use gridbnb_core::ShardRouter;
     let dir = std::env::temp_dir().join(format!("gridbnb-rt-coalesce-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let store = CheckpointStore::new(dir.join("intervals.txt"), dir.join("solution.txt"));
@@ -566,20 +571,125 @@ fn restore_resumes_partial_run() {
     let (left, right) = total.split_at(&cut);
     let left_report = solve_interval(&problem, &left, None);
 
-    let coordinator = Coordinator::restore(
+    let router = ShardRouter::restore(
         total.clone(),
-        vec![right],
+        vec![vec![right]],
         left_report.best.clone(),
         CoordinatorConfig {
             duplication_threshold: UBig::from(32u64),
             holder_timeout_ns: 20_000_000,
             initial_upper_bound: None,
         },
-    );
+    )
+    .unwrap();
     let config = fast_config(4);
-    let report = run_with_coordinator(&problem, coordinator, &config);
+    let report = run_with_router(&problem, router, &config);
     let expected = solve(&problem, None).best_cost;
     assert_eq!(report.proven_optimum, expected);
+}
+
+#[test]
+fn v1_checkpoint_file_resumes_through_the_router() {
+    // A markerless v1 checkpoint — what a single coordinator wrote
+    // before routers existed — read by the v1 loader and resumed as a
+    // one-shard router: the left third is explored (its best is in the
+    // SOLUTION file), only the rest remains in INTERVALS.
+    use gridbnb_core::checkpoint::{encode_intervals, encode_solution};
+    let dir = std::env::temp_dir().join(format!("gridbnb-rt-v1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = CheckpointStore::new(dir.join("intervals.txt"), dir.join("solution.txt"));
+
+    let problem = small_flowshop(99);
+    let expected = solve(&problem, None).best_cost;
+    let total = problem.shape().root_range();
+    let (left, right) = total.split_at(&total.end().div_rem_u64(3).0);
+    let left_best = solve_interval(&problem, &left, None).best;
+    std::fs::write(dir.join("intervals.txt"), encode_intervals(&[right])).unwrap();
+    std::fs::write(
+        dir.join("solution.txt"),
+        encode_solution(left_best.as_ref()),
+    )
+    .unwrap();
+
+    let (intervals, solution) = store.load().unwrap();
+    let config = fast_config(3);
+    let router =
+        ShardRouter::restore(total, vec![intervals], solution, config.coordinator.clone()).unwrap();
+    let report = run_with_router(&problem, router, &config);
+    assert_eq!(report.proven_optimum, expected);
+    assert_eq!(report.shard_stats.len(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn back_to_back_runs_do_not_wait_out_a_timer() {
+    // Teardown is a notification: nothing sleeps out a supervisor tick
+    // to learn the run is over. Twenty polled 50 ms teardowns would
+    // take a second by construction.
+    let problem = tiny_flowshop();
+    let expected = solve(&problem, None).best_cost;
+    for shards in [1usize, 2] {
+        let config = fast_config(2).with_shards(shards);
+        let t0 = std::time::Instant::now();
+        for _ in 0..20 {
+            assert_eq!(run(&problem, &config).proven_optimum, expected);
+        }
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "20 runs at {shards} shard(s) took {took:?}"
+        );
+    }
+}
+
+#[test]
+fn zero_period_housekeeping_does_not_spin() {
+    // `every = ZERO` used to make the supervisor wait 0 ns: it never
+    // slept and checkpointed back to back. The wait is floored at 1 ms,
+    // so it can write at most one checkpoint per millisecond of run,
+    // plus the terminal one.
+    let dir = std::env::temp_dir().join(format!("gridbnb-rt-zero-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let problem = FullEnumeration::new(8);
+    let mut config = fast_config(2);
+    config.checkpoint = Some(CheckpointPolicy {
+        store: CheckpointStore::new(dir.join("intervals.txt"), dir.join("solution.txt")),
+        every: Duration::ZERO,
+    });
+    let report = run(&problem, &config);
+    assert_eq!(report.proven_optimum, solve(&problem, None).best_cost);
+    assert!(report.farmer_checkpoints >= 1);
+    assert!(
+        u128::from(report.farmer_checkpoints) <= report.wall.as_millis() + 2,
+        "{} checkpoints in {:?}",
+        report.farmer_checkpoints,
+        report.wall
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn farmer_exploitation_is_the_shard_lock_hold_share() {
+    // With no farmer thread, request service happens under the shard
+    // locks: Table 2's farmer figure is the lock-hold time (plus the
+    // supervisor's housekeeping) over the wall time.
+    let registry = gridbnb_core::MetricsRegistry::new();
+    let problem = FullEnumeration::new(8);
+    let mut config = fast_config(2).with_metrics(&registry);
+    config.poll_nodes = 50; // contact-heavy
+    let report = run(&problem, &config);
+    assert_eq!(report.proven_optimum, solve(&problem, None).best_cost);
+    let lock_hold =
+        Duration::from_nanos(registry.snapshot().histogram_sum("gbnb_shard_lock_hold_ns"));
+    assert!(lock_hold > Duration::ZERO);
+    // The rest is the supervisor's housekeeping (here: expiry checks).
+    assert!(report.farmer_busy >= lock_hold);
+    let exploitation = report.farmer_exploitation();
+    assert!(exploitation > 0.0 && exploitation < 1.0, "{exploitation}");
+    assert_eq!(
+        exploitation,
+        report.farmer_busy.as_secs_f64() / report.wall.as_secs_f64()
+    );
 }
 
 #[test]

@@ -30,7 +30,7 @@ hypotheses) on which the paper's published schedule evaluates to 3679, \
 while ta001 (20x5) does validate the generator. The published Ta056 \
 instance therefore cannot be regenerated from any seed of Taillard's \
 LCG as described; we ship a Ta056-shaped instance (correct shape, time \
-distribution and difficulty) instead. See DESIGN.md §8."]
+distribution and difficulty) instead."]
 fn ta056_published_optimum_is_3679() {
     let inst = ta056();
     let cmax = makespan(&inst, &TA056_OPTIMAL_SCHEDULE);

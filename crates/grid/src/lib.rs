@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation ran on 1889 processors across 9 administrative
 //! domains for 25 days — a platform we substitute with a discrete-event
-//! simulation (see DESIGN.md §2). Crucially, the simulator drives the
+//! simulation. Crucially, the simulator drives the
 //! **same** [`gridbnb_core::Coordinator`] state machine as the real
 //! multi-threaded runtime; only the workers and the network are
 //! simulated. The protocol properties the paper reports (worker/farmer

@@ -582,7 +582,7 @@ impl NetServer {
 fn serve_connection(
     stream: TcpStream,
     router: &ShardRouter,
-    gateway: Option<&ContactGateway<&ShardRouter>>,
+    gateway: Option<&ContactGateway<'_>>,
     config: &ServerConfig,
     counters: &Counters,
     metrics: &NetMetrics,
@@ -656,7 +656,7 @@ fn serve_frames(
     frames: Vec<Frame>,
     writer: &mut BufWriter<TcpStream>,
     router: &ShardRouter,
-    gateway: Option<&ContactGateway<&ShardRouter>>,
+    gateway: Option<&ContactGateway<'_>>,
     counters: &Counters,
     metrics: &NetMetrics,
     started: Instant,

@@ -22,12 +22,10 @@
 
 use gridbnb::core::checkpoint::CheckpointStore;
 use gridbnb::core::runtime::{
-    run, run_with_coordinator, run_with_router, ChaosConfig, CheckpointPolicy, CrashPlan,
-    RuntimeConfig,
+    run, run_with_router, ChaosConfig, CheckpointPolicy, CrashPlan, RuntimeConfig,
 };
 use gridbnb::core::{
-    Coordinator, CoordinatorConfig, MetricsRegistry, ShardDirBackend, ShardRouter, StorageBackend,
-    WalStore,
+    CoordinatorConfig, MetricsRegistry, ShardDirBackend, ShardRouter, StorageBackend, WalStore,
 };
 use gridbnb::engine::solve;
 use gridbnb::flowshop::bounds::PairSelection;
@@ -108,20 +106,22 @@ fn demo_crashes_and_checkpoints() {
         report.proven_optimum, report.farmer_checkpoints, report.checkpoint_failures
     );
 
-    // Simulate a farmer restart from the files — here the terminal state.
+    // Simulate a farmer restart from the files — here the terminal
+    // state, read by the v1 loader into a one-shard router.
     let (intervals, solution) = store.load().expect("readable checkpoint");
     println!(
         "restored checkpoint: {} interval(s), solution {:?}",
         intervals.len(),
         solution.as_ref().map(|s| s.cost)
     );
-    let coordinator = Coordinator::restore(
+    let router = ShardRouter::restore(
         problem_root(&problem),
-        intervals,
+        vec![intervals],
         solution,
         CoordinatorConfig::default(),
-    );
-    let resumed = run_with_coordinator(&problem, coordinator, &RuntimeConfig::new(2));
+    )
+    .expect("valid coordinator config");
+    let resumed = run_with_router(&problem, router, &RuntimeConfig::new(2));
     println!("resumed run confirms optimum: {:?}", resumed.proven_optimum);
     assert_eq!(resumed.proven_optimum, expected);
     std::fs::remove_dir_all(&dir).ok();

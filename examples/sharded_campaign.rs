@@ -1,8 +1,7 @@
 //! Sharded-coordinator demonstration: the same flowshop resolution run
-//! through the classic single farmer, then through a 4-shard
-//! [`gridbnb::core::ShardRouter`] with direct worker contacts and work
-//! stealing — identical optimum, and the sim shows the sharded farmer
-//! under grid-scale load.
+//! through a one-shard [`gridbnb::core::ShardRouter`] (the default),
+//! then through four shards with work stealing — identical optimum,
+//! and the sim shows the sharded farmer under grid-scale load.
 //!
 //! ```sh
 //! cargo run --release --example sharded_campaign
@@ -21,7 +20,7 @@ fn main() {
     let expected = solve(&problem, None).best_cost;
     println!("sequential optimum: {expected:?}");
 
-    // ---- The same threaded resolution, single farmer vs 4 shards.
+    // ---- The same threaded resolution over 1 lock, then 4.
     for shards in [1usize, 4] {
         let mut config = RuntimeConfig::new(4).with_shards(shards);
         config.poll_nodes = 500;
