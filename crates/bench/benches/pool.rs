@@ -1,12 +1,15 @@
 //! Pooled-bounding benchmarks: one `lower_bound_batch` call over a
 //! sibling pool vs the scalar `lower_bound_against` loop over the same
 //! children — the amortization the pooled explorer buys at every
-//! internal node. CI gates on the flowshop pair (pooled must bound the
-//! pool ≥ 1.5× faster than the scalar loop); the end-to-end explorer
-//! numbers are informational.
+//! internal node. CI gates on the 14×20 Johnson pair (the `fs_proof`
+//! campaign row's instance, bound and incumbent); the 14×5 `Combined`
+//! pair, the QAP pair and the end-to-end explorer numbers are
+//! informational.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridbnb_engine::IntervalExplorer;
+use gridbnb_flowshop::bounds::PairSelection;
+use gridbnb_flowshop::ig::{iterated_greedy, IgParams};
 use gridbnb_flowshop::neh::neh;
 use gridbnb_flowshop::taillard::generate;
 use gridbnb_flowshop::{BoundMode, FlowshopProblem, Problem};
@@ -24,80 +27,69 @@ fn sibling_pool<P: Problem>(problem: &P, prefix_ranks: &[u64]) -> Vec<P::State> 
     (0..arity).map(|r| problem.branch(&state, r)).collect()
 }
 
-fn bench_kernels(c: &mut Criterion) {
+/// Benches one pool both ways: the scalar `lower_bound_against` loop
+/// (`{family}_scalar/{label}`) and one `lower_bound_batch` call
+/// (`{family}_pooled/{label}`).
+fn bench_pool<P: Problem>(
+    c: &mut Criterion,
+    family: &str,
+    label: &str,
+    problem: &P,
+    pool: &[P::State],
+    cutoff: u64,
+) {
     let mut group = c.benchmark_group("pool");
+    group.bench_function(BenchmarkId::new(format!("{family}_scalar"), label), |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            for s in pool {
+                acc ^= problem.lower_bound_against(black_box(s), cutoff);
+            }
+            acc
+        })
+    });
+    let mut out = Vec::new();
+    group.bench_function(BenchmarkId::new(format!("{family}_pooled"), label), |b| {
+        b.iter(|| {
+            problem.lower_bound_batch(black_box(pool), cutoff, &mut out);
+            out.iter().fold(0u64, |a, &x| a ^ x)
+        })
+    });
+    group.finish();
+}
 
-    // Flowshop: a near-root pool on a mid-size Taillard instance with a
-    // realistic NEH incumbent — the gated pair. The prefix follows the
-    // NEH schedule itself so the pool is mixed: some children are
-    // eliminated by the one-machine screen, the rest pay the Johnson
-    // pass, exactly the workload an explorer frame sees on the
-    // trajectory towards the optimum.
+fn bench_kernels(c: &mut Criterion) {
+    // Flowshop, the gated pair: the `fs_proof` campaign row — 14×20
+    // Taillard seed 3, Johnson over all 190 pairs, IG+1 as the cutoff —
+    // at the depth-2 frame on the IG schedule's own path, so the pool
+    // mixes children that survive (and pay every pair) with children
+    // the early exit retires after a few pairs.
+    let instance = generate(14, 20, 3);
+    let (schedule, ub) = iterated_greedy(&instance, &IgParams::default());
+    let problem = FlowshopProblem::new(instance, BoundMode::Johnson(PairSelection::All));
+    let ranks = problem.encode_schedule(&schedule);
+    let pool = sibling_pool(&problem, &ranks[..2]);
+    bench_pool(c, "flowshop", "14x20_johnson", &problem, &pool, ub + 1);
+
+    // Flowshop `Combined` on a 14×5 instance with an NEH incumbent: some
+    // children are eliminated by the one-machine screen, the rest pay
+    // the Johnson pass.
     let instance = generate(14, 5, 873654221);
     let (schedule, ub) = neh(&instance);
-    let cutoff = ub; // elimination threshold a real search would hold
     let problem = FlowshopProblem::new(instance, BoundMode::default());
     let ranks = problem.encode_schedule(&schedule);
     let pool = sibling_pool(&problem, &ranks[..2]);
     let label = format!("14x5_w{}", pool.len());
-    group.bench_with_input(
-        BenchmarkId::new("flowshop_scalar", &label),
-        &(&problem, &pool),
-        |b, (problem, pool)| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for s in pool.iter() {
-                    acc ^= problem.lower_bound_against(black_box(s), cutoff);
-                }
-                acc
-            })
-        },
-    );
-    let mut out = Vec::new();
-    group.bench_with_input(
-        BenchmarkId::new("flowshop_pooled", &label),
-        &(&problem, &pool),
-        |b, (problem, pool)| {
-            b.iter(|| {
-                problem.lower_bound_batch(black_box(pool), cutoff, &mut out);
-                out.iter().fold(0u64, |a, &x| a ^ x)
-            })
-        },
-    );
+    bench_pool(c, "flowshop", &label, &problem, &pool, ub);
 
     // QAP: same shape on a 12-facility grid instance with a greedy
-    // incumbent (informational — the screen/GL split dominates).
+    // incumbent (the screen/GL split dominates).
     let instance = QapInstance::nugent_style(3, 4, 2007);
     let (_, ub) = greedy::greedy_construct(&instance);
-    let cutoff = ub;
-    let problem = QapProblem::new(instance, Bound::Tiered);
+    let problem = QapProblem::new(instance, Bound::GilmoreLawler);
     let pool = sibling_pool(&problem, &[0, 1]);
     let label = format!("nug12_w{}", pool.len());
-    group.bench_with_input(
-        BenchmarkId::new("qap_scalar", &label),
-        &(&problem, &pool),
-        |b, (problem, pool)| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for s in pool.iter() {
-                    acc ^= problem.lower_bound_against(black_box(s), cutoff);
-                }
-                acc
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("qap_pooled", &label),
-        &(&problem, &pool),
-        |b, (problem, pool)| {
-            b.iter(|| {
-                problem.lower_bound_batch(black_box(pool), cutoff, &mut out);
-                out.iter().fold(0u64, |a, &x| a ^ x)
-            })
-        },
-    );
-
-    group.finish();
+    bench_pool(c, "qap", &label, &problem, &pool, ub);
 }
 
 fn bench_explorer(c: &mut Criterion) {

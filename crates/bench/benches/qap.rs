@@ -41,7 +41,6 @@ fn bench_qap(c: &mut Criterion) {
     for (label, bound) in [
         ("solve_screen", Bound::Screen),
         ("solve_gl", Bound::GilmoreLawler),
-        ("solve_tiered", Bound::Tiered),
     ] {
         let problem = QapProblem::new(nug9.clone(), bound);
         group.bench_with_input(BenchmarkId::new(label, 9), &problem, |b, problem| {
@@ -49,18 +48,15 @@ fn bench_qap(c: &mut Criterion) {
         });
     }
 
-    // The flagship resolution end-to-end (GL tiers only: the screen
-    // alone would take minutes here).
+    // The flagship resolution end-to-end (GL only: the screen alone
+    // would take minutes here).
     let (_, ub12) = greedy_upper_bound(&nug12, &GreedyParams::default());
-    for (label, bound) in [
-        ("solve_gl", Bound::GilmoreLawler),
-        ("solve_tiered", Bound::Tiered),
-    ] {
-        let problem12 = QapProblem::new(nug12.clone(), bound);
-        group.bench_with_input(BenchmarkId::new(label, 12), &problem12, |b, problem| {
-            b.iter(|| black_box(solve(problem, Some(ub12 + 1))))
-        });
-    }
+    let problem12 = QapProblem::new(nug12, Bound::GilmoreLawler);
+    group.bench_with_input(
+        BenchmarkId::new("solve_gl", 12),
+        &problem12,
+        |b, problem| b.iter(|| black_box(solve(problem, Some(ub12 + 1)))),
+    );
     group.finish();
 }
 

@@ -39,16 +39,16 @@ pub trait Problem: Send + Sync {
     fn lower_bound(&self, state: &Self::State) -> u64;
 
     /// Cutoff-aware variant of [`Problem::lower_bound`]: the explorer
-    /// passes the current elimination threshold so that **tiered**
-    /// bounding operators can stop at the cheapest tier that already
-    /// proves `bound >= cutoff` (the subtree is eliminated either way,
-    /// so computing a stronger bound would be wasted work).
+    /// passes the current elimination threshold so that a bounding
+    /// operator can stop as soon as it has proved `bound >= cutoff` —
+    /// after a cheap first tier, or part-way through a maximum over many
+    /// terms (the subtree is eliminated either way, so computing a
+    /// stronger bound would be wasted work).
     ///
     /// The returned value must still be admissible — it only ever
     /// replaces `lower_bound` in the elimination test, never in an
     /// optimality claim. The default ignores the cutoff and delegates
-    /// to [`Problem::lower_bound`], which is correct for single-tier
-    /// bounds.
+    /// to [`Problem::lower_bound`].
     fn lower_bound_against(&self, state: &Self::State, cutoff: u64) -> u64 {
         let _ = cutoff;
         self.lower_bound(state)
@@ -69,9 +69,12 @@ pub trait Problem: Send + Sync {
     ///   `c ≤ cutoff` — i.e. `batch[i] ≥ c ⇔ scalar_i ≥ c`. Since cutoffs
     ///   only decrease as incumbents improve, this keeps a pooled search
     ///   node-for-node identical to the scalar one even though the pool
-    ///   was bounded against an older (larger) cutoff. Tiered operators
-    ///   satisfy it automatically when the cheap tier is dominated by the
-    ///   strong tier (as Gilmore–Lawler dominates the QAP screen).
+    ///   was bounded against an older (larger) cutoff. An early exit
+    ///   satisfies it whenever every value it stops at is a lower bound
+    ///   on the full one (a cheap tier the strong tier dominates, as
+    ///   Gilmore–Lawler dominates the QAP screen, or a partial maximum,
+    ///   as in the flowshop Johnson kernel) and a value below `cutoff`
+    ///   is the full one.
     ///
     /// The default loops the scalar operator.
     fn lower_bound_batch(&self, states: &[Self::State], cutoff: u64, out: &mut Vec<u64>) {

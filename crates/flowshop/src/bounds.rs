@@ -147,19 +147,45 @@ pub enum PairSelection {
 /// on `(p(j,k) + lag, lag + p(j,l))` where `lag = Σ_{k<m<l} p(j,m)`.
 /// Restricting a Johnson-sorted list to any subset keeps it
 /// Johnson-sorted, so bound evaluation is a single pass per pair.
+///
+/// Every pair's rows live in one flat arena (`n` rows per pair, in
+/// Johnson order), and the pairs are visited strongest first — sorted
+/// once by their root bound — so an evaluation against a cutoff usually
+/// stops after a few pairs. The order is a pure function of the
+/// instance and only changes how soon a bound reaches the cutoff, never
+/// the value of a bound that stays below it.
 #[derive(Clone, Debug)]
 pub struct JohnsonBound {
-    pairs: Vec<PairData>,
+    /// Jobs per pair block.
+    n: usize,
+    /// Machine pairs, strongest root bound first.
+    pairs: Vec<Pair>,
+    /// Every pair's rows; pair block `b` is rows `b·n .. b·n + n`.
+    rows: Vec<Row>,
 }
 
-#[derive(Clone, Debug)]
-struct PairData {
+/// One job of one pair's Johnson order.
+#[derive(Clone, Copy, Debug)]
+struct Row {
+    job: u32,
+    /// `p(job, k)`.
+    p_k: u32,
+    /// The Mitten lag `Σ_{k<m<l} p(job, m)`.
+    lag: u32,
+    /// `p(job, l)`.
+    p_l: u32,
+    /// `tail_after(job, l)`.
+    tail: u32,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Pair {
     k: usize,
     l: usize,
-    /// Jobs in Johnson order for this pair.
-    order: Vec<u16>,
-    /// `lag[j]` for this pair.
-    lags: Vec<u64>,
+    /// First arena row of the pair's block.
+    start: usize,
+    /// The pair's bound at the root (the sort key).
+    root: u64,
 }
 
 impl JohnsonBound {
@@ -167,51 +193,98 @@ impl JohnsonBound {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range or non-increasing custom pairs.
+    /// Panics on out-of-range or non-increasing custom pairs, on more
+    /// than 64 jobs, and if a job's total processing time exceeds
+    /// `u32::MAX`.
     pub fn new(instance: &Instance, selection: &PairSelection) -> Self {
-        let m = instance.machines();
-        let pair_list: Vec<(usize, usize)> = match selection {
+        let (n, m) = (instance.jobs(), instance.machines());
+        assert!(n <= 64, "at most 64 jobs");
+        let pair = |(k, l)| Pair {
+            k,
+            l,
+            start: 0,
+            root: 0,
+        };
+        let mut pairs: Vec<Pair> = match selection {
             PairSelection::All => (0..m)
                 .flat_map(|k| (k + 1..m).map(move |l| (k, l)))
+                .map(pair)
                 .collect(),
             PairSelection::AdjacentPlusEnds => {
-                let mut v: Vec<(usize, usize)> =
-                    (0..m.saturating_sub(1)).map(|k| (k, k + 1)).collect();
-                if m >= 2 && !v.contains(&(0, m - 1)) {
-                    v.push((0, m - 1));
+                let mut v: Vec<Pair> = (0..m.saturating_sub(1)).map(|k| pair((k, k + 1))).collect();
+                if m >= 3 {
+                    v.push(pair((0, m - 1)));
                 }
                 v
             }
-            PairSelection::Custom(pairs) => {
-                for &(k, l) in pairs {
+            PairSelection::Custom(list) => list
+                .iter()
+                .map(|&(k, l)| {
                     assert!(k < l && l < m, "invalid machine pair ({k},{l})");
-                }
-                pairs.clone()
-            }
+                    pair((k, l))
+                })
+                .collect(),
         };
-        let pairs = pair_list
-            .into_iter()
-            .map(|(k, l)| {
-                let lags: Vec<u64> = (0..instance.jobs())
-                    .map(|j| (k + 1..l).map(|mm| u64::from(instance.time(j, mm))).sum())
-                    .collect();
-                let mut order: Vec<u16> = (0..instance.jobs() as u16).collect();
-                // Johnson/Mitten rule on (a, b) = (p_k + lag, lag + p_l):
-                // group 1 (a <= b) ascending a, then group 2 descending b.
-                order.sort_by_key(|&j| {
-                    let j = j as usize;
-                    let a = u64::from(instance.time(j, k)) + lags[j];
-                    let b = lags[j] + u64::from(instance.time(j, l));
-                    if a <= b {
-                        (0u8, a, 0u64)
-                    } else {
-                        (1u8, u64::MAX - b, 0u64)
-                    }
-                });
-                PairData { k, l, order, lags }
-            })
-            .collect();
-        JohnsonBound { pairs }
+        // prefix[j·(m+1) + x] = Σ_{y<x} p(j, y): every lag and tail is a
+        // difference of two entries.
+        let mut prefix = vec![0u64; n * (m + 1)];
+        for j in 0..n {
+            let row = &mut prefix[j * (m + 1)..(j + 1) * (m + 1)];
+            for (x, &t) in instance.job_row(j).iter().enumerate() {
+                row[x + 1] = row[x] + u64::from(t);
+            }
+            assert!(row[m] <= u64::from(u32::MAX), "job {j} too long");
+        }
+        let sum = |j: usize, from: usize, to: usize| {
+            (prefix[j * (m + 1) + to] - prefix[j * (m + 1) + from]) as u32
+        };
+        let mut rows = Vec::with_capacity(pairs.len() * n);
+        let mut order = [0u8; 64];
+        for (b, pair) in pairs.iter_mut().enumerate() {
+            let (k, l) = (pair.k, pair.l);
+            let order = &mut order[..n];
+            for (j, slot) in order.iter_mut().enumerate() {
+                *slot = j as u8;
+            }
+            // Johnson/Mitten rule on (a, b) = (p_k + lag, lag + p_l):
+            // group 1 (a <= b) ascending a, then group 2 descending b;
+            // ties by job index.
+            order.sort_unstable_by_key(|&j| {
+                let j = j as usize;
+                let lag = u64::from(sum(j, k + 1, l));
+                let a = u64::from(instance.time(j, k)) + lag;
+                let b = lag + u64::from(instance.time(j, l));
+                if a <= b {
+                    (0u8, a, j)
+                } else {
+                    (1u8, u64::MAX - b, j)
+                }
+            });
+            pair.start = b * n;
+            let (mut c1, mut c2, mut min_tail) = (0u64, 0u64, u64::MAX);
+            for &j in order.iter() {
+                let j = j as usize;
+                let row = Row {
+                    job: j as u32,
+                    p_k: instance.time(j, k),
+                    lag: sum(j, k + 1, l),
+                    p_l: instance.time(j, l),
+                    tail: sum(j, l + 1, m),
+                };
+                c1 += u64::from(row.p_k);
+                c2 = c2.max(c1 + u64::from(row.lag)) + u64::from(row.p_l);
+                min_tail = min_tail.min(u64::from(row.tail));
+                rows.push(row);
+            }
+            pair.root = c2 + min_tail;
+        }
+        pairs.sort_unstable_by_key(|p| (std::cmp::Reverse(p.root), p.start));
+        JohnsonBound { n, pairs, rows }
+    }
+
+    /// The rows of `pair`, in its Johnson order.
+    fn rows(&self, pair: &Pair) -> &[Row] {
+        &self.rows[pair.start..pair.start + self.n]
     }
 
     /// Number of machine pairs evaluated per bound call.
@@ -222,29 +295,139 @@ impl JohnsonBound {
     /// The two-machine bound for a partial schedule with machine `heads`
     /// and `remaining` unscheduled jobs. `R = ∅` degenerates to the
     /// partial makespan.
-    pub fn bound(&self, instance: &Instance, heads: &[u64], remaining: JobSet) -> u64 {
-        let m_count = instance.machines();
+    pub fn bound(&self, heads: &[u64], remaining: JobSet) -> u64 {
+        self.bound_against(heads, remaining, u64::MAX)
+    }
+
+    /// [`JohnsonBound::bound`] with an early exit: pairs are evaluated
+    /// strongest first and the evaluation stops as soon as the running
+    /// maximum reaches `cutoff`. A result below `cutoff` is the exact
+    /// bound; a result at or above it is a lower bound on the exact one.
+    pub fn bound_against(&self, heads: &[u64], remaining: JobSet, cutoff: u64) -> u64 {
+        let mut best = heads[heads.len() - 1];
         if remaining.is_empty() {
-            return heads[m_count - 1];
+            return best;
         }
-        let mut best = 0u64;
         for pair in &self.pairs {
-            let (k, l) = (pair.k, pair.l);
-            let mut c1 = heads[k];
-            let mut c2 = heads[l];
-            let mut min_tail = u64::MAX;
-            for &j16 in &pair.order {
-                let j = j16 as usize;
-                if !remaining.contains(j) {
+            if best >= cutoff {
+                break;
+            }
+            let (mut c1, mut c2, mut min_tail) = (heads[pair.k], heads[pair.l], u64::MAX);
+            for row in self.rows(pair) {
+                if !remaining.contains(row.job as usize) {
                     continue;
                 }
-                c1 += u64::from(instance.time(j, k));
-                c2 = c2.max(c1 + pair.lags[j]) + u64::from(instance.time(j, l));
-                min_tail = min_tail.min(tail_after(instance, j, l));
+                c1 += u64::from(row.p_k);
+                c2 = c2.max(c1 + u64::from(row.lag)) + u64::from(row.p_l);
+                min_tail = min_tail.min(u64::from(row.tail));
             }
             best = best.max(c2 + min_tail);
         }
-        best.max(heads[m_count - 1])
+        best
+    }
+
+    /// Raises the bounds of a sibling pool against `cutoff`, pair by pair.
+    ///
+    /// Child `i` sits at machine heads `child(i).0` and has scheduled job
+    /// `child(i).1` out of the shared `union`, so its remaining set is
+    /// `union \ {child(i).1}`. `out[i]` holds a seed (an admissible bound
+    /// of the child, at least its `heads[M−1]`); children whose seed
+    /// reaches `cutoff` are never evaluated. The loop runs over pairs on
+    /// the outside and over the live children ("lanes") on the inside: a
+    /// lane retires once its running maximum reaches `cutoff`, and the
+    /// pool is done when no lane is left.
+    ///
+    /// Per pair, one O(|union|) pass evaluates Johnson's recurrence for
+    /// every exclusion at once. Over the union in the pair's order, with
+    /// `V(q) = Σ_{r≤q} p_k + lag_q + Σ_{r≥q} p_l`, the child excluding
+    /// position `e` ends machine `l` at
+    /// `max(h_l + Σp_l − p_l[e], h_k + max(max_{q<e} V(q) − p_l[e],
+    /// max_{q>e} V(q) − p_k[e]))`, so each live lane then costs O(1).
+    ///
+    /// On return `out[i]` is the exact `max(seed, Johnson bound)` when it
+    /// is below `cutoff`, and a lower bound on it otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `union` has fewer than two jobs or there are more than
+    /// 64 children.
+    pub fn bound_pool<'h>(
+        &self,
+        union: JobSet,
+        child: impl Fn(usize) -> (&'h [u64], usize),
+        cutoff: u64,
+        out: &mut [u64],
+    ) {
+        assert!(union.len() >= 2, "pool aggregation needs at least 2 jobs");
+        assert!(out.len() <= 64, "at most 64 lanes");
+        let mut live = out
+            .iter()
+            .enumerate()
+            .filter(|&(_, &seed)| seed < cutoff)
+            .fold(0u64, |lanes, (i, _)| lanes | 1 << i);
+        // Per position of the union in the pair's order.
+        let mut job = [0u8; 64];
+        let mut w = [0i64; 64]; // V(q) − Σp_l
+        let mut before = [0i64; 64]; // max_{r<q} w(r)
+        let (mut p_k, mut p_l) = ([0i64; 64], [0i64; 64]);
+        // Per job: the child excluding it is bounded by
+        // max(h_l + to_l[job], h_k + to_k[job]) — its end on machine l
+        // plus its smallest tail.
+        let (mut to_l, mut to_k) = ([0u64; 64], [0u64; 64]);
+        for pair in &self.pairs {
+            if live == 0 {
+                return;
+            }
+            let (mut len, mut sum_k, mut sum_l) = (0, 0i64, 0i64);
+            let mut best_before = i64::MIN / 2;
+            let mut min_tail = (usize::MAX, u64::MAX, u64::MAX);
+            for row in self.rows(pair) {
+                let j = row.job as usize;
+                if !union.contains(j) {
+                    continue;
+                }
+                let (a, b) = (i64::from(row.p_k), i64::from(row.p_l));
+                sum_k += a;
+                w[len] = sum_k + i64::from(row.lag) - sum_l;
+                sum_l += b;
+                before[len] = best_before;
+                best_before = best_before.max(w[len]);
+                (job[len], p_k[len], p_l[len]) = (j as u8, a, b);
+                let tail = u64::from(row.tail);
+                if tail <= min_tail.1 {
+                    min_tail = (j, tail, min_tail.1);
+                } else if tail < min_tail.2 {
+                    min_tail.2 = tail;
+                }
+                len += 1;
+            }
+            let mut best_after = i64::MIN / 2;
+            for q in (0..len).rev() {
+                let j = job[q] as usize;
+                let tail = if j == min_tail.0 {
+                    min_tail.2
+                } else {
+                    min_tail.1
+                } as i64;
+                let through = (before[q] - p_l[q]).max(best_after - p_k[q]);
+                to_l[j] = (sum_l - p_l[q] + tail) as u64;
+                to_k[j] = (sum_l + through + tail) as u64;
+                best_after = best_after.max(w[q]);
+            }
+            let mut lanes = live;
+            while lanes != 0 {
+                let i = lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                let (h, e) = child(i);
+                let v = (h[pair.l] + to_l[e]).max(h[pair.k] + to_k[e]);
+                if v > out[i] {
+                    out[i] = v;
+                    if v >= cutoff {
+                        live &= !(1 << i);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -322,105 +505,6 @@ impl OneMachinePool {
         let (jmax, t1, t2) = self.max_total;
         let max_total = if jmax == excluded { t2 } else { t1 };
         best.max(heads[0] + max_total)
-    }
-}
-
-/// Filtered per-pool view of the Johnson pair data: every pair's
-/// pre-sorted job order restricted to the pool's shared `union`, with
-/// processing times, lags and tails resolved into flat SoA columns.
-///
-/// A child evaluation is then one allocation-free pass over `|union|`
-/// rows per pair (skipping its single scheduled job) instead of a pass
-/// over all `n` jobs with membership tests and per-job tail recomputation.
-pub struct JohnsonPool {
-    m_count: usize,
-    pairs: Vec<FilteredPair>,
-}
-
-struct FilteredPair {
-    k: usize,
-    l: usize,
-    /// Union jobs in Johnson order.
-    jobs: Vec<u16>,
-    /// `p(j, k)` per row.
-    p_k: Vec<u64>,
-    /// Mitten lag per row.
-    lag: Vec<u64>,
-    /// `p(j, l)` per row.
-    p_l: Vec<u64>,
-    /// (job with the smallest `tail_after(·, l)`, that tail, runner-up).
-    min_tail: (usize, u64, u64),
-}
-
-impl JohnsonBound {
-    /// Restricts every pair's Johnson order to `union` once (O(pairs ·
-    /// n)), for batched evaluation of a sibling pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `union` has fewer than two jobs.
-    pub fn pool(&self, instance: &Instance, union: JobSet) -> JohnsonPool {
-        assert!(union.len() >= 2, "pool aggregation needs at least 2 jobs");
-        let pairs = self
-            .pairs
-            .iter()
-            .map(|pair| {
-                let mut f = FilteredPair {
-                    k: pair.k,
-                    l: pair.l,
-                    jobs: Vec::with_capacity(union.len()),
-                    p_k: Vec::with_capacity(union.len()),
-                    lag: Vec::with_capacity(union.len()),
-                    p_l: Vec::with_capacity(union.len()),
-                    min_tail: (usize::MAX, u64::MAX, u64::MAX),
-                };
-                for &j16 in &pair.order {
-                    let j = j16 as usize;
-                    if !union.contains(j) {
-                        continue;
-                    }
-                    f.jobs.push(j16);
-                    f.p_k.push(u64::from(instance.time(j, pair.k)));
-                    f.lag.push(pair.lags[j]);
-                    f.p_l.push(u64::from(instance.time(j, pair.l)));
-                    let tail = tail_after(instance, j, pair.l);
-                    if tail <= f.min_tail.1 {
-                        f.min_tail = (j, tail, f.min_tail.1);
-                    } else if tail < f.min_tail.2 {
-                        f.min_tail.2 = tail;
-                    }
-                }
-                f
-            })
-            .collect();
-        JohnsonPool {
-            m_count: instance.machines(),
-            pairs,
-        }
-    }
-}
-
-impl JohnsonPool {
-    /// The Johnson bound of the child that scheduled `excluded` (which
-    /// must be in the union) — exactly
-    /// `JohnsonBound::bound(instance, heads, union.without(excluded))`.
-    pub fn bound(&self, heads: &[u64], excluded: usize) -> u64 {
-        let mut best = 0u64;
-        for pair in &self.pairs {
-            let mut c1 = heads[pair.k];
-            let mut c2 = heads[pair.l];
-            for (i, &j16) in pair.jobs.iter().enumerate() {
-                if j16 as usize == excluded {
-                    continue;
-                }
-                c1 += pair.p_k[i];
-                c2 = c2.max(c1 + pair.lag[i]) + pair.p_l[i];
-            }
-            let (jmin, t1, t2) = pair.min_tail;
-            let min_tail = if jmin == excluded { t2 } else { t1 };
-            best = best.max(c2 + min_tail);
-        }
-        best.max(heads[self.m_count - 1])
     }
 }
 
@@ -524,7 +608,7 @@ mod tests {
             let remaining = remaining_of(&inst, &prefix);
             let exact = exact_best_completion(&inst, &prefix);
             let lb1 = one_machine_bound(&inst, &heads, remaining);
-            let lb2 = johnson.bound(&inst, &heads, remaining);
+            let lb2 = johnson.bound(&heads, remaining);
             assert!(lb1 <= exact, "LB1 {lb1} > exact {exact} at {prefix:?}");
             assert!(lb2 <= exact, "LB2 {lb2} > exact {exact} at {prefix:?}");
         }
@@ -537,7 +621,7 @@ mod tests {
         let remaining = JobSet::full(3);
         let lb1 = one_machine_bound(&inst, &heads, remaining);
         let johnson = JohnsonBound::new(&inst, &PairSelection::All);
-        let lb2 = johnson.bound(&inst, &heads, remaining);
+        let lb2 = johnson.bound(&heads, remaining);
         assert!(lb2 >= lb1, "Johnson {lb2} weaker than one-machine {lb1}");
     }
 
@@ -550,7 +634,7 @@ mod tests {
         let exact = makespan(&inst, &schedule);
         assert_eq!(one_machine_bound(&inst, &heads, remaining), exact);
         let johnson = JohnsonBound::new(&inst, &PairSelection::All);
-        assert_eq!(johnson.bound(&inst, &heads, remaining), exact);
+        assert_eq!(johnson.bound(&heads, remaining), exact);
     }
 
     #[test]
@@ -559,7 +643,7 @@ mod tests {
         // the true optimum (Johnson's algorithm is exact for M=2).
         let inst = Instance::new(4, 2, vec![3, 2, 1, 4, 6, 2, 2, 5]);
         let johnson = JohnsonBound::new(&inst, &PairSelection::All);
-        let root_bound = johnson.bound(&inst, &[0, 0], JobSet::full(4));
+        let root_bound = johnson.bound(&[0, 0], JobSet::full(4));
         let mut jobs: Vec<usize> = (0..4).collect();
         let mut best = u64::MAX;
         permute(&mut jobs, 0, &mut |order| {
@@ -591,34 +675,19 @@ mod tests {
     }
 
     #[test]
-    fn pool_kernels_match_scalar_bounds_exactly() {
-        // Every (union, excluded job, heads) combination on a real
-        // instance: the pooled delta evaluation must reproduce the
-        // scalar bounds bit-for-bit, since Johnson/OneMachine pools are
-        // consumed as values (not just prune decisions).
-        let inst = crate::taillard::generate(9, 4, 4242);
+    fn pairs_are_visited_strongest_first() {
+        let inst = crate::taillard::generate(9, 6, 4242);
         let johnson = JohnsonBound::new(&inst, &PairSelection::All);
-        for prefix in [vec![], vec![3], vec![7, 1], vec![0, 4, 8, 2]] {
-            let heads_base = heads_of(&inst, &prefix);
-            let union = remaining_of(&inst, &prefix);
-            let ctx = OneMachinePool::new(&inst, union);
-            let jpool = johnson.pool(&inst, union);
-            for t in union.iter() {
-                let mut heads = heads_base.clone();
-                push_job(&inst, &mut heads, t);
-                let child = union.without(t);
-                assert_eq!(
-                    ctx.bound(&inst, &heads, t),
-                    one_machine_bound(&inst, &heads, child),
-                    "one-machine pool mismatch at {prefix:?} + {t}"
-                );
-                assert_eq!(
-                    jpool.bound(&heads, t),
-                    johnson.bound(&inst, &heads, child),
-                    "johnson pool mismatch at {prefix:?} + {t}"
-                );
-            }
-        }
+        let heads = [0u64; 6];
+        let root = JobSet::full(9);
+        assert!(johnson.pairs.windows(2).all(|w| w[0].root >= w[1].root));
+        // The first pair alone decides the root bound.
+        assert_eq!(johnson.pairs[0].root, johnson.bound(&heads, root));
+        assert_eq!(
+            johnson.bound_against(&heads, root, 0),
+            heads[5],
+            "a cutoff the seed already reaches evaluates no pair"
+        );
     }
 
     #[test]
@@ -628,6 +697,6 @@ mod tests {
         let sub = JohnsonBound::new(&inst, &PairSelection::AdjacentPlusEnds);
         let heads = vec![0u64; 5];
         let r = JobSet::full(8);
-        assert!(all.bound(&inst, &heads, r) >= sub.bound(&inst, &heads, r));
+        assert!(all.bound(&heads, r) >= sub.bound(&heads, r));
     }
 }

@@ -31,7 +31,9 @@ impl Default for BoundMode {
 pub struct FlowshopProblem {
     instance: Instance,
     mode: BoundMode,
-    johnson: Option<JohnsonBound>,
+    /// Boxed: the pair arena would otherwise more than double the size
+    /// of a problem that callers move around by value.
+    johnson: Option<Box<JohnsonBound>>,
 }
 
 /// Search state: machine heads of the scheduled prefix plus the remaining
@@ -49,13 +51,14 @@ impl FlowshopProblem {
     /// # Panics
     ///
     /// Panics if the instance has more than 64 jobs (the remaining-set
-    /// bitmask limit; every Taillard group fits).
+    /// bitmask limit; every Taillard group fits), and in the Johnson
+    /// modes if a job's total processing time exceeds `u32::MAX`.
     pub fn new(instance: Instance, mode: BoundMode) -> Self {
         assert!(instance.jobs() <= 64, "at most 64 jobs");
         let johnson = match &mode {
             BoundMode::OneMachine => None,
             BoundMode::Johnson(sel) | BoundMode::Combined(sel) => {
-                Some(JohnsonBound::new(&instance, sel))
+                Some(Box::new(JohnsonBound::new(&instance, sel)))
             }
         };
         FlowshopProblem {
@@ -143,45 +146,48 @@ impl Problem for FlowshopProblem {
     }
 
     fn lower_bound(&self, state: &FlowshopState) -> u64 {
-        match &self.mode {
-            BoundMode::OneMachine => {
-                one_machine_bound(&self.instance, &state.heads, state.remaining)
+        self.lower_bound_against(state, u64::MAX)
+    }
+
+    /// Evaluates the Johnson pairs strongest first and stops at `cutoff`;
+    /// `Combined` runs the one-machine bound first and skips the Johnson
+    /// pass when it already reaches `cutoff`. Below `cutoff` the value is
+    /// the exact bound of the mode.
+    fn lower_bound_against(&self, state: &FlowshopState, cutoff: u64) -> u64 {
+        let (heads, remaining) = (&state.heads, state.remaining);
+        match (&self.mode, &self.johnson) {
+            (BoundMode::Johnson(_), Some(johnson)) => {
+                johnson.bound_against(heads, remaining, cutoff)
             }
-            BoundMode::Johnson(_) => self.johnson.as_ref().expect("johnson precomputed").bound(
-                &self.instance,
-                &state.heads,
-                state.remaining,
-            ),
-            BoundMode::Combined(_) => {
-                let lb1 = one_machine_bound(&self.instance, &state.heads, state.remaining);
-                let lb2 = self.johnson.as_ref().expect("johnson precomputed").bound(
-                    &self.instance,
-                    &state.heads,
-                    state.remaining,
-                );
-                lb1.max(lb2)
+            (BoundMode::Combined(_), Some(johnson)) => {
+                let lb1 = one_machine_bound(&self.instance, heads, remaining);
+                if lb1 >= cutoff {
+                    return lb1;
+                }
+                lb1.max(johnson.bound_against(heads, remaining, cutoff))
             }
+            _ => one_machine_bound(&self.instance, heads, remaining),
         }
     }
 
-    /// Flat pool kernel. When the pool is a sibling pool — every state's
-    /// remaining set is one shared union minus exactly one job, which is
-    /// how the pooled explorer builds them — the parent-level aggregates
-    /// (per-machine loads, top-2 min-tails, Johnson orders filtered to
-    /// the union) are computed once and every child is evaluated as an
-    /// allocation-free delta. In `Combined` mode the Johnson pass runs
-    /// only on survivors of the one-machine screen: a child the cheap
-    /// bound already eliminates stays eliminated under every future
-    /// (lower) cutoff, because the combined bound dominates it.
+    /// Sibling-pool kernel. When the pool is a sibling pool — every
+    /// state's remaining set is one shared union minus exactly one job,
+    /// which is how the pooled explorer builds them — every child starts
+    /// from a seed (the one-machine bound from per-pool aggregates in
+    /// `OneMachine`/`Combined` mode, the partial makespan in `Johnson`
+    /// mode) and [`JohnsonBound::bound_pool`] then raises the children
+    /// still below `cutoff` pair by pair, retiring each as it reaches it.
     ///
-    /// `OneMachine` and `Johnson` modes reproduce the scalar bound
-    /// values exactly; `Combined` reproduces the scalar elimination
-    /// decisions exactly (values may report the cheaper tier).
+    /// A value below `cutoff` is the exact scalar bound; a value at or
+    /// above it may be smaller than the exact bound but still eliminates
+    /// the child, so every decision under a cutoff `≤ cutoff` matches the
+    /// scalar operator.
     fn lower_bound_batch(&self, states: &[FlowshopState], cutoff: u64, out: &mut Vec<u64>) {
         out.clear();
         out.reserve(states.len());
         let union = JobSet(states.iter().fold(0u64, |acc, s| acc | s.remaining.0));
         let siblings = union.len() >= 2
+            && states.len() <= 64
             && states
                 .iter()
                 .all(|s| (union.0 & !s.remaining.0).count_ones() == 1);
@@ -194,49 +200,20 @@ impl Problem for FlowshopProblem {
             return;
         }
         let excluded = |s: &FlowshopState| (union.0 & !s.remaining.0).trailing_zeros() as usize;
-        match &self.mode {
-            BoundMode::OneMachine => {
-                let ctx = OneMachinePool::new(&self.instance, union);
-                for s in states {
-                    out.push(ctx.bound(&self.instance, &s.heads, excluded(s)));
-                }
-            }
-            BoundMode::Johnson(_) => {
-                let johnson = self.johnson.as_ref().expect("johnson precomputed");
-                let pool = johnson.pool(&self.instance, union);
-                for s in states {
-                    out.push(pool.bound(&s.heads, excluded(s)));
-                }
-            }
-            BoundMode::Combined(_) => {
-                let ctx = OneMachinePool::new(&self.instance, union);
-                for s in states {
-                    out.push(ctx.bound(&self.instance, &s.heads, excluded(s)));
-                }
-                let survivors = out.iter().filter(|&&b| b < cutoff).count();
-                if survivors == 0 {
-                    return; // whole pool screened out; Johnson would be wasted
-                }
-                let johnson = self.johnson.as_ref().expect("johnson precomputed");
-                if survivors < 3 {
-                    // Building the filtered-order pool costs several
-                    // allocations; below this it is cheaper to run the
-                    // allocation-free scalar Johnson bound directly.
-                    for (i, s) in states.iter().enumerate() {
-                        if out[i] < cutoff {
-                            out[i] =
-                                out[i].max(johnson.bound(&self.instance, &s.heads, s.remaining));
-                        }
-                    }
-                    return;
-                }
-                let pool = johnson.pool(&self.instance, union);
-                for (i, s) in states.iter().enumerate() {
-                    if out[i] < cutoff {
-                        out[i] = out[i].max(pool.bound(&s.heads, excluded(s)));
-                    }
-                }
-            }
+        if let BoundMode::Johnson(_) = self.mode {
+            let last = self.instance.machines() - 1;
+            out.extend(states.iter().map(|s| s.heads[last]));
+        } else {
+            let ctx = OneMachinePool::new(&self.instance, union);
+            out.extend(
+                states
+                    .iter()
+                    .map(|s| ctx.bound(&self.instance, &s.heads, excluded(s))),
+            );
+        }
+        if let Some(johnson) = &self.johnson {
+            let child = |i: usize| (states[i].heads.as_slice(), excluded(&states[i]));
+            johnson.bound_pool(union, child, cutoff, out);
         }
     }
 

@@ -113,7 +113,7 @@ proptest! {
         let lb1 = one_machine_bound(&inst, &heads, remaining);
         prop_assert!(lb1 <= best, "one-machine bound {} exceeds exact {}", lb1, best);
         let jb = JohnsonBound::new(&inst, &PairSelection::All);
-        let lb2 = jb.bound(&inst, &heads, remaining);
+        let lb2 = jb.bound(&heads, remaining);
         prop_assert!(lb2 <= best, "johnson bound {} exceeds exact {}", lb2, best);
     }
 

@@ -33,19 +33,11 @@ pub enum Bound {
     /// The rearrangement screen only (cheapest, weakest).
     Screen,
     /// The Gilmore–Lawler assignment bound on every node (strongest,
-    /// costliest: one O(u³) LAP solve per evaluation).
+    /// costliest: one O(u³) LAP solve per evaluation). The pooled
+    /// explorer's batch kernel still screens each sibling pool first and
+    /// pays the LAP only for screen survivors.
     #[default]
     GilmoreLawler,
-    /// Tiered: evaluate the screen first and escalate to Gilmore–Lawler
-    /// only when the screen fails to prune (via the engine's
-    /// cutoff-aware `lower_bound_against` hook) — pruned nodes pay
-    /// O(u²), survivors pay the LAP. Equivalent to `GilmoreLawler` in
-    /// nodes explored (GL dominates the screen), but only cheaper in
-    /// time when the screen's prune rate covers its evaluation cost: on
-    /// the Nugent grids it does not (the checked-in `qap` bench shows
-    /// GL-only ~1.4× faster end-to-end), so the tier is selectable
-    /// rather than the default.
-    Tiered,
 }
 
 /// The cheap first-level screen (the crate's original bound): exact

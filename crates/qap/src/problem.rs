@@ -143,21 +143,6 @@ impl Problem for QapProblem {
     fn lower_bound(&self, state: &QapState) -> u64 {
         match self.bound {
             Bound::Screen => screen_bound(&self.instance, &state.placement, state.used, state.cost),
-            // Without a cutoff there is nothing to screen against, so
-            // the tiered bound degenerates to its strongest tier.
-            Bound::GilmoreLawler | Bound::Tiered => gilmore_lawler_bound_cached(
-                &self.instance,
-                &self.gl_rows,
-                &state.placement,
-                state.used,
-                state.cost,
-            ),
-        }
-    }
-
-    fn lower_bound_against(&self, state: &QapState, cutoff: u64) -> u64 {
-        match self.bound {
-            Bound::Screen => screen_bound(&self.instance, &state.placement, state.used, state.cost),
             Bound::GilmoreLawler => gilmore_lawler_bound_cached(
                 &self.instance,
                 &self.gl_rows,
@@ -165,20 +150,6 @@ impl Problem for QapProblem {
                 state.used,
                 state.cost,
             ),
-            Bound::Tiered => {
-                let screen = screen_bound(&self.instance, &state.placement, state.used, state.cost);
-                if screen >= cutoff {
-                    // The cheap tier already eliminates the subtree.
-                    return screen;
-                }
-                gilmore_lawler_bound_cached(
-                    &self.instance,
-                    &self.gl_rows,
-                    &state.placement,
-                    state.used,
-                    state.cost,
-                )
-            }
         }
     }
 
@@ -191,9 +162,8 @@ impl Problem for QapProblem {
     /// Gilmore–Lawler LAP (with its cached rows) is paid only by the
     /// survivors. Because GL dominates the screen, children the screen
     /// eliminates stay eliminated under every future (lower) cutoff, so
-    /// elimination decisions match the scalar operator exactly — this is
-    /// the tiered idea again, but with the screen's cost amortized at
-    /// pool level instead of charged per node.
+    /// elimination decisions match the scalar operator exactly, with the
+    /// screen's cost amortized at pool level instead of charged per node.
     fn lower_bound_batch(&self, states: &[QapState], cutoff: u64, out: &mut Vec<u64>) {
         out.clear();
         out.reserve(states.len());

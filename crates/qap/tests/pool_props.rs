@@ -1,6 +1,6 @@
 //! Pooled ≡ scalar equivalence on random QAP instances, driving the
 //! screen-first `lower_bound_batch` kernel through the engine's lockstep
-//! harness across all three bound tiers.
+//! harness under both bound tiers.
 
 use gridbnb_engine::equivalence::{
     assert_pooled_matches_scalar, assert_pooled_matches_scalar_simple, permille_interval,
@@ -10,11 +10,7 @@ use gridbnb_qap::{Bound, Problem, QapInstance, QapProblem};
 use proptest::prelude::*;
 
 fn arb_bound() -> impl Strategy<Value = Bound> {
-    prop_oneof![
-        Just(Bound::Screen),
-        Just(Bound::GilmoreLawler),
-        Just(Bound::Tiered),
-    ]
+    prop_oneof![Just(Bound::Screen), Just(Bound::GilmoreLawler)]
 }
 
 proptest! {
