@@ -2,8 +2,8 @@
 //! sibling pool vs the scalar `lower_bound_against` loop over the same
 //! children — the amortization the pooled explorer buys at every
 //! internal node. CI gates on the 14×20 Johnson pair (the `fs_proof`
-//! campaign row's instance, bound and incumbent); the 14×5 `Combined`
-//! pair, the QAP pair and the end-to-end explorer numbers are
+//! campaign row's instance, bound and incumbent) and on the QAP pair;
+//! the 14×5 `Combined` pair and the end-to-end explorer numbers are
 //! informational.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -83,7 +83,9 @@ fn bench_kernels(c: &mut Criterion) {
     bench_pool(c, "flowshop", &label, &problem, &pool, ub);
 
     // QAP: same shape on a 12-facility grid instance with a greedy
-    // incumbent (the screen/GL split dominates).
+    // incumbent. The pooled side builds one Gilmore–Lawler context for
+    // the ten children; the scalar side builds one per child. Both stop
+    // each child's LAP at the cutoff.
     let instance = QapInstance::nugent_style(3, 4, 2007);
     let (_, ub) = greedy::greedy_construct(&instance);
     let problem = QapProblem::new(instance, Bound::GilmoreLawler);

@@ -23,9 +23,15 @@
 //! Both bounds take the same partial-state triple the search maintains:
 //! `placement[facility] = location` for the placed prefix, the used-
 //! location bitmask, and the exact placed–placed cost.
+//!
+//! The search does not call [`gilmore_lawler_bound`]; it is the
+//! reference. The search runs [`GlPool`], which builds everything a
+//! sibling pool's children share once, reads each child's cost matrix
+//! from it in O(u²), and stops each child's LAP at the cutoff
+//! ([`crate::lap::lap_bound`]).
 
-use crate::instance::QapInstance;
-use crate::lap::solve_lap;
+use crate::instance::{QapInstance, MAX_N};
+use crate::lap::{lap_bound, solve_lap};
 
 /// Which bounding tier(s) the search uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -33,9 +39,8 @@ pub enum Bound {
     /// The rearrangement screen only (cheapest, weakest).
     Screen,
     /// The Gilmore–Lawler assignment bound on every node (strongest,
-    /// costliest: one O(u³) LAP solve per evaluation). The pooled
-    /// explorer's batch kernel still screens each sibling pool first and
-    /// pays the LAP only for screen survivors.
+    /// costliest: one LAP per evaluation, stopped at the cutoff), run
+    /// through [`GlPool`].
     #[default]
     GilmoreLawler,
 }
@@ -123,10 +128,10 @@ pub fn gilmore_lawler_bound(
     if placed == n {
         return base_cost;
     }
+    let u = n - placed;
     // Sorted out-flow rows (ascending), one per unplaced facility —
-    // the reference (re-sorting) construction of what [`GlRowCache`]
-    // precomputes; a property test pins the two bounds identical.
-    let mut flow_rows: Vec<Vec<u64>> = Vec::with_capacity(n - placed);
+    // the re-sorting construction of what [`GlRowCache`] precomputes.
+    let mut flow_rows: Vec<Vec<u64>> = Vec::with_capacity(u);
     for i in placed..n {
         let mut row: Vec<u64> = (placed..n)
             .filter(|&j| j != i)
@@ -135,13 +140,44 @@ pub fn gilmore_lawler_bound(
         row.sort_unstable();
         flow_rows.push(row);
     }
-    gl_with_rows(instance, placement, used, base_cost, &flow_rows)
+    let free: Vec<usize> = (0..n).filter(|l| used & (1 << l) == 0).collect();
+    debug_assert_eq!(free.len(), u);
+
+    // Sorted distance rows (descending), one per free location.
+    let mut dist_rows: Vec<Vec<u64>> = Vec::with_capacity(u);
+    for &a in &free {
+        let mut row: Vec<u64> = free
+            .iter()
+            .filter(|&&b| b != a)
+            .map(|&b| instance.dist(a, b))
+            .collect();
+        row.sort_unstable_by(|x, y| y.cmp(x));
+        dist_rows.push(row);
+    }
+
+    let mut cost = vec![0u64; u * u];
+    for (ii, i) in (placed..n).enumerate() {
+        for (aa, &a) in free.iter().enumerate() {
+            let mut c = instance.flow(i, i) * instance.dist(a, a);
+            for (k, &loc) in placement.iter().enumerate() {
+                c += instance.flow(k, i) * instance.dist(loc as usize, a)
+                    + instance.flow(i, k) * instance.dist(a, loc as usize);
+            }
+            c += flow_rows[ii]
+                .iter()
+                .zip(&dist_rows[aa])
+                .map(|(f, d)| f * d)
+                .sum::<u64>();
+            cost[ii * u + aa] = c;
+        }
+    }
+    base_cost + solve_lap(u, &cost).total
 }
 
 /// Per-depth, per-facility ascending-sorted out-flow rows, computed
 /// **once** per instance ([`GlRowCache::new`]) and reused by every
-/// Gilmore–Lawler evaluation — instead of re-sorting the same flow
-/// rows at every node of the search.
+/// [`GlPool`] — instead of re-sorting the same flow rows at every node
+/// of the search.
 ///
 /// The cache keys on the search's placement convention: facility `d`
 /// is placed at depth `d`, so the unplaced set at depth `d` is always
@@ -177,76 +213,23 @@ impl GlRowCache {
     }
 }
 
-/// [`gilmore_lawler_bound`] drawing its sorted out-flow rows from a
-/// [`GlRowCache`] instead of re-sorting them — identical values
-/// (property-tested), O(u² log u) less sorting per node. `placement`
-/// must follow the cache's convention: facility `d` placed at depth
-/// `d` (the search's invariant).
-pub fn gilmore_lawler_bound_cached(
+/// Interaction of unplaced `facility` at `location` with every facility
+/// of `prefix` (facility `k` at `prefix[k]`), both flow directions: the
+/// placed part of a Gilmore–Lawler or screen cost entry.
+fn placed_interaction(
     instance: &QapInstance,
-    cache: &GlRowCache,
-    placement: &[u16],
-    used: u64,
-    base_cost: u64,
+    prefix: &[u16],
+    facility: usize,
+    location: usize,
 ) -> u64 {
-    let placed = placement.len();
-    if placed == instance.n() {
-        return base_cost;
-    }
-    // The cached rows go in borrowed as-is: no per-node adapter
-    // allocation on the search's hottest path.
-    gl_with_rows(instance, placement, used, base_cost, &cache.rows[placed])
-}
-
-/// The shared Gilmore–Lawler core: distance rows, the per-pair cost
-/// matrix and the LAP solve, over caller-provided sorted out-flow rows
-/// (`flow_rows[k]` belongs to unplaced facility `placed + k`).
-fn gl_with_rows<R: AsRef<[u64]>>(
-    instance: &QapInstance,
-    placement: &[u16],
-    used: u64,
-    base_cost: u64,
-    flow_rows: &[R],
-) -> u64 {
-    let n = instance.n();
-    let placed = placement.len();
-    let u = n - placed;
-    debug_assert_eq!(flow_rows.len(), u);
-    let free: Vec<usize> = (0..n).filter(|l| used & (1 << l) == 0).collect();
-    debug_assert_eq!(free.len(), u);
-
-    // Sorted distance rows (descending), one per free location. These
-    // depend on the free-location *subset* (2ⁿ possibilities), so they
-    // are rebuilt per node — the out-flow rows were the cacheable half.
-    let mut dist_rows: Vec<Vec<u64>> = Vec::with_capacity(u);
-    for &a in &free {
-        let mut row: Vec<u64> = free
-            .iter()
-            .filter(|&&b| b != a)
-            .map(|&b| instance.dist(a, b))
-            .collect();
-        row.sort_unstable_by(|x, y| y.cmp(x));
-        dist_rows.push(row);
-    }
-
-    let mut cost = vec![0u64; u * u];
-    for (ii, i) in (placed..n).enumerate() {
-        for (aa, &a) in free.iter().enumerate() {
-            let mut c = instance.flow(i, i) * instance.dist(a, a);
-            for (k, &loc) in placement.iter().enumerate() {
-                c += instance.flow(k, i) * instance.dist(loc as usize, a)
-                    + instance.flow(i, k) * instance.dist(a, loc as usize);
-            }
-            c += flow_rows[ii]
-                .as_ref()
-                .iter()
-                .zip(&dist_rows[aa])
-                .map(|(f, d)| f * d)
-                .sum::<u64>();
-            cost[ii * u + aa] = c;
-        }
-    }
-    base_cost + solve_lap(u, &cost).total
+    prefix
+        .iter()
+        .enumerate()
+        .map(|(k, &pl)| {
+            instance.flow(k, facility) * instance.dist(pl as usize, location)
+                + instance.flow(facility, k) * instance.dist(location, pl as usize)
+        })
+        .sum()
 }
 
 /// Shared screen context for a pool of sibling children: everything in
@@ -289,12 +272,7 @@ impl ScreenPool {
         let mut here = vec![0u64; (n - placed_next) * fcount];
         for (fi, f) in (placed_next..n).enumerate() {
             for (ai, &loc) in free.iter().enumerate() {
-                let mut h = 0;
-                for (k, &pl) in prefix.iter().enumerate() {
-                    h += instance.flow(k, f) * instance.dist(pl as usize, loc)
-                        + instance.flow(f, k) * instance.dist(loc, pl as usize);
-                }
-                here[fi * fcount + ai] = h;
+                here[fi * fcount + ai] = placed_interaction(instance, prefix, f, loc);
             }
         }
         let mut flows: Vec<u64> = Vec::new();
@@ -364,6 +342,145 @@ impl ScreenPool {
             fi += 1;
         }
         bound + sum
+    }
+}
+
+/// The Gilmore–Lawler context of a sibling pool: everything the
+/// children of one parent share, built once, so that a child's
+/// `u × u` cost matrix is O(u²) table reads and its LAP stops at the
+/// cutoff.
+///
+/// Let the parent place facilities `0..d`, let `F` be its free
+/// locations, and let each child place facility `d` at its own
+/// `loc ∈ F`, leaving `u = |F| − 1` facilities for the other locations.
+/// A child's entry for facility `i > d` at location `a ≠ loc` is
+///
+/// `c[i][a] = flow(i,i)·dist(a,a) + here(i, a)            (parent part)`
+/// `        + flow(d,i)·dist(loc,a) + flow(i,d)·dist(a,loc)  (the child's facility)`
+/// `        + ⟨rows[d+1][i], sort↓(dist(a,·) over F∖{a}) with loc skipped⟩`
+///
+/// `a`'s descending row over `F∖{a}` belongs to the parent; the child's
+/// row is the same row with `loc`'s entry left out. With the entry at
+/// position `p` left out, the product is a prefix sum up to `p` plus a
+/// shifted suffix sum after it. So the pool stores, per (location,
+/// facility, `p`), the parent part plus that product, and a child reads
+/// one entry. Equal distances make the skip position ambiguous but not
+/// the product: the remaining sorted row is the same.
+pub struct GlPool {
+    /// The facility every child places (the parent's depth `d`).
+    facility: usize,
+    /// The parent's free locations, ascending; `F = free_count`.
+    free: [u8; MAX_N],
+    free_count: usize,
+    /// `skip[ai][bi]` = position of `free[bi]` in `free[ai]`'s
+    /// descending distance row.
+    skip: [[u8; MAX_N]; MAX_N],
+    /// `table[(ai · u + fi) · u + p]` = parent part plus the product of
+    /// facility `d + 1 + fi`'s flow row with `free[ai]`'s distance row
+    /// without its entry at position `p`.
+    table: Vec<u64>,
+}
+
+impl GlPool {
+    /// Builds the context below a parent `prefix` (facility `k` at
+    /// `prefix[k]`) whose used-location mask is `parent_used`. `rows`
+    /// must be the instance's [`GlRowCache`].
+    pub fn new(
+        instance: &QapInstance,
+        rows: &GlRowCache,
+        prefix: &[u16],
+        parent_used: u64,
+    ) -> Self {
+        let n = instance.n();
+        let d = prefix.len();
+        assert!(d < n, "a complete placement has no children");
+        let mut free = [0u8; MAX_N];
+        let mut free_count = 0;
+        for l in (0..n).filter(|l| parent_used & (1 << l) == 0) {
+            free[free_count] = l as u8;
+            free_count += 1;
+        }
+        debug_assert_eq!(free_count, n - d);
+        let u = free_count - 1;
+        let mut skip = [[0u8; MAX_N]; MAX_N];
+        let mut table = Vec::with_capacity(free_count * u * u);
+        let flow_rows = rows.rows.get(d + 1).map_or(&[][..], |r| &r[..]);
+        for ai in 0..free_count {
+            let a = free[ai] as usize;
+            let mut row = [(0u64, 0u8); MAX_N];
+            let mut len = 0;
+            for bi in (0..free_count).filter(|&bi| bi != ai) {
+                row[len] = (instance.dist(a, free[bi] as usize), bi as u8);
+                len += 1;
+            }
+            let row = &mut row[..len];
+            row.sort_unstable_by_key(|&(dist, _)| std::cmp::Reverse(dist));
+            for (p, &(_, bi)) in row.iter().enumerate() {
+                skip[ai][bi as usize] = p as u8;
+            }
+            for (fi, flows) in flow_rows.iter().enumerate() {
+                let i = d + 1 + fi;
+                let parent_part = instance.flow(i, i) * instance.dist(a, a)
+                    + placed_interaction(instance, prefix, i, a);
+                // suffix[p] = Σ_{k > p} flows[k − 1] · row[k].
+                let mut suffix = [0u64; MAX_N];
+                for p in (0..u.saturating_sub(1)).rev() {
+                    suffix[p] = suffix[p + 1] + flows[p] * row[p + 1].0;
+                }
+                let mut prefix_sum = 0u64;
+                for p in 0..u {
+                    table.push(parent_part + prefix_sum + suffix[p]);
+                    if p < flows.len() {
+                        prefix_sum += flows[p] * row[p].0;
+                    }
+                }
+            }
+        }
+        GlPool {
+            facility: d,
+            free,
+            free_count,
+            skip,
+            table,
+        }
+    }
+
+    /// The Gilmore–Lawler bound of the child that placed the parent's
+    /// next facility at `location`, with exact placed–placed cost
+    /// `child_cost`, under the [`gridbnb_engine::Problem::lower_bound_batch`]
+    /// contract: the exact bound when it is below `cutoff`, otherwise
+    /// some admissible value `≥ cutoff`.
+    pub fn bound(
+        &self,
+        instance: &QapInstance,
+        location: usize,
+        child_cost: u64,
+        cutoff: u64,
+    ) -> u64 {
+        let u = self.free_count - 1;
+        if u == 0 || child_cost >= cutoff {
+            return child_cost;
+        }
+        let li = self.free[..self.free_count]
+            .iter()
+            .position(|&l| l as usize == location)
+            .expect("the child's location is free in its parent");
+        let d = self.facility;
+        let mut cost = [0u64; MAX_N * MAX_N];
+        let mut entry = 0;
+        for fi in 0..u {
+            let i = d + 1 + fi;
+            let (into, out_of) = (instance.flow(d, i), instance.flow(i, d));
+            for ai in (0..self.free_count).filter(|&ai| ai != li) {
+                let a = self.free[ai] as usize;
+                let p = self.skip[ai][li] as usize;
+                cost[entry] = self.table[(ai * u + fi) * u + p]
+                    + into * instance.dist(location, a)
+                    + out_of * instance.dist(a, location);
+                entry += 1;
+            }
+        }
+        child_cost + lap_bound(u, &cost[..u * u], cutoff - child_cost)
     }
 }
 

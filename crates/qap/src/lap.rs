@@ -9,6 +9,14 @@
 //! then augmenting along the reconstructed path. Each of the `n`
 //! insertions costs O(n²), so the whole solve is O(n³) — at the bound's
 //! call sites `n ≤ 24`, this is microseconds.
+//!
+//! Two entry points share that algorithm. [`solve_lap`] returns the
+//! optimal assignment and is the reference. [`lap_bound`] is what the
+//! Gilmore–Lawler kernel runs: it needs only a value, allocates nothing,
+//! starts from a row/column reduction, and stops as soon as its dual
+//! objective reaches a limit.
+
+use crate::instance::MAX_N;
 
 /// Optimal solution of one `n × n` linear assignment problem.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,6 +108,120 @@ pub fn solve_lap(n: usize, cost: &[u64]) -> LapSolution {
     LapSolution { assignment, total }
 }
 
+/// A lower bound on the optimum of one `n × n` assignment problem that
+/// is exact below `limit`: returns the optimum if it is below `limit`,
+/// and otherwise some value in `[limit, optimum]`. `cost` is row-major
+/// with the same overflow contract as [`solve_lap`].
+///
+/// The potentials start from the classic reduction, `u_i = min_j c_ij`
+/// and `v_j = min_i (c_ij − u_i)`. That pair is dual-feasible for every
+/// row, inserted or not, so `D = Σu + Σv` is a lower bound from the
+/// start. Each tree step of the Hungarian then raises `k + 1` row
+/// potentials by `delta` and lowers `k` column potentials by it, so `D`
+/// rises by exactly `delta`, stays feasible, and ends at the optimum.
+/// The solve stops at the first `D ≥ limit`, checked in O(1) before the
+/// first insertion and after every step. Scratch lives on the stack.
+///
+/// # Panics
+///
+/// Panics if `cost.len() != n * n` or `n` is outside `1..=MAX_N`.
+pub fn lap_bound(n: usize, cost: &[u64], limit: u64) -> u64 {
+    lap_bound_observed(n, cost, limit, |_| {})
+}
+
+/// [`lap_bound`], calling `observe` with the dual objective `D` at the
+/// start and after every tree step — the hook the property tests use to
+/// check that `D` never falls and never exceeds the optimum.
+pub fn lap_bound_observed(n: usize, cost: &[u64], limit: u64, mut observe: impl FnMut(u64)) -> u64 {
+    assert!(
+        (1..=MAX_N).contains(&n),
+        "assignment size {n} outside 1..={MAX_N}"
+    );
+    assert_eq!(cost.len(), n * n, "cost matrix shape");
+    const INF: i128 = i128::MAX / 4;
+    let c = |row: usize, col: usize| cost[(row - 1) * n + (col - 1)] as i128;
+    let limit = i128::from(limit);
+
+    // 1-based, column 0 is the virtual "unmatched" column, as in
+    // `solve_lap`; only real columns count towards D.
+    let mut potential_row = [0i128; MAX_N + 1];
+    let mut potential_col = [0i128; MAX_N + 1];
+    for (row, potential) in potential_row[1..=n].iter_mut().enumerate() {
+        *potential = cost[row * n..(row + 1) * n]
+            .iter()
+            .min()
+            .map_or(0, |&c| c as i128);
+    }
+    for (col, potential) in potential_col[1..=n].iter_mut().enumerate() {
+        *potential = (0..n)
+            .map(|row| cost[row * n + col] as i128 - potential_row[row + 1])
+            .min()
+            .unwrap_or(0);
+    }
+    let mut dual: i128 =
+        potential_row[1..=n].iter().sum::<i128>() + potential_col[1..=n].iter().sum::<i128>();
+    observe(dual as u64);
+    if dual >= limit {
+        return dual as u64;
+    }
+
+    let mut matched_row = [0usize; MAX_N + 1]; // matched_row[col] = row
+    let mut previous_col = [0usize; MAX_N + 1];
+    for row in 1..=n {
+        matched_row[0] = row;
+        let mut current_col = 0usize;
+        let mut min_to_col = [INF; MAX_N + 1];
+        let mut visited = [false; MAX_N + 1];
+        loop {
+            visited[current_col] = true;
+            let tree_row = matched_row[current_col];
+            let mut delta = INF;
+            let mut next_col = 0usize;
+            for col in 1..=n {
+                if visited[col] {
+                    continue;
+                }
+                let reduced = c(tree_row, col) - potential_row[tree_row] - potential_col[col];
+                if reduced < min_to_col[col] {
+                    min_to_col[col] = reduced;
+                    previous_col[col] = current_col;
+                }
+                if min_to_col[col] < delta {
+                    delta = min_to_col[col];
+                    next_col = col;
+                }
+            }
+            for col in 0..=n {
+                if visited[col] {
+                    potential_row[matched_row[col]] += delta;
+                    potential_col[col] -= delta;
+                } else {
+                    min_to_col[col] -= delta;
+                }
+            }
+            dual += delta;
+            observe(dual as u64);
+            if dual >= limit {
+                return dual as u64;
+            }
+            current_col = next_col;
+            if matched_row[current_col] == 0 {
+                break;
+            }
+        }
+        while current_col != 0 {
+            let prev = previous_col[current_col];
+            matched_row[current_col] = matched_row[prev];
+            current_col = prev;
+        }
+    }
+    let total = (1..=n)
+        .map(|col| cost[(matched_row[col] - 1) * n + (col - 1)])
+        .sum::<u64>();
+    debug_assert_eq!(i128::from(total), dual, "complementary slackness");
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,5 +306,17 @@ mod tests {
         let big = u64::MAX / 4;
         let cost = [big, 0, 0, big];
         assert_eq!(solve_lap(2, &cost).total, 0);
+        assert_eq!(lap_bound(2, &cost, u64::MAX), 0);
+    }
+
+    #[test]
+    fn bound_stops_at_the_limit_and_is_exact_below_it() {
+        // Every row and column minimum is 0, so the reduction gives
+        // D = 0, but rows 0 and 1 both want column 0: the optimum is 1.
+        let cost = [0, 1, 1, 0, 1, 1, 1, 0, 0];
+        assert_eq!(lap_bound(3, &cost, u64::MAX), 1);
+        assert_eq!(lap_bound(3, &cost, 2), 1);
+        assert_eq!(lap_bound(3, &cost, 1), 1);
+        assert_eq!(lap_bound(3, &cost, 0), 0);
     }
 }

@@ -17,7 +17,8 @@
 //! * [`bounds`] — the bounding tiers: the cheap rearrangement
 //!   [`bounds::screen_bound`] and the true Gilmore–Lawler
 //!   [`bounds::gilmore_lawler_bound`] (per-pair rearrangement products
-//!   fed into the LAP), selected via [`Bound`];
+//!   fed into the LAP), selected via [`Bound`]; the search runs GL
+//!   through the per-pool [`bounds::GlPool`] kernel;
 //! * [`greedy`] — greedy constructive placement + pairwise-exchange
 //!   local search, the QAP analogue of NEH + iterated greedy, supplying
 //!   initial upper bounds;

@@ -2,7 +2,7 @@
 //! interval-coded search tree: depth `d` of the permutation tree assigns
 //! facility `d` to the `rank`-th still-free location.
 
-use crate::bounds::{gilmore_lawler_bound_cached, screen_bound, Bound, GlRowCache, ScreenPool};
+use crate::bounds::{gilmore_lawler_bound, screen_bound, Bound, GlPool, GlRowCache, ScreenPool};
 use crate::instance::QapInstance;
 use gridbnb_coding::TreeShape;
 use gridbnb_engine::Problem;
@@ -141,29 +141,38 @@ impl Problem for QapProblem {
     }
 
     fn lower_bound(&self, state: &QapState) -> u64 {
-        match self.bound {
-            Bound::Screen => screen_bound(&self.instance, &state.placement, state.used, state.cost),
-            Bound::GilmoreLawler => gilmore_lawler_bound_cached(
+        self.lower_bound_against(state, u64::MAX)
+    }
+
+    /// One child, one pool: the Gilmore–Lawler path builds its parent's
+    /// [`GlPool`] and bounds the state as that pool's only child. The
+    /// root has no parent; its single evaluation goes through the
+    /// reference [`gilmore_lawler_bound`].
+    fn lower_bound_against(&self, state: &QapState, cutoff: u64) -> u64 {
+        let (placement, used, cost) = (&state.placement, state.used, state.cost);
+        match (self.bound, placement.split_last()) {
+            (Bound::Screen, _) => screen_bound(&self.instance, placement, used, cost),
+            (Bound::GilmoreLawler, None) => {
+                gilmore_lawler_bound(&self.instance, placement, used, cost)
+            }
+            (Bound::GilmoreLawler, Some((&location, prefix))) => GlPool::new(
                 &self.instance,
                 &self.gl_rows,
-                &state.placement,
-                state.used,
-                state.cost,
-            ),
+                prefix,
+                used & !(1 << location),
+            )
+            .bound(&self.instance, location as usize, cost, cutoff),
         }
     }
 
-    /// Screen-first pool kernel. When the pool is a sibling pool (every
-    /// placement is one shared parent prefix plus a distinct last
-    /// location, which is how the pooled explorer builds them), the
-    /// parent-level screen context — placed-part interaction matrix,
-    /// sorted flow and distance-pair multisets — is built once and the
-    /// cheap screen runs allocation-free over the whole pool; the
-    /// Gilmore–Lawler LAP (with its cached rows) is paid only by the
-    /// survivors. Because GL dominates the screen, children the screen
-    /// eliminates stay eliminated under every future (lower) cutoff, so
-    /// elimination decisions match the scalar operator exactly, with the
-    /// screen's cost amortized at pool level instead of charged per node.
+    /// Pool kernel. When the pool is a sibling pool (every placement is
+    /// one shared parent prefix plus a distinct last location, which is
+    /// how the pooled explorer builds them), the parent-level context is
+    /// built once: [`ScreenPool`] for the screen, [`GlPool`] for
+    /// Gilmore–Lawler, whose children each pay an O(u²) cost matrix and
+    /// a LAP that stops at the cutoff. Every value is the scalar one
+    /// below the cutoff and at least the cutoff otherwise, so the
+    /// elimination decisions match the scalar operator exactly.
     fn lower_bound_batch(&self, states: &[QapState], cutoff: u64, out: &mut Vec<u64>) {
         out.clear();
         out.reserve(states.len());
@@ -187,25 +196,24 @@ impl Problem for QapProblem {
             }
             return;
         };
-        let pool = ScreenPool::new(&self.instance, prefix, parent_used);
-        for s in states {
-            let location = *s.placement.last().expect("validated non-empty") as usize;
-            out.push(pool.bound(&self.instance, location, s.cost));
-        }
-        if matches!(self.bound, Bound::Screen) {
-            return;
-        }
-        for (i, s) in states.iter().enumerate() {
-            if out[i] >= cutoff {
-                continue; // the screen already eliminates this child
+        let location = |s: &QapState| *s.placement.last().expect("validated non-empty") as usize;
+        match self.bound {
+            Bound::Screen => {
+                let pool = ScreenPool::new(&self.instance, prefix, parent_used);
+                out.extend(
+                    states
+                        .iter()
+                        .map(|s| pool.bound(&self.instance, location(s), s.cost)),
+                );
             }
-            out[i] = gilmore_lawler_bound_cached(
-                &self.instance,
-                &self.gl_rows,
-                &s.placement,
-                s.used,
-                s.cost,
-            );
+            Bound::GilmoreLawler => {
+                let pool = GlPool::new(&self.instance, &self.gl_rows, prefix, parent_used);
+                out.extend(
+                    states
+                        .iter()
+                        .map(|s| pool.bound(&self.instance, location(s), s.cost, cutoff)),
+                );
+            }
         }
     }
 

@@ -1,11 +1,10 @@
-//! Property tests for the QAP campaign substrate: the LAP solver
-//! against a permutation-enumeration oracle, and the bound tiers'
-//! admissibility and dominance contracts at arbitrary partial states.
+//! Property tests for the QAP campaign substrate: the LAP solvers
+//! against a permutation-enumeration oracle, the bound tiers'
+//! admissibility and dominance contracts at arbitrary partial states,
+//! and the pooled Gilmore–Lawler kernel against the reference.
 
-use gridbnb_qap::bounds::{
-    gilmore_lawler_bound, gilmore_lawler_bound_cached, screen_bound, GlRowCache,
-};
-use gridbnb_qap::lap::solve_lap;
+use gridbnb_qap::bounds::{gilmore_lawler_bound, screen_bound, GlPool, GlRowCache};
+use gridbnb_qap::lap::{lap_bound, lap_bound_observed, solve_lap};
 use gridbnb_qap::QapInstance;
 use proptest::prelude::*;
 
@@ -48,6 +47,17 @@ fn brute_lap(n: usize, cost: &[u64]) -> u64 {
     best
 }
 
+/// Exact placed–placed cost of a placement prefix.
+fn placed_cost(instance: &QapInstance, placement: &[u16]) -> u64 {
+    let mut base = 0;
+    for (i, &a) in placement.iter().enumerate() {
+        for (j, &b) in placement.iter().enumerate() {
+            base += instance.flow(i, j) * instance.dist(a as usize, b as usize);
+        }
+    }
+    base
+}
+
 /// A random placement prefix of `len` facilities (deterministic in
 /// `seed`) plus the matching used-location mask and exact placed cost.
 fn random_prefix(instance: &QapInstance, len: usize, seed: u64) -> (Vec<u16>, u64, u64) {
@@ -60,12 +70,7 @@ fn random_prefix(instance: &QapInstance, len: usize, seed: u64) -> (Vec<u16>, u6
     }
     let placement: Vec<u16> = locations[..len].iter().map(|&l| l as u16).collect();
     let used = placement.iter().fold(0u64, |m, &p| m | (1 << p));
-    let mut base = 0;
-    for (i, &a) in placement.iter().enumerate() {
-        for (j, &b) in placement.iter().enumerate() {
-            base += instance.flow(i, j) * instance.dist(a as usize, b as usize);
-        }
-    }
+    let base = placed_cost(instance, &placement);
     (placement, used, base)
 }
 
@@ -92,16 +97,33 @@ proptest! {
 
     /// The Hungarian solver must match exhaustive enumeration exactly,
     /// and its reported assignment must be a permutation evaluating to
-    /// the reported total.
+    /// the reported total. The warm-started [`lap_bound`] must reach the
+    /// same optimum; its dual objective must never fall and never exceed
+    /// the optimum; and under a limit it must be exact below the limit
+    /// and between the limit and the optimum otherwise. `big` draws
+    /// entries up to `u64::MAX / n`, far beyond `i64` potentials.
     #[test]
     fn lap_matches_permutation_oracle(
-        n in 2usize..6,
+        n in 1usize..9,
         seed in proptest::arbitrary::any::<u64>(),
+        big in proptest::arbitrary::any::<bool>(),
+        limit_pick in proptest::arbitrary::any::<u64>(),
     ) {
         let mut next = splitmix(seed);
-        let cost: Vec<u64> = (0..n * n).map(|_| next() % 10_000).collect();
+        let modulus = if big { u64::MAX / n as u64 } else { 10_000 };
+        let cost: Vec<u64> = (0..n * n).map(|_| next() % modulus).collect();
         let solution = solve_lap(n, &cost);
-        prop_assert_eq!(solution.total, brute_lap(n, &cost));
+        let optimum = brute_lap(n, &cost);
+        prop_assert_eq!(solution.total, optimum);
+        let mut duals = Vec::new();
+        let value = lap_bound_observed(n, &cost, u64::MAX, |d| duals.push(d));
+        prop_assert_eq!(value, optimum);
+        prop_assert!(duals.windows(2).all(|w| w[0] <= w[1]), "dual fell: {:?}", duals);
+        prop_assert_eq!(duals.last().copied(), Some(optimum));
+        let limit = limit_pick % (optimum.saturating_add(2)).max(1);
+        let stopped = lap_bound(n, &cost, limit);
+        prop_assert!(stopped <= optimum, "{} exceeds the optimum {}", stopped, optimum);
+        prop_assert!(stopped >= limit || stopped == optimum, "stopped at {} below {}", stopped, limit);
         let mut sorted = solution.assignment.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
@@ -151,9 +173,10 @@ proptest! {
         prop_assert!(gl >= screen, "GL {} below screen {}", gl, screen);
     }
 
-    /// The precomputed-row Gilmore–Lawler (what the search runs) is
-    /// value-identical to the re-sorting reference at every depth of
-    /// arbitrary instances — grid and line families alike.
+    /// The pooled kernel over precomputed rows (what the search runs) is
+    /// value-identical to the re-sorting reference for every child of a
+    /// random parent at every depth of arbitrary instances — grid and
+    /// line families alike.
     #[test]
     fn cached_gl_rows_give_identical_bounds(
         n in 4usize..9,
@@ -167,14 +190,17 @@ proptest! {
         };
         let cache = GlRowCache::new(&instance);
         let n = instance.n();
-        for depth in 0..=n {
-            let (placement, used, base) = random_prefix(&instance, depth, seed ^ 0x6C0B);
-            let fresh = gilmore_lawler_bound(&instance, &placement, used, base);
-            let cached = gilmore_lawler_bound_cached(&instance, &cache, &placement, used, base);
-            prop_assert_eq!(
-                fresh, cached,
-                "cached GL diverged at depth {} of {:?}", depth, placement
-            );
+        for depth in 0..n {
+            let (prefix, parent_used, _) = random_prefix(&instance, depth, seed ^ 0x6C0B);
+            let pool = GlPool::new(&instance, &cache, &prefix, parent_used);
+            for location in (0..n).filter(|l| parent_used & (1 << l) == 0) {
+                let mut child = prefix.clone();
+                child.push(location as u16);
+                let base = placed_cost(&instance, &child);
+                let fresh = gilmore_lawler_bound(&instance, &child, parent_used | (1 << location), base);
+                let pooled = pool.bound(&instance, location, base, u64::MAX);
+                prop_assert_eq!(fresh, pooled, "pooled GL diverged at {:?}", child);
+            }
         }
     }
 }
