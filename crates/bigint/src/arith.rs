@@ -65,13 +65,6 @@ impl UBig {
         self.normalize();
     }
 
-    /// `self + small` for a double-limb addend, without consuming `self`.
-    pub fn add_u128(&self, small: u128) -> UBig {
-        let mut out = self.clone();
-        out.add_assign_u128(small);
-        out
-    }
-
     /// `self += small`.
     pub fn add_assign_u64(&mut self, small: u64) {
         let mut carry = small;

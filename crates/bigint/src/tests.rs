@@ -336,3 +336,21 @@ fn debug_format_contains_value() {
 fn display_padding_works() {
     assert_eq!(format!("{:>6}", UBig::from(42u64)), "    42");
 }
+
+#[test]
+fn clone_from_reuses_the_limb_buffer_across_limb_counts() {
+    let two_limbs = UBig::from_limbs(vec![3, 1]);
+    let mut dst = two_limbs.clone();
+    let buffer = dst.limbs().as_ptr();
+    dst.clone_from(&UBig::from(5u64));
+    assert_eq!(dst, UBig::from(5u64));
+    dst.clone_from(&two_limbs);
+    assert_eq!(dst, two_limbs);
+    assert_eq!(
+        dst.limbs().as_ptr(),
+        buffer,
+        "clone_from must not reallocate"
+    );
+    dst.clone_from(&UBig::zero());
+    assert!(dst.is_zero());
+}

@@ -5,9 +5,26 @@
 /// Stored as little-endian 64-bit limbs with no trailing zeros; zero is
 /// the empty limb vector. All arithmetic lives in the sibling modules and
 /// is re-exported through inherent methods and operator impls.
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Default, PartialEq, Eq, Hash)]
 pub struct UBig {
     pub(crate) limbs: Vec<u64>,
+}
+
+/// Written out rather than derived: `derive(Clone)` does not forward
+/// `clone_from`, and the explorer's hot loop relies on `clone_from`
+/// reusing the destination's limb buffer instead of allocating a new one.
+impl Clone for UBig {
+    #[inline]
+    fn clone(&self) -> Self {
+        UBig {
+            limbs: self.limbs.clone(),
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.limbs.clone_from(&source.limbs);
+    }
 }
 
 impl UBig {

@@ -65,7 +65,10 @@ pub use storage::{
 pub use trace::{
     diff_traces, RunTrace, TraceDivergence, TraceError, TraceEvent, TraceMeta, TraceReplayer,
 };
-pub use transport::{GatewayTransport, ProtocolError, RouterTransport, Transport, TransportError};
+pub use transport::{
+    GatewayTransport, PendingContact, ProtocolError, RouterTransport, Submitted, Transport,
+    TransportError,
+};
 pub use wal::{RecoveredState, WalError, WalMetrics, WalOp, WalStore};
 
 pub use gridbnb_coding::{Interval, IntervalSet, TreeShape, UBig};

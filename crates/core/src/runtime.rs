@@ -28,7 +28,11 @@
 //! like the paper's B&B processes that "regularly contact the
 //! coordinator to update their interval". It speaks through the
 //! [`Transport`] trait, so the same code runs against the in-process
-//! router, the gateway, or a socket ([`run_workers`]).
+//! router, the gateway, or a socket ([`run_workers`]). Over a transport
+//! with a real round trip the periodic `Update` is submitted without
+//! waiting and its ack folded in at a later slice boundary; every
+//! in-process transport answers at once, so there the loop is exactly
+//! synchronous.
 //!
 //! **Two drivers.** The threaded driver gives every worker a thread
 //! that steps it until done. Under [`ReplicablePolicy::deterministic`]
@@ -52,8 +56,8 @@ use crate::checkpoint::CheckpointStore;
 use crate::storage::StorageBackend;
 use crate::trace::{RunTrace, TraceMeta};
 use crate::transport::{
-    GatewayTransport, LogicalClockTransport, ProtocolError, RouterTransport, Transport,
-    TransportError,
+    GatewayTransport, LogicalClockTransport, PendingContact, ProtocolError, RouterTransport,
+    Submitted, Transport, TransportError,
 };
 use crate::wal::WalStore;
 use crate::{
@@ -464,14 +468,19 @@ pub struct WorkerReport {
     /// inside a combined [`Request::UpdateAndReport`] too.
     pub checkpoint_ops: u64,
     /// Coordinator contacts this thread made: one per request or
-    /// request bundle sent, whatever it carried. With coalescing this
+    /// request bundle sent, whatever it carried — a periodic update
+    /// submitted without waiting for its ack counts when it is sent.
+    /// Over the multiplexed socket, where updates overlap exploration,
+    /// this is roughly one per round trip. With coalescing this
     /// grows markedly slower than `checkpoint_ops + units` — the
     /// amortization the batched protocol buys, pinned by a test.
     pub contacts: u64,
     /// Crashes it simulated.
     pub crashes: u64,
     /// Contacts re-sent after a transient transport failure (see
-    /// [`RetryPolicy`]); always 0 over the in-process transports.
+    /// [`RetryPolicy`]), including a periodic update re-sent
+    /// synchronously because its in-flight ack failed; always 0 over the
+    /// in-process transports.
     pub transport_retries: u64,
     /// The transport error that ended this worker's run, if one did:
     /// `None` means the worker exited cleanly (a `Terminate` reply, a
@@ -1144,16 +1153,7 @@ fn send_with_retry<T: Transport + ?Sized>(
     let mut attempt = 1u32;
     loop {
         match transport.contact(requests.clone()) {
-            Ok(responses) => {
-                if responses.len() != sent {
-                    return Err(ProtocolError::ResponseCount {
-                        sent,
-                        got: responses.len(),
-                    }
-                    .into());
-                }
-                return Ok(responses);
-            }
+            Ok(responses) => return check_count(sent, responses),
             Err(e) if e.is_transient() && attempt < max_attempts => {
                 report.transport_retries += 1;
                 std::thread::sleep(backoff);
@@ -1163,6 +1163,29 @@ fn send_with_retry<T: Transport + ?Sized>(
             Err(e) => return Err(e),
         }
     }
+}
+
+/// The one-response-per-request contract: `responses` must answer a
+/// bundle of `sent` requests.
+fn check_count(sent: usize, responses: Vec<Response>) -> Result<Vec<Response>, TransportError> {
+    if responses.len() == sent {
+        Ok(responses)
+    } else {
+        Err(ProtocolError::ResponseCount {
+            sent,
+            got: responses.len(),
+        }
+        .into())
+    }
+}
+
+/// Records the time since `since` as time a worker spent blocked on a
+/// contact while holding work: the whole round trip, a gateway park,
+/// retry backoffs, or waiting out an in-flight ack.
+fn record_blocked(cx: &WorkerContext<'_>, since: Instant) {
+    let waited = since.elapsed().as_nanos() as u64;
+    cx.metrics.idle_wait_ns.observe(waited);
+    cx.metrics.idle_ns.add(waited);
 }
 
 /// What every worker of a run shares, whichever driver steps it.
@@ -1206,6 +1229,17 @@ enum Step {
 /// [`WorkerReport::transport_failure`] instead of panicking, so one
 /// flaky socket degrades a run (expiry redistributes the worker's
 /// interval) rather than aborting it.
+///
+/// The periodic `Update` goes out through [`Transport::submit`]. A
+/// transport with a real round trip (the multiplexed socket) hands back
+/// a pending reply, and the worker keeps exploring: the ack is folded in
+/// at the first slice boundary after it arrives, and no second periodic
+/// update is sent while one is in flight. A late ack costs at most
+/// duplicated work, never lost work — intervals only shrink and the
+/// cutoff only falls. The fresh-best `UpdateAndReport` and a spent
+/// unit's work request wait for the ack first, so neither overtakes it.
+/// The in-process transports answer at once, and for them the worker
+/// behaves exactly as a synchronous one.
 struct Worker<'p, P: Problem> {
     problem: &'p P,
     id: WorkerId,
@@ -1218,6 +1252,8 @@ struct Worker<'p, P: Problem> {
     /// The in-flight unit: explorer plus its start position (for
     /// consumed-length accounting).
     unit: Option<(IntervalExplorer<'p, P>, UBig)>,
+    /// The periodic update whose ack has not arrived yet, if any.
+    inflight: Option<Box<dyn PendingContact>>,
     slices_since_contact: u64,
     last_contact: Instant,
     born: Instant,
@@ -1239,6 +1275,7 @@ impl<'p, P: Problem> Worker<'p, P> {
             crash,
             pending_solution: None,
             unit: None,
+            inflight: None,
             slices_since_contact: 0,
             last_contact: Instant::now(),
             born: Instant::now(),
@@ -1282,10 +1319,7 @@ impl<'p, P: Problem> Worker<'p, P> {
         bundle: Vec<Request>,
         cx: &WorkerContext<'_>,
     ) -> Result<Response, TransportError> {
-        self.report.contacts += 1;
-        cx.metrics.contacts.inc();
-        // The whole contact — round-trip, gateway park, retry backoffs
-        // — is worker idle time: it holds work it is not exploring.
+        self.count_contact(cx);
         let t0 = Instant::now();
         let result = send_with_retry(
             transport,
@@ -1293,10 +1327,14 @@ impl<'p, P: Problem> Worker<'p, P> {
             &cx.config.transport_retry,
             &mut self.report,
         );
-        let waited = t0.elapsed().as_nanos() as u64;
-        cx.metrics.idle_wait_ns.observe(waited);
-        cx.metrics.idle_ns.add(waited);
+        record_blocked(cx, t0);
         Ok(result?.pop().expect("bundle was non-empty"))
+    }
+
+    /// Tallies one contact sent, whether or not its reply is awaited.
+    fn count_contact(&mut self, cx: &WorkerContext<'_>) {
+        self.report.contacts += 1;
+        cx.metrics.contacts.inc();
     }
 
     /// Termination-sensitive flush: the work request always goes out
@@ -1306,6 +1344,7 @@ impl<'p, P: Problem> Worker<'p, P> {
         transport: &T,
         cx: &WorkerContext<'_>,
     ) -> Step {
+        debug_assert!(self.inflight.is_none(), "a work request overtook an update");
         let (worker, power) = (self.id, self.power);
         let mut bundle = Vec::with_capacity(2);
         if let Some(solution) = self.pending_solution.take() {
@@ -1354,9 +1393,10 @@ impl<'p, P: Problem> Worker<'p, P> {
         }
     }
 
-    /// One exploration slice, then — in this order — the fresh-best
-    /// report, the scripted crash, unit exhaustion, and the periodic
-    /// (possibly coalesced) checkpoint.
+    /// One exploration slice, then — in this order — the ack of an
+    /// in-flight update if it has arrived, the fresh-best report, the
+    /// scripted crash, unit exhaustion, and the periodic (possibly
+    /// coalesced) checkpoint.
     fn explore<T: Transport + ?Sized>(
         &mut self,
         mut explorer: IntervalExplorer<'p, P>,
@@ -1373,12 +1413,30 @@ impl<'p, P: Problem> Worker<'p, P> {
         self.slices_since_contact += 1;
         let mut contacted_this_slice = false;
 
+        if let Some(pending) = self.inflight.as_mut() {
+            if let Some(result) = pending.try_take() {
+                self.inflight = None;
+                if !self.land_update(result, &mut explorer, transport, cx) {
+                    self.retire(explorer, unit_start, cx);
+                    return Step::Done;
+                }
+            }
+        }
+
         // Solution sharing rule 2: report improvements immediately —
         // folded with this slice's checkpoint into one combined
         // contact. On a spent unit the update would be vacuous, so the
         // solution waits (a few microseconds) for the work request's
-        // bundle instead.
+        // bundle instead. Either way an update still in flight is
+        // settled first: neither the report nor the work request may
+        // overtake it.
         let mut fresh = explorer.take_fresh_best();
+        if (fresh.is_some() || explorer.is_exhausted())
+            && !self.settle(&mut explorer, transport, cx)
+        {
+            self.retire(explorer, unit_start, cx);
+            return Step::Done;
+        }
         if fresh.is_some() && !explorer.is_exhausted() {
             let request = Request::UpdateAndReport {
                 worker: self.id,
@@ -1398,6 +1456,8 @@ impl<'p, P: Problem> Worker<'p, P> {
             if self.report.stats.explored + explorer.stats().explored >= plan.after_nodes {
                 self.crash = None;
                 self.report.crashes += 1;
+                // An update in flight is lost with the host.
+                self.inflight = None;
                 self.retire(explorer, unit_start, cx);
                 if !plan.rejoin {
                     return Step::Done;
@@ -1417,8 +1477,11 @@ impl<'p, P: Problem> Worker<'p, P> {
         // Pull-model checkpoint: report the live interval, adopt the
         // intersection, refresh the cutoff (solution sharing rule 3).
         // Under a coalescing policy only every `slices_per_contact`-th
-        // slice contacts (or the silence deadline forces it).
+        // slice contacts (or the silence deadline forces it). With an
+        // update still in flight the next one waits for its ack, so the
+        // cadence is every slice or one round trip, whichever is longer.
         let due = !contacted_this_slice
+            && self.inflight.is_none()
             && match &cx.config.coalesce {
                 None => true,
                 Some(policy) => {
@@ -1426,24 +1489,92 @@ impl<'p, P: Problem> Worker<'p, P> {
                         || (cx.wall_clock && self.last_contact.elapsed() >= policy.max_silence)
                 }
             };
-        if due {
-            let request = Request::Update {
-                worker: self.id,
-                interval: explorer.current_interval(),
-            };
-            if !self.checkpoint(request, &mut explorer, transport, cx) {
-                self.retire(explorer, unit_start, cx);
-                return Step::Done;
-            }
+        if due && !self.submit_update(&mut explorer, transport, cx) {
+            self.retire(explorer, unit_start, cx);
+            return Step::Done;
         }
         self.unit = Some((explorer, unit_start));
         Step::Advanced
     }
 
-    /// Sends an update-style request and folds the ack into the
-    /// explorer: adopt the intersected interval, observe the cutoff.
-    /// `false` ends the worker's run — cleanly on a `Terminate` reply
-    /// or a closed transport, with the failure recorded otherwise.
+    /// Sends the periodic `Update` without waiting for its ack when the
+    /// transport allows it; an ack that is already there (every
+    /// in-process transport) is folded in on the spot. `false` ends the
+    /// worker's run, as for [`Worker::checkpoint`].
+    fn submit_update<T: Transport + ?Sized>(
+        &mut self,
+        explorer: &mut IntervalExplorer<'p, P>,
+        transport: &T,
+        cx: &WorkerContext<'_>,
+    ) -> bool {
+        let request = Request::Update {
+            worker: self.id,
+            interval: explorer.current_interval(),
+        };
+        self.count_contact(cx);
+        let t0 = Instant::now();
+        self.slices_since_contact = 0;
+        self.last_contact = t0;
+        match transport.submit(vec![request]) {
+            Submitted::Ready(result) => {
+                record_blocked(cx, t0);
+                self.land_update(result, explorer, transport, cx)
+            }
+            Submitted::Pending(pending) => {
+                self.inflight = Some(pending);
+                true
+            }
+        }
+    }
+
+    /// Blocks for the ack of the update in flight, if there is one, and
+    /// folds it in. `false` ends the worker's run.
+    fn settle<T: Transport + ?Sized>(
+        &mut self,
+        explorer: &mut IntervalExplorer<'p, P>,
+        transport: &T,
+        cx: &WorkerContext<'_>,
+    ) -> bool {
+        let Some(pending) = self.inflight.take() else {
+            return true;
+        };
+        let t0 = Instant::now();
+        let result = pending.wait();
+        record_blocked(cx, t0);
+        self.land_update(result, explorer, transport, cx)
+    }
+
+    /// Folds the reply to a submitted periodic `Update` into the
+    /// explorer. A transient failure falls back to a synchronous
+    /// checkpoint of the live interval, with the usual retries.
+    fn land_update<T: Transport + ?Sized>(
+        &mut self,
+        result: Result<Vec<Response>, TransportError>,
+        explorer: &mut IntervalExplorer<'p, P>,
+        transport: &T,
+        cx: &WorkerContext<'_>,
+    ) -> bool {
+        match result.and_then(|responses| check_count(1, responses)) {
+            Ok(mut responses) => self.apply_ack(responses.pop().expect("one response"), explorer),
+            Err(e) if e.is_transient() => {
+                self.report.transport_retries += 1;
+                let request = Request::Update {
+                    worker: self.id,
+                    interval: explorer.current_interval(),
+                };
+                self.checkpoint(request, explorer, transport, cx)
+            }
+            Err(e) => {
+                self.report.transport_failure = failure_of(e);
+                false
+            }
+        }
+    }
+
+    /// Sends an update-style request, waits for the ack and folds it
+    /// into the explorer. `false` ends the worker's run — cleanly on a
+    /// `Terminate` reply or a closed transport, with the failure
+    /// recorded otherwise.
     fn checkpoint<T: Transport + ?Sized>(
         &mut self,
         request: Request,
@@ -1451,13 +1582,24 @@ impl<'p, P: Problem> Worker<'p, P> {
         transport: &T,
         cx: &WorkerContext<'_>,
     ) -> bool {
-        let response = match self.contact(transport, vec![request], cx) {
-            Ok(response) => response,
+        match self.contact(transport, vec![request], cx) {
+            Ok(response) => {
+                self.slices_since_contact = 0;
+                self.last_contact = Instant::now();
+                self.apply_ack(response, explorer)
+            }
             Err(e) => {
                 self.report.transport_failure = failure_of(e);
-                return false;
+                false
             }
-        };
+        }
+    }
+
+    /// The one ack handler: an `UpdateAck` adopts the intersected
+    /// interval and observes the cutoff, a `Terminate` ends the run
+    /// cleanly, anything else is a protocol failure. `false` ends the
+    /// worker's run.
+    fn apply_ack(&mut self, response: Response, explorer: &mut IntervalExplorer<'p, P>) -> bool {
         self.report.checkpoint_ops += 1;
         match response {
             Response::UpdateAck { interval, cutoff } => {
@@ -1465,8 +1607,6 @@ impl<'p, P: Problem> Worker<'p, P> {
                 if let Some(c) = cutoff {
                     explorer.observe_external_cutoff(c);
                 }
-                self.slices_since_contact = 0;
-                self.last_contact = Instant::now();
                 true
             }
             Response::Terminate => false,

@@ -20,6 +20,13 @@
 //! [`TransportError`], whose [`TransportError::is_transient`] split
 //! drives the worker's retry-with-backoff policy (a flaky socket
 //! is retried; a closed coordinator or a protocol violation is not).
+//!
+//! A contact may also be *submitted* without waiting for its reply
+//! ([`Transport::submit`]): the worker sends its periodic `Update`,
+//! keeps exploring, and folds the ack in at a later slice boundary
+//! through the returned [`PendingContact`]. Every in-process transport
+//! answers at once ([`Submitted::Ready`]), so only a transport with a
+//! real round trip — the multiplexed socket — ever overlaps.
 
 use crate::{ContactGateway, Request, Response, ShardRouter};
 use std::cell::Cell;
@@ -171,6 +178,37 @@ impl From<std::io::Error> for TransportError {
 pub trait Transport {
     /// Sends `requests` as one contact and blocks for the responses.
     fn contact(&self, requests: Vec<Request>) -> Result<Vec<Response>, TransportError>;
+
+    /// Sends `requests` as one contact and returns without waiting for
+    /// the reply when the transport can: the responses are then
+    /// collected through the [`Submitted::Pending`] handle. The default
+    /// is a synchronous [`Transport::contact`], already answered.
+    fn submit(&self, requests: Vec<Request>) -> Submitted {
+        Submitted::Ready(self.contact(requests))
+    }
+}
+
+/// What [`Transport::submit`] returns: the reply itself, or a handle to
+/// collect it from later.
+pub enum Submitted {
+    /// The contact has been answered (or has failed) already.
+    Ready(Result<Vec<Response>, TransportError>),
+    /// The request is on its way; the reply arrives through the handle.
+    Pending(Box<dyn PendingContact>),
+}
+
+/// A submitted contact whose reply may not have arrived yet. Dropping
+/// the handle abandons the reply; the request itself has been sent.
+pub trait PendingContact {
+    /// The reply if it has arrived, `None` if it has not. Never blocks.
+    /// A reply that is overdue by the transport's own deadline is
+    /// reported as [`TransportError::Timeout`], so a lost reply cannot
+    /// leave its sender waiting for it forever.
+    fn try_take(&mut self) -> Option<Result<Vec<Response>, TransportError>>;
+
+    /// Blocks until the reply arrives (or the transport's deadline
+    /// passes).
+    fn wait(self: Box<Self>) -> Result<Vec<Response>, TransportError>;
 }
 
 /// Direct contacts: each bundle goes straight into the worker's home

@@ -4,15 +4,23 @@
 
 use gridbnb_core::checkpoint::CheckpointStore;
 use gridbnb_core::runtime::{
-    run, run_with_router, ChaosConfig, CheckpointPolicy, CrashPlan, RuntimeConfig,
+    run, run_with_router, run_workers, ChaosConfig, CheckpointPolicy, CrashPlan, RuntimeConfig,
+    WorkerReport,
 };
-use gridbnb_core::{CoordinatorConfig, ShardRouter, UBig};
+use gridbnb_core::{
+    CoordinatorConfig, PendingContact, Request, Response, RouterTransport, ShardRouter, Submitted,
+    Transport, TransportError, UBig,
+};
 use gridbnb_engine::toy::FullEnumeration;
 use gridbnb_engine::{solve, solve_interval};
 use gridbnb_flowshop::taillard::generate;
 use gridbnb_flowshop::{BoundMode, FlowshopProblem, Problem};
 use gridbnb_tsp::{TspInstance, TspProblem};
-use std::time::Duration;
+use proptest::prelude::*;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn small_flowshop(seed: i64) -> FlowshopProblem {
     let instance = generate(9, 4, seed);
@@ -730,4 +738,261 @@ fn consumed_length_covers_root() {
         "explored length {consumed} must cover the root {}",
         report.root_length
     );
+}
+
+/// What a fleet's [`DelayedAcks`] transports saw, fleet-wide.
+#[derive(Default)]
+struct AckLedger {
+    /// Periodic updates submitted while the same worker still had one in
+    /// flight.
+    double_inflight: AtomicU64,
+    /// Synchronous contacts (a fresh-best report, a work request) made
+    /// while the worker's update was still in flight.
+    overtaken: AtomicU64,
+    /// Acks that answered `None` to at least one `try_take` first.
+    delayed: AtomicU64,
+    /// Contacts made after a `Terminate` was delivered.
+    after_terminate: AtomicU64,
+    terminated: AtomicBool,
+}
+
+/// A router transport whose submitted updates are served at once but
+/// whose acks reach the worker only after a random 0–5 `try_take` calls:
+/// a deterministic stand-in for a round trip. The `terminate_at`-th
+/// submitted update (counting from 1) is answered `Terminate` instead.
+/// Stale holders are expired before every contact, as the runtime's
+/// supervisor would, so a crashed worker's interval is handed on.
+struct DelayedAcks<'r> {
+    router: &'r ShardRouter,
+    started: Instant,
+    inner: RouterTransport<'r>,
+    rng: Cell<u64>,
+    submitted: Cell<u64>,
+    terminate_at: Option<u64>,
+    /// Updates of this worker whose ack handle is still alive (0 or 1).
+    outstanding: Arc<AtomicU64>,
+    ledger: Arc<AckLedger>,
+}
+
+impl<'r> DelayedAcks<'r> {
+    fn new(router: &'r ShardRouter, seed: u64, ledger: &Arc<AckLedger>) -> Self {
+        let started = Instant::now();
+        DelayedAcks {
+            router,
+            started,
+            inner: RouterTransport::new(router, started),
+            rng: Cell::new(seed),
+            submitted: Cell::new(0),
+            terminate_at: None,
+            outstanding: Arc::new(AtomicU64::new(0)),
+            ledger: Arc::clone(ledger),
+        }
+    }
+
+    fn next_delay(&self) -> u64 {
+        // SplitMix64.
+        let state = self.rng.get().wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.rng.set(state);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % 6
+    }
+
+    fn note_contact(&self) {
+        self.router
+            .expire_stale_holders(self.started.elapsed().as_nanos() as u64);
+        if self.ledger.terminated.load(Ordering::SeqCst) {
+            self.ledger.after_terminate.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+impl Transport for DelayedAcks<'_> {
+    fn contact(&self, requests: Vec<Request>) -> Result<Vec<Response>, TransportError> {
+        self.note_contact();
+        if self.outstanding.load(Ordering::SeqCst) > 0 {
+            self.ledger.overtaken.fetch_add(1, Ordering::SeqCst);
+        }
+        self.inner.contact(requests)
+    }
+
+    fn submit(&self, requests: Vec<Request>) -> Submitted {
+        self.note_contact();
+        if self.outstanding.fetch_add(1, Ordering::SeqCst) > 0 {
+            self.ledger.double_inflight.fetch_add(1, Ordering::SeqCst);
+        }
+        self.submitted.set(self.submitted.get() + 1);
+        let reply = if self.terminate_at == Some(self.submitted.get()) {
+            Ok(vec![Response::Terminate])
+        } else {
+            self.inner.contact(requests)
+        };
+        Submitted::Pending(Box::new(DelayedAck {
+            reply: Some(reply),
+            polls_left: self.next_delay(),
+            polled_empty: false,
+            outstanding: Arc::clone(&self.outstanding),
+            ledger: Arc::clone(&self.ledger),
+        }))
+    }
+}
+
+struct DelayedAck {
+    reply: Option<Result<Vec<Response>, TransportError>>,
+    polls_left: u64,
+    polled_empty: bool,
+    outstanding: Arc<AtomicU64>,
+    ledger: Arc<AckLedger>,
+}
+
+impl DelayedAck {
+    fn deliver(&mut self) -> Result<Vec<Response>, TransportError> {
+        if self.polled_empty {
+            self.ledger.delayed.fetch_add(1, Ordering::SeqCst);
+        }
+        let reply = self.reply.take().expect("an ack is delivered once");
+        if matches!(reply.as_deref(), Ok([Response::Terminate])) {
+            self.ledger.terminated.store(true, Ordering::SeqCst);
+        }
+        reply
+    }
+}
+
+impl PendingContact for DelayedAck {
+    fn try_take(&mut self) -> Option<Result<Vec<Response>, TransportError>> {
+        if self.polls_left > 0 {
+            self.polls_left -= 1;
+            self.polled_empty = true;
+            return None;
+        }
+        Some(self.deliver())
+    }
+
+    fn wait(mut self: Box<Self>) -> Result<Vec<Response>, TransportError> {
+        self.deliver()
+    }
+}
+
+impl Drop for DelayedAck {
+    fn drop(&mut self) {
+        self.outstanding.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+fn total_consumed(reports: &[WorkerReport]) -> UBig {
+    reports
+        .iter()
+        .fold(UBig::zero(), |total, w| &total + &w.consumed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn delayed_acks_keep_the_search_exact(
+        seed in 1i64..500,
+        workers in 1usize..5,
+        shards in 1usize..3,
+        poll in 2u64..60,
+        delays in any::<u64>(),
+        crash_after in 0u64..3_000,
+    ) {
+        let problem = FullEnumeration::new(7);
+        let flowshop = FlowshopProblem::new(
+            generate(8, 3, seed),
+            BoundMode::Johnson(gridbnb_flowshop::bounds::PairSelection::All),
+        );
+        let expected = solve(&flowshop, None).best_cost;
+        let mut config = RuntimeConfig::new(workers);
+        config.poll_nodes = poll;
+        config.coordinator.duplication_threshold = UBig::from(32u64);
+        config.coordinator.holder_timeout_ns = 20_000_000;
+        // Worker 0 crashes and rejoins mid-unit in most cases, dropping
+        // whatever update it had in flight.
+        if crash_after > 0 {
+            config.chaos = Some(ChaosConfig {
+                crashes: vec![CrashPlan {
+                    worker_index: 0,
+                    after_nodes: crash_after,
+                    rejoin: true,
+                }],
+            });
+        }
+        for (optimum, root, reports, ledger, router) in [
+            drive_delayed(&flowshop, &config, shards, delays),
+            drive_delayed(&problem, &config, shards, delays),
+        ] {
+            if root == flowshop.shape().root_range().length() {
+                prop_assert_eq!(optimum, expected);
+            }
+            prop_assert!(router.is_terminated());
+            prop_assert!(total_consumed(&reports) >= root, "consumed misses part of the root");
+            for report in &reports {
+                prop_assert!(report.transport_failure.is_none(), "{:?}", report.transport_failure);
+            }
+            prop_assert_eq!(ledger.double_inflight.load(Ordering::SeqCst), 0);
+            prop_assert_eq!(ledger.overtaken.load(Ordering::SeqCst), 0);
+        }
+    }
+}
+
+/// Runs `config`'s fleet over [`DelayedAcks`] transports into a fresh
+/// router: (proven cost, root length, reports, ledger, router).
+fn drive_delayed<P: Problem>(
+    problem: &P,
+    config: &RuntimeConfig,
+    shards: usize,
+    delays: u64,
+) -> (
+    Option<u64>,
+    UBig,
+    Vec<WorkerReport>,
+    Arc<AckLedger>,
+    ShardRouter,
+) {
+    let root = problem.shape().root_range();
+    let router = ShardRouter::new(root.clone(), shards, config.coordinator.clone()).unwrap();
+    let ledger = Arc::new(AckLedger::default());
+    let reports = run_workers(problem, config, 0, |index| {
+        DelayedAcks::new(&router, delays ^ index as u64, &ledger)
+    });
+    let optimum = router.solution().map(|s| s.cost);
+    (optimum, root.length(), reports, ledger, router)
+}
+
+#[test]
+fn delayed_acks_are_really_delayed() {
+    // The harness above is only as good as its delays: over an
+    // exhaustive 8! search most acks must reach the worker late.
+    let problem = FullEnumeration::new(8);
+    let mut config = RuntimeConfig::new(2);
+    config.poll_nodes = 50;
+    let (_, root, reports, ledger, _) = drive_delayed(&problem, &config, 1, 7);
+    let checkpoints: u64 = reports.iter().map(|w| w.checkpoint_ops).sum();
+    assert!(total_consumed(&reports) >= root);
+    assert!(ledger.delayed.load(Ordering::SeqCst) * 2 > checkpoints);
+}
+
+#[test]
+fn terminate_through_a_pending_ack_ends_the_worker_cleanly() {
+    let problem = FullEnumeration::new(8);
+    let router = ShardRouter::new(
+        problem.shape().root_range(),
+        1,
+        CoordinatorConfig::default(),
+    )
+    .unwrap();
+    let ledger = Arc::new(AckLedger::default());
+    let mut config = RuntimeConfig::new(1);
+    config.poll_nodes = 50;
+    let reports = run_workers(&problem, &config, 0, |_| {
+        let mut transport = DelayedAcks::new(&router, 3, &ledger);
+        transport.terminate_at = Some(5);
+        transport
+    });
+    assert!(ledger.terminated.load(Ordering::SeqCst));
+    assert_eq!(ledger.after_terminate.load(Ordering::SeqCst), 0);
+    assert!(reports[0].transport_failure.is_none());
+    assert!(reports[0].stats.explored < problem.total_nodes_below_root());
 }

@@ -9,7 +9,7 @@
 //!   internal nodes, *all* in-interval children are branched into a
 //!   [`FrontierPool`] and bounded in ONE [`Problem::lower_bound_batch`]
 //!   call, then consumed one per visit in rank order. Pruning, leaf
-//!   evaluation and `advance_to` still happen in non-decreasing
+//!   evaluation and advancing `position` still happen in non-decreasing
 //!   node-number order, so the live-interval invariant of §3 is untouched
 //!   and a pooled search is node-for-node identical to a scalar one (the
 //!   equivalence is property-tested per problem crate).
@@ -19,6 +19,11 @@
 //! subtree weight fits 127 bits, which holds for every depth below the
 //! top few on the instance sizes this workspace runs — so the hot loop
 //! performs no per-sibling big-integer arithmetic at all.
+//!
+//! A visit allocates nothing: child endpoints are computed into one
+//! scratch `UBig` and swapped into place, and the boundary buffers of
+//! popped frames are reused by the frames pushed after them, so a whole
+//! run allocates O(depth) limb buffers however many nodes it visits.
 
 use crate::{Problem, SearchStats, Solution};
 use gridbnb_coding::{Interval, TreeShape, UBig};
@@ -68,6 +73,13 @@ pub struct IntervalExplorer<'p, P: Problem> {
     pool: FrontierPool<P::State>,
     /// Reusable output buffer for `lower_bound_batch`.
     bound_scratch: Vec<u64>,
+    /// Where child endpoints and pool deltas are computed: a finished
+    /// subtree's end is swapped into `position`, a branched child's into
+    /// its parent's `next_child_lo`, and the displaced buffer becomes
+    /// the next scratch.
+    scratch: UBig,
+    /// `next_child_lo` buffers of popped frames, reused by pushed ones.
+    spare: Vec<UBig>,
     /// Whether frames may enter pooled mode.
     pooling: bool,
     /// Prune threshold: subtrees with `lower_bound >= cutoff` are
@@ -191,6 +203,8 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
             stack,
             pool: FrontierPool::new(),
             bound_scratch: Vec::new(),
+            scratch: UBig::zero(),
+            spare: Vec::new(),
             pooling: pooled,
             cutoff: initial_cutoff.unwrap_or(u64::MAX),
             best: None,
@@ -207,7 +221,9 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
     }
 
     /// The live interval `[position, end)` — what the worker reports to
-    /// the coordinator on every contact (paper §4.1).
+    /// the coordinator on every contact (paper §4.1). Empty once the
+    /// explorer is exhausted; its begin may then lie past its end, when
+    /// a steal cut the end below ground already explored.
     pub fn current_interval(&self) -> Interval {
         Interval::new(self.position.clone(), self.end.clone())
     }
@@ -312,14 +328,14 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
         }
     }
 
+    /// Ends the traversal. `position` stays where exploration got to,
+    /// even past an `end` that was cut below it: the remainder
+    /// `[position, end)` is empty either way, and `position − start`
+    /// keeps measuring what this explorer actually explored.
     fn finish(&mut self) {
         self.done = true;
         self.stack.clear();
         self.pool.clear();
-        // Normalize: the remaining interval is empty.
-        if self.position > self.end {
-            self.position = self.end.clone();
-        }
     }
 
     /// Advances the traversal; returns `true` if a node was visited
@@ -369,22 +385,28 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
             .to_u128()
             .expect("child weight fits u128 whenever the parent weight fits 127 bits");
         // All numbers in the frame's subtree are within parent_weight of
-        // its base, so both deltas below fit u128.
+        // its base, so both deltas below fit u128. They are computed in
+        // the scratch buffer; `sub_assign` panics if the position were
+        // outside the frame's subtree.
         let base = &self.stack[frame_idx].next_child_lo;
+        self.scratch.clone_from(&self.position);
+        self.scratch.sub_assign(base);
         let pos_delta = self
-            .position
-            .checked_sub(base)
-            .expect("position inside the frame's subtree")
+            .scratch
             .to_u128()
             .expect("bounded by the parent weight");
         // First child whose range is not entirely before `position` ...
         let skip = (pos_delta / w) as u64;
         // ... through the last child whose range begins before `end`.
-        let end_delta = self.end.checked_sub(base).expect("end past position");
-        let last = if end_delta >= *parent_weight {
+        self.scratch.clone_from(&self.end);
+        self.scratch.sub_assign(base);
+        let last = if self.scratch >= *parent_weight {
             arity
         } else {
-            let d = end_delta.to_u128().expect("bounded by the parent weight");
+            let d = self
+                .scratch
+                .to_u128()
+                .expect("bounded by the parent weight");
             (d.div_ceil(w) as u64).min(arity)
         };
         debug_assert!(skip < last, "a visited frame has an in-interval child");
@@ -438,10 +460,7 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
             // the arena tail is exactly ours.
             debug_assert_eq!(self.pool.len(), seg_end);
             self.pool.truncate(start);
-            self.stack.pop();
-            if self.stack.is_empty() {
-                self.finish();
-            }
+            self.pop_frame();
             return false;
         }
         let rank = self.pool.ranks[cursor];
@@ -454,7 +473,6 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
         self.stats.explored += 1;
         self.stats.bound_calls += 1;
         let frame = &self.stack[frame_idx];
-        debug_assert!(self.position < frame.next_child_lo.add_u128(delta + w));
         if bound >= self.cutoff {
             // Elimination operator: the whole subtree is fathomed; its
             // un-explored numbers [position, child_hi) are done. The
@@ -462,11 +480,15 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
             // the scalar operator would make against today's (possibly
             // lower) cutoff.
             self.stats.pruned += 1;
-            let child_hi = frame.next_child_lo.add_u128(delta + w);
-            self.advance_to(child_hi);
+            self.scratch.clone_from(&frame.next_child_lo);
+            self.scratch.add_assign_u128(delta + w);
+            self.advance_to_scratch();
         } else {
             self.stats.branched += 1;
-            let child_lo = frame.next_child_lo.add_u128(delta);
+            let mut child_lo = self.spare.pop().unwrap_or_default();
+            child_lo.clone_from(&frame.next_child_lo);
+            child_lo.add_assign_u128(delta);
+            debug_assert!(child_lo <= self.position);
             let child_depth = frame.depth + 1;
             let state = self.pool.states[cursor].clone();
             self.stack.push(Frame {
@@ -486,25 +508,22 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
         let frame = self.stack.last_mut().expect("checked by visit_one");
         let depth = frame.depth;
         if frame.next_rank >= self.shape.arity_at(depth) {
-            self.stack.pop();
-            if self.stack.is_empty() {
-                self.finish();
-            }
+            self.pop_frame();
             return false;
         }
 
         let child_depth = depth + 1;
-        // Borrowed, not cloned: the only allocation on this path is the
-        // child_hi sum itself (plus one clone when a subtree is skipped
-        // over by advance_to).
-        let child_weight = self.shape.weight_at(child_depth);
         let rank = frame.next_rank;
         frame.next_rank += 1;
-        let child_hi = &frame.next_child_lo + child_weight;
+        // child_hi is computed in the scratch buffer and swapped or
+        // copied into place below: no allocation per child.
+        let child_hi = &mut self.scratch;
+        child_hi.clone_from(&frame.next_child_lo);
+        child_hi.add_assign(self.shape.weight_at(child_depth));
 
-        if child_hi <= self.position {
+        if *child_hi <= self.position {
             // Entirely before A: already explored (or never ours).
-            frame.next_child_lo = child_hi;
+            std::mem::swap(&mut frame.next_child_lo, child_hi);
             return false;
         }
         if frame.next_child_lo >= self.end {
@@ -517,7 +536,7 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
         self.stats.explored += 1;
 
         if child_depth == self.shape.leaf_depth() {
-            frame.next_child_lo = child_hi.clone();
+            frame.next_child_lo.clone_from(child_hi);
             self.stats.leaves += 1;
             let cost = self.problem.leaf_cost(&child_state);
             if cost < self.cutoff {
@@ -526,7 +545,7 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
                 self.best = Some(Solution::new(cost, self.leaf_ranks_with(rank)));
                 self.fresh_best = true;
             }
-            self.advance_to(child_hi);
+            self.advance_to_scratch();
         } else {
             let bound = self.problem.lower_bound_against(&child_state, self.cutoff);
             self.stats.bound_calls += 1;
@@ -535,10 +554,14 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
                 // Elimination operator: the whole subtree is fathomed;
                 // its un-explored numbers [position, child_hi) are done.
                 self.stats.pruned += 1;
-                frame.next_child_lo = child_hi.clone();
-                self.advance_to(child_hi);
+                frame.next_child_lo.clone_from(&self.scratch);
+                self.advance_to_scratch();
             } else {
                 self.stats.branched += 1;
+                // The parent's cursor moves on to child_hi; the child's
+                // range begins where the cursor was.
+                let child_hi =
+                    std::mem::replace(&mut self.scratch, self.spare.pop().unwrap_or_default());
                 let child_lo = std::mem::replace(&mut frame.next_child_lo, child_hi);
                 self.stack.push(Frame {
                     state: child_state,
@@ -553,11 +576,24 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
         true
     }
 
+    /// Moves `position` to the value in `scratch` (the end of a finished
+    /// or eliminated subtree); the old position's buffer becomes the
+    /// scratch.
     #[inline]
-    fn advance_to(&mut self, new_position: UBig) {
-        debug_assert!(new_position > self.position);
-        self.position = new_position;
+    fn advance_to_scratch(&mut self) {
+        debug_assert!(self.scratch > self.position);
+        std::mem::swap(&mut self.position, &mut self.scratch);
         if self.position >= self.end {
+            self.finish();
+        }
+    }
+
+    /// Pops the top frame, keeping its boundary buffer for reuse.
+    fn pop_frame(&mut self) {
+        if let Some(frame) = self.stack.pop() {
+            self.spare.push(frame.next_child_lo);
+        }
+        if self.stack.is_empty() {
             self.finish();
         }
     }

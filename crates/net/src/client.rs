@@ -14,20 +14,27 @@
 //!   back to their waiting workers by sequence number. Bursts of
 //!   contacts arrive back-to-back at the server, which folds them into
 //!   one coordinator bundle — W workers cost one socket, ~one syscall
-//!   pair, and ~one shard lock per burst instead of W of each.
+//!   pair, and ~one shard lock per burst instead of W of each. A
+//!   contact can also be submitted without waiting
+//!   ([`Transport::submit`]): the worker's periodic update then
+//!   overlaps with its exploration instead of stalling it for a round
+//!   trip.
 
 use crate::wire::{
     self, frame_metrics_query, frame_query, frame_request_bundle, parse_metrics_text,
     parse_response_bundle, parse_status, read_frame, write_frame, RunStatus,
 };
+use crossbeam::channel::TryRecvError;
 use gridbnb_core::runtime::{run_workers, RuntimeConfig, WorkerReport};
-use gridbnb_core::{Problem, ProtocolError, Request, Response, Transport, TransportError};
+use gridbnb_core::{
+    PendingContact, Problem, ProtocolError, Request, Response, Submitted, Transport, TransportError,
+};
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Socket knobs shared by both client modes.
 #[derive(Clone, Copy, Debug)]
@@ -79,6 +86,10 @@ struct SocketConn {
 }
 
 /// One worker, one TCP connection, one contact in flight at a time.
+///
+/// Every contact is synchronous: this transport keeps the default
+/// [`Transport::submit`], so a worker on it waits out each periodic
+/// update's round trip. Only the multiplexed transport overlaps them.
 pub struct SocketTransport {
     conn: Mutex<SocketConn>,
 }
@@ -125,7 +136,8 @@ impl Transport for SocketTransport {
 // Multiplexed transport
 // ---------------------------------------------------------------------
 
-type ReplySlot = crossbeam::channel::Sender<Result<wire::Frame, TransportError>>;
+type Reply = Result<wire::Frame, TransportError>;
+type ReplySlot = crossbeam::channel::Sender<Reply>;
 
 /// One encoded frame bound for the shared socket, or the end-of-life
 /// sentinel that retires the writer thread.
@@ -151,6 +163,15 @@ struct MuxShared {
 }
 
 impl MuxShared {
+    /// Withdraws the reply slot of contact `seq`, so a late response is
+    /// dropped instead of leaking the slot. Never panics, because it
+    /// also runs from `Drop`: a poisoned map is left to `poison`.
+    fn withdraw(&self, seq: u64) {
+        if let Ok(mut pending) = self.pending.lock() {
+            pending.remove(&seq);
+        }
+    }
+
     /// Marks the connection dead and fails every parked contact.
     fn poison(&self, error: TransportError) {
         {
@@ -326,11 +347,20 @@ pub struct MuxTransport {
 
 impl Transport for MuxTransport {
     fn contact(&self, requests: Vec<Request>) -> Result<Vec<Response>, TransportError> {
+        match self.submit(requests) {
+            Submitted::Ready(result) => result,
+            Submitted::Pending(pending) => pending.wait(),
+        }
+    }
+
+    /// Enqueues the frame for the writer thread and returns at once; the
+    /// reply is routed to the returned handle by sequence number.
+    fn submit(&self, requests: Vec<Request>) -> Submitted {
         if requests.is_empty() {
-            return Ok(Vec::new());
+            return Submitted::Ready(Ok(Vec::new()));
         }
         if let Some(error) = self.shared.dead.lock().expect("poisoned mux state").clone() {
-            return Err(error);
+            return Submitted::Ready(Err(error));
         }
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let (tx, rx) = crossbeam::channel::unbounded();
@@ -351,27 +381,70 @@ impl Transport for MuxTransport {
         if enqueued.is_err() {
             // The writer thread is gone; report why if the poison
             // recorded it, otherwise this is an orderly close.
-            self.shared
-                .pending
-                .lock()
-                .expect("poisoned mux state")
-                .remove(&seq);
+            self.shared.withdraw(seq);
             let dead = self.shared.dead.lock().expect("poisoned mux state").clone();
-            return Err(dead.unwrap_or(TransportError::Closed));
+            return Submitted::Ready(Err(dead.unwrap_or(TransportError::Closed)));
         }
-        match rx.recv_timeout(self.shared.reply_timeout) {
-            Ok(Ok(frame)) => Ok(parse_response_bundle(&frame)?),
-            Ok(Err(e)) => Err(e),
-            Err(_) => {
-                // Timed out: withdraw so a late response is dropped
-                // instead of leaking a slot.
-                self.shared
-                    .pending
-                    .lock()
-                    .expect("poisoned mux state")
-                    .remove(&seq);
+        Submitted::Pending(Box::new(MuxPending {
+            shared: Arc::clone(&self.shared),
+            seq,
+            reply: rx,
+            deadline: Instant::now() + self.shared.reply_timeout,
+            settled: false,
+        }))
+    }
+}
+
+/// The reply slot of one submitted multiplexed contact.
+struct MuxPending {
+    shared: Arc<MuxShared>,
+    seq: u64,
+    reply: crossbeam::channel::Receiver<Reply>,
+    /// `reply_timeout` after the submit: past it the contact has timed
+    /// out, whether the worker polls or blocks.
+    deadline: Instant,
+    /// A reply (or the timeout) has been handed out.
+    settled: bool,
+}
+
+impl MuxPending {
+    /// Hands out the reply; `None` means the deadline passed first, and
+    /// the slot is withdrawn so a late reply is dropped.
+    fn settle(&mut self, reply: Option<Reply>) -> Result<Vec<Response>, TransportError> {
+        self.settled = true;
+        match reply {
+            Some(Ok(frame)) => Ok(parse_response_bundle(&frame)?),
+            Some(Err(e)) => Err(e),
+            None => {
+                self.shared.withdraw(self.seq);
                 Err(TransportError::Timeout)
             }
+        }
+    }
+}
+
+impl PendingContact for MuxPending {
+    fn try_take(&mut self) -> Option<Result<Vec<Response>, TransportError>> {
+        match self.reply.try_recv() {
+            Ok(reply) => Some(self.settle(Some(reply))),
+            Err(TryRecvError::Empty) if Instant::now() < self.deadline => None,
+            // Overdue, or the slot was dropped unanswered.
+            Err(_) => Some(self.settle(None)),
+        }
+    }
+
+    fn wait(mut self: Box<Self>) -> Result<Vec<Response>, TransportError> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        let reply = self.reply.recv_timeout(left).ok();
+        self.settle(reply)
+    }
+}
+
+impl Drop for MuxPending {
+    /// An abandoned contact (its worker crashed) withdraws its slot.
+    fn drop(&mut self) {
+        if !self.settled {
+            self.shared.withdraw(self.seq);
         }
     }
 }

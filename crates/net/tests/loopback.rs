@@ -4,9 +4,13 @@
 //! crashes and rejoining fleets — plus the server's resilience to a
 //! peer that speaks garbage.
 
-use gridbnb_core::runtime::{ChaosConfig, CrashPlan, RuntimeConfig};
-use gridbnb_core::{CoordinatorConfig, GatewayPolicy, Interval, Problem, UBig};
+use gridbnb_core::runtime::{ChaosConfig, CrashPlan, DurabilityPolicy, RuntimeConfig};
+use gridbnb_core::{
+    CoordinatorConfig, GatewayPolicy, Interval, MemoryBackend, Problem, StorageBackend, UBig,
+    WalStore,
+};
 use gridbnb_engine::solve;
+use gridbnb_engine::toy::FullEnumeration;
 use gridbnb_flowshop::bounds::PairSelection;
 use gridbnb_flowshop::{taillard, BoundMode, FlowshopProblem};
 use gridbnb_net::{
@@ -16,7 +20,9 @@ use gridbnb_net::{
 use gridbnb_qap::greedy::{greedy_upper_bound, GreedyParams};
 use gridbnb_qap::{Bound, QapInstance, QapProblem};
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 fn flowshop9() -> FlowshopProblem {
     FlowshopProblem::new(
@@ -84,6 +90,52 @@ fn flowshop_exact_over_tcp_across_shards_and_modes() {
             assert!(report.requests >= 8);
         }
     }
+}
+
+/// Overlapped updates over the multiplexed socket into a journaling
+/// server: workers keep exploring while their periodic updates are in
+/// flight, which may duplicate a little work but never lose any. The
+/// proof is exact, every node was explored at least once, and the
+/// recovered WAL holds the proof.
+#[test]
+fn overlapped_updates_over_mux_and_wal_stay_exact() {
+    let problem = FullEnumeration::new(9);
+    let expected = solve(&problem, None).best_cost;
+    let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
+    let config = ServerConfig {
+        durability: Some(DurabilityPolicy {
+            backend: Arc::clone(&backend),
+            compact_every: Duration::from_millis(50),
+        }),
+        ..ServerConfig::new(1)
+    };
+    let (addr, server) = spawn_server(&problem, config);
+    let mut fleet = campaign_config(2);
+    fleet.poll_nodes = 200;
+    let reports = run_workers_over_socket(
+        &problem,
+        addr,
+        &fleet,
+        0,
+        ClientMode::Multiplexed,
+        &ClientOptions::default(),
+    )
+    .expect("client fleet");
+    for (index, report) in reports.iter().enumerate() {
+        assert!(
+            report.transport_failure.is_none(),
+            "worker {index} failed: {:?}",
+            report.transport_failure
+        );
+    }
+    let report = server.join().expect("server thread");
+    assert!(report.terminated);
+    assert_eq!(report.proven_optimum, expected);
+    let explored: u64 = reports.iter().map(|w| w.stats.explored).sum();
+    assert!(explored >= problem.total_nodes_below_root());
+    let (_, recovered) = WalStore::recover(backend).expect("recover the WAL");
+    assert!(recovered.total_length().is_zero());
+    assert_eq!(recovered.solution.map(|s| s.cost), expected);
 }
 
 /// Same exactness with the server-side aggregation tier on: handler

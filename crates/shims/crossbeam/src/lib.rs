@@ -1,5 +1,6 @@
 //! Offline stand-in for the exact `crossbeam` API subset this workspace
-//! uses: `channel::{unbounded, Sender, Receiver, RecvTimeoutError}` and
+//! uses: `channel::{unbounded, Sender, Receiver, RecvTimeoutError,
+//! TryRecvError}` and
 //! `thread::scope` with crossbeam's closure signature (the spawn closure
 //! receives a throwaway argument). Everything is delegated to the
 //! standard library — `std::sync::mpsc` and `std::thread::scope` cover
@@ -11,7 +12,7 @@
 
 /// Multi-producer single-consumer channels (std-backed).
 pub mod channel {
-    pub use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+    pub use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 
     /// An unbounded channel; `std::sync::mpsc::channel` is already
     /// unbounded and its `Sender` is clonable.
