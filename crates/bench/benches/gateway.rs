@@ -1,5 +1,7 @@
-//! Shared (cross-worker) bundles at W ≫ S — the gateway's flush shape
-//! against the two existing delivery regimes on the same traffic.
+//! Shared (cross-worker) bundles at W ≫ S — the multiplexed socket
+//! server's burst shape — against the two per-worker delivery regimes
+//! on the same traffic. (The bench keeps its historical `gateway` id so
+//! the checked-in `BENCH_gateway.json` baseline stays comparable.)
 //!
 //! 16 workers (4 per shard at S = 4), each producing 8 progressing
 //! updates per round against a router already holding 8192 live
@@ -10,34 +12,32 @@
 //!   coalescing) and the paper's literal protocol — per-op lock and
 //!   index traffic, 128 lock acquisitions per round;
 //! * `per_worker_bundles_w16x8/S` — each worker ships its own
-//!   8-update bundle (PR 4 coalescing): 16 lock acquisitions per
-//!   round, per-worker deferred index maintenance;
-//! * `shared_bundle_w16x8/S` — one gateway-flush-shaped
-//!   [`ShardRouter::handle_bundle`] call per round carrying all 16
-//!   workers' bundles (the wire shape [`gridbnb_core::ContactGateway`]
-//!   flushes; its submit/reply plumbing is exercised by the gateway
-//!   tests): `S` lock acquisitions per round.
+//!   8-update bundle (coalescing): 16 lock acquisitions per round,
+//!   per-worker deferred index maintenance;
+//! * `shared_bundle_w16x8/S` — one [`ShardRouter::handle_bundle`] call
+//!   per round carrying all 16 workers' bundles: the shape of the
+//!   `gridbnb-net` server folding one multiplexed connection's burst of
+//!   frames, from many workers, into one coordinator bundle. `S` lock
+//!   acquisitions per round.
 //!
-//! Two honest findings this bench pins (both measured on the 1-core
-//! build box):
+//! Two findings this bench pins (both measured on a 1-core build box):
 //!
 //! 1. The shared bundle keeps the full batching advantage over the
-//!    per-request regime — the cross-worker tier loses none of PR 4's
-//!    amortization while dividing lock acquisitions by another `W/S`.
-//!    **CI gates on this S=4 ratio (≥ 1.3×, baseline ~2.0×)** and on
-//!    its regression against the checked-in `BENCH_gateway.json`.
+//!    per-request regime — merging workers loses none of the
+//!    per-worker amortization while dividing lock acquisitions by
+//!    another `W/S`. **CI gates on this S=4 ratio (≥ 1.3×, baseline
+//!    ~2.0×)** and on its regression against the checked-in
+//!    `BENCH_gateway.json`.
 //! 2. Against *per-worker* bundles the shared bundle is serving-cost
 //!    **neutral** (identical `handle_bundle` time for the same
-//!    traffic, within a few percent once the flush's concatenation is
+//!    traffic, within a few percent once the burst's concatenation is
 //!    included): the deferred index maintenance is per touched
 //!    entry/worker either way, so merging different workers cannot
 //!    dedup it further. What the merge buys is the 16 → S lock/contact
-//!    reduction (pinned deterministically by the gateway unit tests
-//!    and the sim's contact counters) and one delivery per flush
-//!    instead of one per worker on the transport — wins that
-//!    uncontended single-core wall time cannot see. The row is kept so
-//!    a regression that makes shared bundles *slower* than per-worker
-//!    bundles would surface here.
+//!    reduction and one delivery per burst instead of one per worker
+//!    on the transport — wins that uncontended single-core wall time
+//!    cannot see. The row is kept so a regression that makes shared
+//!    bundles *slower* than per-worker bundles would surface here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridbnb_core::{CoordinatorConfig, Interval, Request, Response, ShardRouter, UBig, WorkerId};
@@ -142,8 +142,8 @@ fn drive_per_worker(router: &ShardRouter, clients: &[Client]) {
     }
 }
 
-/// The identical load, one shared bundle per round — the gateway's
-/// flush shape.
+/// The identical load, one shared bundle per round — the mux
+/// server's burst shape.
 fn drive_shared(router: &ShardRouter, clients: &[Client]) {
     for round in 0..ROUNDS {
         let mut bundle = Vec::with_capacity(clients.len() * PER_WORKER as usize);

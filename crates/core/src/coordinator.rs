@@ -83,11 +83,11 @@ pub struct CoordinatorConfig {
 /// A rejected configuration, anywhere in the stack: coordinator knobs
 /// (see [`CoordinatorConfig::validate`]), shard layout (see
 /// [`crate::ShardRouter::new`]), runtime policies (see
-/// `RuntimeConfig::validate`), or a gateway policy checked against the
-/// coordinator it fronts (see `GatewayPolicy::validate_against`). One
-/// error type means one validated construction path — every entry point
-/// (runtime, sim, the socket server) funnels through the same checks
-/// instead of re-asserting them ad hoc.
+/// `RuntimeConfig::validate`), or the socket server's config (see
+/// `ServerConfig::validate` in `gridbnb-net`). One error type means one
+/// validated construction path — every entry point (runtime, sim, the
+/// socket server) funnels through the same checks instead of
+/// re-asserting them ad hoc.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// `duplication_threshold` was zero (documented contract: ≥ 1).
@@ -109,20 +109,6 @@ pub enum ConfigError {
         /// The coordinator's `holder_timeout_ns` it must stay below.
         timeout_ns: u64,
     },
-    /// A gateway delay at or above the holder timeout: a worker parked
-    /// in the gateway buffer is silent towards the coordinator, so its
-    /// wait must never approach the expiry horizon.
-    GatewayDelayTooLong {
-        /// The policy's `max_delay_ns`.
-        delay_ns: u64,
-        /// The coordinator's `holder_timeout_ns` it must stay below.
-        timeout_ns: u64,
-    },
-    /// A deterministic replicable run combined with a contact gateway:
-    /// the gateway's flush timing depends on wall-clock deadlines and
-    /// thread interleaving, which no seed can fix, so the combination
-    /// is rejected loudly instead of producing quietly varying traces.
-    ReplicableGatewayUnsupported,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -147,19 +133,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "coalesce.max_silence must stay below coordinator.holder_timeout_ns \
                  ({silence_ns} ns ≥ {timeout_ns} ns)"
-            ),
-            ConfigError::GatewayDelayTooLong {
-                delay_ns,
-                timeout_ns,
-            } => write!(
-                f,
-                "gateway.max_delay_ns must stay below coordinator.holder_timeout_ns \
-                 ({delay_ns} ns ≥ {timeout_ns} ns)"
-            ),
-            ConfigError::ReplicableGatewayUnsupported => write!(
-                f,
-                "a deterministic replicable run cannot use a contact gateway \
-                 (its flush timing is wall-clock driven)"
             ),
         }
     }

@@ -20,11 +20,12 @@
 //! range partitioned across `S` independent coordinators with
 //! WorkerId-hash routing, cross-shard work stealing and O(1) global
 //! termination detection — the same protocol surface, multiplied
-//! contact throughput (see the [`mod@shard`] module docs). In front of
-//! the router, the optional [`ContactGateway`] aggregates *many*
-//! workers' request batches into shared per-shard bundles (see the
-//! [`mod@gateway`] module docs), so at `W ≫ S` the per-shard lock is
-//! taken once per flush instead of once per worker.
+//! contact throughput (see the [`mod@shard`] module docs). A worker
+//! reaches its home shard one way: directly through
+//! [`RouterTransport`] in process, or over a socket into the
+//! `gridbnb-net` server, which folds each burst of a multiplexed
+//! connection's frames — from many workers — into one
+//! [`ShardRouter::handle_bundle`] call.
 //!
 //! Two executors drive the same router:
 //!
@@ -43,7 +44,6 @@
 
 pub mod checkpoint;
 mod coordinator;
-pub mod gateway;
 mod protocol;
 pub mod runtime;
 pub mod shard;
@@ -56,7 +56,6 @@ pub use coordinator::{
     compare_len_per_power, compare_len_per_power_exact, BatchOutcome, ConfigError, Coordinator,
     CoordinatorConfig, CoordinatorStats, Holder, IntervalEntry,
 };
-pub use gateway::{ContactGateway, GatewayMode, GatewayPolicy, GatewayStats};
 pub use protocol::{Request, Response, ShardEnvelope, ShardId, WorkerId};
 pub use shard::ShardRouter;
 pub use storage::{
@@ -66,8 +65,7 @@ pub use trace::{
     diff_traces, RunTrace, TraceDivergence, TraceError, TraceEvent, TraceMeta, TraceReplayer,
 };
 pub use transport::{
-    GatewayTransport, PendingContact, ProtocolError, RouterTransport, Submitted, Transport,
-    TransportError,
+    PendingContact, ProtocolError, RouterTransport, Submitted, Transport, TransportError,
 };
 pub use wal::{RecoveredState, WalError, WalMetrics, WalOp, WalStore};
 

@@ -10,11 +10,9 @@
 //! locks the root range is spread over, so contacts to different shards
 //! proceed in parallel. Work stealing between shards and the shared
 //! non-empty count keep the exactness guarantee: runs terminate only
-//! when every shard's `INTERVALS` is empty. An optional
-//! [`ContactGateway`] ([`RuntimeConfig::gateway`]) merges many workers'
-//! bundles in front of the router. What the paper's farmer does
-//! *besides* answering — stale-holder expiry, periodic checkpoints, log
-//! compaction, the gateway's deadline flush — runs on a light
+//! when every shard's `INTERVALS` is empty. What the paper's farmer
+//! does *besides* answering — stale-holder expiry, periodic
+//! checkpoints, log compaction — runs on a light
 //! supervisor thread, which parks until the next of those is due and is
 //! unparked when the last worker has joined: nothing sleeps out a timer
 //! to learn that the run is over.
@@ -28,7 +26,7 @@
 //! like the paper's B&B processes that "regularly contact the
 //! coordinator to update their interval". It speaks through the
 //! [`Transport`] trait, so the same code runs against the in-process
-//! router, the gateway, or a socket ([`run_workers`]). Over a transport
+//! router or a socket ([`run_workers`]). Over a transport
 //! with a real round trip the periodic `Update` is submitted without
 //! waiting and its ack folded in at a later slice boundary; every
 //! in-process transport answers at once, so there the loop is exactly
@@ -56,13 +54,12 @@ use crate::checkpoint::CheckpointStore;
 use crate::storage::StorageBackend;
 use crate::trace::{RunTrace, TraceMeta};
 use crate::transport::{
-    GatewayTransport, LogicalClockTransport, PendingContact, ProtocolError, RouterTransport,
-    Submitted, Transport, TransportError,
+    LogicalClockTransport, PendingContact, ProtocolError, RouterTransport, Submitted, Transport,
+    TransportError,
 };
 use crate::wal::WalStore;
 use crate::{
-    ConfigError, ContactGateway, CoordinatorConfig, CoordinatorStats, GatewayPolicy, GatewayStats,
-    Request, Response, ShardRouter, WorkerId,
+    ConfigError, CoordinatorConfig, CoordinatorStats, Request, Response, ShardRouter, WorkerId,
 };
 use gridbnb_bigint::UBig;
 use gridbnb_coding::Interval;
@@ -228,14 +225,6 @@ pub struct RuntimeConfig {
     pub poll_nodes: u64,
     /// Optional contact coalescing (`None` = contact every slice).
     pub coalesce: Option<CoalescePolicy>,
-    /// Optional cross-worker contact gateway (`None` = every worker
-    /// contacts its home shard directly). With a policy, workers submit
-    /// their request batches to a shared [`ContactGateway`] that merges
-    /// many workers' contacts into one bundle per flush — one lock
-    /// acquisition per *touched shard* per flush instead of one per
-    /// worker. Orthogonal to [`RuntimeConfig::coalesce`] (which folds
-    /// one worker's slices); the two compose.
-    pub gateway: Option<GatewayPolicy>,
     /// Coordinator knobs (threshold, timeout, initial upper bound).
     pub coordinator: CoordinatorConfig,
     /// Relative worker powers (cycled if shorter than `workers`);
@@ -266,7 +255,7 @@ pub struct RuntimeConfig {
     /// Registry every layer of the run records into (`None` = a private
     /// registry per run, still populated — [`RunReport`] totals come
     /// from the same cells either way). Inject one to scrape worker,
-    /// coordinator, gateway and router series together, e.g. over the
+    /// coordinator and router series together, e.g. over the
     /// wire through `gridbnb-net`.
     pub metrics: Option<MetricsRegistry>,
 }
@@ -279,7 +268,6 @@ impl RuntimeConfig {
             shards: 1,
             poll_nodes: 2_000,
             coalesce: None,
-            gateway: None,
             coordinator: CoordinatorConfig::default(),
             worker_powers: vec![100],
             checkpoint: None,
@@ -375,37 +363,13 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enables the cross-worker contact gateway at `fan_in` buffered
-    /// requests per flush, with a deadline at an eighth of the holder
-    /// timeout. A worker waiting in the gateway is silent towards the
-    /// coordinator, so — like the coalescing deadline — the delay is
-    /// strictly proportional to the timeout: even stacked on a
-    /// coalescing window of a quarter timeout, total worker silence
-    /// stays well inside the expiry horizon.
-    pub fn with_gateway(mut self, fan_in: usize) -> Self {
-        let max_delay_ns = (self.coordinator.holder_timeout_ns / 8).max(1);
-        self.gateway = Some(GatewayPolicy::new(fan_in, max_delay_ns));
-        self
-    }
-
-    /// Like [`RuntimeConfig::with_gateway`], but the fan-in adapts at
-    /// run time between 1 and `max_fan_in` (see [`crate::GatewayMode`]):
-    /// growing while flushes fill fast and the shard locks show
-    /// contention, shrinking on backpressure and towards termination.
-    pub fn with_adaptive_gateway(mut self, fan_in: usize, max_fan_in: usize) -> Self {
-        let max_delay_ns = (self.coordinator.holder_timeout_ns / 8).max(1);
-        self.gateway = Some(GatewayPolicy::adaptive(fan_in, max_fan_in, max_delay_ns));
-        self
-    }
-
     /// Checks the whole configuration stack — worker/shard counts, the
-    /// coalescing silence window, the gateway delay against the holder
-    /// timeout (via [`GatewayPolicy::validate_against`]), and the
+    /// coalescing silence window against the holder timeout, and the
     /// coordinator knobs — through the one shared [`ConfigError`]
     /// hierarchy. Every construction path (the run entry points here,
     /// and the socket server in `gridbnb-net`) funnels through these
     /// same checks, so no entry point can be started with, e.g., a
-    /// gateway delay at or above the holder timeout.
+    /// silence window at or above the holder timeout.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
@@ -432,12 +396,6 @@ impl RuntimeConfig {
                     timeout_ns: self.coordinator.holder_timeout_ns,
                 });
             }
-        }
-        if let Some(policy) = &self.gateway {
-            policy.validate_against(&self.coordinator)?;
-        }
-        if self.gateway.is_some() && self.replicable.is_some_and(|p| p.deterministic) {
-            return Err(ConfigError::ReplicableGatewayUnsupported);
         }
         self.coordinator.validate()
     }
@@ -518,11 +476,8 @@ pub struct RunReport {
     /// Cross-shard work steals (0 on single-shard runs).
     pub steals: u64,
     /// Lock-acquiring router contacts actually served
-    /// ([`ShardRouter::contacts`]). With a gateway this is the amortized number — far below the workers'
-    /// own submission count ([`RunReport::total_contacts`]).
+    /// ([`ShardRouter::contacts`]).
     pub router_contacts: u64,
-    /// Gateway aggregation counters, when a gateway was configured.
-    pub gateway: Option<GatewayStats>,
     /// Per-worker outcomes.
     pub workers: Vec<WorkerReport>,
     /// Wall-clock duration of the whole run.
@@ -530,7 +485,7 @@ pub struct RunReport {
     /// Total time spent doing the paper's farmer's work: serving
     /// requests — the time the shard locks were held, summed over
     /// shards (`gbnb_shard_lock_hold_ns`) — plus the supervisor's
-    /// housekeeping (expiry, checkpoints, compaction, gateway flushes).
+    /// housekeeping (expiry, checkpoints, compaction).
     pub farmer_busy: Duration,
     /// Checkpoint files written by the supervisor.
     pub farmer_checkpoints: u64,
@@ -679,7 +634,7 @@ struct WorkerMetrics {
     /// `gbnb_worker_slice_ns` — exploration slice latency.
     slice_ns: Histogram,
     /// `gbnb_worker_idle_wait_ns` — time a worker spent blocked in one
-    /// contact (transport round-trip, gateway park, retry backoffs).
+    /// contact (transport round-trip, retry backoffs).
     idle_wait_ns: Histogram,
     /// `gbnb_worker_busy_ns_total` — total exploring time.
     busy_ns: Counter,
@@ -756,9 +711,6 @@ pub fn run_with_router<P: Problem>(
         fresh_ids: &fresh_ids,
         wall_clock: deterministic.is_none(),
     };
-    let gateway = config
-        .gateway
-        .map(|policy| ContactGateway::new(router, policy));
 
     let (workers, housekeeping) = match deterministic {
         Some(policy) => {
@@ -767,7 +719,7 @@ pub fn run_with_router<P: Problem>(
             housekeeping.finish(router, config);
             (workers, housekeeping)
         }
-        None => drive_on_threads(problem, router, gateway.as_ref(), &cx, started),
+        None => drive_on_threads(problem, router, &cx, started),
     };
 
     // With no farmer thread, the time the shard locks were held is
@@ -780,7 +732,6 @@ pub fn run_with_router<P: Problem>(
         shard_stats: router.shard_stats(),
         steals: router.steals(),
         router_contacts: router.contacts(),
-        gateway: gateway.map(|g| g.stats()),
         workers,
         wall: started.elapsed(),
         farmer_busy: housekeeping.busy + served,
@@ -837,26 +788,19 @@ fn equip_router(router: ShardRouter, config: &RuntimeConfig) -> ShardRouter {
 fn drive_on_threads<P: Problem>(
     problem: &P,
     router: &ShardRouter,
-    gateway: Option<&ContactGateway<'_>>,
     cx: &WorkerContext<'_>,
     started: Instant,
 ) -> (Vec<WorkerReport>, Housekeeping) {
     let workers_done = &AtomicBool::new(false);
     crossbeam::thread::scope(|scope| {
-        let supervisor = scope
-            .spawn(move |_| supervisor_loop(router, gateway, cx.config, started, workers_done));
+        let supervisor =
+            scope.spawn(move |_| supervisor_loop(router, cx.config, started, workers_done));
         let handles: Vec<_> = (0..cx.config.workers)
             .map(|index| {
                 scope.spawn(move |_| {
-                    let worker = Worker::new(problem, index, 0, cx.config);
-                    // The gateway merges a worker's batch with other
-                    // workers' into a shared bundle and blocks until a
-                    // flush serves it; without one, bundles go straight
-                    // into the worker's home shard.
-                    match gateway {
-                        Some(gateway) => worker.run(&GatewayTransport::new(gateway, started), cx),
-                        None => worker.run(&RouterTransport::new(router, started), cx),
-                    }
+                    // Bundles go straight into the worker's home shard.
+                    Worker::new(problem, index, 0, cx.config)
+                        .run(&RouterTransport::new(router, started), cx)
                 })
             })
             .collect();
@@ -1013,17 +957,12 @@ const EXPIRY_REREAD: Duration = Duration::from_millis(50);
 const SHORTEST_WAIT: Duration = Duration::from_millis(1);
 
 /// Housekeeping beside the worker threads: expire stale holders (the
-/// recovery path for crashed workers), enforce the gateway's deadline
-/// flush (the trigger that guarantees liveness when every submitter is
-/// parked below the fan-in), write periodic checkpoints and compact the
-/// log. It parks until the earliest of those is due and is unparked by
-/// the runtime when the last worker has joined; it then runs one final
-/// gateway flush, so no submitter blocked at that instant is stranded
-/// (later submitters see the terminated router and flush themselves),
-/// and the terminal housekeeping.
+/// recovery path for crashed workers), write periodic checkpoints and
+/// compact the log. It parks until the earliest of those is due and is
+/// unparked by the runtime when the last worker has joined; it then
+/// runs the terminal housekeeping.
 fn supervisor_loop(
     router: &ShardRouter,
-    gateway: Option<&ContactGateway<'_>>,
     config: &RuntimeConfig,
     started: Instant,
     workers_done: &AtomicBool,
@@ -1037,11 +976,6 @@ fn supervisor_loop(
     }
     if let Some(policy) = &config.durability {
         period = period.min(policy.compact_every);
-    }
-    if let Some(gateway) = gateway {
-        // Poll at least twice per gateway deadline, so a lone buffered
-        // submission waits at most ~1.5 deadlines in the worst case.
-        period = period.min(Duration::from_nanos(gateway.policy().max_delay_ns / 2));
     }
     // A zero period (`every` or `compact_every` of zero) must not turn
     // the wait into a spin.
@@ -1058,9 +992,6 @@ fn supervisor_loop(
             break;
         }
         let t0 = Instant::now();
-        if let Some(gateway) = gateway {
-            gateway.flush_stale(started.elapsed().as_nanos() as u64);
-        }
         router.expire_stale_holders(started.elapsed().as_nanos() as u64);
         if let Some(policy) = &config.checkpoint {
             if last_checkpoint.elapsed() >= policy.every {
@@ -1075,14 +1006,6 @@ fn supervisor_loop(
                 last_compaction = Instant::now();
             }
         }
-        housekeeping.busy += t0.elapsed();
-    }
-    // Final gateway sweep: whoever is parked in the buffer right now
-    // gets served; anyone submitting after this observes the
-    // terminated router inside `submit` and flushes inline.
-    if let Some(gateway) = gateway {
-        let t0 = Instant::now();
-        gateway.flush_now(started.elapsed().as_nanos() as u64);
         housekeeping.busy += t0.elapsed();
     }
     housekeeping.finish(router, config);
@@ -1180,8 +1103,8 @@ fn check_count(sent: usize, responses: Vec<Response>) -> Result<Vec<Response>, T
 }
 
 /// Records the time since `since` as time a worker spent blocked on a
-/// contact while holding work: the whole round trip, a gateway park,
-/// retry backoffs, or waiting out an in-flight ack.
+/// contact while holding work: the whole round trip, retry backoffs,
+/// or waiting out an in-flight ack.
 fn record_blocked(cx: &WorkerContext<'_>, since: Instant) {
     let waited = since.elapsed().as_nanos() as u64;
     cx.metrics.idle_wait_ns.observe(waited);
@@ -1215,11 +1138,11 @@ enum Step {
 /// The worker state machine — the only one. A worker explores slices
 /// and contacts the coordinator through whatever [`Transport`] its
 /// driver hands to [`Worker::step`]: a direct call into its home shard
-/// of a [`ShardRouter`], a gateway submission, a socket round-trip to a
-/// remote server, or the deterministic driver's logical-clock
-/// transport. Every contact is a request *bundle* (usually of one);
-/// with [`RuntimeConfig::coalesce`] set, periodic checkpoints are
-/// folded across slices, an improvement ships as one combined
+/// of a [`ShardRouter`], a socket round-trip to a remote server, or
+/// the deterministic driver's logical-clock transport. Every contact
+/// is a request *bundle* (usually of one); with
+/// [`RuntimeConfig::coalesce`] set, periodic checkpoints are folded
+/// across slices, an improvement ships as one combined
 /// [`Request::UpdateAndReport`], and a spent unit's unreported solution
 /// rides the `RequestWork` bundle.
 ///
@@ -1636,8 +1559,8 @@ impl<'p, P: Problem> Worker<'p, P> {
     }
 }
 
-/// An orderly teardown — the gateway answered a drain sentinel, or the
-/// server hung up after terminating — is a clean end of the run, not a
+/// An orderly teardown — the server hung up after terminating, or the
+/// client shut its connection down — is a clean end of the run, not a
 /// fault worth surfacing in the report.
 fn failure_of(e: TransportError) -> Option<TransportError> {
     match e {

@@ -333,8 +333,8 @@ impl ShardRouter {
     }
 
     /// The registry this router's instruments are registered on —
-    /// gateways and servers in front of the router register their own
-    /// families here, so one scrape covers the whole serving path.
+    /// the runtime and the socket server register their own families
+    /// here, so one scrape covers the whole serving path.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics.registry
     }
@@ -549,19 +549,6 @@ impl ShardRouter {
         self.metrics.shard_lock_hold.iter().map(|h| h.sum()).sum()
     }
 
-    /// Mean nanoseconds a shard lock was held per service section, over
-    /// the router's lifetime — the contention hint the adaptive gateway
-    /// policy reads. Zero before the first contact.
-    pub fn mean_lock_hold_ns(&self) -> u64 {
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for h in &self.metrics.shard_lock_hold {
-            sum = sum.saturating_add(h.sum());
-            count += h.count();
-        }
-        sum.checked_div(count).unwrap_or(0)
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -680,9 +667,9 @@ impl ShardRouter {
         bundle: Vec<ShardEnvelope>,
         now_ns: u64,
     ) -> Vec<(ShardId, Response)> {
-        // An empty bundle — a gateway or coalescing tier flushing an
-        // empty buffer — is free: no shard is contacted, no contact is
-        // counted, nothing is allocated (pinned by a unit test).
+        // An empty bundle — a caller flushing an empty buffer — is
+        // free: no shard is contacted, no contact is counted, nothing
+        // is allocated (pinned by a unit test).
         if bundle.is_empty() {
             return Vec::new();
         }

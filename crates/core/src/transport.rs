@@ -3,8 +3,7 @@
 //!
 //! The paper's workers are remote processes contacting the farmer over
 //! the network; this workspace has *in-process* contact paths (direct
-//! [`ShardRouter`] calls, optionally through the [`ContactGateway`] in
-//! front of the router) and a socket path in the `gridbnb-net` crate.
+//! [`ShardRouter`] calls) and a socket path in the `gridbnb-net` crate.
 //! All of them implement this one trait, so the runtime's one worker
 //! state machine — and every exactness test driving it — runs
 //! identically over any of them:
@@ -12,7 +11,6 @@
 //! | impl | where the coordinator lives |
 //! |---|---|
 //! | [`RouterTransport`] | the router (one shard or many), called directly |
-//! | [`GatewayTransport`] | shared gateway in front of the router |
 //! | `LogicalClockTransport` (crate-private) | the router, on the deterministic driver's tick counter |
 //! | `gridbnb_net::SocketTransport` | a TCP server, possibly remote |
 //!
@@ -28,7 +26,7 @@
 //! answers at once ([`Submitted::Ready`]), so only a transport with a
 //! real round trip — the multiplexed socket — ever overlaps.
 
-use crate::{ContactGateway, Request, Response, ShardRouter};
+use crate::{Request, Response, ShardRouter};
 use std::cell::Cell;
 use std::time::Instant;
 
@@ -116,9 +114,10 @@ impl std::error::Error for ProtocolError {}
 /// bundle after a backoff; permanent ones end the worker's run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TransportError {
-    /// The far side is gone for good: the gateway was torn down, or the server refused further business. This is
-    /// the typed form of the old "dead transport" sentinel — normal at
-    /// the end of a run, fatal in the middle of one.
+    /// The far side is gone for good: the server refused further
+    /// business or the connection was shut down. This is the typed
+    /// form of the old "dead transport" sentinel — normal at the end of
+    /// a run, fatal in the middle of one.
     Closed,
     /// An I/O-level failure (connection reset, refused, interrupted
     /// write, ...). Transient: the coordinator may well still be there.
@@ -243,36 +242,6 @@ impl Transport for RouterTransport<'_> {
             .into_iter()
             .map(|(_, response)| response)
             .collect())
-    }
-}
-
-/// Aggregated contacts: bundles are submitted to a shared
-/// [`ContactGateway`] that merges many workers' batches into one
-/// combined bundle per flush in front of the [`ShardRouter`].
-pub struct GatewayTransport<'g> {
-    gateway: &'g ContactGateway<'g>,
-    started: Instant,
-}
-
-impl<'g> GatewayTransport<'g> {
-    /// A transport submitting to `gateway`, with submission timestamps
-    /// measured from `started`.
-    pub fn new(gateway: &'g ContactGateway<'g>, started: Instant) -> Self {
-        GatewayTransport { gateway, started }
-    }
-}
-
-impl Transport for GatewayTransport<'_> {
-    fn contact(&self, requests: Vec<Request>) -> Result<Vec<Response>, TransportError> {
-        let sent = requests.len();
-        let now_ns = self.started.elapsed().as_nanos() as u64;
-        let responses = self.gateway.submit(requests, now_ns);
-        if responses.is_empty() && sent > 0 {
-            // The gateway was torn down with this submission unflushed —
-            // the typed form of its empty-reply sentinel.
-            return Err(TransportError::Closed);
-        }
-        Ok(responses)
     }
 }
 

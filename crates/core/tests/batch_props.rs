@@ -338,4 +338,81 @@ proptest! {
         );
         combined.check_invariants().map_err(TestCaseError::fail)?;
     }
+
+    /// The mixed-worker merge identity as a property: `UpdateAndReport`
+    /// folded by one worker ≡ the split `ReportSolution` (from a
+    /// *different* worker whose home shard does not run later) +
+    /// `Update` pair, interleaved through one shared bundle — same ack,
+    /// same state, for arbitrary progress fractions and costs.
+    #[test]
+    fn update_and_report_equals_split_pair_across_workers(
+        shards in 1usize..=4,
+        total in 100u64..50_000,
+        threshold in 1u64..300,
+        frac_ppm in 0u32..1_000_000,
+        cost in 1u64..20_000,
+        updater_seed in 0u64..200,
+    ) {
+        let root = Interval::new(UBig::zero(), UBig::from(total));
+        let combined = ShardRouter::new(root.clone(), shards, config(threshold)).unwrap();
+        let split = ShardRouter::new(root, shards, config(threshold)).unwrap();
+        let updater = WorkerId(updater_seed);
+        let home = combined.route(updater).0;
+        // A different worker whose home shard runs no later than the
+        // updater's: its report is globally visible (in-shard order or
+        // cross-shard broadcast) before the update executes, exactly
+        // like the folded form.
+        let reporter = (0..10_000u64)
+            .map(WorkerId)
+            .find(|&w| w != updater && combined.route(w).0 <= home)
+            .expect("a reporter homed at or below the updater's shard");
+        let mut live = None;
+        for router in [&combined, &split] {
+            let response = router.handle(Request::Join { worker: updater, power: 7 }, 0);
+            if let Response::Work { interval, .. } = response {
+                live = Some(interval);
+            } else {
+                panic!("join failed: {response:?}");
+            }
+        }
+        let live = live.expect("joined");
+        let adv = live.length().mul_div_floor(frac_ppm as u64, 1_000_000);
+        let reported = Interval::new(live.begin().add(&adv), live.end().clone());
+        let solution = Solution::new(cost, vec![0]);
+
+        let combined_bundle = vec![combined.envelope(Request::UpdateAndReport {
+            worker: updater,
+            interval: reported.clone(),
+            solution: Some(solution.clone()),
+        })];
+        let a = combined.handle_bundle(combined_bundle, 9);
+        let split_bundle = vec![
+            split.envelope(Request::ReportSolution {
+                worker: reporter,
+                solution,
+            }),
+            split.envelope(Request::Update {
+                worker: updater,
+                interval: reported,
+            }),
+        ];
+        let b = split.handle_bundle(split_bundle, 9);
+        prop_assert_eq!(
+            format!("{:?}", a.last().unwrap().1),
+            format!("{:?}", b.last().unwrap().1)
+        );
+        prop_assert_eq!(combined.cutoff(), split.cutoff());
+        prop_assert_eq!(combined.size(), split.size());
+        prop_assert_eq!(
+            combined.solution().map(|s| s.cost),
+            split.solution().map(|s| s.cost)
+        );
+        let sa = combined.stats();
+        let sb = split.stats();
+        prop_assert_eq!(sa.updates, sb.updates);
+        prop_assert_eq!(sa.solution_reports, sb.solution_reports);
+        prop_assert_eq!(sa.improvements, sb.improvements);
+        combined.check_invariants().map_err(TestCaseError::fail)?;
+        split.check_invariants().map_err(TestCaseError::fail)?;
+    }
 }

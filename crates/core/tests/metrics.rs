@@ -87,10 +87,9 @@ fn sharded_run_counters_match_the_report_exactly() {
     assert_histogram_invariants(&snapshot);
 }
 
-/// The default run is the one-shard router, contacted directly: no
-/// implicit gateway, router contacts counted, and a gateway — when one
-/// is asked for — mirrored exactly in the registry (its stats struct
-/// and the `gbnb_gateway_*` counters are the same cells).
+/// The default run is the one-shard router, contacted directly: every
+/// worker contact is one router contact, counted in the registry, and
+/// no tier between worker and router registers any series.
 #[test]
 fn default_run_is_the_one_shard_router_and_mirrored_in_metrics() {
     let problem = small_flowshop(88);
@@ -100,43 +99,17 @@ fn default_run_is_the_one_shard_router_and_mirrored_in_metrics() {
     let default = run(&problem, &fast_config(4).with_metrics(&registry));
     assert_eq!(default.proven_optimum, expected);
     assert_eq!(default.solution.as_ref().map(|s| s.cost), expected);
-    assert!(default.gateway.is_none(), "no gateway was configured");
     assert_eq!(default.shard_stats.len(), 1);
     let snapshot = registry.snapshot();
-    // Ungated, every worker contact is one lock-acquiring router
-    // contact, and none goes through a gateway.
+    // Every worker contact is one lock-acquiring router contact.
     assert_eq!(default.router_contacts, default.total_contacts());
     assert_eq!(
         snapshot.counter("gbnb_router_contacts_total"),
         default.router_contacts
     );
-    assert_eq!(snapshot.counter("gbnb_gateway_submissions_total"), 0);
-    assert_histogram_invariants(&snapshot);
-
-    let registry = MetricsRegistry::new();
-    let gated = run(
-        &problem,
-        &fast_config(4).with_gateway(4).with_metrics(&registry),
-    );
-    assert_eq!(gated.proven_optimum, expected);
-    let stats = gated.gateway.expect("a configured gateway reports stats");
-    assert!(stats.flushes > 0, "the gateway never flushed");
-    assert_eq!(stats.submissions, gated.total_contacts());
-    assert!(stats.requests >= stats.submissions);
-
-    let snapshot = registry.snapshot();
-    assert_eq!(
-        snapshot.counter("gbnb_gateway_submissions_total"),
-        stats.submissions,
-        "gateway registry counters drifted from GatewayStats"
-    );
-    assert_eq!(
-        snapshot.counter("gbnb_gateway_requests_total"),
-        stats.requests
-    );
-    assert_eq!(
-        snapshot.counter("gbnb_worker_contacts_total"),
-        gated.total_contacts()
+    assert!(
+        !registry.render_text().contains("gateway"),
+        "a gateway series was registered on a direct run"
     );
     assert_histogram_invariants(&snapshot);
 }

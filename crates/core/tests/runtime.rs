@@ -317,6 +317,36 @@ fn sharded_runtime_survives_crashes() {
     assert_eq!(crashes, 2);
 }
 
+/// The many-worker stress pin: 16 worker threads drain a 4-shard range
+/// contacting their home shards directly, with coalescing, holder
+/// expiry armed and every worker scripted to crash early — three in four
+/// rejoin, the rest are gone for good — and the run must still prove the
+/// exact optimum. Which threads the OS lets reach their crash point
+/// before the run ends is up to the scheduler, so the test asks for at
+/// least three crashes, not all sixteen.
+#[test]
+fn sixteen_workers_drain_a_sharded_range_with_crashes() {
+    let problem = FullEnumeration::new(9);
+    let expected = solve(&problem, None).best_cost;
+    let mut config = fast_config(16).with_shards(4).with_coalescing(3);
+    config.poll_nodes = 200;
+    config.chaos = Some(ChaosConfig {
+        crashes: (0..16)
+            .map(|worker_index| CrashPlan {
+                worker_index,
+                after_nodes: 200,
+                rejoin: worker_index % 4 != 3,
+            })
+            .collect(),
+    });
+    let report = run(&problem, &config);
+    assert_eq!(report.proven_optimum, expected, "16-worker run lost work");
+    let crashes: u64 = report.workers.iter().map(|w| w.crashes).sum();
+    assert!(crashes >= 3, "only {crashes} scripted crashes fired");
+    assert_eq!(report.shard_stats.len(), 4);
+    assert!(report.router_contacts > 0);
+}
+
 #[test]
 fn sharded_heterogeneous_powers_still_exact() {
     let problem = small_flowshop(77);
@@ -470,43 +500,6 @@ fn coalesced_sharded_checkpoint_files_written_and_restorable() {
         ShardRouter::restore(shape.root_range(), shards, solution, config.coordinator).unwrap();
     assert!(restored.is_terminated());
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn gateway_sharded_runtime_stays_exact_and_routes_all_contacts() {
-    // Gateway + coalescing + shards end-to-end: exact proof, every
-    // worker contact routed through the gateway, and the router's
-    // lock-acquiring contact count bounded by the submission count.
-    let problem = small_flowshop(55);
-    let expected = solve(&problem, None).best_cost;
-    for shards in [1usize, 4] {
-        let config = fast_config(4)
-            .with_shards(shards)
-            .with_coalescing(4)
-            .with_gateway(6);
-        let report = run(&problem, &config);
-        assert_eq!(
-            report.proven_optimum, expected,
-            "{shards} shards with a gateway diverged"
-        );
-        let stats = report.gateway.expect("gateway stats");
-        assert_eq!(stats.submissions, report.total_contacts());
-        assert!(report.router_contacts > 0);
-        let updates: u64 = report.workers.iter().map(|w| w.checkpoint_ops).sum();
-        assert_eq!(updates, report.coordinator_stats.updates);
-    }
-}
-
-#[test]
-#[should_panic(expected = "gateway.max_delay_ns must stay below")]
-fn gateway_delay_at_or_above_holder_timeout_fails_fast() {
-    let problem = small_flowshop(11);
-    let mut config = fast_config(2);
-    config.gateway = Some(gridbnb_core::GatewayPolicy::new(
-        4,
-        config.coordinator.holder_timeout_ns,
-    ));
-    let _ = run(&problem, &config);
 }
 
 #[test]

@@ -18,8 +18,8 @@ use crate::pool::GridPool;
 use crate::volatility::{AvailabilitySampler, VolatilityModel};
 use crate::workload::WorkloadModel;
 use gridbnb_core::{
-    CoordinatorConfig, CoordinatorStats, Interval, MetricsRegistry, Request, Response,
-    ShardEnvelope, ShardRouter, WorkerId,
+    CoordinatorConfig, CoordinatorStats, Interval, MetricsRegistry, Request, Response, ShardRouter,
+    WorkerId,
 };
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -65,23 +65,6 @@ pub struct SimConfig {
     /// half the holder timeout (a longer window would get every healthy
     /// batched worker expired mid-window by the sweep).
     pub contact_batch: usize,
-    /// Cross-worker contact gateway fan-in (0 disables — the default).
-    /// At `F ≥ 1` a worker's periodic update snapshots are no longer
-    /// delivered at its own Step event: they are queued on the home
-    /// shard's gateway queue, and a queue is delivered as **one shared
-    /// [`gridbnb_core::ShardRouter::handle_bundle`] bundle** once it
-    /// holds `F` snapshots (size trigger) — one farmer lock acquisition
-    /// for many workers' traffic. A recurring flush event sweeps queues
-    /// whose oldest snapshot has aged one batch window (the deadline
-    /// trigger), and a worker's termination-sensitive contacts (`Join`
-    /// / `RequestWork`) first *purge* its own still-queued snapshots of
-    /// the current incarnation — the completed unit subsumes them, and
-    /// delivering them after the next allocation could shrink the new
-    /// unit with stale ranges. Acks are applied to each contributing
-    /// worker at flush time (skipped if the host went down in between).
-    /// Composes with [`SimConfig::contact_batch`]: a worker queues `B`
-    /// snapshots per event, the gateway merges workers.
-    pub gateway_fan_in: usize,
     /// Pooled-bounding width of the simulated B&B processes: how many
     /// sibling states each worker's explorer bounds per
     /// `lower_bound_batch` call. The rate model does not re-simulate
@@ -118,7 +101,6 @@ impl SimConfig {
             coordinator: CoordinatorConfig::default(),
             shards: 1,
             contact_batch: 1,
-            gateway_fan_in: 0,
             pool_width: 1,
             metrics: None,
             sample_period_s: 3_600.0,
@@ -188,7 +170,7 @@ pub struct SimReport {
     pub steals: u64,
     /// The proven best cost at the end of the run — the router's cutoff
     /// (the initial upper bound, tightened by any reported solution).
-    /// Batching and gateway modes must leave it untouched; tests pin it.
+    /// Batching must leave it untouched; tests pin it.
     pub best_cost: Option<u64>,
     /// Whether the exploration completed (vs hit `max_sim_days`).
     pub completed: bool,
@@ -200,11 +182,6 @@ enum EventKind {
     HostDown(usize, u64),
     /// Worker finished an exploration slice and contacts the farmer.
     Step(usize, u64),
-    /// Deadline sweep of the gateway queues (gateway mode only): every
-    /// non-empty per-shard queue is delivered as one shared bundle, so
-    /// a queue that never reaches the fan-in still drains within one
-    /// update period.
-    GatewayFlush,
     Sweep,
     Checkpoint,
     Sample,
@@ -276,7 +253,6 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
     let ev_host_up = sim_event("host_up");
     let ev_host_down = sim_event("host_down");
     let ev_step = sim_event("step");
-    let ev_gateway_flush = sim_event("gateway_flush");
     let ev_sweep = sim_event("sweep");
     let ev_checkpoint = sim_event("checkpoint");
     let ev_sample = sim_event("sample");
@@ -339,35 +315,6 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
     let update_period_ns = (config.update_period_s * 1e9).max(1.0) as u64;
     let service_ns = (config.farmer_service_us * 1e3) as u64;
 
-    // Gateway mode: per-shard FIFO queues of (worker index, epoch,
-    // enqueue stamp, snapshot envelope) awaiting a shared-bundle
-    // delivery; the head entry is always the oldest. The deadline
-    // sweep only delivers queues whose head has aged one worker batch
-    // window — flushing every queue every period would re-create the
-    // per-worker contact rate the gateway exists to amortize. By the
-    // batch clamp that window is at most half the holder timeout, so
-    // queued-but-unflushed snapshots can never get their healthy
-    // senders expired.
-    let gateway_fan_in = config.gateway_fan_in;
-    let effective_batch = (config.contact_batch.max(1) as u64).min(
-        (config.coordinator.holder_timeout_ns / 2)
-            .checked_div(update_period_ns)
-            .unwrap_or(1)
-            .max(1),
-    );
-    let gateway_deadline_ns = update_period_ns.saturating_mul(effective_batch);
-    let mut gateway_queues: Vec<Vec<(usize, u64, u64, ShardEnvelope)>> = if gateway_fan_in >= 1 {
-        push(
-            &mut queue,
-            &mut seq,
-            update_period_ns,
-            EventKind::GatewayFlush,
-        );
-        vec![Vec::new(); config.shards]
-    } else {
-        Vec::new()
-    };
-
     let mut farmer_busy_ns = 0u64;
     let mut farmer_checkpoints = 0u64;
     let mut checkpoint_ops = 0u64;
@@ -389,7 +336,6 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
             EventKind::HostUp(_) => ev_host_up.inc(),
             EventKind::HostDown(..) => ev_host_down.inc(),
             EventKind::Step(..) => ev_step.inc(),
-            EventKind::GatewayFlush => ev_gateway_flush.inc(),
             EventKind::Sweep => ev_sweep.inc(),
             EventKind::Checkpoint => ev_checkpoint.inc(),
             EventKind::Sample => ev_sample.inc(),
@@ -454,14 +400,12 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
             EventKind::Step(w, epoch) => {
                 // 1. Account the exploration slice that just ended and
                 //    choose the message(s), under a scoped borrow of
-                //    the stepping worker (a gateway flush needs the
-                //    whole worker set afterwards). Join and RequestWork
-                //    are termination-sensitive and always go out alone
-                //    (in gateway mode they drain the home queue first);
+                //    the stepping worker. Join and RequestWork are
+                //    termination-sensitive and always go out alone;
                 //    periodic checkpoints coalesce `contact_batch`
-                //    update periods into one batched contact or gateway
-                //    enqueue. The pre-slice position is kept so the
-                //    batched snapshots can be reconstructed.
+                //    update periods into one batched contact. The
+                //    pre-slice position is kept so the batched
+                //    snapshots can be reconstructed.
                 let (work_request, snapshots, handle_at, batch) = {
                     let worker = &mut workers[w];
                     if worker.done || !worker.online || worker.epoch != epoch {
@@ -529,62 +473,11 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
                         (None, vec![live], handle_at, batch)
                     }
                 };
-                // 2. Deliver: a synchronous contact (work requests and
-                //    direct update delivery), or a one-way gateway
-                //    enqueue whose ack arrives at flush time.
-                let response = if let Some(request) = work_request {
-                    if gateway_fan_in >= 1 {
-                        // Purge this worker's own queued snapshots of
-                        // the current epoch: they describe the unit the
-                        // work request is about to complete (or the
-                        // identity a Join resets), so delivering them
-                        // later could cross a unit boundary and shrink
-                        // the *next* unit with stale ranges. Dropping
-                        // them is exactly the completion subsuming
-                        // them; other workers' queued traffic keeps
-                        // aggregating toward the fan-in. Snapshots from
-                        // a previous epoch (a crashed incarnation) stay
-                        // queued on purpose — their old worker id still
-                        // maps to the old entry, so late delivery only
-                        // applies progress that genuinely happened.
-                        let home = coordinator.route(request.worker()).0 as usize;
-                        gateway_queues[home].retain(|(qw, qe, _, _)| !(*qw == w && *qe == epoch));
-                    }
+                // 2. Deliver: one synchronous contact.
+                let (response, service_total) = if let Some(request) = work_request {
                     let served = coordinator.handle(request, handle_at);
                     workers[w].joined = true;
-                    Some((served, service_ns))
-                } else if gateway_fan_in >= 1 {
-                    // Gateway mode: queue the snapshots on the home
-                    // shard and keep exploring — many workers' queued
-                    // snapshots are delivered as one shared bundle when
-                    // the queue reaches the fan-in (or at the deadline
-                    // sweep), and the acks are applied then.
-                    checkpoint_ops += batch;
-                    let id = workers[w].id;
-                    let home = coordinator.route(id).0 as usize;
-                    for snapshot in snapshots {
-                        gateway_queues[home].push((
-                            w,
-                            epoch,
-                            now,
-                            coordinator.envelope(Request::Update {
-                                worker: id,
-                                interval: snapshot,
-                            }),
-                        ));
-                    }
-                    if gateway_queues[home].len() >= gateway_fan_in {
-                        farmer_busy_ns += flush_gateway_queue(
-                            &coordinator,
-                            &mut gateway_queues,
-                            home,
-                            &mut workers,
-                            workload,
-                            handle_at,
-                            service_ns,
-                        );
-                    }
-                    None
+                    (served, service_ns)
                 } else if batch > 1 {
                     checkpoint_ops += batch;
                     let id = workers[w].id;
@@ -601,7 +494,7 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
                     // The last ack reflects the final snapshot — the
                     // worker's authoritative post-contact state.
                     let served = responses.pop().expect("a response per envelope").1;
-                    Some((served, service_ns * batch))
+                    (served, service_ns * batch)
                 } else {
                     checkpoint_ops += 1;
                     let id = workers[w].id;
@@ -613,47 +506,47 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
                         },
                         handle_at,
                     );
-                    Some((served, service_ns))
+                    (served, service_ns)
                 };
-                // 3. Apply the reply (if any) and schedule the next
-                //    slice end. A gateway enqueue is one-way: the
-                //    worker resumes immediately, no round-trip paid.
+                // 3. Apply the reply and schedule the next slice end.
                 let worker = &mut workers[w];
-                let resume_at = match response {
-                    Some((response, service_total)) => {
-                        farmer_busy_ns += service_total;
-                        let resume_at = handle_at + service_total + worker.latency_ns;
-                        match response {
-                            Response::Work { interval, .. } => {
-                                let u_pos = workload.frac_of(interval.begin());
-                                let u_end = workload.frac_of(interval.end());
-                                worker.unit = Some(Unit {
-                                    live: interval,
-                                    u_pos,
-                                    u_end,
-                                });
-                            }
-                            Response::UpdateAck { interval, .. } => {
-                                assert!(worker.unit.is_some(), "update with unit");
-                                apply_update_ack(worker, workload, &interval);
-                            }
-                            Response::Terminate => {
-                                worker.done = true;
-                                worker.online_ns +=
-                                    resume_at.saturating_sub(worker.online_since_ns);
-                                worker.online = false;
-                                continue;
-                            }
-                            // Sharded endgame backpressure: no unit, so
-                            // the no-unit branch below re-asks after a
-                            // beat.
-                            Response::Retry => {}
-                            Response::SolutionAck { .. } | Response::LeaveAck => {}
-                        }
-                        resume_at
+                farmer_busy_ns += service_total;
+                let resume_at = handle_at + service_total + worker.latency_ns;
+                match response {
+                    Response::Work { interval, .. } => {
+                        let u_pos = workload.frac_of(interval.begin());
+                        let u_end = workload.frac_of(interval.end());
+                        worker.unit = Some(Unit {
+                            live: interval,
+                            u_pos,
+                            u_end,
+                        });
                     }
-                    None => now,
-                };
+                    // An empty intersection drops the unit (completed or
+                    // fully stolen elsewhere); otherwise the end retreats.
+                    Response::UpdateAck { interval, .. } => {
+                        let unit = worker.unit.as_mut().expect("update with unit");
+                        if interval.is_empty() {
+                            worker.unit = None;
+                        } else {
+                            unit.live.retreat_end(interval.end());
+                            unit.u_end = workload.frac_of(unit.live.end());
+                            if unit.live.is_empty() {
+                                worker.unit = None;
+                            }
+                        }
+                    }
+                    Response::Terminate => {
+                        worker.done = true;
+                        worker.online_ns += resume_at.saturating_sub(worker.online_since_ns);
+                        worker.online = false;
+                        continue;
+                    }
+                    // Sharded endgame backpressure: no unit, so the
+                    // no-unit branch below re-asks after a beat.
+                    Response::Retry => {}
+                    Response::SolutionAck { .. } | Response::LeaveAck => {}
+                }
                 worker.slice_start_ns = resume_at;
                 let slice_ns = match &worker.unit {
                     Some(u) => {
@@ -674,36 +567,6 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
                     &mut seq,
                     resume_at + slice_ns,
                     EventKind::Step(w, epoch),
-                );
-            }
-            EventKind::GatewayFlush => {
-                // Deadline sweep: only queues whose oldest snapshot has
-                // aged one batch window are delivered — a fresher queue
-                // keeps filling towards the fan-in (flushing everything
-                // every period would re-create the per-worker contact
-                // rate the gateway exists to amortize).
-                for shard in 0..gateway_queues.len() {
-                    let stale = gateway_queues[shard]
-                        .first()
-                        .is_some_and(|&(_, _, t, _)| now.saturating_sub(t) >= gateway_deadline_ns);
-                    if !stale {
-                        continue;
-                    }
-                    farmer_busy_ns += flush_gateway_queue(
-                        &coordinator,
-                        &mut gateway_queues,
-                        shard,
-                        &mut workers,
-                        workload,
-                        now,
-                        service_ns,
-                    );
-                }
-                push(
-                    &mut queue,
-                    &mut seq,
-                    now + update_period_ns,
-                    EventKind::GatewayFlush,
                 );
             }
             EventKind::Sweep => {
@@ -801,67 +664,6 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
         steals: coordinator.steals(),
         best_cost: coordinator.cutoff(),
         completed: completed || coordinator.is_terminated(),
-    }
-}
-
-/// Delivers one gateway queue as a single shared bundle (gateway mode):
-/// every queued snapshot of every contributing worker goes through one
-/// [`ShardRouter::handle_bundle`] call — one farmer lock acquisition —
-/// and each ack is applied to its worker, skipped when the host went
-/// down or rejoined since enqueueing (a new epoch means the snapshot
-/// belongs to a dead incarnation; the coordinator-side shrink stands
-/// either way, since the exploration it reports really happened).
-/// Returns the farmer CPU time spent; an empty queue is free.
-fn flush_gateway_queue(
-    router: &ShardRouter,
-    queues: &mut [Vec<(usize, u64, u64, ShardEnvelope)>],
-    shard: usize,
-    workers: &mut [SimWorker],
-    workload: &WorkloadModel,
-    now: u64,
-    service_ns: u64,
-) -> u64 {
-    let queued = std::mem::take(&mut queues[shard]);
-    if queued.is_empty() {
-        return 0;
-    }
-    let ops = queued.len() as u64;
-    let mut tags = Vec::with_capacity(queued.len());
-    let mut bundle = Vec::with_capacity(queued.len());
-    for (w, epoch, _, envelope) in queued {
-        tags.push((w, epoch));
-        bundle.push(envelope);
-    }
-    let responses = router.handle_bundle(bundle, now);
-    for ((w, epoch), (_, response)) in tags.into_iter().zip(responses) {
-        let worker = &mut workers[w];
-        if worker.done || !worker.online || worker.epoch != epoch {
-            continue;
-        }
-        if let Response::UpdateAck { interval, .. } = response {
-            apply_update_ack(worker, workload, &interval);
-        }
-    }
-    service_ns * ops
-}
-
-/// Applies an `UpdateAck`'s intersected interval to a worker's live
-/// unit — shared by the synchronous Step reply path and the gateway
-/// flush, so the two delivery modes cannot diverge: an empty
-/// intersection drops the unit (completed or fully stolen elsewhere);
-/// otherwise the end retreats and the workload fraction is refreshed.
-fn apply_update_ack(worker: &mut SimWorker, workload: &WorkloadModel, interval: &Interval) {
-    let Some(unit) = worker.unit.as_mut() else {
-        return;
-    };
-    if interval.is_empty() {
-        worker.unit = None;
-    } else {
-        unit.live.retreat_end(interval.end());
-        unit.u_end = workload.frac_of(unit.live.end());
-        if unit.live.is_empty() {
-            worker.unit = None;
-        }
     }
 }
 

@@ -176,87 +176,6 @@ fn batched_contacts_strictly_reduce_contacts() {
 }
 
 #[test]
-fn gateway_mode_strictly_reduces_contacts_at_w32_s4() {
-    // Exactly 32 workers over 4 shards (W ≫ S): per-worker batching
-    // (`contact_batch` alone) already amortizes one worker's snapshots,
-    // so any further contact reduction can only come from merging
-    // *different* workers' traffic — which is precisely what the
-    // gateway's per-shard queues add. Same pool, workload and seed; the
-    // sim is deterministic, so the comparison is exact.
-    use gridbnb_grid::{Cluster, ClusterKind, CpuGroup, GridPool};
-    let pool = GridPool {
-        clusters: (0..4)
-            .map(|k| Cluster {
-                name: "synthetic",
-                site: "test",
-                kind: if k % 2 == 0 {
-                    ClusterKind::Campus
-                } else {
-                    ClusterKind::Dedicated
-                },
-                groups: vec![CpuGroup {
-                    model: "P4",
-                    ghz: 1.5 + 0.5 * k as f64,
-                    processors: 8,
-                }],
-            })
-            .collect(),
-    };
-    assert_eq!(pool.total_processors(), 32);
-    let workload = WorkloadModel::irregular(UBig::factorial(50), 2e8, 256, 2.0, 42);
-    let mut config = SimConfig::new(pool);
-    config.seed = 42;
-    config.coordinator = CoordinatorConfig {
-        duplication_threshold: UBig::factorial(50).div_rem_u64(1_000_000).0,
-        holder_timeout_ns: 10 * 60 * 1_000_000_000,
-        initial_upper_bound: Some(3680),
-    };
-    config.update_period_s = 30.0;
-    config.sample_period_s = 600.0;
-    config.shards = 4;
-    config.contact_batch = 4;
-    let batched_only = simulate(&config, &workload);
-    let mut gateway_config = config.clone();
-    gateway_config.gateway_fan_in = 8;
-    let gatewayed = simulate(&gateway_config, &workload);
-    assert!(batched_only.completed && gatewayed.completed);
-    assert!(
-        gatewayed.explored_nodes >= workload.total_nodes() * 0.999,
-        "gateway run lost work: {} < {}",
-        gatewayed.explored_nodes,
-        workload.total_nodes()
-    );
-    assert!(
-        gatewayed.contacts < batched_only.contacts,
-        "cross-worker aggregation must strictly reduce contacts: {} vs {}",
-        gatewayed.contacts,
-        batched_only.contacts
-    );
-    // Identical proof: the cutoff the run ends on is unchanged by how
-    // contacts were aggregated.
-    assert_eq!(gatewayed.best_cost, batched_only.best_cost);
-    // The farmer still processed the paper-rate per-op update load —
-    // aggregation amortizes lock traffic, it does not hide work.
-    assert!(gatewayed.checkpoint_ops > 0);
-    assert!(gatewayed.contacts < gatewayed.checkpoint_ops + gatewayed.work_allocations);
-}
-
-#[test]
-fn gateway_sim_is_deterministic_given_seed() {
-    let (mut config, workload) = small_sim(1e8, 5);
-    config.shards = 3;
-    config.contact_batch = 2;
-    config.gateway_fan_in = 6;
-    let a = simulate(&config, &workload);
-    let b = simulate(&config, &workload);
-    assert_eq!(a.work_allocations, b.work_allocations);
-    assert_eq!(a.contacts, b.contacts);
-    assert_eq!(a.steals, b.steals);
-    assert!((a.wall_s - b.wall_s).abs() < 1e-9);
-    assert!((a.explored_nodes - b.explored_nodes).abs() < 1.0);
-}
-
-#[test]
 fn batched_sharded_sim_completes() {
     let (mut config, workload) = small_sim(2e8, 42);
     config.shards = 4;

@@ -2,8 +2,8 @@
 //!
 //! The paper's farmer/worker protocol lives or dies on contact pressure
 //! and worker idle time, so every layer of this workspace (coordinator
-//! shards, contact gateway, worker runtime, wire server) records into
-//! one [`MetricsRegistry`]. The design goals, in order:
+//! shards, worker runtime, wire server) records into one
+//! [`MetricsRegistry`]. The design goals, in order:
 //!
 //! 1. **Cheap hot path.** Recording must be safe to leave on in the
 //!    worker slice loop and the shard contact path. Every instrument is

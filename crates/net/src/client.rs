@@ -523,7 +523,7 @@ pub fn query_status(
 
 /// One-shot metrics scrape: connect, ask, disconnect. Returns the
 /// server registry's Prometheus-style text exposition — every layer's
-/// series (coordinator operators, shards, gateway, sockets) in one
+/// series (coordinator operators, shards, sockets) in one
 /// read, scrapeable mid-campaign without disturbing the workers.
 pub fn query_metrics(addr: SocketAddr, options: &ClientOptions) -> Result<String, TransportError> {
     let stream = connect_stream(addr, options)?;

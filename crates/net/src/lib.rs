@@ -10,16 +10,17 @@
 //!   request/response bundles. Big integers ride as the checkpoint
 //!   codec's decimal text, so disk and wire share one exact format.
 //! * [`NetServer`] — a `std::net::TcpListener` front for a
-//!   [`gridbnb_core::ShardRouter`] (optionally behind a
-//!   [`gridbnb_core::ContactGateway`]): handler thread pool, read/write
+//!   [`gridbnb_core::ShardRouter`]: handler thread pool, read/write
 //!   timeouts, holder-expiry supervision, graceful drain on implicit
-//!   termination.
+//!   termination. Each burst of frames buffered on a connection — from
+//!   one worker or a whole multiplexed fleet — is folded into one
+//!   [`gridbnb_core::ShardRouter::handle_bundle`] call.
 //! * [`SocketTransport`] / [`MuxClient`] — the client side, both
 //!   implementing [`gridbnb_core::Transport`], so the unchanged worker
 //!   loop (`gridbnb_core::runtime::run_workers`) drives a remote
 //!   coordinator exactly as it drives an in-process one. Per-connection
 //!   mode gives every worker a socket; multiplexed mode pipelines a
-//!   whole fleet over one socket, which the server folds into shared
+//!   whole fleet over one socket, whose bursts become those shared
 //!   coordinator bundles.
 //!
 //! Everything is hand-rolled on `std::net` blocking I/O and threads —

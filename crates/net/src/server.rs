@@ -1,12 +1,12 @@
-//! The socket server: a [`gridbnb_core::ShardRouter`] (optionally
-//! fronted by a [`gridbnb_core::ContactGateway`]) served over real TCP.
+//! The socket server: a [`gridbnb_core::ShardRouter`] served over real
+//! TCP.
 //!
 //! ```text
-//!              ┌────────────────────── NetServer ──────────────────────┐
-//!   workers ──►│ acceptor ─► handler pool ─► [gateway] ─► ShardRouter  │
-//!   (sockets)  │     ▲            │                            ▲       │
-//!              │     └── poke ────┘        supervisor: expiry, flush   │
-//!              └───────────────────────────────────────────────────────┘
+//!              ┌─────────────────── NetServer ───────────────────┐
+//!   workers ──►│ acceptor ─► handler pool ─► ShardRouter         │
+//!   (sockets)  │                                  ▲              │
+//!              │                supervisor: expiry, compaction   │
+//!              └─────────────────────────────────────────────────┘
 //! ```
 //!
 //! * **Acceptor** — the thread calling [`NetServer::serve`] accepts
@@ -25,13 +25,15 @@
 //!   clients beat per-connection ones.
 //! * **Supervisor** — mirrors the in-process runtime's housekeeping:
 //!   expire stale holders (crash recovery for vanished connections) and
-//!   drive the gateway's deadline flush.
+//!   compact the durable log on its period.
 //! * **Drain** — with [`ServerConfig::drain_on_termination`] set (the
 //!   default: one resolution campaign per server, like the paper's
 //!   runs), `serve` returns once the router terminates and the last
 //!   connection closes; [`ServerHandle::stop`] forces the same wind-down
 //!   early. In-flight frames are answered before their connections
-//!   close.
+//!   close: a handler checks the stop flag after every answered burst
+//!   and on every idle read timeout, so even a client that never pauses
+//!   cannot hold the server open.
 //!
 //! Misbehaving peers never take the server down: a malformed frame
 //! closes that one connection and bumps
@@ -40,8 +42,8 @@
 use crate::wire::{self, drain_buffered_frames, read_frame, write_frame, Frame, RunStatus};
 use gridbnb_core::runtime::DurabilityPolicy;
 use gridbnb_core::{
-    ConfigError, ContactGateway, CoordinatorConfig, CoordinatorStats, GatewayPolicy, GatewayStats,
-    Interval, Request, ShardRouter, TransportError, UBig, WalError, WalStore,
+    ConfigError, CoordinatorConfig, CoordinatorStats, Interval, Request, ShardRouter,
+    TransportError, UBig, WalError, WalStore,
 };
 use gridbnb_metrics::{latency_buckets_ns, Counter, Histogram, MetricsRegistry};
 use std::io::{self, BufReader, BufWriter, Write as _};
@@ -63,10 +65,6 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Per-shard coordinator policy.
     pub coordinator: CoordinatorConfig,
-    /// Cross-connection aggregation: when set, handler threads submit
-    /// through a shared [`ContactGateway`] instead of calling the
-    /// router directly, merging many connections' bundles per flush.
-    pub aggregate: Option<GatewayPolicy>,
     /// Handler pool size — the number of connections served
     /// concurrently (more wait in the accept queue). Must cover the
     /// expected connection count in per-connection mode, where every
@@ -101,7 +99,6 @@ impl Default for ServerConfig {
         ServerConfig {
             shards: 1,
             coordinator: CoordinatorConfig::default(),
-            aggregate: None,
             handler_threads: 128,
             read_timeout: Duration::from_millis(20),
             write_timeout: Duration::from_secs(5),
@@ -121,15 +118,10 @@ impl ServerConfig {
     }
 
     /// Checks the config the same way the in-process runtime checks
-    /// its own: shard count, coordinator policy, and the gateway delay
-    /// against the holder timeout — a socket server can no more start
-    /// with `max_delay ≥ holder_timeout` than a thread runtime can.
+    /// its own: shard count and coordinator policy.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
-        }
-        if let Some(policy) = &self.aggregate {
-            policy.validate_against(&self.coordinator)?;
         }
         self.coordinator.validate()
     }
@@ -204,14 +196,12 @@ pub struct ServerReport {
     pub queries: u64,
     /// Connections dropped for violating the protocol.
     pub protocol_errors: u64,
-    /// Router contacts (bundle deliveries, post-aggregation).
+    /// Router contacts (bundle deliveries).
     pub router_contacts: u64,
     /// Cross-shard steals.
     pub steals: u64,
     /// Aggregate coordinator counters.
     pub coordinator_stats: CoordinatorStats,
-    /// Gateway counters, when aggregation was on.
-    pub gateway: Option<GatewayStats>,
     /// Σ unexplored interval length when the server wound down: zero
     /// after a terminated campaign, and — for a server stopped mid-run —
     /// exactly what a restart on the same durable backend must recover.
@@ -251,8 +241,8 @@ struct Counters {
 }
 
 /// The service layer's series, registered on the router's registry so
-/// one scrape covers the whole server — coordinator, shards, gateway
-/// and sockets. Answered over the wire by [`wire::kind::METRICS_QUERY`].
+/// one scrape covers the whole server — coordinator, shards and
+/// sockets. Answered over the wire by [`wire::kind::METRICS_QUERY`].
 struct NetMetrics {
     /// `gbnb_net_connections_total` — connections accepted.
     connections: Counter,
@@ -420,10 +410,6 @@ impl NetServer {
                 self.config.coordinator.clone(),
             )?,
         };
-        let gateway_tier = self
-            .config
-            .aggregate
-            .map(|policy| ContactGateway::new(&router, policy));
         let net_metrics = NetMetrics::register(router.metrics());
         let counters = Counters::default();
         let live = AtomicUsize::new(0);
@@ -442,7 +428,6 @@ impl NetServer {
             let live = &live;
             let config = &self.config;
             let shutdown = self.shutdown.as_ref();
-            let gateway = gateway_tier.as_ref();
             let conn_rx = &conn_rx;
             let supervising = &supervising;
             let net_metrics = &net_metrics;
@@ -453,7 +438,6 @@ impl NetServer {
                     serve_connection(
                         stream,
                         router,
-                        gateway,
                         config,
                         counters,
                         net_metrics,
@@ -466,28 +450,16 @@ impl NetServer {
 
             // Supervisor: the same housekeeping the in-process runtime
             // runs — holder expiry recovers intervals from vanished
-            // connections, the deadline flush keeps gateway submitters
-            // live below the fan-in.
+            // connections.
             let durability = durability.as_ref();
             scope.spawn(move |_| {
-                let mut tick = gateway
-                    .map(|g| {
-                        Duration::from_nanos(g.policy().max_delay_ns / 2)
-                            .max(Duration::from_millis(1))
-                    })
-                    .unwrap_or(Duration::from_millis(5))
-                    .min(Duration::from_millis(5));
-                if let Some(policy) = durability {
-                    tick = tick.min(policy.compact_every);
-                }
+                let tick = durability.map_or(Duration::from_millis(5), |policy| {
+                    policy.compact_every.min(Duration::from_millis(5))
+                });
                 let mut last_compaction = Instant::now();
                 while supervising.load(Ordering::Acquire) {
                     std::thread::sleep(tick);
-                    let now_ns = started.elapsed().as_nanos() as u64;
-                    if let Some(gateway) = gateway {
-                        gateway.flush_stale(now_ns);
-                    }
-                    router.expire_stale_holders(now_ns);
+                    router.expire_stale_holders(started.elapsed().as_nanos() as u64);
                     if let Some(policy) = durability {
                         if last_compaction.elapsed() >= policy.compact_every {
                             // A failed compaction leaves the previous
@@ -497,9 +469,6 @@ impl NetServer {
                             last_compaction = Instant::now();
                         }
                     }
-                }
-                if let Some(gateway) = gateway {
-                    gateway.flush_now(started.elapsed().as_nanos() as u64);
                 }
             });
 
@@ -536,7 +505,8 @@ impl NetServer {
                 }
             }
             // Wind-down: no new connections; handlers notice the flag
-            // within one read timeout and close their connections.
+            // after their current burst or within one read timeout, and
+            // close their connections.
             shutdown.store(true, Ordering::Release);
             drop(conn_tx);
             supervising.store(false, Ordering::Release);
@@ -568,7 +538,6 @@ impl NetServer {
             router_contacts: router.contacts(),
             steals: router.steals(),
             coordinator_stats: router.stats(),
-            gateway: gateway_tier.as_ref().map(|g| g.stats()),
             remaining: router.size(),
             recovery,
             wall: started.elapsed(),
@@ -578,11 +547,9 @@ impl NetServer {
 
 /// Serves one connection until the peer hangs up, a protocol violation,
 /// or server shutdown.
-#[allow(clippy::too_many_arguments)]
 fn serve_connection(
     stream: TcpStream,
     router: &ShardRouter,
-    gateway: Option<&ContactGateway<'_>>,
     config: &ServerConfig,
     counters: &Counters,
     metrics: &NetMetrics,
@@ -633,16 +600,10 @@ fn serve_connection(
                 return;
             }
         }
-        if serve_frames(
-            frames,
-            &mut writer,
-            router,
-            gateway,
-            counters,
-            metrics,
-            started,
-        )
-        .is_err()
+        // The burst is answered; a stop request ends the connection
+        // here even when the peer never lets a read time out.
+        if serve_frames(frames, &mut writer, router, counters, metrics, started).is_err()
+            || shutdown.load(Ordering::Acquire)
         {
             return;
         }
@@ -650,13 +611,11 @@ fn serve_connection(
 }
 
 /// Decodes, executes and answers one burst of frames. Any error — a
-/// malformed frame, a dead socket, a torn-down gateway — ends the
-/// connection.
+/// malformed frame or a dead socket — ends the connection.
 fn serve_frames(
     frames: Vec<Frame>,
     writer: &mut BufWriter<TcpStream>,
     router: &ShardRouter,
-    gateway: Option<&ContactGateway<'_>>,
     counters: &Counters,
     metrics: &NetMetrics,
     started: Instant,
@@ -696,7 +655,7 @@ fn serve_frames(
                 metrics.frames_in_metrics.inc();
                 let t0 = Instant::now();
                 // One scrape = the whole registry: router, shards,
-                // coordinator operators, gateway and this net layer.
+                // coordinator operators and this net layer.
                 let text = router.metrics().render_text();
                 replies.push(wire::frame_metrics_text(frame.seq, &text));
                 metrics
@@ -721,24 +680,12 @@ fn serve_frames(
         let now_ns = started.elapsed().as_nanos() as u64;
         let sent = combined.len();
         let t0 = Instant::now();
-        let responses = match gateway {
-            Some(gateway) => {
-                let responses = gateway.submit(combined, now_ns);
-                if responses.is_empty() && sent > 0 {
-                    // Gateway torn down mid-submission (server drain).
-                    return Err(());
-                }
-                responses
-            }
-            None => {
-                let bundle = combined.into_iter().map(|r| router.envelope(r)).collect();
-                router
-                    .handle_bundle(bundle, now_ns)
-                    .into_iter()
-                    .map(|(_, response)| response)
-                    .collect()
-            }
-        };
+        let bundle = combined.into_iter().map(|r| router.envelope(r)).collect();
+        let responses: Vec<_> = router
+            .handle_bundle(bundle, now_ns)
+            .into_iter()
+            .map(|(_, response)| response)
+            .collect();
         metrics
             .service_bundle_ns
             .observe(t0.elapsed().as_nanos() as u64);

@@ -6,8 +6,7 @@
 
 use gridbnb_core::runtime::{ChaosConfig, CrashPlan, DurabilityPolicy, RuntimeConfig};
 use gridbnb_core::{
-    CoordinatorConfig, GatewayPolicy, Interval, MemoryBackend, Problem, StorageBackend, UBig,
-    WalStore,
+    CoordinatorConfig, Interval, MemoryBackend, Problem, StorageBackend, UBig, WalStore,
 };
 use gridbnb_engine::solve;
 use gridbnb_engine::toy::FullEnumeration;
@@ -138,51 +137,16 @@ fn overlapped_updates_over_mux_and_wal_stay_exact() {
     assert_eq!(recovered.solution.map(|s| s.cost), expected);
 }
 
-/// Same exactness with the server-side aggregation tier on: handler
-/// threads submit through a shared gateway, so many connections' bursts
-/// fold into shared coordinator bundles.
-#[test]
-fn flowshop_exact_over_tcp_with_server_side_aggregation() {
-    let problem = flowshop9();
-    let expected = solve(&problem, None).best_cost.expect("finite optimum");
-    let config = ServerConfig {
-        shards: 4,
-        aggregate: Some(GatewayPolicy::new(8, 2_000_000)), // 2 ms deadline
-        ..ServerConfig::default()
-    };
-    let (addr, server) = spawn_server(&problem, config);
-    let reports = run_workers_over_socket(
-        &problem,
-        addr,
-        &campaign_config(8),
-        0,
-        ClientMode::PerConnection,
-        &ClientOptions::default(),
-    )
-    .expect("client fleet");
-    assert!(reports.iter().all(|r| r.transport_failure.is_none()));
-    let report = server.join().expect("server thread");
-    assert_eq!(report.proven_optimum, Some(expected));
-    let gateway = report.gateway.expect("aggregation stats");
-    assert!(gateway.flushes > 0);
-}
-
-/// The observability acceptance path: while a campaign runs behind an
-/// *adaptive* aggregation tier, a separate connection scrapes the
-/// server's full registry over the same TCP port. Every scrape must be
-/// a non-empty, well-formed exposition, and the final one must carry
-/// all the layer families — router, shards, gateway (with its fan-in
-/// gauge), sockets — without disturbing the campaign's exactness.
+/// The observability acceptance path: while a campaign runs, a separate
+/// connection scrapes the server's full registry over the same TCP
+/// port. Every scrape must be a non-empty, well-formed exposition, and
+/// the final one must carry all the layer families — router, shards,
+/// coordinator, sockets — without disturbing the campaign's exactness.
 #[test]
 fn metrics_scrape_over_tcp_mid_campaign() {
     let problem = flowshop9();
     let expected = solve(&problem, None).best_cost.expect("finite optimum");
-    let config = ServerConfig {
-        shards: 2,
-        aggregate: Some(GatewayPolicy::adaptive(2, 16, 2_000_000)),
-        ..ServerConfig::default()
-    };
-    let (addr, server) = spawn_server(&problem, config);
+    let (addr, server) = spawn_server(&problem, ServerConfig::new(2));
 
     // One scrape before the fleet joins: the families are registered at
     // serve() start, so even an idle server answers with a catalogue.
@@ -225,7 +189,6 @@ fn metrics_scrape_over_tcp_mid_campaign() {
         "gbnb_router_contacts_total",
         "gbnb_shard_contacts_total",
         "gbnb_coordinator_update_ns",
-        "gbnb_gateway_fan_in",
         "gbnb_net_frames_in_total",
         "gbnb_net_connections_total",
     ] {
@@ -403,27 +366,59 @@ fn stop_drains_an_idle_server() {
     assert_eq!(report.connections, 0);
 }
 
-/// The server refuses invalid configuration through the same
-/// [`gridbnb_core::ConfigError`] path as the in-process runtime: an
-/// aggregation delay at or above the holder timeout cannot start.
+/// `ServerHandle::stop` also ends a server whose one client never
+/// pauses: QUERY frames arrive back to back, so no read ever times out,
+/// and the handler must notice the stop after an answered burst. The
+/// join goes through a channel with a deadline, so a server that keeps
+/// serving fails the test instead of hanging it.
 #[test]
-fn server_rejects_gateway_delay_at_or_above_holder_timeout() {
+fn stop_returns_while_a_client_keeps_sending() {
+    use gridbnb_net::wire::{frame_query, read_frame, write_frame};
+    use std::io::{BufReader, BufWriter, Write as _};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     let root = Interval::new(UBig::zero(), UBig::from(1000u64));
-    let config = ServerConfig {
-        coordinator: CoordinatorConfig {
-            holder_timeout_ns: 1_000,
-            ..CoordinatorConfig::default()
-        },
-        aggregate: Some(GatewayPolicy::new(4, 1_000)),
-        ..ServerConfig::default()
+    let server = NetServer::bind("127.0.0.1:0", root, ServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(server.serve());
+    });
+
+    let answered = Arc::new(AtomicU64::new(0));
+    let client = {
+        let answered = Arc::clone(&answered);
+        std::thread::spawn(move || {
+            let stream = std::net::TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("read timeout");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = BufWriter::new(stream);
+            // Until the server hangs up: one query, its status reply,
+            // the next query at once.
+            for seq in 1.. {
+                let sent =
+                    write_frame(&mut writer, &frame_query(seq)).is_ok() && writer.flush().is_ok();
+                if !sent || read_frame(&mut reader).is_err() {
+                    break;
+                }
+                answered.fetch_add(1, Ordering::Relaxed);
+            }
+        })
     };
-    let error = NetServer::bind("127.0.0.1:0", root, config)
-        .err()
-        .expect("must not bind");
-    assert!(
-        error
-            .to_string()
-            .contains("gateway.max_delay_ns must stay below"),
-        "got: {error}"
-    );
+    while answered.load(Ordering::Relaxed) < 100 {
+        assert!(!client.is_finished(), "the client stopped before stop()");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.stop();
+    let report = done_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("serve did not return within 2 s of stop() under load")
+        .expect("serve");
+    client.join().expect("client thread");
+    assert!(!report.terminated);
+    assert_eq!(report.connections, 1);
+    assert!(report.queries >= 100);
 }

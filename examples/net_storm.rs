@@ -6,8 +6,7 @@
 //! ```sh
 //! cargo run --release --example net_storm -- \
 //!     [--workers 64] [--contacts 100] [--shards 4] \
-//!     [--mode per|mux|both] [--aggregate none|fixed:N|adaptive:N] \
-//!     [--metrics] [--json PATH]
+//!     [--mode per|mux|both] [--metrics] [--json PATH]
 //! ```
 //!
 //! Each worker joins (checking a real interval out of the sharded
@@ -17,15 +16,11 @@
 //! over one socket, which the server folds into shared coordinator
 //! bundles — the mode the `net` bench gates in CI.
 //!
-//! `--aggregate` puts a [`gridbnb::core::ContactGateway`] between the
-//! handler pool and the router: `fixed:N` pins the fan-in, `adaptive:N`
-//! starts at `N/4` and lets the buffered-age / contention /
-//! backpressure policy resize it within `[1, N]`. `--metrics` scrapes
-//! the server's registry over the same TCP port *while the storm
-//! runs* — proving live observability under load — and reports series
-//! counts plus the adaptive policy's grow/shrink transitions.
+//! `--metrics` scrapes the server's registry over the same TCP port
+//! *while the storm runs* — proving live observability under load —
+//! and reports scrape and series counts.
 
-use gridbnb::core::{GatewayPolicy, Interval, Request, Response, Transport, UBig, WorkerId};
+use gridbnb::core::{Interval, Request, Response, Transport, UBig, WorkerId};
 use gridbnb::net::{
     query_metrics, ClientMode, ClientOptions, MuxClient, NetServer, ServerConfig, SocketTransport,
 };
@@ -34,44 +29,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[derive(Clone, Copy, PartialEq)]
-enum Aggregate {
-    None,
-    Fixed(usize),
-    Adaptive(usize),
-}
-
-impl Aggregate {
-    /// The 500 µs deadline keeps heartbeat p99 bounded while still
-    /// letting the gateway merge a storm's worth of contacts per flush.
-    fn policy(self) -> Option<GatewayPolicy> {
-        const MAX_DELAY_NS: u64 = 500_000;
-        match self {
-            Aggregate::None => None,
-            Aggregate::Fixed(fan_in) => Some(GatewayPolicy::new(fan_in, MAX_DELAY_NS)),
-            Aggregate::Adaptive(max_fan_in) => Some(GatewayPolicy::adaptive(
-                (max_fan_in / 4).max(1),
-                max_fan_in,
-                MAX_DELAY_NS,
-            )),
-        }
-    }
-
-    fn name(self) -> String {
-        match self {
-            Aggregate::None => "none".into(),
-            Aggregate::Fixed(n) => format!("fixed:{n}"),
-            Aggregate::Adaptive(n) => format!("adaptive:{n}"),
-        }
-    }
-}
-
 struct Args {
     workers: usize,
     contacts: u64,
     shards: usize,
     modes: Vec<ClientMode>,
-    aggregate: Aggregate,
     metrics: bool,
     json: Option<String>,
 }
@@ -82,7 +44,6 @@ fn parse_args() -> Args {
         contacts: 100,
         shards: 4,
         modes: vec![ClientMode::PerConnection, ClientMode::Multiplexed],
-        aggregate: Aggregate::None,
         metrics: false,
         json: None,
     };
@@ -99,15 +60,6 @@ fn parse_args() -> Args {
                     "mux" => vec![ClientMode::Multiplexed],
                     "both" => vec![ClientMode::PerConnection, ClientMode::Multiplexed],
                     other => panic!("--mode must be per, mux or both, not {other}"),
-                }
-            }
-            "--aggregate" => {
-                let spec = value();
-                args.aggregate = match spec.split_once(':') {
-                    None if spec == "none" => Aggregate::None,
-                    Some(("fixed", n)) => Aggregate::Fixed(n.parse().expect("fixed:N")),
-                    Some(("adaptive", n)) => Aggregate::Adaptive(n.parse().expect("adaptive:N")),
-                    _ => panic!("--aggregate must be none, fixed:N or adaptive:N, not {spec}"),
                 }
             }
             "--metrics" => args.metrics = true,
@@ -129,13 +81,10 @@ struct StormResult {
 }
 
 /// What the live metrics scraper saw: how many mid-storm scrapes
-/// landed, the final exposition, and the adaptive policy's transitions.
+/// landed, and the final exposition.
 struct ScrapeSummary {
     scrapes: u64,
     series: usize,
-    fanin_grow: u64,
-    fanin_shrink: u64,
-    gateway_fan_in: u64,
     text: String,
 }
 
@@ -222,18 +171,14 @@ fn scrape_loop(addr: SocketAddr, stop: &AtomicBool) -> ScrapeSummary {
     ScrapeSummary {
         scrapes,
         series: text.lines().filter(|l| !l.starts_with('#')).count(),
-        fanin_grow: metric_value(&text, "gbnb_gateway_fanin_grow_total"),
-        fanin_shrink: metric_value(&text, "gbnb_gateway_fanin_shrink_total"),
-        gateway_fan_in: metric_value(&text, "gbnb_gateway_fan_in"),
         text,
     }
 }
 
 fn run_storm(args: &Args, mode: ClientMode) -> StormResult {
     let root = Interval::new(UBig::zero(), UBig::factorial(50));
-    let mut config = ServerConfig::new(args.shards);
-    config.aggregate = args.aggregate.policy();
-    let server = NetServer::bind("127.0.0.1:0", root, config).expect("bind loopback");
+    let server = NetServer::bind("127.0.0.1:0", root, ServerConfig::new(args.shards))
+        .expect("bind loopback");
     let addr: SocketAddr = server.local_addr();
     let handle = server.handle();
     let server = std::thread::spawn(move || server.serve().expect("serve"));
@@ -293,11 +238,8 @@ fn run_storm(args: &Args, mode: ClientMode) -> StormResult {
 fn main() {
     let args = parse_args();
     println!(
-        "net storm: {} workers x {} contacts, {} shards, aggregate {}, loopback TCP",
-        args.workers,
-        args.contacts,
-        args.shards,
-        args.aggregate.name()
+        "net storm: {} workers x {} contacts, {} shards, loopback TCP",
+        args.workers, args.contacts, args.shards
     );
     println!(
         "{:<16} {:>14} {:>10} {:>10} {:>10} {:>10}",
@@ -324,15 +266,11 @@ fn main() {
     for r in &results {
         if let Some(s) = &r.scrape {
             println!(
-                "{}: {} live scrapes, {} series; frames_in {}, gateway fan_in {} \
-                 (grew {}x, shrank {}x)",
+                "{}: {} live scrapes, {} series; frames_in {}",
                 r.mode,
                 s.scrapes,
                 s.series,
                 metric_value(&s.text, "gbnb_net_frames_in_total"),
-                s.gateway_fan_in,
-                s.fanin_grow,
-                s.fanin_shrink,
             );
         }
     }
@@ -345,19 +283,17 @@ fn main() {
                     .as_ref()
                     .map(|s| {
                         format!(
-                            ", \"scrapes\": {}, \"metric_series\": {}, \"fanin_grow\": {}, \
-                             \"fanin_shrink\": {}",
-                            s.scrapes, s.series, s.fanin_grow, s.fanin_shrink
+                            ", \"scrapes\": {}, \"metric_series\": {}",
+                            s.scrapes, s.series
                         )
                     })
                     .unwrap_or_default();
                 format!(
-                    "  {{\"mode\": \"{}\", \"aggregate\": \"{}\", \"workers\": {}, \
+                    "  {{\"mode\": \"{}\", \"workers\": {}, \
                      \"contacts\": {}, \"wall_s\": {:.4}, \
                      \"contacts_per_sec\": {:.1}, \"p50_us\": {:.1}, \"p90_us\": {:.1}, \
                      \"p99_us\": {:.1}, \"max_us\": {:.1}{}}}",
                     r.mode,
-                    args.aggregate.name(),
                     args.workers,
                     r.contacts,
                     r.wall_s,
