@@ -1,11 +1,16 @@
-//! Two-file coordinator checkpointing (paper §4.1).
+//! The snapshot and wire codec: the paper's two files (§4.1) as text.
 //!
 //! "The coordinator manages a possible failure of the farmer by
 //! periodically saving, in two files, the contents of `INTERVALS` and
 //! `SOLUTION`" — every 30 minutes in the paper's run, 4 094 176 total
-//! checkpoint operations in Table 2.
+//! checkpoint operations in Table 2. Here that save is a write-ahead log
+//! compaction ([`crate::ShardRouter::compact_wal`]): it writes exactly
+//! these two files as the `snap-{g}.intervals` and `snap-{g}.solution`
+//! blobs of [`crate::wal`] (readable files on a
+//! [`crate::FileBackend`]). The same codec carries interval endpoints on
+//! the wire and in the run trace.
 //!
-//! The on-disk format is a line-oriented decimal text codec (no external
+//! The format is a line-oriented decimal text codec (no external
 //! serialization dependency, human-auditable, exact big-integer round
 //! trips):
 //!
@@ -16,34 +21,28 @@
 //! 840 5040                     ranks 13 35 2 ...
 //! ```
 //!
-//! Writes are atomic (temp file + rename) so a farmer crash mid-save
-//! cannot corrupt the previous checkpoint.
+//! [`decode_intervals`] is the v1 reader: it reads a single-coordinator
+//! file and a sharded one (as the flat union) alike.
 
 use gridbnb_bigint::UBig;
 use gridbnb_coding::Interval;
 use gridbnb_engine::Solution;
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 const INTERVALS_HEADER: &str = "gridbnb-intervals v1";
 const SOLUTION_HEADER: &str = "gridbnb-solution v1";
 
-/// Errors from loading a checkpoint.
+/// Errors from decoding the codec's text.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Filesystem failure.
-    Io(io::Error),
-    /// Structural problem in a checkpoint file.
+    /// Structural problem in an `INTERVALS` or `SOLUTION` text.
     Corrupt(String),
 }
 
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
             CheckpointError::Corrupt(m) => write!(f, "corrupt checkpoint: {m}"),
         }
     }
@@ -51,14 +50,8 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-impl From<io::Error> for CheckpointError {
-    fn from(e: io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
 /// Encodes one interval as the codec's `begin end` decimal pair — the
-/// unit every layer shares: checkpoint files write one per line, the
+/// unit every layer shares: snapshot files write one per line, the
 /// network wire format length-prefixes one per payload slot. Decimal
 /// text keeps big-integer round trips exact with no serialization
 /// dependency.
@@ -66,10 +59,10 @@ pub fn encode_interval_line(interval: &Interval) -> String {
     format!("{} {}", interval.begin(), interval.end())
 }
 
-/// Decodes a `begin end` decimal pair. Unlike the file loaders this
+/// Decodes a `begin end` decimal pair. Unlike the file decoders this
 /// preserves empty intervals — the wire protocol must round-trip an
 /// `UpdateAck` whose intersected interval came back empty, while a
-/// checkpoint file has no use for them and drops them on load.
+/// snapshot file has no use for them and drops them on load.
 pub fn decode_interval_line(line: &str) -> Result<Interval, CheckpointError> {
     let mut parts = line.split_whitespace();
     let begin = parse_ubig(parts.next())?;
@@ -176,13 +169,9 @@ pub fn decode_sharded_intervals(text: &str) -> Result<Vec<Vec<Interval>>, Checkp
             // Markerless v1 file: everything belongs to one shard.
             shards.push(Vec::new());
         }
-        let interval = match decode_interval_line(line) {
-            Ok(i) => i,
-            Err(CheckpointError::Corrupt(m)) => {
-                return Err(CheckpointError::Corrupt(format!("line {}: {m}", ln + 2)))
-            }
-            Err(e) => return Err(e),
-        };
+        let interval = decode_interval_line(line).map_err(|CheckpointError::Corrupt(m)| {
+            CheckpointError::Corrupt(format!("line {}: {m}", ln + 2))
+        })?;
         if !interval.is_empty() {
             shards.last_mut().expect("shard bucket").push(interval);
         }
@@ -246,60 +235,6 @@ pub fn decode_solution(text: &str) -> Result<Option<Solution>, CheckpointError> 
         })
         .collect::<Result<Vec<u64>, _>>()?;
     Ok(Some(Solution::new(cost, ranks)))
-}
-
-/// The two checkpoint files and atomic save/load operations on them.
-#[derive(Clone, Debug)]
-pub struct CheckpointStore {
-    intervals_path: PathBuf,
-    solution_path: PathBuf,
-}
-
-impl CheckpointStore {
-    /// A store writing `INTERVALS` and `SOLUTION` to the given paths.
-    pub fn new(intervals_path: impl Into<PathBuf>, solution_path: impl Into<PathBuf>) -> Self {
-        CheckpointStore {
-            intervals_path: intervals_path.into(),
-            solution_path: solution_path.into(),
-        }
-    }
-
-    /// Loads `(intervals, solution)` from the two files — the v1
-    /// (single-shard, markerless) reader.
-    pub fn load(&self) -> Result<(Vec<Interval>, Option<Solution>), CheckpointError> {
-        let itext = fs::read_to_string(&self.intervals_path)?;
-        let stext = fs::read_to_string(&self.solution_path)?;
-        Ok((decode_intervals(&itext)?, decode_solution(&stext)?))
-    }
-
-    /// Saves a router's state atomically (both files). At `S = 1` the
-    /// output is the markerless v1 format [`CheckpointStore::load`]
-    /// reads.
-    pub fn save_sharded(&self, router: &crate::ShardRouter) -> Result<(), CheckpointError> {
-        let (shards, solution) = router.snapshot();
-        write_atomic(&self.intervals_path, &encode_sharded_intervals(&shards))?;
-        write_atomic(&self.solution_path, &encode_solution(solution.as_ref()))?;
-        Ok(())
-    }
-
-    /// Loads `(per-shard intervals, solution)`; a markerless v1 file
-    /// decodes as a single shard.
-    pub fn load_sharded(&self) -> Result<(Vec<Vec<Interval>>, Option<Solution>), CheckpointError> {
-        let itext = fs::read_to_string(&self.intervals_path)?;
-        let stext = fs::read_to_string(&self.solution_path)?;
-        Ok((decode_sharded_intervals(&itext)?, decode_solution(&stext)?))
-    }
-
-    /// `true` iff both files exist (a prior checkpoint is available).
-    pub fn exists(&self) -> bool {
-        self.intervals_path.exists() && self.solution_path.exists()
-    }
-}
-
-fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)
 }
 
 #[cfg(test)]
@@ -433,45 +368,5 @@ mod tests {
         assert!(decode_solution(&format!("{SOLUTION_HEADER}\ncost x\nranks 1\n")).is_err());
         assert!(decode_solution(&format!("{SOLUTION_HEADER}\ncost 5\n")).is_err());
         assert!(decode_solution(&format!("{SOLUTION_HEADER}\ncost 5\nranks 1 b\n")).is_err());
-    }
-
-    #[test]
-    fn store_save_load_round_trip() {
-        use crate::{CoordinatorConfig, Request, ShardRouter, WorkerId};
-        let dir = std::env::temp_dir().join(format!("gridbnb-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = CheckpointStore::new(dir.join("intervals.txt"), dir.join("solution.txt"));
-        assert!(!store.exists());
-
-        let router = ShardRouter::new(iv(0, 5040), 1, CoordinatorConfig::default()).unwrap();
-        // Hand out a couple of units and record a solution.
-        let _ = router.handle(
-            Request::Join {
-                worker: WorkerId(1),
-                power: 10,
-            },
-            0,
-        );
-        let _ = router.handle(
-            Request::Update {
-                worker: WorkerId(1),
-                interval: iv(100, 5040),
-            },
-            1,
-        );
-        let _ = router.handle(
-            Request::ReportSolution {
-                worker: WorkerId(1),
-                solution: Solution::new(42, vec![1, 2, 3]),
-            },
-            2,
-        );
-        store.save_sharded(&router).unwrap();
-        assert!(store.exists());
-
-        let (intervals, solution) = store.load().unwrap();
-        assert_eq!(intervals, vec![iv(100, 5040)]);
-        assert_eq!(solution.unwrap().cost, 42);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -12,7 +12,9 @@
 //! **load balancing** (selection + proportional partitioning operators,
 //! with duplication below a length threshold), **fault tolerance**
 //! (interval intersection on every worker contact, equation 14, plus
-//! periodic two-file checkpoints), **implicit termination detection**
+//! the periodic two-file checkpoint — here a compaction of the
+//! write-ahead log in [`mod@wal`], the one persistence path),
+//! **implicit termination detection**
 //! (the computation is over exactly when `INTERVALS` becomes empty) and
 //! **solution sharing** (the three rules of §4.4).
 //!

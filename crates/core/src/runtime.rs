@@ -11,11 +11,13 @@
 //! proceed in parallel. Work stealing between shards and the shared
 //! non-empty count keep the exactness guarantee: runs terminate only
 //! when every shard's `INTERVALS` is empty. What the paper's farmer
-//! does *besides* answering — stale-holder expiry, periodic
-//! checkpoints, log compaction — runs on a light
-//! supervisor thread, which parks until the next of those is due and is
+//! does *besides* answering — stale-holder expiry and its periodic
+//! two-file checkpoint, which here is a compaction of the durable log —
+//! runs in [`supervise`], the one housekeeping loop, on a light
+//! supervisor thread. It parks until the next of those is due and is
 //! unparked when the last worker has joined: nothing sleeps out a timer
-//! to learn that the run is over.
+//! to learn that the run is over. The socket server in `gridbnb-net`
+//! runs the same loop.
 //!
 //! **One worker state machine.** `Worker::step` is the worker: a work
 //! request (carrying any unreported solution in the same bundle) when
@@ -38,8 +40,8 @@
 //! seed-shuffled round-robin over a logical clock; the only inputs that
 //! differ are the transport (one tick per request) and the clock
 //! ([`CoalescePolicy::max_silence`] is wall-clock-only). That driver
-//! has no supervisor: periodic checkpoints and compactions do not
-//! happen, the terminal ones do.
+//! has no supervisor: periodic compactions do not happen, the terminal
+//! one does.
 //!
 //! Fault tolerance is exercisable in-process: a [`ChaosConfig`] makes
 //! chosen workers "crash" (silently abandon their explorer, losing all
@@ -50,14 +52,12 @@
 //! crashes must still return the exact optimum — the integration tests
 //! assert it.
 
-use crate::checkpoint::CheckpointStore;
 use crate::storage::StorageBackend;
 use crate::trace::{RunTrace, TraceMeta};
 use crate::transport::{
     LogicalClockTransport, PendingContact, ProtocolError, RouterTransport, Submitted, Transport,
     TransportError,
 };
-use crate::wal::WalStore;
 use crate::{
     ConfigError, CoordinatorConfig, CoordinatorStats, Request, Response, ShardRouter, WorkerId,
 };
@@ -69,25 +69,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Periodic checkpointing policy.
-#[derive(Clone, Debug)]
-pub struct CheckpointPolicy {
-    /// Where the two files go.
-    pub store: CheckpointStore,
-    /// Save period (the paper's coordinator checkpointed every 30 min).
-    pub every: Duration,
-}
-
 /// Durable coordinator state: a write-ahead operation log plus
 /// generational snapshots behind a pluggable [`StorageBackend`] (see
 /// [`crate::wal`]).
 ///
-/// With a policy, the run journals every coordinator state change
-/// (interval inserts/removes/shrinks, solution improvements) into
-/// per-shard CRC-framed segments as it happens, and the supervisor
-/// folds the log into a fresh snapshot every `compact_every`. A process
-/// killed at any instant recovers to its exact pre-crash interval sets
-/// with [`WalStore::recover`] — rebuild the router via
+/// This is the one persistence path. With a policy, the run journals
+/// every coordinator state change (interval inserts/removes/shrinks,
+/// solution improvements) into per-shard CRC-framed segments as it
+/// happens, and the supervisor folds the log into a fresh snapshot
+/// every `compact_every` — the paper's periodic checkpoint of
+/// `INTERVALS` and `SOLUTION`, counted in
+/// [`RunReport::farmer_checkpoints`]. A process killed at any instant
+/// recovers to its exact pre-crash interval sets with
+/// [`crate::WalStore::recover`] — rebuild the router via
 /// [`ShardRouter::restore`] and run again with the same policy; the new
 /// run opens a fresh log epoch on top of the old one.
 #[derive(Clone, Debug)]
@@ -230,20 +224,11 @@ pub struct RuntimeConfig {
     /// Relative worker powers (cycled if shorter than `workers`);
     /// defaults to homogeneous 100.
     pub worker_powers: Vec<u64>,
-    /// Optional periodic checkpointing.
-    pub checkpoint: Option<CheckpointPolicy>,
     /// Optional durable operation log (see [`DurabilityPolicy`]); the
     /// journal hangs off the [`ShardRouter`].
     pub durability: Option<DurabilityPolicy>,
     /// Optional fault injection.
     pub chaos: Option<ChaosConfig>,
-    /// Pooled frontier exploration (the default): workers expand whole
-    /// sibling pools and bound them through one
-    /// [`Problem::lower_bound_batch`] call per pool instead of one
-    /// scalar call per node. Decision-equivalent to scalar exploration
-    /// (property-pinned), so this only changes throughput, never the
-    /// search. `false` restores the node-at-a-time explorer.
-    pub pooling: bool,
     /// Optional replicable mode (see [`ReplicablePolicy`]): ordered
     /// steal rules, an event trace, and — when `deterministic` — a
     /// single-threaded logical-clock driver producing byte-identical
@@ -270,10 +255,8 @@ impl RuntimeConfig {
             coalesce: None,
             coordinator: CoordinatorConfig::default(),
             worker_powers: vec![100],
-            checkpoint: None,
             durability: None,
             chaos: None,
-            pooling: true,
             replicable: None,
             transport_retry: RetryPolicy::default(),
             metrics: None,
@@ -308,13 +291,6 @@ impl RuntimeConfig {
     /// Records the run into `registry` (see [`RuntimeConfig::metrics`]).
     pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
         self.metrics = Some(registry.clone());
-        self
-    }
-
-    /// Enables or disables pooled frontier exploration (see
-    /// [`RuntimeConfig::pooling`]; on by default).
-    pub fn with_pooling(mut self, pooling: bool) -> Self {
-        self.pooling = pooling;
         self
     }
 
@@ -485,14 +461,17 @@ pub struct RunReport {
     /// Total time spent doing the paper's farmer's work: serving
     /// requests — the time the shard locks were held, summed over
     /// shards (`gbnb_shard_lock_hold_ns`) — plus the supervisor's
-    /// housekeeping (expiry, checkpoints, compaction).
+    /// housekeeping (expiry and compaction).
     pub farmer_busy: Duration,
-    /// Checkpoint files written by the supervisor.
+    /// The paper's farmer checkpoints: log compactions the run's
+    /// housekeeping committed, periodic and terminal (0 without a
+    /// [`DurabilityPolicy`]).
     pub farmer_checkpoints: u64,
-    /// Checkpoint writes that **failed** (also counted on
-    /// `gbnb_checkpoint_failures_total`). Non-zero means the on-disk
-    /// checkpoint may be stale — a run that silently kept going on a
-    /// dead store used to look identical to a healthy one.
+    /// Compactions that **failed** (the store also counts them on
+    /// `gbnb_wal_compaction_failures_total`). Non-zero means the
+    /// committed snapshot may be stale and recovery replays a longer
+    /// log tail — a run on a dead store must not look like a healthy
+    /// one.
     pub checkpoint_failures: u64,
     /// Length of the root interval (for redundancy accounting).
     pub root_length: UBig,
@@ -522,7 +501,7 @@ impl RunReport {
         self.workers.iter().map(|w| w.stats.bound_calls).sum()
     }
 
-    /// Total `lower_bound_batch` invocations (0 when pooling is off).
+    /// Total `lower_bound_batch` invocations.
     pub fn total_bound_batches(&self) -> u64 {
         self.workers.iter().map(|w| w.stats.bound_batches).sum()
     }
@@ -672,8 +651,8 @@ pub fn run<P: Problem>(problem: &P, config: &RuntimeConfig) -> RunReport {
 
 /// Runs on an explicit root interval: splits it over `config.shards`
 /// locks of a fresh [`ShardRouter`] and hands over to
-/// [`run_with_router`]. To resume from a checkpoint or a recovered log,
-/// restore the router yourself ([`ShardRouter::restore`]) and call
+/// [`run_with_router`]. To resume from a recovered log, restore the
+/// router yourself ([`ShardRouter::restore`]) and call
 /// [`run_with_router`] directly.
 pub fn run_on<P: Problem>(problem: &P, root: Interval, config: &RuntimeConfig) -> RunReport {
     config.assert_valid();
@@ -682,11 +661,11 @@ pub fn run_on<P: Problem>(problem: &P, root: Interval, config: &RuntimeConfig) -
     run_with_router(problem, router, config)
 }
 
-/// Runs with a pre-built [`ShardRouter`] — fresh, restored from a
-/// checkpoint ([`CheckpointStore::load_sharded`], or the single-shard
-/// v1 reader [`CheckpointStore::load`]) or rebuilt from a recovered
-/// log ([`WalStore::recover`]). The router's own shard count applies;
-/// `config.shards` is only read by [`run_on`].
+/// Runs with a pre-built [`ShardRouter`] — fresh, rebuilt from a
+/// recovered log ([`crate::WalStore::recover`]), or restored from
+/// snapshot text through the v1 reader
+/// ([`crate::checkpoint::decode_intervals`]). The router's own shard
+/// count applies; `config.shards` is only read by [`run_on`].
 ///
 /// The run is driven on worker threads plus a supervisor, or — under
 /// [`ReplicablePolicy::deterministic`] — by the single-threaded
@@ -715,8 +694,8 @@ pub fn run_with_router<P: Problem>(
     let (workers, housekeeping) = match deterministic {
         Some(policy) => {
             let workers = drive_on_logical_clock(problem, router, &cx, policy.seed);
-            let mut housekeeping = Housekeeping::new(router);
-            housekeeping.finish(router, config);
+            let mut housekeeping = Housekeeping::default();
+            housekeeping.finish(router);
             (workers, housekeeping)
         }
         None => drive_on_threads(problem, router, &cx, started),
@@ -735,8 +714,8 @@ pub fn run_with_router<P: Problem>(
         workers,
         wall: started.elapsed(),
         farmer_busy: housekeeping.busy + served,
-        farmer_checkpoints: housekeeping.checkpoints,
-        checkpoint_failures: housekeeping.checkpoint_failures,
+        farmer_checkpoints: housekeeping.compactions,
+        checkpoint_failures: housekeeping.compaction_failures,
         root_length,
         trace: router.trace().cloned(),
     }
@@ -752,17 +731,14 @@ fn equip_router(router: ShardRouter, config: &RuntimeConfig) -> ShardRouter {
         Some(registry) => router.with_metrics(registry),
         None => router,
     };
-    // Durability opens a fresh log epoch snapshotting the router's
-    // *current* state — which is the recovered state when the caller
-    // rebuilt the router from [`WalStore::recover`] — so a run killed
-    // at any instant resumes from here plus the journaled deltas.
+    // Durability opens a fresh log epoch on top of whatever the backend
+    // holds, snapshotting the router's current (possibly recovered)
+    // state, so a run killed at any instant resumes from here plus the
+    // journaled deltas.
     let router = match &config.durability {
-        Some(policy) => {
-            let (intervals, solution) = router.snapshot();
-            let wal = WalStore::create(Arc::clone(&policy.backend), &intervals, solution.as_ref())
-                .expect("failed to open the durable operation log");
-            router.with_wal(Arc::new(wal))
-        }
+        Some(policy) => router
+            .with_fresh_wal(Arc::clone(&policy.backend))
+            .expect("failed to open the durable operation log"),
         None => router,
     };
     let Some(policy) = &config.replicable else {
@@ -792,9 +768,13 @@ fn drive_on_threads<P: Problem>(
     started: Instant,
 ) -> (Vec<WorkerReport>, Housekeeping) {
     let workers_done = &AtomicBool::new(false);
+    let compact_every = cx.config.durability.as_ref().map(|p| p.compact_every);
     crossbeam::thread::scope(|scope| {
-        let supervisor =
-            scope.spawn(move |_| supervisor_loop(router, cx.config, started, workers_done));
+        let supervisor = scope.spawn(move |_| {
+            let mut housekeeping = supervise(router, compact_every, started, workers_done);
+            housekeeping.finish(router);
+            housekeeping
+        });
         let handles: Vec<_> = (0..cx.config.workers)
             .map(|index| {
                 scope.spawn(move |_| {
@@ -897,53 +877,37 @@ fn drive_on_logical_clock<P: Problem>(
     workers.into_iter().map(Worker::finish).collect()
 }
 
-/// What the supervisor did besides waiting, as [`RunReport`] tallies.
-struct Housekeeping {
-    busy: Duration,
-    checkpoints: u64,
-    checkpoint_failures: u64,
-    /// `gbnb_checkpoint_failures_total`.
-    checkpoint_failed: Counter,
+/// What the housekeeping did besides waiting: the tallies behind
+/// [`RunReport::farmer_busy`], [`RunReport::farmer_checkpoints`] and
+/// [`RunReport::checkpoint_failures`].
+#[derive(Debug, Default)]
+pub struct Housekeeping {
+    /// Time spent on expiry and compaction.
+    pub(crate) busy: Duration,
+    /// Compactions committed.
+    pub(crate) compactions: u64,
+    /// Compactions that failed; each leaves the previous manifest
+    /// committed and is also counted on
+    /// `gbnb_wal_compaction_failures_total` by the store.
+    pub(crate) compaction_failures: u64,
 }
 
 impl Housekeeping {
-    fn new(router: &ShardRouter) -> Self {
-        Housekeeping {
-            busy: Duration::ZERO,
-            checkpoints: 0,
-            checkpoint_failures: 0,
-            checkpoint_failed: router
-                .metrics()
-                .counter("gbnb_checkpoint_failures_total", &[]),
+    fn compact(&mut self, router: &ShardRouter) {
+        match router.compact_wal() {
+            Ok(true) => self.compactions += 1,
+            Ok(false) => {}
+            Err(_) => self.compaction_failures += 1,
         }
     }
 
-    fn checkpoint(&mut self, policy: &CheckpointPolicy, router: &ShardRouter) {
-        match policy.store.save_sharded(router) {
-            Ok(()) => self.checkpoints += 1,
-            Err(_) => {
-                self.checkpoint_failures += 1;
-                self.checkpoint_failed.inc();
-            }
-        }
-    }
-
-    /// Terminal housekeeping, under either driver: a final checkpoint
-    /// so a restart sees the terminal state, and a final compaction so
-    /// a finished campaign's backend holds the terminal snapshot
-    /// (usually empty intervals) and no segments — a restart recovers
-    /// the proof instead of redoing work.
-    fn finish(&mut self, router: &ShardRouter, config: &RuntimeConfig) {
+    /// Terminal housekeeping: a final compaction, so a finished
+    /// campaign's backend holds the terminal snapshot (usually empty
+    /// intervals) and no segments — a restart recovers the proof instead
+    /// of redoing work. A no-op without a log.
+    pub fn finish(&mut self, router: &ShardRouter) {
         let t0 = Instant::now();
-        if let Some(policy) = &config.checkpoint {
-            self.checkpoint(policy, router);
-        }
-        if config.durability.is_some() {
-            // A failed compaction leaves the previous manifest
-            // committed and is counted on
-            // `gbnb_wal_compaction_failures_total` by the store.
-            let _ = router.compact_wal();
-        }
+        self.compact(router);
         self.busy += t0.elapsed();
     }
 }
@@ -953,63 +917,48 @@ impl Housekeeping {
 /// sleeps has a deadline it has not seen yet.
 const EXPIRY_REREAD: Duration = Duration::from_millis(50);
 
-/// Shortest supervisor sleep, whatever the policies' periods say.
+/// Shortest supervisor sleep, whatever the compaction period says.
 const SHORTEST_WAIT: Duration = Duration::from_millis(1);
 
-/// Housekeeping beside the worker threads: expire stale holders (the
-/// recovery path for crashed workers), write periodic checkpoints and
-/// compact the log. It parks until the earliest of those is due and is
-/// unparked by the runtime when the last worker has joined; it then
-/// runs the terminal housekeeping.
-fn supervisor_loop(
+/// The one housekeeping loop, beside the in-process workers and inside
+/// the socket server alike: expire stale holders (the recovery path for
+/// crashed workers) and compact the log every `compact_every` (`None`:
+/// never). It parks until the earliest of those is due and returns once
+/// the router has terminated or `stop` is set — the caller sets it, then
+/// unparks this thread, when its workers or connections are gone.
+/// `started` is the origin of the `now_ns` the router was served with.
+/// Terminal housekeeping is the caller's call ([`Housekeeping::finish`]).
+pub fn supervise(
     router: &ShardRouter,
-    config: &RuntimeConfig,
+    compact_every: Option<Duration>,
     started: Instant,
-    workers_done: &AtomicBool,
+    stop: &AtomicBool,
 ) -> Housekeeping {
-    let mut housekeeping = Housekeeping::new(router);
-    let mut last_checkpoint = Instant::now();
+    let mut housekeeping = Housekeeping::default();
     let mut last_compaction = Instant::now();
-    let mut period = EXPIRY_REREAD;
-    if let Some(policy) = &config.checkpoint {
-        period = period.min(policy.every);
-    }
-    if let Some(policy) = &config.durability {
-        period = period.min(policy.compact_every);
-    }
-    // A zero period (`every` or `compact_every` of zero) must not turn
-    // the wait into a spin.
-    let period = period.max(SHORTEST_WAIT);
+    // A zero `compact_every` must not turn the wait into a spin.
+    let period = compact_every
+        .map_or(EXPIRY_REREAD, |every| every.min(EXPIRY_REREAD))
+        .max(SHORTEST_WAIT);
     loop {
         // Park until the earliest holder becomes expirable or the next
-        // housekeeping period, whichever is sooner.
+        // compaction, whichever is sooner.
         let now_ns = started.elapsed().as_nanos() as u64;
         let wait = router.next_expiry_at().map_or(period, |at| {
             Duration::from_nanos(at.saturating_sub(now_ns)).clamp(SHORTEST_WAIT, period)
         });
         std::thread::park_timeout(wait);
-        if workers_done.load(Ordering::Acquire) || router.is_terminated() {
-            break;
+        if stop.load(Ordering::Acquire) || router.is_terminated() {
+            return housekeeping;
         }
         let t0 = Instant::now();
         router.expire_stale_holders(started.elapsed().as_nanos() as u64);
-        if let Some(policy) = &config.checkpoint {
-            if last_checkpoint.elapsed() >= policy.every {
-                housekeeping.checkpoint(policy, router);
-                last_checkpoint = Instant::now();
-            }
-        }
-        if let Some(policy) = &config.durability {
-            if last_compaction.elapsed() >= policy.compact_every {
-                // Failures are counted by the store (see `finish`).
-                let _ = router.compact_wal();
-                last_compaction = Instant::now();
-            }
+        if compact_every.is_some_and(|every| last_compaction.elapsed() >= every) {
+            housekeeping.compact(router);
+            last_compaction = Instant::now();
         }
         housekeeping.busy += t0.elapsed();
     }
-    housekeeping.finish(router, config);
-    housekeeping
 }
 
 /// Client-side half of a run: spawns `config.workers` worker threads,
@@ -1283,12 +1232,7 @@ impl<'p, P: Problem> Worker<'p, P> {
             Ok(Response::Work { interval, cutoff }) => {
                 self.report.units += 1;
                 cx.metrics.units.inc();
-                let explorer = IntervalExplorer::with_pooling(
-                    self.problem,
-                    &interval,
-                    cutoff,
-                    cx.config.pooling,
-                );
+                let explorer = IntervalExplorer::new(self.problem, &interval, cutoff);
                 let unit_start = explorer.position().clone();
                 self.unit = Some((explorer, unit_start));
                 self.slices_since_contact = 0;

@@ -46,6 +46,7 @@
 //! response-identical to a bare [`Coordinator`] (pinned by a property
 //! test).
 
+use crate::storage::StorageBackend;
 use crate::trace::RunTrace;
 use crate::wal::{WalError, WalMetrics, WalOp, WalStore};
 use crate::{
@@ -275,11 +276,12 @@ impl ShardRouter {
         Self::restore(root, slices, None, config)
     }
 
-    /// Rebuilds a router from checkpointed per-shard interval sets (see
+    /// Rebuilds a router from per-shard interval sets — a recovered log
+    /// ([`WalStore::recover`]) or decoded snapshot text (see
     /// [`crate::checkpoint::decode_sharded_intervals`]): shard `k` owns
     /// `shard_intervals[k]`, all entries unassigned, every shard seeded
-    /// with the checkpointed `SOLUTION`. A single-shard checkpoint
-    /// restores as `S = 1`. Empty intervals are dropped; empty shards
+    /// with the saved `SOLUTION`. A single-shard snapshot restores as
+    /// `S = 1`. Empty intervals are dropped; empty shards
     /// are legal (they start terminated and refill by stealing).
     pub fn restore(
         root: Interval,
@@ -361,6 +363,17 @@ impl ShardRouter {
             wal: Some(wal),
             ..self
         }
+    }
+
+    /// Opens a fresh log epoch on `backend` whose snapshot is the
+    /// router's *current* state, and attaches it ([`WalStore::create`],
+    /// then [`ShardRouter::with_wal`]). On a router rebuilt from
+    /// [`WalStore::recover`] that state is the recovered one, so the new
+    /// epoch resumes where the old log ended.
+    pub fn with_fresh_wal(self, backend: Arc<dyn StorageBackend>) -> Result<Self, WalError> {
+        let (intervals, solution) = self.snapshot();
+        let wal = WalStore::create(backend, &intervals, solution.as_ref())?;
+        Ok(self.with_wal(Arc::new(wal)))
     }
 
     /// The attached operation log, if any.

@@ -2,11 +2,13 @@
 //!
 //! The paper checkpoints `INTERVALS` and `SOLUTION` on a timer; a farmer
 //! crash between ticks silently forfeits up to a full checkpoint interval
-//! of exploration. This module closes that window: every state-changing
-//! operation the coordinator performs (interval insert / remove / shrink,
-//! solution improvement) is appended to a per-shard operation log *before*
-//! the owning shard lock is released, and recovery replays
-//! `snapshot + log tail` back to the exact pre-crash state.
+//! of exploration. This module is the one persistence path, and it closes
+//! that window: every state-changing operation the coordinator performs
+//! (interval insert / remove / shrink, solution improvement) is appended
+//! to a per-shard operation log *before* the owning shard lock is
+//! released, and recovery replays `snapshot + log tail` back to the exact
+//! pre-crash state. The paper's timed checkpoint is a compaction: it
+//! writes the two files as `snap-{g}.intervals` and `snap-{g}.solution`.
 //!
 //! ## Record framing
 //!
@@ -26,7 +28,7 @@
 //! bad CRC, a broken magic, or an incomplete record *followed by more
 //! records* — recovery refuses loudly with [`WalError::Corrupt`]).
 //!
-//! The payload is one operation per line, reusing the checkpoint codec's
+//! The payload is one operation per line, reusing the snapshot codec's
 //! decimal-text interval encoding ([`crate::checkpoint::encode_interval_line`])
 //! so disk snapshots, the wire protocol, and the WAL all share one
 //! human-auditable format:
@@ -44,7 +46,7 @@
 //! consistent cut of the router (all shard locks held), bumps the
 //! generation `g → g+1` (subsequent appends open fresh segments), then —
 //! outside the locks — writes the cut as `snap-{g+1}.*` blobs in the
-//! existing v1/sharded checkpoint format, atomically publishes
+//! v1/sharded codec of [`crate::checkpoint`], atomically publishes
 //! `MANIFEST` (the commit point), and deletes the old generation's
 //! segments. Recovery reads `MANIFEST` for the committed generation `G`,
 //! loads `snap-{G}.*`, and replays every surviving segment with
@@ -196,11 +198,8 @@ fn corrupt(blob: &str, offset: u64, detail: impl Into<String>) -> WalError {
     }
 }
 
-fn checkpoint_corrupt(blob: &str, e: CheckpointError) -> WalError {
-    match e {
-        CheckpointError::Io(e) => WalError::Io(e),
-        CheckpointError::Corrupt(detail) => corrupt(blob, 0, detail),
-    }
+fn checkpoint_corrupt(blob: &str, CheckpointError::Corrupt(detail): CheckpointError) -> WalError {
+    corrupt(blob, 0, detail)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 //! Durability integration tests at the runtime layer: durable runs
-//! prove the same optimum, a mid-flight crash image recovers and
-//! finishes, and a failing checkpoint store can no longer fail
-//! silently.
+//! prove the same optimum and commit their terminal state, a mid-flight
+//! crash image recovers and finishes, and a failing compaction — the
+//! paper's checkpoint — can no longer fail silently.
 
-use gridbnb_core::checkpoint::CheckpointStore;
-use gridbnb_core::runtime::{run, run_with_router, CheckpointPolicy, RuntimeConfig};
+use gridbnb_core::runtime::{run, run_with_router, RuntimeConfig};
 use gridbnb_core::{
     CoordinatorConfig, Fault, FaultBackend, Interval, IntervalSet, MemoryBackend, MetricsRegistry,
     Request, Response, ShardRouter, StorageBackend, UBig, WalStore, WorkerId,
@@ -31,45 +30,69 @@ fn fast_config(workers: usize) -> RuntimeConfig {
     config
 }
 
-/// A durable run proves the optimum, journals real deltas, and leaves
-/// the terminal state committed: recovering the backend afterwards
-/// yields empty intervals (nothing left to explore) and the optimal
-/// solution — plus live `gbnb_wal_*` series on the run's registry.
+/// A durable run proves the optimum, journals real deltas, counts its
+/// compactions as the farmer's checkpoints, and leaves the terminal
+/// state committed: recovering the backend afterwards yields empty
+/// intervals (nothing left to explore) and the optimal solution, which
+/// restore into a terminated router — plus live `gbnb_wal_*` series on
+/// the run's registry. At one shard, several, and with coalesced
+/// contacts.
 #[test]
 fn durable_run_is_exact_and_commits_terminal_state() {
     let problem = small_flowshop(77);
     let expected = solve(&problem, None).best_cost;
-    let backend = Arc::new(MemoryBackend::new());
-    let registry = MetricsRegistry::new();
-    let config = fast_config(4)
-        .with_shards(2)
-        .with_metrics(&registry)
-        .with_durability(
-            Arc::clone(&backend) as Arc<dyn StorageBackend>,
-            Duration::from_millis(5),
-        );
-    let report = run(&problem, &config);
-    assert_eq!(report.proven_optimum, expected);
-    assert_eq!(report.checkpoint_failures, 0);
+    for shards in [1usize, 2, 3] {
+        for coalescing in [None, Some(4)] {
+            let backend = Arc::new(MemoryBackend::new());
+            let registry = MetricsRegistry::new();
+            let mut config = fast_config(4)
+                .with_shards(shards)
+                .with_metrics(&registry)
+                .with_durability(
+                    Arc::clone(&backend) as Arc<dyn StorageBackend>,
+                    Duration::from_millis(5),
+                );
+            if let Some(slices) = coalescing {
+                config = config.with_coalescing(slices);
+            }
+            let case = format!("S={shards} coalescing={coalescing:?}");
+            let report = run(&problem, &config);
+            assert_eq!(report.proven_optimum, expected, "{case}");
+            assert_eq!(report.checkpoint_failures, 0, "{case}");
+            assert!(
+                report.farmer_checkpoints >= 1,
+                "{case}: the terminal compaction is a checkpoint"
+            );
 
-    let scrape = registry.render_text();
-    assert!(
-        scrape.contains("gbnb_wal_appends_total"),
-        "wal series missing from the run registry:\n{scrape}"
-    );
+            let scrape = registry.render_text();
+            assert!(
+                scrape.contains("gbnb_wal_appends_total"),
+                "{case}: wal series missing from the run registry:\n{scrape}"
+            );
 
-    let (_, state) =
-        WalStore::recover(Arc::clone(&backend) as Arc<dyn StorageBackend>).expect("recover");
-    assert_eq!(
-        state.total_length(),
-        UBig::zero(),
-        "terminal compaction must commit the fully-explored state"
-    );
-    assert_eq!(state.solution.map(|s| s.cost), expected);
-    assert_eq!(
-        state.replayed_ops, 0,
-        "a compacted terminal backend has no log tail to replay"
-    );
+            let (_, state) = WalStore::recover(Arc::clone(&backend) as Arc<dyn StorageBackend>)
+                .expect("recover");
+            assert_eq!(
+                state.total_length(),
+                UBig::zero(),
+                "{case}: terminal compaction must commit the fully-explored state"
+            );
+            assert_eq!(state.solution.as_ref().map(|s| s.cost), expected, "{case}");
+            assert_eq!(
+                state.replayed_ops, 0,
+                "{case}: a compacted terminal backend has no log tail to replay"
+            );
+            assert_eq!(state.shard_intervals.len(), shards, "{case}");
+            let restored = ShardRouter::restore(
+                problem.shape().root_range(),
+                state.shard_intervals,
+                state.solution,
+                config.coordinator.clone(),
+            )
+            .expect("restore");
+            assert!(restored.is_terminated(), "{case}");
+        }
+    }
 }
 
 /// Crash-anywhere: image the backend *while the durable run is live*
@@ -151,16 +174,11 @@ fn steal_scene() -> (Arc<FaultBackend<MemoryBackend>>, ShardRouter, WorkerId) {
         holder_timeout_ns: 1_000_000_000,
         initial_upper_bound: Some(10_000),
     };
-    let router = ShardRouter::new(root, 2, config).expect("router");
     let backend = Arc::new(FaultBackend::new(MemoryBackend::new()));
-    let (intervals, solution) = router.snapshot();
-    let wal = WalStore::create(
-        Arc::clone(&backend) as Arc<dyn StorageBackend>,
-        &intervals,
-        solution.as_ref(),
-    )
-    .expect("create wal");
-    let router = router.with_wal(Arc::new(wal));
+    let router = ShardRouter::new(root, 2, config)
+        .expect("router")
+        .with_fresh_wal(Arc::clone(&backend) as Arc<dyn StorageBackend>)
+        .expect("create wal");
 
     let w0 = WorkerId(0);
     let home = router.route(w0);
@@ -273,41 +291,39 @@ fn steal_with_failing_victim_append_duplicates_instead_of_losing() {
     );
 }
 
-/// Satellite check: a checkpoint store that cannot write is *surfaced*
-/// — `RunReport::checkpoint_failures` counts every failed save and the
-/// `gbnb_checkpoint_failures_total` series records it, at one shard
-/// and at several. Before this
-/// counter existed, `save().is_ok()` swallowed the error and a run with
-/// a dead store looked identical to a healthy one.
+/// A compaction that cannot write is *surfaced*:
+/// `RunReport::checkpoint_failures` counts every failed compaction and
+/// the store's `gbnb_wal_compaction_failures_total` series records it,
+/// at one shard and at several. The backend accepts the three puts that
+/// open the log and fails every write after them, so no compaction —
+/// periodic or terminal — can commit, while the in-memory search stays
+/// exact.
 #[test]
-fn failing_checkpoint_store_is_surfaced() {
+fn failed_compaction_reaches_the_run_report() {
     let problem = small_flowshop(99);
     let expected = solve(&problem, None).best_cost;
-    // A directory path that cannot exist: a *file* sits where the
-    // parent directory would have to be.
-    let dir = std::env::temp_dir().join(format!("gridbnb-ckpt-fail-{}", std::process::id()));
-    std::fs::write(&dir, b"a file, not a directory").expect("plant blocker file");
-    let store = CheckpointStore::new(dir.join("intervals.ckpt"), dir.join("solution.ckpt"));
-
     for shards in [1usize, 2] {
+        let backend = Arc::new(FaultBackend::new(MemoryBackend::new()));
+        backend.fail_after(3, u64::MAX, Fault::Error);
         let registry = MetricsRegistry::new();
-        let mut config = fast_config(2).with_shards(shards).with_metrics(&registry);
-        config.checkpoint = Some(CheckpointPolicy {
-            store: store.clone(),
-            every: Duration::from_millis(1),
-        });
+        let config = fast_config(2)
+            .with_shards(shards)
+            .with_metrics(&registry)
+            .with_durability(
+                Arc::clone(&backend) as Arc<dyn StorageBackend>,
+                Duration::from_millis(1),
+            );
         let report = run(&problem, &config);
         assert_eq!(report.proven_optimum, expected, "run must stay exact");
-        assert_eq!(report.farmer_checkpoints, 0, "no save can have succeeded");
+        assert_eq!(report.farmer_checkpoints, 0, "no compaction can commit");
         assert!(
             report.checkpoint_failures > 0,
-            "S={shards}: failed checkpoints must be counted, not swallowed"
+            "S={shards}: failed compactions must be counted, not swallowed"
         );
         let scrape = registry.render_text();
         assert!(
-            scrape.contains("gbnb_checkpoint_failures_total"),
+            scrape.contains("gbnb_wal_compaction_failures_total"),
             "S={shards}: failure series missing from scrape:\n{scrape}"
         );
     }
-    let _ = std::fs::remove_file(&dir);
 }

@@ -1,15 +1,14 @@
 //! End-to-end runtime tests: the threaded farmer–worker resolution must
 //! always return the exact optimum — with many workers, heterogeneous
-//! powers, crashes, rejoin, and checkpoint/restore.
+//! powers, crashes, rejoin, and restore from a recovered log or v1
+//! snapshot text.
 
-use gridbnb_core::checkpoint::CheckpointStore;
 use gridbnb_core::runtime::{
-    run, run_with_router, run_workers, ChaosConfig, CheckpointPolicy, CrashPlan, RuntimeConfig,
-    WorkerReport,
+    run, run_with_router, run_workers, ChaosConfig, CrashPlan, RuntimeConfig, WorkerReport,
 };
 use gridbnb_core::{
-    CoordinatorConfig, PendingContact, Request, Response, RouterTransport, ShardRouter, Submitted,
-    Transport, TransportError, UBig,
+    CoordinatorConfig, MemoryBackend, PendingContact, Request, Response, RouterTransport,
+    ShardRouter, StorageBackend, Submitted, Transport, TransportError, UBig, WalStore,
 };
 use gridbnb_engine::toy::FullEnumeration;
 use gridbnb_engine::{solve, solve_interval};
@@ -73,20 +72,17 @@ fn many_workers_match_sequential() {
     }
 }
 
+/// Workers always explore pooled (the engine's `pool_props` oracle pins
+/// scalar ≡ pooled): the run is exact and its pools are counted.
 #[test]
 fn pooling_toggle_is_exact_and_counted() {
     let problem = small_flowshop(55);
     let expected = solve(&problem, None).best_cost;
     let pooled = run(&problem, &fast_config(2));
-    let scalar = run(&problem, &fast_config(2).with_pooling(false));
     assert_eq!(pooled.proven_optimum, expected);
-    assert_eq!(scalar.proven_optimum, expected);
-    // Pooled workers batch their bounds; scalar workers never do.
     assert!(pooled.total_bound_batches() > 0, "no pools were filled");
-    assert_eq!(scalar.total_bound_batches(), 0);
     // Fill-time counting can only over-count relative to consumption.
     assert!(pooled.total_nodes_bounded() >= pooled.total_bound_calls());
-    assert_eq!(scalar.total_nodes_bounded(), scalar.total_bound_calls());
     assert!(pooled.nodes_bounded_per_sec() > 0.0);
 }
 
@@ -358,48 +354,18 @@ fn sharded_heterogeneous_powers_still_exact() {
 }
 
 #[test]
-fn sharded_checkpoint_written_and_restorable() {
-    let dir = std::env::temp_dir().join(format!("gridbnb-rt-shckpt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let store = CheckpointStore::new(dir.join("intervals.txt"), dir.join("solution.txt"));
-
-    let problem = small_flowshop(88);
-    let expected = solve(&problem, None).best_cost;
-    let mut config = fast_config(3).with_shards(3);
-    config.checkpoint = Some(CheckpointPolicy {
-        store: store.clone(),
-        every: Duration::from_millis(5),
-    });
-    let report = run(&problem, &config);
-    assert_eq!(report.proven_optimum, expected);
-    assert!(report.farmer_checkpoints >= 1);
-    // The final checkpoint reflects termination and restores cleanly
-    // into a fresh router.
-    let (shards, solution) = store.load_sharded().unwrap();
-    assert!(shards.iter().all(|s| s.is_empty()));
-    assert_eq!(solution.as_ref().map(|s| s.cost), expected);
-    let shape = problem.shape();
-    let restored =
-        ShardRouter::restore(shape.root_range(), shards, solution, config.coordinator).unwrap();
-    assert!(restored.is_terminated());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn coalesced_sharded_mid_run_checkpoint_restores_without_losing_intervals() {
-    // The coalesce × checkpoint corner: a sharded checkpoint taken
+    // The coalesce × checkpoint corner: a sharded compaction taken
     // mid-run, while workers hold units and their progress arrived
     // through coalesced bundles (UpdateAndReport, mixed-worker
-    // groups), must restore into a router that (a) lost no interval
+    // groups), must recover into a router that (a) lost no interval
     // length and (b) resumes under coalescing to the globally exact
     // optimum. Driven deterministically: each worker's explored prefix
-    // is solved sequentially and reported, so the checkpoint state plus
+    // is solved sequentially and reported, so the compacted state plus
     // the reports is a faithful mid-run snapshot.
     use gridbnb_core::{Request, Response, WorkerId};
     use gridbnb_engine::Solution;
-    let dir = std::env::temp_dir().join(format!("gridbnb-rt-coalesce-ckpt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let store = CheckpointStore::new(dir.join("intervals.txt"), dir.join("solution.txt"));
+    let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
 
     let problem = small_flowshop(123);
     let shape = problem.shape();
@@ -410,7 +376,10 @@ fn coalesced_sharded_mid_run_checkpoint_restores_without_losing_intervals() {
         holder_timeout_ns: 20_000_000,
         initial_upper_bound: None,
     };
-    let router = ShardRouter::new(root.clone(), 4, coordinator_config.clone()).unwrap();
+    let router = ShardRouter::new(root.clone(), 4, coordinator_config.clone())
+        .unwrap()
+        .with_fresh_wal(Arc::clone(&backend))
+        .unwrap();
     let mut pending_report: Option<Solution> = None;
     for w in 0..3u64 {
         let worker = WorkerId(w);
@@ -452,54 +421,30 @@ fn coalesced_sharded_mid_run_checkpoint_restores_without_losing_intervals() {
         }
     }
 
-    // Mid-run sharded save: holders attached, progress applied.
-    store.save_sharded(&router).unwrap();
+    // Mid-run sharded compaction: holders attached, progress applied.
+    assert!(router.compact_wal().unwrap(), "a WAL is attached");
     let size_at_save = router.size();
-    assert!(!size_at_save.is_zero(), "checkpoint must be mid-run");
-    let (shards, solution) = store.load_sharded().unwrap();
-    assert_eq!(shards.len(), 4);
-    let restored = ShardRouter::restore(root, shards, solution, coordinator_config).unwrap();
+    assert!(!size_at_save.is_zero(), "compaction must be mid-run");
+    let (_, state) = WalStore::recover(backend).unwrap();
+    assert_eq!(state.shard_intervals.len(), 4);
+    let restored = ShardRouter::restore(
+        root,
+        state.shard_intervals,
+        state.solution,
+        coordinator_config,
+    )
+    .unwrap();
     // No lost intervals: the restored unexplored length is exactly the
-    // live router's (the snapshot is taken under the steal gate, so no
+    // live router's (the cut is taken under the steal gate, so no
     // in-flight interval can be missed).
     assert_eq!(restored.size(), size_at_save);
 
     // Resume under coalescing + shards: the proof must complete to the
     // global optimum (explored prefixes are covered by the reported
-    // solutions the checkpoint carried).
+    // solutions the snapshot carried).
     let config = fast_config(4).with_shards(4).with_coalescing(4);
     let report = run_with_router(&problem, restored, &config);
     assert_eq!(report.proven_optimum, expected, "resumed proof diverged");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn coalesced_sharded_checkpoint_files_written_and_restorable() {
-    // End-to-end variant: a live coalesced + sharded run checkpointing
-    // on a short period; the final file restores to the terminal state
-    // with the proven solution.
-    let dir = std::env::temp_dir().join(format!("gridbnb-rt-coalesce-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let store = CheckpointStore::new(dir.join("intervals.txt"), dir.join("solution.txt"));
-
-    let problem = small_flowshop(88);
-    let expected = solve(&problem, None).best_cost;
-    let mut config = fast_config(3).with_shards(3).with_coalescing(4);
-    config.checkpoint = Some(CheckpointPolicy {
-        store: store.clone(),
-        every: Duration::from_millis(5),
-    });
-    let report = run(&problem, &config);
-    assert_eq!(report.proven_optimum, expected);
-    assert!(report.farmer_checkpoints >= 1);
-    let (shards, solution) = store.load_sharded().unwrap();
-    assert!(shards.iter().all(|s| s.is_empty()));
-    assert_eq!(solution.as_ref().map(|s| s.cost), expected);
-    let shape = problem.shape();
-    let restored =
-        ShardRouter::restore(shape.root_range(), shards, solution, config.coordinator).unwrap();
-    assert!(restored.is_terminated());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -538,30 +483,6 @@ fn works_on_tsp_too() {
 }
 
 #[test]
-fn checkpoint_files_written_and_restorable() {
-    let dir = std::env::temp_dir().join(format!("gridbnb-rt-ckpt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let store = CheckpointStore::new(dir.join("intervals.txt"), dir.join("solution.txt"));
-
-    let problem = small_flowshop(88);
-    let expected = solve(&problem, None).best_cost;
-    let mut config = fast_config(3);
-    config.checkpoint = Some(CheckpointPolicy {
-        store: store.clone(),
-        every: Duration::from_millis(5),
-    });
-    let report = run(&problem, &config);
-    assert_eq!(report.proven_optimum, expected);
-    assert!(report.farmer_checkpoints >= 1);
-    // The final checkpoint reflects termination: no intervals left, and
-    // the solution matches.
-    let (intervals, solution) = store.load().unwrap();
-    assert!(intervals.is_empty());
-    assert_eq!(solution.map(|s| s.cost), expected);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn restore_resumes_partial_run() {
     // Simulate a farmer failure mid-run: the left half was explored (its
     // best is in SOLUTION), only the right half remains in INTERVALS.
@@ -592,34 +513,26 @@ fn restore_resumes_partial_run() {
 #[test]
 fn v1_checkpoint_file_resumes_through_the_router() {
     // A markerless v1 checkpoint — what a single coordinator wrote
-    // before routers existed — read by the v1 loader and resumed as a
+    // before routers existed — read by the v1 decoder and resumed as a
     // one-shard router: the left third is explored (its best is in the
-    // SOLUTION file), only the rest remains in INTERVALS.
-    use gridbnb_core::checkpoint::{encode_intervals, encode_solution};
-    let dir = std::env::temp_dir().join(format!("gridbnb-rt-v1-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let store = CheckpointStore::new(dir.join("intervals.txt"), dir.join("solution.txt"));
-
+    // SOLUTION text), only the rest remains in INTERVALS.
+    use gridbnb_core::checkpoint::{
+        decode_intervals, decode_solution, encode_intervals, encode_solution,
+    };
     let problem = small_flowshop(99);
     let expected = solve(&problem, None).best_cost;
     let total = problem.shape().root_range();
     let (left, right) = total.split_at(&total.end().div_rem_u64(3).0);
     let left_best = solve_interval(&problem, &left, None).best;
-    std::fs::write(dir.join("intervals.txt"), encode_intervals(&[right])).unwrap();
-    std::fs::write(
-        dir.join("solution.txt"),
-        encode_solution(left_best.as_ref()),
-    )
-    .unwrap();
+    let intervals = decode_intervals(&encode_intervals(&[right])).unwrap();
+    let solution = decode_solution(&encode_solution(left_best.as_ref())).unwrap();
 
-    let (intervals, solution) = store.load().unwrap();
     let config = fast_config(3);
     let router =
         ShardRouter::restore(total, vec![intervals], solution, config.coordinator.clone()).unwrap();
     let report = run_with_router(&problem, router, &config);
     assert_eq!(report.proven_optimum, expected);
     assert_eq!(report.shard_stats.len(), 1);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -645,18 +558,11 @@ fn back_to_back_runs_do_not_wait_out_a_timer() {
 
 #[test]
 fn zero_period_housekeeping_does_not_spin() {
-    // `every = ZERO` used to make the supervisor wait 0 ns: it never
-    // slept and checkpointed back to back. The wait is floored at 1 ms,
-    // so it can write at most one checkpoint per millisecond of run,
-    // plus the terminal one.
-    let dir = std::env::temp_dir().join(format!("gridbnb-rt-zero-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    // A zero compaction period must not make the supervisor spin: its
+    // wait is floored at 1 ms, so it can compact at most once per
+    // millisecond of run, plus the terminal compaction.
     let problem = FullEnumeration::new(8);
-    let mut config = fast_config(2);
-    config.checkpoint = Some(CheckpointPolicy {
-        store: CheckpointStore::new(dir.join("intervals.txt"), dir.join("solution.txt")),
-        every: Duration::ZERO,
-    });
+    let config = fast_config(2).with_durability(Arc::new(MemoryBackend::new()), Duration::ZERO);
     let report = run(&problem, &config);
     assert_eq!(report.proven_optimum, solve(&problem, None).best_cost);
     assert!(report.farmer_checkpoints >= 1);
@@ -666,7 +572,6 @@ fn zero_period_housekeeping_does_not_spin() {
         report.farmer_checkpoints,
         report.wall
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -4,7 +4,10 @@
 //! conserve work exactly, steal across shards when their own drains,
 //! and only see `Terminate` at global termination.
 
-use gridbnb_core::checkpoint::CheckpointStore;
+use gridbnb_core::checkpoint::{
+    decode_intervals, decode_sharded_intervals, decode_solution, encode_sharded_intervals,
+    encode_solution,
+};
 use gridbnb_core::{
     ConfigError, Coordinator, CoordinatorConfig, Interval, IntervalSet, Request, Response,
     ShardRouter, Solution, UBig, WorkerId,
@@ -304,10 +307,6 @@ fn expiry_sweeps_every_shard() {
 
 #[test]
 fn sharded_checkpoint_round_trips_through_the_store() {
-    let dir = std::env::temp_dir().join(format!("gridbnb-shard-ckpt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let store = CheckpointStore::new(dir.join("intervals.txt"), dir.join("solution.txt"));
-
     let root = iv(0, 5_040);
     let router = ShardRouter::new(root.clone(), 3, config(8)).unwrap();
     for w in 0..5 {
@@ -326,9 +325,12 @@ fn sharded_checkpoint_round_trips_through_the_store() {
         },
         9,
     );
-    store.save_sharded(&router).unwrap();
+    let (shards, solution) = router.snapshot();
+    let intervals_text = encode_sharded_intervals(&shards);
+    let solution_text = encode_solution(solution.as_ref());
 
-    let (shards, solution) = store.load_sharded().unwrap();
+    let shards = decode_sharded_intervals(&intervals_text).unwrap();
+    let solution = decode_solution(&solution_text).unwrap();
     assert_eq!(shards.len(), 3);
     assert_eq!(solution.as_ref().map(|s| s.cost), Some(42));
     let restored = ShardRouter::restore(root.clone(), shards, solution, config(8)).unwrap();
@@ -337,12 +339,12 @@ fn sharded_checkpoint_round_trips_through_the_store() {
     assert_eq!(restored.cutoff(), Some(42));
     restored.check_invariants().unwrap();
 
-    // The same files also restore into a single merged coordinator —
+    // The same text also restores into a single merged coordinator —
     // the sharded format is a strict extension of the v1 format.
-    let (flat, solution) = store.load().unwrap();
+    let flat = decode_intervals(&intervals_text).unwrap();
+    let solution = decode_solution(&solution_text).unwrap();
     let merged = Coordinator::restore(root, flat, solution, config(8));
     assert_eq!(merged.size(), router.size());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------

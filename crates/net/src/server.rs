@@ -23,24 +23,29 @@
 //!   [`gridbnb_core::ShardRouter::handle_bundle`] call (one lock per
 //!   touched shard) for a burst of frames, which is where multiplexed
 //!   clients beat per-connection ones.
-//! * **Supervisor** — mirrors the in-process runtime's housekeeping:
+//! * **Supervisor** — the in-process runtime's housekeeping loop
+//!   ([`gridbnb_core::runtime::supervise`]) on a thread of its own:
 //!   expire stale holders (crash recovery for vanished connections) and
-//!   compact the durable log on its period.
+//!   compact the durable log on its period. A terminated campaign gets
+//!   the terminal compaction too; a stopped one does not, so its log
+//!   tail stays the crash image a restart must replay.
 //! * **Drain** — with [`ServerConfig::drain_on_termination`] set (the
 //!   default: one resolution campaign per server, like the paper's
-//!   runs), `serve` returns once the router terminates and the last
-//!   connection closes; [`ServerHandle::stop`] forces the same wind-down
-//!   early. In-flight frames are answered before their connections
-//!   close: a handler checks the stop flag after every answered burst
-//!   and on every idle read timeout, so even a client that never pauses
-//!   cannot hold the server open.
+//!   runs), `serve` returns once the router terminates, the listen
+//!   backlog is empty and the last connection closes — a worker that
+//!   connected just before termination is answered `Terminate`, never
+//!   reset. [`ServerHandle::stop`] forces the same wind-down early.
+//!   In-flight frames are answered before their connections close: a
+//!   handler checks the stop flag after every answered burst and on
+//!   every idle read timeout, so even a client that never pauses cannot
+//!   hold the server open.
 //!
 //! Misbehaving peers never take the server down: a malformed frame
 //! closes that one connection and bumps
 //! [`ServerReport::protocol_errors`].
 
 use crate::wire::{self, drain_buffered_frames, read_frame, write_frame, Frame, RunStatus};
-use gridbnb_core::runtime::DurabilityPolicy;
+use gridbnb_core::runtime::{supervise, DurabilityPolicy};
 use gridbnb_core::{
     ConfigError, CoordinatorConfig, CoordinatorStats, Interval, Request, ShardRouter,
     TransportError, UBig, WalError, WalStore,
@@ -367,9 +372,8 @@ impl NetServer {
     /// backend opens a new log epoch instead.
     pub fn serve(self) -> Result<ServerReport, ServerError> {
         let started = Instant::now();
-        let durability = self.config.durability.clone();
         let mut recovery = None;
-        let router = match &durability {
+        let router = match &self.config.durability {
             Some(policy) => {
                 if WalStore::exists(policy.backend.as_ref()).map_err(ServerError::Io)? {
                     let (wal, state) = WalStore::recover(Arc::clone(&policy.backend))?;
@@ -390,18 +394,12 @@ impl NetServer {
                     )?
                     .with_wal(Arc::new(wal))
                 } else {
-                    let router = ShardRouter::new(
+                    ShardRouter::new(
                         self.root.clone(),
                         self.config.shards,
                         self.config.coordinator.clone(),
-                    )?;
-                    let (intervals, solution) = router.snapshot();
-                    let wal = WalStore::create(
-                        Arc::clone(&policy.backend),
-                        &intervals,
-                        solution.as_ref(),
-                    )?;
-                    router.with_wal(Arc::new(wal))
+                    )?
+                    .with_fresh_wal(Arc::clone(&policy.backend))?
                 }
             }
             None => ShardRouter::new(
@@ -413,7 +411,6 @@ impl NetServer {
         let net_metrics = NetMetrics::register(router.metrics());
         let counters = Counters::default();
         let live = AtomicUsize::new(0);
-        let supervising = AtomicBool::new(true);
         // The accept queue: a single mpsc receiver shared by the pool
         // behind a mutex (the std-backed channel shim has no
         // multi-consumer receiver; contention here is one lock per
@@ -422,14 +419,13 @@ impl NetServer {
         let conn_rx = std::sync::Mutex::new(conn_rx);
         self.listener.set_nonblocking(true)?;
 
-        crossbeam::thread::scope(|scope| -> Result<(), ServerError> {
+        let mut housekeeping = crossbeam::thread::scope(|scope| {
             let router = &router;
             let counters = &counters;
             let live = &live;
             let config = &self.config;
             let shutdown = self.shutdown.as_ref();
             let conn_rx = &conn_rx;
-            let supervising = &supervising;
             let net_metrics = &net_metrics;
             for _ in 0..config.handler_threads.max(1) {
                 scope.spawn(move |_| loop {
@@ -448,40 +444,17 @@ impl NetServer {
                 });
             }
 
-            // Supervisor: the same housekeeping the in-process runtime
-            // runs — holder expiry recovers intervals from vanished
-            // connections.
-            let durability = durability.as_ref();
-            scope.spawn(move |_| {
-                let tick = durability.map_or(Duration::from_millis(5), |policy| {
-                    policy.compact_every.min(Duration::from_millis(5))
-                });
-                let mut last_compaction = Instant::now();
-                while supervising.load(Ordering::Acquire) {
-                    std::thread::sleep(tick);
-                    router.expire_stale_holders(started.elapsed().as_nanos() as u64);
-                    if let Some(policy) = durability {
-                        if last_compaction.elapsed() >= policy.compact_every {
-                            // A failed compaction leaves the previous
-                            // manifest committed; the store counts it on
-                            // `gbnb_wal_compaction_failures_total`.
-                            let _ = router.compact_wal();
-                            last_compaction = Instant::now();
-                        }
-                    }
-                }
-            });
+            // Supervisor: the in-process runtime's housekeeping loop —
+            // holder expiry recovers intervals from vanished connections.
+            let compact_every = config.durability.as_ref().map(|p| p.compact_every);
+            let supervisor =
+                scope.spawn(move |_| supervise(router, compact_every, started, shutdown));
 
             // Acceptor (this thread). Non-blocking so stop/drain are
             // observed within one poll tick even with no traffic.
+            let mut accept_error = None;
             loop {
                 if shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                if config.drain_on_termination
-                    && router.is_terminated()
-                    && live.load(Ordering::Acquire) == 0
-                {
                     break;
                 }
                 match self.listener.accept() {
@@ -494,23 +467,36 @@ impl NetServer {
                             break;
                         }
                     }
+                    // Drain only once the backlog is empty: a connection
+                    // still waiting there is accepted and answered first.
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        if config.drain_on_termination
+                            && router.is_terminated()
+                            && live.load(Ordering::Acquire) == 0
+                        {
+                            break;
+                        }
                         std::thread::sleep(Duration::from_millis(1));
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(e) => {
-                        supervising.store(false, Ordering::Release);
-                        return Err(ServerError::Io(e));
+                        accept_error = Some(e);
+                        break;
                     }
                 }
             }
             // Wind-down: no new connections; handlers notice the flag
             // after their current burst or within one read timeout, and
-            // close their connections.
+            // close their connections. The supervisor is woken rather
+            // than left to sleep out its timer.
             shutdown.store(true, Ordering::Release);
             drop(conn_tx);
-            supervising.store(false, Ordering::Release);
-            Ok(())
+            supervisor.thread().unpark();
+            let housekeeping = supervisor.join().expect("supervisor thread panicked");
+            match accept_error {
+                Some(e) => Err(ServerError::Io(e)),
+                None => Ok(housekeeping),
+            }
         })
         .expect("server scope panicked")?;
 
@@ -519,10 +505,10 @@ impl NetServer {
         // snapshot and no segments, so a restart replays nothing. A
         // server merely stopped mid-campaign skips this — its log tail
         // is the crash image a restart must replay.
-        if durability.is_some() && router.is_terminated() {
-            let _ = router.compact_wal();
-        }
         let terminated = router.is_terminated();
+        if terminated {
+            housekeeping.finish(&router);
+        }
         let solution = router.solution();
         Ok(ServerReport {
             proven_optimum: solution.as_ref().filter(|_| terminated).map(|s| s.cost),

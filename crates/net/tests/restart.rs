@@ -8,14 +8,15 @@
 
 use gridbnb_core::runtime::{ChaosConfig, CrashPlan, DurabilityPolicy, RuntimeConfig};
 use gridbnb_core::{
-    CoordinatorConfig, FileBackend, Problem, ShardDirBackend, StorageBackend, UBig,
+    CoordinatorConfig, FileBackend, MemoryBackend, Problem, Request, Response, ShardDirBackend,
+    StorageBackend, Transport, UBig, WorkerId,
 };
 use gridbnb_engine::solve;
 use gridbnb_flowshop::bounds::PairSelection;
 use gridbnb_flowshop::{taillard, BoundMode, FlowshopProblem};
 use gridbnb_net::{
     query_metrics, query_status, run_workers_over_socket, ClientMode, ClientOptions, NetServer,
-    ServerConfig, ServerHandle, ServerReport,
+    ServerConfig, ServerHandle, ServerReport, SocketTransport,
 };
 use gridbnb_qap::greedy::{greedy_upper_bound, GreedyParams};
 use gridbnb_qap::{Bound, QapInstance, QapProblem};
@@ -201,4 +202,50 @@ fn killed_qap_server_resumes_from_flat_files() {
     let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::new(&dir).expect("file backend"));
     kill_and_restart(&problem, backend, coordinator, expected);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A server restarted on a finished campaign recovers a terminated
+/// router. A worker that connected before `serve` sits in the listen
+/// backlog; the server must accept and answer it — `Terminate` — before
+/// it drains, instead of closing the listener under it.
+#[test]
+fn restarted_finished_server_answers_a_waiting_worker_terminate() {
+    let problem = flowshop9();
+    let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
+    let durable = || ServerConfig {
+        durability: Some(DurabilityPolicy {
+            backend: Arc::clone(&backend),
+            compact_every: Duration::from_millis(20),
+        }),
+        ..ServerConfig::default()
+    };
+    let (addr, _handle, server) = spawn_server(&problem, durable());
+    run_workers_over_socket(
+        &problem,
+        addr,
+        &campaign_config(2),
+        0,
+        ClientMode::PerConnection,
+        &ClientOptions::default(),
+    )
+    .expect("fleet");
+    assert!(server.join().expect("server thread").terminated);
+
+    let server = NetServer::bind("127.0.0.1:0", problem.shape().root_range(), durable())
+        .expect("bind loopback");
+    let transport =
+        SocketTransport::connect(server.local_addr(), &ClientOptions::default()).expect("connect");
+    let serving = std::thread::spawn(move || server.serve().expect("serve"));
+    let reply = transport.contact(vec![Request::Join {
+        worker: WorkerId(7),
+        power: 100,
+    }]);
+    assert!(
+        matches!(reply.as_deref(), Ok([Response::Terminate])),
+        "a waiting worker must be answered Terminate, got {reply:?}"
+    );
+    drop(transport);
+    let restarted = serving.join().expect("restarted server thread");
+    assert!(restarted.terminated);
+    assert!(restarted.recovery.is_some());
 }

@@ -1,7 +1,8 @@
 //! Fault-tolerance demonstration: workers crash mid-search (losing all
 //! state), the coordinator recovers their intervals, and the final
 //! optimum is still exact. Also shows farmer checkpoint/restore — the
-//! paper's two-file recovery (§4.1).
+//! paper's two-file recovery (§4.1), where each checkpoint is a
+//! compaction of the durable log that writes the two files.
 //!
 //! ```sh
 //! cargo run --release --example fault_tolerance
@@ -15,17 +16,15 @@
 //! # disk), recovery, and a resumed run proving the same optimum.
 //! cargo run --release --example fault_tolerance -- --durable
 //!
-//! # A bigger checkpointed campaign: 16-facility Nugent-style QAP,
-//! # heuristic-seeded, durable and checkpointed while it runs.
+//! # A bigger durable campaign: 16-facility Nugent-style QAP,
+//! # heuristic-seeded, compacting its log while it runs.
 //! cargo run --release --example fault_tolerance -- --nug16
 //! ```
 
-use gridbnb::core::checkpoint::CheckpointStore;
-use gridbnb::core::runtime::{
-    run, run_with_router, ChaosConfig, CheckpointPolicy, CrashPlan, RuntimeConfig,
-};
+use gridbnb::core::runtime::{run, run_with_router, ChaosConfig, CrashPlan, RuntimeConfig};
 use gridbnb::core::{
-    CoordinatorConfig, MetricsRegistry, ShardDirBackend, ShardRouter, StorageBackend, WalStore,
+    CoordinatorConfig, FileBackend, MetricsRegistry, ShardDirBackend, ShardRouter, StorageBackend,
+    WalStore,
 };
 use gridbnb::engine::solve;
 use gridbnb::flowshop::bounds::PairSelection;
@@ -91,33 +90,40 @@ fn demo_crashes_and_checkpoints() {
         "crashes must not lose work"
     );
 
-    // ---- Farmer checkpoint/restore.
+    // ---- Farmer checkpoint/restore: every compaction of the durable
+    // log writes the two files, `snap-{g}.intervals` and
+    // `snap-{g}.solution`, readable on a flat-file backend.
     let dir = std::env::temp_dir().join(format!("gridbnb-example-ckpt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let store = CheckpointStore::new(dir.join("INTERVALS"), dir.join("SOLUTION"));
-    let mut config = RuntimeConfig::new(4);
-    config.checkpoint = Some(CheckpointPolicy {
-        store: store.clone(),
-        every: Duration::from_millis(5),
-    });
+    let _ = std::fs::remove_dir_all(&dir);
+    let backend: Arc<dyn StorageBackend> =
+        Arc::new(FileBackend::new(&dir).expect("flat-file backend"));
+    let config =
+        RuntimeConfig::new(4).with_durability(Arc::clone(&backend), Duration::from_millis(5));
     let report = run(&problem, &config);
     println!(
         "checkpointing run: optimum {:?}, {} farmer checkpoints written, {} failed",
         report.proven_optimum, report.farmer_checkpoints, report.checkpoint_failures
     );
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("backend dir")
+        .filter_map(|entry| Some(entry.ok()?.file_name().to_string_lossy().into_owned()))
+        .filter(|name| name.starts_with("snap-"))
+        .collect();
+    files.sort();
+    println!("the two files on disk: {}", files.join(", "));
 
     // Simulate a farmer restart from the files — here the terminal
-    // state, read by the v1 loader into a one-shard router.
-    let (intervals, solution) = store.load().expect("readable checkpoint");
+    // state, recovered into a router.
+    let (_, state) = WalStore::recover(backend).expect("readable checkpoint");
     println!(
         "restored checkpoint: {} interval(s), solution {:?}",
-        intervals.len(),
-        solution.as_ref().map(|s| s.cost)
+        state.shard_intervals.iter().map(Vec::len).sum::<usize>(),
+        state.solution.as_ref().map(|s| s.cost)
     );
     let router = ShardRouter::restore(
         problem_root(&problem),
-        vec![intervals],
-        solution,
+        state.shard_intervals,
+        state.solution,
         CoordinatorConfig::default(),
     )
     .expect("valid coordinator config");
@@ -237,9 +243,9 @@ fn demo_durable() {
 }
 
 /// A bigger campaign in the paper's style: 16-facility Nugent-like QAP,
-/// seeded with the greedy heuristic's upper bound, running durable AND
-/// checkpointed at once. Expect minutes, not seconds — that is the
-/// point: the checkpoint files and the WAL stay warm the whole way.
+/// seeded with the greedy heuristic's upper bound, running durable.
+/// Expect minutes, not seconds — that is the point: the WAL stays warm
+/// and is compacted (checkpointed) the whole way.
 fn demo_nug16() {
     use gridbnb::qap::greedy::{greedy_upper_bound, GreedyParams};
     use gridbnb::qap::{Bound, QapInstance, QapProblem};
@@ -253,23 +259,14 @@ fn demo_nug16() {
     let _ = std::fs::remove_dir_all(&scratch);
     let backend: Arc<dyn StorageBackend> =
         Arc::new(ShardDirBackend::new(scratch.join("wal")).expect("shard-dir backend"));
-    std::fs::create_dir_all(scratch.join("ckpt")).expect("ckpt dir");
-    let store = CheckpointStore::new(
-        scratch.join("ckpt/INTERVALS"),
-        scratch.join("ckpt/SOLUTION"),
-    );
 
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
     let registry = MetricsRegistry::new();
     let mut config = RuntimeConfig::new(workers)
         .with_shards(4)
         .with_metrics(&registry)
-        .with_durability(Arc::clone(&backend), Duration::from_millis(500));
+        .with_durability(Arc::clone(&backend), Duration::from_millis(250));
     config.coordinator.initial_upper_bound = Some(ub + 1);
-    config.checkpoint = Some(CheckpointPolicy {
-        store,
-        every: Duration::from_millis(250),
-    });
     let report = run(&problem, &config);
     println!(
         "nug16 proved optimum {:?} on {workers} workers in {:?} \

@@ -17,7 +17,7 @@
 //! | [`flowshop`] | `gridbnb-flowshop` | Taillard instances, makespan, bounds, NEH, iterated greedy |
 //! | [`tsp`] | `gridbnb-tsp` | TSP as a second `Problem` |
 //! | [`qap`] | `gridbnb-qap` | QAP campaign: Nugent-style instances, LAP, Gilmore–Lawler bounds, greedy |
-//! | [`core`] | `gridbnb-core` | coordinator, pull protocol, checkpoints, thread runtime |
+//! | [`core`] | `gridbnb-core` | coordinator, pull protocol, write-ahead log, thread runtime |
 //! | [`net`] | `gridbnb-net` | the protocol over real TCP: wire codec, socket server, client transports |
 //! | [`grid`] | `gridbnb-grid` | discrete-event simulator of the paper's grid |
 //!
