@@ -353,6 +353,80 @@ fn sharded_heterogeneous_powers_still_exact() {
     assert_eq!(report.proven_optimum, expected);
 }
 
+/// Runs `problem` durably into a file-backed log under a fresh
+/// directory, compacting every 5 ms, and checks the checkpoint files the
+/// terminal compaction leaves on disk: the paper's two files
+/// (`snap-{g}.intervals`, `snap-{g}.solution`) hold no intervals and the
+/// proven solution, and restore into a terminated router.
+fn assert_checkpoint_files_restorable(tag: &str, problem: &FlowshopProblem, config: RuntimeConfig) {
+    use gridbnb_core::checkpoint::{decode_sharded_intervals, decode_solution};
+    use gridbnb_core::FileBackend;
+    let dir = std::env::temp_dir().join(format!("gridbnb-rt-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let backend: Arc<dyn StorageBackend> = Arc::new(FileBackend::new(&dir).unwrap());
+    let config = config.with_durability(backend, Duration::from_millis(5));
+    let shards = config.shards;
+
+    let expected = solve(problem, None).best_cost;
+    let report = run(problem, &config);
+    assert_eq!(report.proven_optimum, expected);
+    assert!(report.farmer_checkpoints >= 1);
+    assert_eq!(report.checkpoint_failures, 0);
+
+    // Exactly one generation's pair survives the terminal compaction.
+    let file_with = |suffix: &str| {
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.starts_with("snap-") && n.ends_with(suffix))
+            .collect();
+        assert_eq!(
+            names.len(),
+            1,
+            "want one snap-*{suffix} file, got {names:?}"
+        );
+        std::fs::read_to_string(dir.join(&names[0])).unwrap()
+    };
+    let shard_intervals = decode_sharded_intervals(&file_with(".intervals")).unwrap();
+    let solution = decode_solution(&file_with(".solution")).unwrap();
+    assert_eq!(shard_intervals.len(), shards);
+    assert!(shard_intervals.iter().all(|s| s.is_empty()));
+    assert_eq!(solution.as_ref().map(|s| s.cost), expected);
+    let restored = ShardRouter::restore(
+        problem.shape().root_range(),
+        shard_intervals,
+        solution,
+        config.coordinator,
+    )
+    .unwrap();
+    assert!(restored.is_terminated());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn checkpoint_files_written_and_restorable() {
+    assert_checkpoint_files_restorable("ckpt", &small_flowshop(88), fast_config(3));
+}
+
+#[test]
+fn sharded_checkpoint_written_and_restorable() {
+    assert_checkpoint_files_restorable(
+        "shckpt",
+        &small_flowshop(88),
+        fast_config(3).with_shards(3),
+    );
+}
+
+#[test]
+fn coalesced_sharded_checkpoint_files_written_and_restorable() {
+    // A live coalesced + sharded run compacting on a short period.
+    assert_checkpoint_files_restorable(
+        "coalesce-e2e",
+        &small_flowshop(88),
+        fast_config(3).with_shards(3).with_coalescing(4),
+    );
+}
+
 #[test]
 fn coalesced_sharded_mid_run_checkpoint_restores_without_losing_intervals() {
     // The coalesce × checkpoint corner: a sharded compaction taken
