@@ -1,25 +1,14 @@
-//! Contact throughput over real loopback TCP — the two client wiring
-//! modes of `gridbnb-net` on identical traffic.
+//! Contact throughput over real loopback TCP.
 //!
-//! W = 64 worker threads (far more than the build box has cores — the
-//! paper's regime, where one farmer host serves hundreds of remote
-//! workers) each drive 4 heartbeat `Update` contacts per round against
-//! a 4-shard [`NetServer`]:
-//!
-//! * `per_connection_w64x4/4` — every worker owns a TCP connection
-//!   ([`SocketTransport`]): 64 sockets, one frame in flight each, one
-//!   `handle_bundle` lock acquisition per contact — 256 per round;
-//! * `multiplexed_w64x4/4` — the whole fleet shares one [`MuxClient`]
-//!   connection: contacts pipeline by sequence number, and the server's
-//!   buffered-frame drain folds each burst into one coordinator bundle
-//!   — ~2 syscalls and ~one shard lock per burst instead of per
-//!   contact.
-//!
-//! Both rows move the same 256 contacts per round, so contacts/sec
-//! ratios are inverse median-time ratios and hardware divides out. **CI
-//! gates on multiplexed ≥ 1.2× per-connection contacts/sec at W = 64**
-//! and on ≤ 25% regression of that advantage against the checked-in
-//! `BENCH_net.json`.
+//! `multiplexed_w64x4/4`: W = 64 worker threads (far more than the
+//! build box has cores — the paper's regime, where one farmer host
+//! serves hundreds of remote workers) share one [`MuxClient`]
+//! connection and each drive 4 heartbeat `Update` contacts per round
+//! against a 4-shard [`NetServer`]. Contacts pipeline by sequence
+//! number, and the server's buffered-frame drain folds each burst into
+//! one coordinator bundle — ~2 syscalls and ~one shard lock per burst
+//! instead of per contact. One round is 256 contacts; the checked-in
+//! baseline is `BENCH_net.json`.
 //!
 //! Worker threads persist across rounds behind a pair of barriers, so
 //! the measurement window holds socket round-trips only — no thread
@@ -27,8 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridbnb_core::{Interval, Request, Response, Transport, UBig, WorkerId};
-use gridbnb_net::{ClientMode, ClientOptions, MuxClient, NetServer, ServerConfig, SocketTransport};
-use std::net::SocketAddr;
+use gridbnb_net::{ClientOptions, MuxClient, MuxTransport, NetServer, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
@@ -55,7 +43,7 @@ struct Fleet {
 }
 
 impl Fleet {
-    fn spawn(mode: ClientMode) -> Fleet {
+    fn spawn() -> Fleet {
         let server = NetServer::bind("127.0.0.1:0", root(), ServerConfig::new(SHARDS))
             .expect("bind loopback");
         let addr = server.local_addr();
@@ -64,22 +52,13 @@ impl Fleet {
             server.serve().expect("serve");
         });
 
-        let options = ClientOptions::default();
         let start = Arc::new(Barrier::new(WORKERS + 1));
         let done = Arc::new(Barrier::new(WORKERS + 1));
         let stop = Arc::new(AtomicBool::new(false));
-        let mux = match mode {
-            ClientMode::PerConnection => None,
-            ClientMode::Multiplexed => {
-                Some(MuxClient::connect(addr, &options).expect("connect mux"))
-            }
-        };
+        let mux = MuxClient::connect(addr, &ClientOptions::default()).expect("connect mux");
         let workers = (0..WORKERS)
             .map(|index| {
-                let transport: Box<dyn Transport + Send> = match &mux {
-                    None => Box::new(connect(addr, &options)),
-                    Some(mux) => Box::new(mux.transport()),
-                };
+                let transport = mux.transport();
                 let (start, done, stop) = (start.clone(), done.clone(), stop.clone());
                 std::thread::spawn(move || drive_worker(index, transport, &start, &done, &stop))
             })
@@ -89,7 +68,7 @@ impl Fleet {
             done,
             stop,
             workers,
-            mux,
+            mux: Some(mux),
             server_handle,
             server: Some(server),
         }
@@ -119,17 +98,13 @@ impl Drop for Fleet {
     }
 }
 
-fn connect(addr: SocketAddr, options: &ClientOptions) -> SocketTransport {
-    SocketTransport::connect(addr, options).expect("connect worker socket")
-}
-
 /// Joins once (checking an interval out of the server), then answers
 /// every barrier release with [`CONTACTS_PER_ROUND`] heartbeat updates
 /// of that interval — traffic that never drains the pool, so rounds can
 /// repeat indefinitely.
 fn drive_worker(
     index: usize,
-    transport: Box<dyn Transport + Send>,
+    transport: MuxTransport,
     start: &Barrier,
     done: &Barrier,
     stop: &AtomicBool,
@@ -167,16 +142,13 @@ fn bench_net(c: &mut Criterion) {
     let mut group = c.benchmark_group("net");
     group.sample_size(10);
 
-    for (name, mode) in [
-        ("per_connection_w64x4", ClientMode::PerConnection),
-        ("multiplexed_w64x4", ClientMode::Multiplexed),
-    ] {
-        let fleet = Fleet::spawn(mode);
-        group.bench_with_input(BenchmarkId::new(name, SHARDS), &fleet, |b, fleet| {
-            b.iter(|| fleet.round())
-        });
-        drop(fleet);
-    }
+    let fleet = Fleet::spawn();
+    group.bench_with_input(
+        BenchmarkId::new("multiplexed_w64x4", SHARDS),
+        &fleet,
+        |b, fleet| b.iter(|| fleet.round()),
+    );
+    drop(fleet);
     group.finish();
 }
 

@@ -12,7 +12,7 @@
 //! |---|---|
 //! | [`RouterTransport`] | the router (one shard or many), called directly |
 //! | `LogicalClockTransport` (crate-private) | the router, on the deterministic driver's tick counter |
-//! | `gridbnb_net::SocketTransport` | a TCP server, possibly remote |
+//! | `gridbnb_net::MuxTransport` | a TCP server, possibly remote |
 //!
 //! Failures are typed, not sentinel values: a contact returns
 //! [`TransportError`], whose [`TransportError::is_transient`] split

@@ -1,24 +1,21 @@
-//! Client-side transports: the socket implementations of
+//! The client side: the socket implementation of
 //! [`gridbnb_core::Transport`], and helpers to run a whole worker fleet
 //! against a remote coordinator.
 //!
-//! Two wiring modes, same protocol:
+//! A [`MuxClient`] is one TCP connection shared by every worker on the
+//! host. Contacts are pipelined: each carries its own sequence number,
+//! a writer thread drains the outbox in single-flush bursts, and one
+//! reader thread routes response frames back to their waiting workers
+//! by sequence number. Bursts of contacts arrive back-to-back at the
+//! server, which folds them into one coordinator bundle — W workers
+//! cost one socket, ~one syscall pair, and ~one shard lock per burst
+//! instead of W of each. A contact can also be submitted without
+//! waiting ([`Transport::submit`]): the worker's periodic update then
+//! overlaps with its exploration instead of stalling it for a round
+//! trip.
 //!
-//! * **Per-connection** ([`SocketTransport`]) — one TCP connection per
-//!   worker, one frame in flight at a time. Simple, and the baseline
-//!   the bench compares against.
-//! * **Multiplexed** ([`MuxClient`]) — one TCP connection shared by
-//!   every worker on the host. Contacts are pipelined: each carries its
-//!   own sequence number, a writer thread drains the outbox in
-//!   single-flush bursts, and one reader thread routes response frames
-//!   back to their waiting workers by sequence number. Bursts of
-//!   contacts arrive back-to-back at the server, which folds them into
-//!   one coordinator bundle — W workers cost one socket, ~one syscall
-//!   pair, and ~one shard lock per burst instead of W of each. A
-//!   contact can also be submitted without waiting
-//!   ([`Transport::submit`]): the worker's periodic update then
-//!   overlaps with its exploration instead of stalling it for a round
-//!   trip.
+//! [`query_status`] and [`query_metrics`] are one-shot exchanges on a
+//! connection of their own, for observers.
 
 use crate::wire::{
     self, frame_metrics_query, frame_query, frame_request_bundle, parse_metrics_text,
@@ -36,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Socket knobs shared by both client modes.
+/// Socket knobs for a [`MuxClient`] and the one-shot queries.
 #[derive(Clone, Copy, Debug)]
 pub struct ClientOptions {
     /// TCP connect deadline.
@@ -73,63 +70,6 @@ fn connect_stream(addr: SocketAddr, options: &ClientOptions) -> Result<TcpStream
     stream.set_nodelay(true)?;
     stream.set_write_timeout(Some(options.write_timeout))?;
     Ok(stream)
-}
-
-// ---------------------------------------------------------------------
-// Per-connection transport
-// ---------------------------------------------------------------------
-
-struct SocketConn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    seq: u64,
-}
-
-/// One worker, one TCP connection, one contact in flight at a time.
-///
-/// Every contact is synchronous: this transport keeps the default
-/// [`Transport::submit`], so a worker on it waits out each periodic
-/// update's round trip. Only the multiplexed transport overlaps them.
-pub struct SocketTransport {
-    conn: Mutex<SocketConn>,
-}
-
-impl SocketTransport {
-    /// Connects to a [`crate::NetServer`] at `addr`.
-    pub fn connect(addr: SocketAddr, options: &ClientOptions) -> Result<Self, TransportError> {
-        let stream = connect_stream(addr, options)?;
-        stream.set_read_timeout(Some(options.reply_timeout))?;
-        let reader = BufReader::new(stream.try_clone().map_err(TransportError::from)?);
-        Ok(SocketTransport {
-            conn: Mutex::new(SocketConn {
-                reader,
-                writer: BufWriter::new(stream),
-                seq: 0,
-            }),
-        })
-    }
-}
-
-impl Transport for SocketTransport {
-    fn contact(&self, requests: Vec<Request>) -> Result<Vec<Response>, TransportError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut conn = self.conn.lock().expect("poisoned socket transport");
-        conn.seq += 1;
-        let seq = conn.seq;
-        write_frame(&mut conn.writer, &frame_request_bundle(seq, &requests))?;
-        conn.writer.flush()?;
-        let frame = read_frame(&mut conn.reader)?;
-        if frame.seq != seq {
-            return Err(ProtocolError::BadPayload(format!(
-                "response for seq {} while awaiting seq {seq}",
-                frame.seq
-            ))
-            .into());
-        }
-        Ok(parse_response_bundle(&frame)?)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -453,21 +393,21 @@ impl Drop for MuxPending {
 // Fleet helpers
 // ---------------------------------------------------------------------
 
-/// How a worker fleet shares sockets to the server.
+/// How a worker fleet shares sockets to the server. The multiplexed
+/// connection is the only socket transport; the type stays so callers
+/// of [`run_workers_over_socket`] keep their signature.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ClientMode {
-    /// One TCP connection per worker.
-    PerConnection,
     /// One TCP connection for the whole fleet (a [`MuxClient`]).
     Multiplexed,
 }
 
 /// Runs `config.workers` workers against the [`crate::NetServer`] at
-/// `addr` and returns their reports — the socket counterpart of
-/// [`gridbnb_core::runtime::run`], with the coordinator on the far side
-/// of real TCP. Connections are established up front so a dead server
-/// fails fast; `id_base` keeps several client processes collision-free
-/// on one server.
+/// `addr` over one [`MuxClient`] and returns their reports — the socket
+/// counterpart of [`gridbnb_core::runtime::run`], with the coordinator
+/// on the far side of real TCP. The connection is established up front
+/// so a dead server fails fast; `id_base` keeps several client
+/// processes collision-free on one server.
 pub fn run_workers_over_socket<P: Problem>(
     problem: &P,
     addr: SocketAddr,
@@ -476,26 +416,35 @@ pub fn run_workers_over_socket<P: Problem>(
     mode: ClientMode,
     options: &ClientOptions,
 ) -> Result<Vec<WorkerReport>, TransportError> {
-    match mode {
-        ClientMode::PerConnection => {
-            let sockets: Vec<Mutex<Option<SocketTransport>>> = (0..config.workers)
-                .map(|_| SocketTransport::connect(addr, options).map(|t| Mutex::new(Some(t))))
-                .collect::<Result<_, _>>()?;
-            Ok(run_workers(problem, config, id_base, |index| {
-                sockets[index]
-                    .lock()
-                    .expect("poisoned connection slot")
-                    .take()
-                    .expect("one pre-opened connection per worker")
-            }))
-        }
-        ClientMode::Multiplexed => {
-            let mux = MuxClient::connect(addr, options)?;
-            let reports = run_workers(problem, config, id_base, |_| mux.transport());
-            mux.close();
-            Ok(reports)
-        }
+    let ClientMode::Multiplexed = mode;
+    let mux = MuxClient::connect(addr, options)?;
+    let reports = run_workers(problem, config, id_base, |_| mux.transport());
+    mux.close();
+    Ok(reports)
+}
+
+/// One synchronous exchange on a fresh connection: send `frame`, read
+/// the reply and check that it answers `frame.seq`.
+fn one_shot(
+    addr: SocketAddr,
+    options: &ClientOptions,
+    frame: &wire::Frame,
+) -> Result<wire::Frame, TransportError> {
+    let stream = connect_stream(addr, options)?;
+    stream.set_read_timeout(Some(options.reply_timeout))?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = BufWriter::new(stream);
+    write_frame(&mut writer, frame)?;
+    writer.flush()?;
+    let reply = read_frame(&mut reader)?;
+    if reply.seq != frame.seq {
+        return Err(ProtocolError::BadPayload(format!(
+            "reply for seq {} while awaiting seq {}",
+            reply.seq, frame.seq
+        ))
+        .into());
     }
+    Ok(reply)
 }
 
 /// One-shot status query: connect, ask, disconnect. How an observer —
@@ -504,21 +453,7 @@ pub fn query_status(
     addr: SocketAddr,
     options: &ClientOptions,
 ) -> Result<RunStatus, TransportError> {
-    let stream = connect_stream(addr, options)?;
-    stream.set_read_timeout(Some(options.reply_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    write_frame(&mut writer, &frame_query(1))?;
-    writer.flush()?;
-    let frame = read_frame(&mut reader)?;
-    if frame.seq != 1 {
-        return Err(ProtocolError::BadPayload(format!(
-            "status reply for seq {} while awaiting seq 1",
-            frame.seq
-        ))
-        .into());
-    }
-    Ok(parse_status(&frame)?)
+    Ok(parse_status(&one_shot(addr, options, &frame_query(1))?)?)
 }
 
 /// One-shot metrics scrape: connect, ask, disconnect. Returns the
@@ -526,19 +461,9 @@ pub fn query_status(
 /// series (coordinator operators, shards, sockets) in one
 /// read, scrapeable mid-campaign without disturbing the workers.
 pub fn query_metrics(addr: SocketAddr, options: &ClientOptions) -> Result<String, TransportError> {
-    let stream = connect_stream(addr, options)?;
-    stream.set_read_timeout(Some(options.reply_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    write_frame(&mut writer, &frame_metrics_query(1))?;
-    writer.flush()?;
-    let frame = read_frame(&mut reader)?;
-    if frame.seq != 1 {
-        return Err(ProtocolError::BadPayload(format!(
-            "metrics reply for seq {} while awaiting seq 1",
-            frame.seq
-        ))
-        .into());
-    }
-    Ok(parse_metrics_text(&frame)?)
+    Ok(parse_metrics_text(&one_shot(
+        addr,
+        options,
+        &frame_metrics_query(1),
+    )?)?)
 }

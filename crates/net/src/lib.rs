@@ -10,18 +10,16 @@
 //!   request/response bundles. Big integers ride as the checkpoint
 //!   codec's decimal text, so disk and wire share one exact format.
 //! * [`NetServer`] — a `std::net::TcpListener` front for a
-//!   [`gridbnb_core::ShardRouter`]: handler thread pool, read/write
+//!   [`gridbnb_core::ShardRouter`]: a thread per connection, read/write
 //!   timeouts, holder-expiry supervision, graceful drain on implicit
-//!   termination. Each burst of frames buffered on a connection — from
-//!   one worker or a whole multiplexed fleet — is folded into one
-//!   [`gridbnb_core::ShardRouter::handle_bundle`] call.
-//! * [`SocketTransport`] / [`MuxClient`] — the client side, both
-//!   implementing [`gridbnb_core::Transport`], so the unchanged worker
-//!   loop (`gridbnb_core::runtime::run_workers`) drives a remote
-//!   coordinator exactly as it drives an in-process one. Per-connection
-//!   mode gives every worker a socket; multiplexed mode pipelines a
-//!   whole fleet over one socket, whose bursts become those shared
-//!   coordinator bundles.
+//!   termination. Each burst of frames buffered on a connection is
+//!   folded into one [`gridbnb_core::ShardRouter::handle_bundle`] call.
+//! * [`MuxClient`] — the client side: one socket per host, pipelining a
+//!   whole fleet's contacts, whose bursts become those shared
+//!   coordinator bundles. Its [`MuxTransport`] handles implement
+//!   [`gridbnb_core::Transport`], so the unchanged worker loop
+//!   (`gridbnb_core::runtime::run_workers`) drives a remote coordinator
+//!   exactly as it drives an in-process one.
 //!
 //! Everything is hand-rolled on `std::net` blocking I/O and threads —
 //! no async runtime, matching the workspace's no-external-dependency
@@ -36,7 +34,7 @@ pub mod wire;
 
 pub use client::{
     query_metrics, query_status, run_workers_over_socket, ClientMode, ClientOptions, MuxClient,
-    MuxTransport, SocketTransport,
+    MuxTransport,
 };
 pub use server::{NetServer, RecoveryStats, ServerConfig, ServerError, ServerHandle, ServerReport};
 pub use wire::{Frame, RunStatus};

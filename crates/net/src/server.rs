@@ -2,43 +2,41 @@
 //! TCP.
 //!
 //! ```text
-//!              ┌─────────────────── NetServer ───────────────────┐
-//!   workers ──►│ acceptor ─► handler pool ─► ShardRouter         │
-//!   (sockets)  │                                  ▲              │
-//!              │                supervisor: expiry, compaction   │
-//!              └─────────────────────────────────────────────────┘
+//!              ┌──────────────────── NetServer ─────────────────────┐
+//!   workers ──►│ acceptor ─► a thread per connection ─► ShardRouter │
+//!   (sockets)  │                                          ▲         │
+//!              │                supervisor: expiry, compaction      │
+//!              └────────────────────────────────────────────────────┘
 //! ```
 //!
 //! * **Acceptor** — the thread calling [`NetServer::serve`] accepts
 //!   connections (non-blocking, so shutdown and drain conditions are
-//!   observed promptly) and queues them for a fixed pool of handler
-//!   threads. A connection beyond the pool size waits its turn in the
-//!   queue; nothing is refused.
-//! * **Handlers** — one connection at a time per handler: read a frame,
-//!   serve it, write the reply. A connection may carry one worker
-//!   (per-connection mode) or many (a `MuxClient`); the server does not
-//!   care. What it *does* exploit: after the first blocking read, every
+//!   observed promptly) and gives each one a scoped thread of its own.
+//!   An idle or slow peer costs one parked thread and never delays
+//!   another connection; nothing is refused.
+//! * **Connection threads** — read a frame, serve it, write the reply,
+//!   until the peer hangs up. A connection may carry one worker or a
+//!   whole fleet (a `MuxClient`); after the first blocking read, every
 //!   complete frame already buffered on the connection is drained and
 //!   folded into the same coordinator bundle — one
 //!   [`gridbnb_core::ShardRouter::handle_bundle`] call (one lock per
-//!   touched shard) for a burst of frames, which is where multiplexed
-//!   clients beat per-connection ones.
+//!   touched shard) for a burst of frames.
 //! * **Supervisor** — the in-process runtime's housekeeping loop
 //!   ([`gridbnb_core::runtime::supervise`]) on a thread of its own:
 //!   expire stale holders (crash recovery for vanished connections) and
 //!   compact the durable log on its period. A terminated campaign gets
 //!   the terminal compaction too; a stopped one does not, so its log
 //!   tail stays the crash image a restart must replay.
-//! * **Drain** — with [`ServerConfig::drain_on_termination`] set (the
-//!   default: one resolution campaign per server, like the paper's
-//!   runs), `serve` returns once the router terminates, the listen
+//! * **Drain** — one resolution campaign per server, like the paper's
+//!   runs: `serve` returns once the router terminates, the listen
 //!   backlog is empty and the last connection closes — a worker that
 //!   connected just before termination is answered `Terminate`, never
 //!   reset. [`ServerHandle::stop`] forces the same wind-down early.
 //!   In-flight frames are answered before their connections close: a
-//!   handler checks the stop flag after every answered burst and on
-//!   every idle read timeout, so even a client that never pauses cannot
-//!   hold the server open.
+//!   connection thread checks the stop flag after every answered burst
+//!   and on every idle read timeout, so even a client that never pauses
+//!   cannot hold the server open. `serve` joins every connection thread
+//!   before it returns.
 //!
 //! Misbehaving peers never take the server down: a malformed frame
 //! closes that one connection and bumps
@@ -70,22 +68,12 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Per-shard coordinator policy.
     pub coordinator: CoordinatorConfig,
-    /// Handler pool size — the number of connections served
-    /// concurrently (more wait in the accept queue). Must cover the
-    /// expected connection count in per-connection mode, where every
-    /// handler parks on its socket between contacts.
-    pub handler_threads: usize,
     /// Socket read timeout per blocking read. This is also the
-    /// handler's shutdown poll tick: a quiet connection notices a drain
-    /// within one timeout.
+    /// connection thread's shutdown poll tick: a quiet connection
+    /// notices a drain within one timeout.
     pub read_timeout: Duration,
     /// Socket write timeout.
     pub write_timeout: Duration,
-    /// When `true`, [`NetServer::serve`] returns after the router
-    /// terminates and every connection has closed — one resolution
-    /// campaign per server. When `false` the server keeps listening
-    /// until [`ServerHandle::stop`].
-    pub drain_on_termination: bool,
     /// Durable coordinator state (see
     /// [`gridbnb_core::runtime::DurabilityPolicy`]). At startup the
     /// server recovers any campaign committed on the backend — a killed
@@ -104,10 +92,8 @@ impl Default for ServerConfig {
         ServerConfig {
             shards: 1,
             coordinator: CoordinatorConfig::default(),
-            handler_threads: 128,
             read_timeout: Duration::from_millis(20),
             write_timeout: Duration::from_secs(5),
-            drain_on_termination: true,
             durability: None,
         }
     }
@@ -233,7 +219,7 @@ pub struct RecoveryStats {
     pub recovered_length: UBig,
 }
 
-/// Counters shared between acceptor and handlers.
+/// Counters shared between the acceptor and the connection threads.
 #[derive(Debug, Default)]
 struct Counters {
     connections: AtomicU64,
@@ -411,12 +397,6 @@ impl NetServer {
         let net_metrics = NetMetrics::register(router.metrics());
         let counters = Counters::default();
         let live = AtomicUsize::new(0);
-        // The accept queue: a single mpsc receiver shared by the pool
-        // behind a mutex (the std-backed channel shim has no
-        // multi-consumer receiver; contention here is one lock per
-        // *connection*, not per frame).
-        let (conn_tx, conn_rx) = crossbeam::channel::unbounded::<TcpStream>();
-        let conn_rx = std::sync::Mutex::new(conn_rx);
         self.listener.set_nonblocking(true)?;
 
         let mut housekeeping = crossbeam::thread::scope(|scope| {
@@ -425,24 +405,7 @@ impl NetServer {
             let live = &live;
             let config = &self.config;
             let shutdown = self.shutdown.as_ref();
-            let conn_rx = &conn_rx;
             let net_metrics = &net_metrics;
-            for _ in 0..config.handler_threads.max(1) {
-                scope.spawn(move |_| loop {
-                    let next = conn_rx.lock().expect("poisoned accept queue").recv();
-                    let Ok(stream) = next else { break };
-                    serve_connection(
-                        stream,
-                        router,
-                        config,
-                        counters,
-                        net_metrics,
-                        shutdown,
-                        started,
-                    );
-                    live.fetch_sub(1, Ordering::AcqRel);
-                });
-            }
 
             // Supervisor: the in-process runtime's housekeeping loop —
             // holder expiry recovers intervals from vanished connections.
@@ -462,18 +425,23 @@ impl NetServer {
                         counters.connections.fetch_add(1, Ordering::Relaxed);
                         net_metrics.connections.inc();
                         live.fetch_add(1, Ordering::AcqRel);
-                        if conn_tx.send(stream).is_err() {
+                        scope.spawn(move |_| {
+                            serve_connection(
+                                stream,
+                                router,
+                                config,
+                                counters,
+                                net_metrics,
+                                shutdown,
+                                started,
+                            );
                             live.fetch_sub(1, Ordering::AcqRel);
-                            break;
-                        }
+                        });
                     }
                     // Drain only once the backlog is empty: a connection
                     // still waiting there is accepted and answered first.
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if config.drain_on_termination
-                            && router.is_terminated()
-                            && live.load(Ordering::Acquire) == 0
-                        {
+                        if router.is_terminated() && live.load(Ordering::Acquire) == 0 {
                             break;
                         }
                         std::thread::sleep(Duration::from_millis(1));
@@ -485,12 +453,11 @@ impl NetServer {
                     }
                 }
             }
-            // Wind-down: no new connections; handlers notice the flag
-            // after their current burst or within one read timeout, and
-            // close their connections. The supervisor is woken rather
-            // than left to sleep out its timer.
+            // Wind-down: no new connections; connection threads notice
+            // the flag after their current burst or within one read
+            // timeout, and the scope joins them. The supervisor is woken
+            // rather than left to sleep out its timer.
             shutdown.store(true, Ordering::Release);
-            drop(conn_tx);
             supervisor.thread().unpark();
             let housekeeping = supervisor.join().expect("supervisor thread panicked");
             match accept_error {
@@ -501,8 +468,8 @@ impl NetServer {
         .expect("server scope panicked")?;
 
         // A *terminated* campaign gets one last compaction after every
-        // handler is gone: the backend ends up holding the terminal
-        // snapshot and no segments, so a restart replays nothing. A
+        // connection thread is gone: the backend ends up holding the
+        // terminal snapshot and no segments, so a restart replays nothing. A
         // server merely stopped mid-campaign skips this — its log tail
         // is the crash image a restart must replay.
         let terminated = router.is_terminated();

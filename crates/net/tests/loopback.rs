@@ -1,8 +1,8 @@
 //! End-to-end exactness over real TCP: flowshop and QAP campaigns
-//! resolved to proven optimality through a loopback [`NetServer`], in
-//! both client modes, at one and four shards, with mid-run worker
+//! resolved to proven optimality through a loopback [`NetServer`] over
+//! multiplexed connections, at one and four shards, with mid-run worker
 //! crashes and rejoining fleets — plus the server's resilience to a
-//! peer that speaks garbage.
+//! peer that speaks garbage or never speaks at all.
 
 use gridbnb_core::runtime::{ChaosConfig, CrashPlan, DurabilityPolicy, RuntimeConfig};
 use gridbnb_core::{
@@ -50,44 +50,38 @@ fn campaign_config(workers: usize) -> RuntimeConfig {
 }
 
 /// The core exactness matrix: a 9-job flowshop instance solved through
-/// real sockets at S ∈ {1, 4}, in both client modes, W = 8 — every cell
-/// must prove the same optimum the sequential engine computes.
+/// real sockets at S ∈ {1, 4}, W = 8 — every cell must prove the same
+/// optimum the sequential engine computes.
 #[test]
 fn flowshop_exact_over_tcp_across_shards_and_modes() {
     let problem = flowshop9();
     let expected = solve(&problem, None).best_cost.expect("finite optimum");
 
     for shards in [1usize, 4] {
-        for mode in [ClientMode::PerConnection, ClientMode::Multiplexed] {
-            let (addr, server) = spawn_server(&problem, ServerConfig::new(shards));
-            let reports = run_workers_over_socket(
-                &problem,
-                addr,
-                &campaign_config(8),
-                0,
-                mode,
-                &ClientOptions::default(),
-            )
-            .expect("client fleet");
-            assert_eq!(reports.len(), 8);
-            for (index, report) in reports.iter().enumerate() {
-                assert!(
-                    report.transport_failure.is_none(),
-                    "worker {index} failed: {:?} (shards={shards}, mode={mode:?})",
-                    report.transport_failure
-                );
-            }
-            let report = server.join().expect("server thread");
-            assert!(report.terminated, "shards={shards} mode={mode:?}");
-            assert_eq!(
-                report.proven_optimum,
-                Some(expected),
-                "shards={shards} mode={mode:?}"
+        let (addr, server) = spawn_server(&problem, ServerConfig::new(shards));
+        let reports = run_workers_over_socket(
+            &problem,
+            addr,
+            &campaign_config(8),
+            0,
+            ClientMode::Multiplexed,
+            &ClientOptions::default(),
+        )
+        .expect("client fleet");
+        assert_eq!(reports.len(), 8);
+        for (index, report) in reports.iter().enumerate() {
+            assert!(
+                report.transport_failure.is_none(),
+                "worker {index} failed: {:?} (shards={shards})",
+                report.transport_failure
             );
-            assert_eq!(report.protocol_errors, 0);
-            // Every worker request was answered through the socket.
-            assert!(report.requests >= 8);
         }
+        let report = server.join().expect("server thread");
+        assert!(report.terminated, "shards={shards}");
+        assert_eq!(report.proven_optimum, Some(expected), "shards={shards}");
+        assert_eq!(report.protocol_errors, 0);
+        // Every worker request was answered through the socket.
+        assert!(report.requests >= 8);
     }
 }
 
@@ -161,7 +155,7 @@ fn metrics_scrape_over_tcp_mid_campaign() {
             addr,
             &campaign_config(8),
             0,
-            ClientMode::PerConnection,
+            ClientMode::Multiplexed,
             &ClientOptions::default(),
         )
         .expect("client fleet")
@@ -234,9 +228,9 @@ fn qap_campaign_exact_over_tcp() {
 }
 
 /// Fault tolerance over real sockets: a first fleet crashes mid-run
-/// (connections drop with intervals checked out), the server's expiry
+/// (its workers vanish with intervals checked out), the server's expiry
 /// supervision reclaims their work, and a second fleet joining later —
-/// fresh connections, non-overlapping worker ids — finishes the proof.
+/// a fresh connection, non-overlapping worker ids — finishes the proof.
 #[test]
 fn worker_disconnect_and_rejoin_through_real_sockets() {
     let problem = flowshop9();
@@ -253,8 +247,8 @@ fn worker_disconnect_and_rejoin_through_real_sockets() {
     };
     let (addr, server) = spawn_server(&problem, config);
 
-    // Fleet A: two workers, both scripted to crash almost immediately,
-    // holding checked-out intervals as their sockets drop.
+    // Fleet A: two workers on a connection of their own, both scripted
+    // to crash almost immediately while holding checked-out intervals.
     let mut config_a = campaign_config(2);
     config_a.chaos = Some(ChaosConfig {
         crashes: vec![
@@ -275,7 +269,7 @@ fn worker_disconnect_and_rejoin_through_real_sockets() {
         addr,
         &config_a,
         0,
-        ClientMode::PerConnection,
+        ClientMode::Multiplexed,
         &ClientOptions::default(),
     )
     .expect("fleet A");
@@ -304,8 +298,8 @@ fn worker_disconnect_and_rejoin_through_real_sockets() {
 
     let report = server.join().expect("server thread");
     assert_eq!(report.proven_optimum, Some(expected));
-    // 2 per-connection sockets + 1 status probe + 1 multiplexed socket.
-    assert!(report.connections >= 4);
+    // Fleet A's socket + 1 status probe + fleet B's socket.
+    assert!(report.connections >= 3);
 }
 
 /// A hostile peer cannot take the server down: garbage bytes close that
@@ -343,21 +337,54 @@ fn garbage_frames_close_one_connection_not_the_server() {
     assert!(report.protocol_errors >= 1, "the garbage was noticed");
 }
 
+/// Peers that connect and never send cost the server nothing but a
+/// parked thread each: 130 of them, accepted ahead of the fleet's
+/// connection, must not delay a single contact. A short reply timeout
+/// makes a starved fleet fail fast instead of hanging the test.
+#[test]
+fn idle_connections_do_not_starve_a_fleet() {
+    let problem = flowshop9();
+    let expected = solve(&problem, None).best_cost.expect("finite optimum");
+    let (addr, server) = spawn_server(&problem, ServerConfig::new(1));
+
+    let idle: Vec<std::net::TcpStream> = (0..130)
+        .map(|_| std::net::TcpStream::connect(addr).expect("connect idle peer"))
+        .collect();
+    let options = ClientOptions {
+        reply_timeout: Duration::from_secs(2),
+        ..ClientOptions::default()
+    };
+    let reports = run_workers_over_socket(
+        &problem,
+        addr,
+        &campaign_config(2),
+        0,
+        ClientMode::Multiplexed,
+        &options,
+    )
+    .expect("client fleet");
+    for (index, report) in reports.iter().enumerate() {
+        assert!(
+            report.transport_failure.is_none(),
+            "worker {index} starved behind idle connections: {:?}",
+            report.transport_failure
+        );
+    }
+
+    drop(idle);
+    let report = server.join().expect("server thread");
+    assert!(report.terminated);
+    assert_eq!(report.proven_optimum, Some(expected));
+    assert!(report.connections >= 131);
+}
+
 /// `ServerHandle::stop` winds a quiet server down without any client
 /// ever connecting — drain must not require termination.
 #[test]
 fn stop_drains_an_idle_server() {
     let problem = flowshop9();
     let root = problem.shape().root_range();
-    let server = NetServer::bind(
-        "127.0.0.1:0",
-        root,
-        ServerConfig {
-            drain_on_termination: false,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
+    let server = NetServer::bind("127.0.0.1:0", root, ServerConfig::default()).expect("bind");
     let handle = server.handle();
     let thread = std::thread::spawn(move || server.serve().expect("serve"));
     handle.stop();

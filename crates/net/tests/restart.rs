@@ -15,8 +15,8 @@ use gridbnb_engine::solve;
 use gridbnb_flowshop::bounds::PairSelection;
 use gridbnb_flowshop::{taillard, BoundMode, FlowshopProblem};
 use gridbnb_net::{
-    query_metrics, query_status, run_workers_over_socket, ClientMode, ClientOptions, NetServer,
-    ServerConfig, ServerHandle, ServerReport, SocketTransport,
+    query_metrics, query_status, run_workers_over_socket, ClientMode, ClientOptions, MuxClient,
+    NetServer, ServerConfig, ServerHandle, ServerReport,
 };
 use gridbnb_qap::greedy::{greedy_upper_bound, GreedyParams};
 use gridbnb_qap::{Bound, QapInstance, QapProblem};
@@ -106,7 +106,7 @@ fn kill_and_restart<P: Problem>(
         addr,
         &config_a,
         0,
-        ClientMode::PerConnection,
+        ClientMode::Multiplexed,
         &ClientOptions::default(),
     )
     .expect("fleet A");
@@ -225,7 +225,7 @@ fn restarted_finished_server_answers_a_waiting_worker_terminate() {
         addr,
         &campaign_config(2),
         0,
-        ClientMode::PerConnection,
+        ClientMode::Multiplexed,
         &ClientOptions::default(),
     )
     .expect("fleet");
@@ -233,10 +233,9 @@ fn restarted_finished_server_answers_a_waiting_worker_terminate() {
 
     let server = NetServer::bind("127.0.0.1:0", problem.shape().root_range(), durable())
         .expect("bind loopback");
-    let transport =
-        SocketTransport::connect(server.local_addr(), &ClientOptions::default()).expect("connect");
+    let mux = MuxClient::connect(server.local_addr(), &ClientOptions::default()).expect("connect");
     let serving = std::thread::spawn(move || server.serve().expect("serve"));
-    let reply = transport.contact(vec![Request::Join {
+    let reply = mux.transport().contact(vec![Request::Join {
         worker: WorkerId(7),
         power: 100,
     }]);
@@ -244,7 +243,7 @@ fn restarted_finished_server_answers_a_waiting_worker_terminate() {
         matches!(reply.as_deref(), Ok([Response::Terminate])),
         "a waiting worker must be answered Terminate, got {reply:?}"
     );
-    drop(transport);
+    mux.close();
     let restarted = serving.join().expect("restarted server thread");
     assert!(restarted.terminated);
     assert!(restarted.recovery.is_some());

@@ -1,20 +1,19 @@
 //! Load generator for the network service layer: a worker storm (W far
 //! above the host's core count, the paper's farmer regime) hammering a
-//! loopback [`NetServer`] with heartbeat contacts, reporting sustained
-//! contacts/sec and the latency tail per client wiring mode.
+//! loopback [`NetServer`] with heartbeat contacts over one multiplexed
+//! connection, reporting sustained contacts/sec and the latency tail.
 //!
 //! ```sh
 //! cargo run --release --example net_storm -- \
 //!     [--workers 64] [--contacts 100] [--shards 4] \
-//!     [--mode per|mux|both] [--metrics] [--json PATH]
+//!     [--metrics] [--json PATH]
 //! ```
 //!
 //! Each worker joins (checking a real interval out of the sharded
 //! coordinator), then fires `--contacts` heartbeat updates of that
-//! interval, timing every round trip. Per-connection mode gives each
-//! worker its own socket; multiplexed mode pipelines the whole storm
-//! over one socket, which the server folds into shared coordinator
-//! bundles — the mode the `net` bench gates in CI.
+//! interval, timing every round trip. The whole storm pipelines over
+//! one [`MuxClient`] socket, whose bursts the server folds into shared
+//! coordinator bundles.
 //!
 //! `--metrics` scrapes the server's registry over the same TCP port
 //! *while the storm runs* — proving live observability under load —
@@ -22,7 +21,7 @@
 
 use gridbnb::core::{Interval, Request, Response, Transport, UBig, WorkerId};
 use gridbnb::net::{
-    query_metrics, ClientMode, ClientOptions, MuxClient, NetServer, ServerConfig, SocketTransport,
+    query_metrics, ClientOptions, MuxClient, MuxTransport, NetServer, ServerConfig,
 };
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,7 +32,6 @@ struct Args {
     workers: usize,
     contacts: u64,
     shards: usize,
-    modes: Vec<ClientMode>,
     metrics: bool,
     json: Option<String>,
 }
@@ -43,7 +41,6 @@ fn parse_args() -> Args {
         workers: 64,
         contacts: 100,
         shards: 4,
-        modes: vec![ClientMode::PerConnection, ClientMode::Multiplexed],
         metrics: false,
         json: None,
     };
@@ -54,14 +51,6 @@ fn parse_args() -> Args {
             "--workers" => args.workers = value().parse().expect("--workers N"),
             "--contacts" => args.contacts = value().parse().expect("--contacts M"),
             "--shards" => args.shards = value().parse().expect("--shards S"),
-            "--mode" => {
-                args.modes = match value().as_str() {
-                    "per" => vec![ClientMode::PerConnection],
-                    "mux" => vec![ClientMode::Multiplexed],
-                    "both" => vec![ClientMode::PerConnection, ClientMode::Multiplexed],
-                    other => panic!("--mode must be per, mux or both, not {other}"),
-                }
-            }
             "--metrics" => args.metrics = true,
             "--json" => args.json = Some(value()),
             other => panic!("unknown flag {other}"),
@@ -70,10 +59,9 @@ fn parse_args() -> Args {
     args
 }
 
-/// One mode's aggregate: every contact latency, plus the storm's wall
-/// time from first to last contact.
+/// The storm's aggregate: every contact latency, plus its wall time
+/// from first to last contact.
 struct StormResult {
-    mode: &'static str,
     contacts: u64,
     wall_s: f64,
     latencies_ns: Vec<u64>,
@@ -112,15 +100,8 @@ impl StormResult {
     }
 }
 
-fn mode_name(mode: ClientMode) -> &'static str {
-    match mode {
-        ClientMode::PerConnection => "per_connection",
-        ClientMode::Multiplexed => "multiplexed",
-    }
-}
-
 /// Joins as `worker`, then times `contacts` heartbeat updates.
-fn storm_worker(transport: Box<dyn Transport + Send>, worker: WorkerId, contacts: u64) -> Vec<u64> {
+fn storm_worker(transport: MuxTransport, worker: WorkerId, contacts: u64) -> Vec<u64> {
     let responses = transport
         .contact(vec![Request::Join { worker, power: 100 }])
         .expect("join contact");
@@ -175,7 +156,7 @@ fn scrape_loop(addr: SocketAddr, stop: &AtomicBool) -> ScrapeSummary {
     }
 }
 
-fn run_storm(args: &Args, mode: ClientMode) -> StormResult {
+fn run_storm(args: &Args) -> StormResult {
     let root = Interval::new(UBig::zero(), UBig::factorial(50));
     let server = NetServer::bind("127.0.0.1:0", root, ServerConfig::new(args.shards))
         .expect("bind loopback");
@@ -189,18 +170,11 @@ fn run_storm(args: &Args, mode: ClientMode) -> StormResult {
         std::thread::spawn(move || scrape_loop(addr, &stop))
     });
 
-    let options = ClientOptions::default();
-    let mux = match mode {
-        ClientMode::PerConnection => None,
-        ClientMode::Multiplexed => Some(MuxClient::connect(addr, &options).expect("connect mux")),
-    };
+    let mux = MuxClient::connect(addr, &ClientOptions::default()).expect("connect mux");
     let started = Instant::now();
     let workers: Vec<_> = (0..args.workers)
         .map(|index| {
-            let transport: Box<dyn Transport + Send> = match &mux {
-                None => Box::new(SocketTransport::connect(addr, &options).expect("connect")),
-                Some(mux) => Box::new(mux.transport()),
-            };
+            let transport = mux.transport();
             let contacts = args.contacts;
             std::thread::spawn(move || storm_worker(transport, WorkerId(index as u64), contacts))
         })
@@ -210,9 +184,7 @@ fn run_storm(args: &Args, mode: ClientMode) -> StormResult {
         latencies_ns.extend(worker.join().expect("storm worker"));
     }
     let wall_s = started.elapsed().as_secs_f64();
-    if let Some(mux) = mux {
-        mux.close();
-    }
+    mux.close();
     let scrape = scraper.map(|scraper| {
         stop_scraper.store(true, Ordering::Release);
         let summary = scraper.join().expect("scraper thread");
@@ -227,7 +199,6 @@ fn run_storm(args: &Args, mode: ClientMode) -> StormResult {
 
     latencies_ns.sort_unstable();
     StormResult {
-        mode: mode_name(mode),
         contacts: args.workers as u64 * args.contacts,
         wall_s,
         latencies_ns,
@@ -238,75 +209,56 @@ fn run_storm(args: &Args, mode: ClientMode) -> StormResult {
 fn main() {
     let args = parse_args();
     println!(
-        "net storm: {} workers x {} contacts, {} shards, loopback TCP",
+        "net storm: {} workers x {} contacts, {} shards, one multiplexed loopback connection",
         args.workers, args.contacts, args.shards
     );
+    let r = run_storm(&args);
     println!(
-        "{:<16} {:>14} {:>10} {:>10} {:>10} {:>10}",
-        "mode", "contacts/sec", "p50 us", "p90 us", "p99 us", "max us"
+        "{:>14} {:>10} {:>10} {:>10} {:>10}",
+        "contacts/sec", "p50 us", "p90 us", "p99 us", "max us"
     );
-    let results: Vec<StormResult> = args.modes.iter().map(|&m| run_storm(&args, m)).collect();
-    for r in &results {
+    println!(
+        "{:>14.0} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
+        r.contacts_per_sec(),
+        r.quantile_us(0.50),
+        r.quantile_us(0.90),
+        r.quantile_us(0.99),
+        r.quantile_us(1.0),
+    );
+    if let Some(s) = &r.scrape {
         println!(
-            "{:<16} {:>14.0} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-            r.mode,
+            "{} live scrapes, {} series; frames_in {}",
+            s.scrapes,
+            s.series,
+            metric_value(&s.text, "gbnb_net_frames_in_total"),
+        );
+    }
+    if let Some(path) = &args.json {
+        let scrape = r
+            .scrape
+            .as_ref()
+            .map(|s| {
+                format!(
+                    ", \"scrapes\": {}, \"metric_series\": {}",
+                    s.scrapes, s.series
+                )
+            })
+            .unwrap_or_default();
+        let row = format!(
+            "{{\"workers\": {}, \"contacts\": {}, \"wall_s\": {:.4}, \
+             \"contacts_per_sec\": {:.1}, \"p50_us\": {:.1}, \"p90_us\": {:.1}, \
+             \"p99_us\": {:.1}, \"max_us\": {:.1}{}}}",
+            args.workers,
+            r.contacts,
+            r.wall_s,
             r.contacts_per_sec(),
             r.quantile_us(0.50),
             r.quantile_us(0.90),
             r.quantile_us(0.99),
             r.quantile_us(1.0),
+            scrape,
         );
-    }
-    if results.len() == 2 {
-        println!(
-            "multiplexed / per_connection contacts/sec: {:.2}x",
-            results[1].contacts_per_sec() / results[0].contacts_per_sec()
-        );
-    }
-    for r in &results {
-        if let Some(s) = &r.scrape {
-            println!(
-                "{}: {} live scrapes, {} series; frames_in {}",
-                r.mode,
-                s.scrapes,
-                s.series,
-                metric_value(&s.text, "gbnb_net_frames_in_total"),
-            );
-        }
-    }
-    if let Some(path) = &args.json {
-        let rows: Vec<String> = results
-            .iter()
-            .map(|r| {
-                let scrape = r
-                    .scrape
-                    .as_ref()
-                    .map(|s| {
-                        format!(
-                            ", \"scrapes\": {}, \"metric_series\": {}",
-                            s.scrapes, s.series
-                        )
-                    })
-                    .unwrap_or_default();
-                format!(
-                    "  {{\"mode\": \"{}\", \"workers\": {}, \
-                     \"contacts\": {}, \"wall_s\": {:.4}, \
-                     \"contacts_per_sec\": {:.1}, \"p50_us\": {:.1}, \"p90_us\": {:.1}, \
-                     \"p99_us\": {:.1}, \"max_us\": {:.1}{}}}",
-                    r.mode,
-                    args.workers,
-                    r.contacts,
-                    r.wall_s,
-                    r.contacts_per_sec(),
-                    r.quantile_us(0.50),
-                    r.quantile_us(0.90),
-                    r.quantile_us(0.99),
-                    r.quantile_us(1.0),
-                    scrape,
-                )
-            })
-            .collect();
-        std::fs::write(path, format!("[\n{}\n]\n", rows.join(",\n"))).expect("write json");
+        std::fs::write(path, format!("{row}\n")).expect("write json");
         println!("wrote {path}");
     }
 }
