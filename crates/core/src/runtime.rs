@@ -1,23 +1,18 @@
-//! The farmer–worker runtime: one coordinator path, one worker state
-//! machine, two drivers.
+//! The farmer–worker runtime: one farmer, one worker state machine,
+//! three ways to attach the workers.
 //!
-//! **One coordinator path.** The paper's workers contact the
-//! coordinator directly, and so do these: every in-process run serves
-//! its contacts from a [`ShardRouter`] — the root range split over
+//! **One farmer.** In the paper the farmer alone owns `INTERVALS` and
+//! `SOLUTION`, checkpoints them, and declares the optimum proven exactly
+//! when `INTERVALS` is empty. Here that is the [`Farmer`]: it opens the
+//! campaign ([`Farmer::open`] recovers whatever the durable backend
+//! holds), hosts the workers beside a supervisor thread that expires
+//! stale holders and compacts the log — the paper's periodic checkpoint
+//! — and is woken, not timed out, when they are gone ([`Farmer::host`]);
+//! then it builds the one [`RunReport`], which proves nothing unless the
+//! campaign terminated. Contacts are served straight from the workers'
+//! threads by a [`ShardRouter`]: the root range split over
 //! [`RuntimeConfig::shards`] independently locked coordinators (one by
-//! default), called straight from the worker threads. There is no
-//! farmer thread and no request channel; `shards` only sets how many
-//! locks the root range is spread over, so contacts to different shards
-//! proceed in parallel. Work stealing between shards and the shared
-//! non-empty count keep the exactness guarantee: runs terminate only
-//! when every shard's `INTERVALS` is empty. What the paper's farmer
-//! does *besides* answering — stale-holder expiry and its periodic
-//! two-file checkpoint, which here is a compaction of the durable log —
-//! runs in [`supervise`], the one housekeeping loop, on a light
-//! supervisor thread. It parks until the next of those is due and is
-//! unparked when the last worker has joined: nothing sleeps out a timer
-//! to learn that the run is over. The socket server in `gridbnb-net`
-//! runs the same loop.
+//! default), with no farmer thread and no request channel.
 //!
 //! **One worker state machine.** `Worker::step` is the worker: a work
 //! request (carrying any unreported solution in the same bundle) when
@@ -34,14 +29,16 @@
 //! in-process transport answers at once, so there the loop is exactly
 //! synchronous.
 //!
-//! **Two drivers.** The threaded driver gives every worker a thread
-//! that steps it until done. Under [`ReplicablePolicy::deterministic`]
-//! a single-threaded scheduler steps the *same* workers in a
-//! seed-shuffled round-robin over a logical clock; the only inputs that
-//! differ are the transport (one tick per request) and the clock
-//! ([`CoalescePolicy::max_silence`] is wall-clock-only). That driver
-//! has no supervisor: periodic compactions do not happen, the terminal
-//! one does.
+//! **Three attachments.** The threaded driver gives every worker a
+//! thread that steps it until done. Under
+//! [`ReplicablePolicy::deterministic`] a single-threaded scheduler steps
+//! the *same* workers in a seed-shuffled round-robin over a logical
+//! clock; the only inputs that differ are the transport (one tick per
+//! request) and the clock ([`CoalescePolicy::max_silence`] is
+//! wall-clock-only). That driver has no supervisor: periodic compactions
+//! do not happen, the terminal one does. The socket server in
+//! `gridbnb-net` is the third: its acceptor gives every connection a
+//! thread that serves frames from the farmer's router.
 //!
 //! Fault tolerance is exercisable in-process: a [`ChaosConfig`] makes
 //! chosen workers "crash" (silently abandon their explorer, losing all
@@ -59,12 +56,14 @@ use crate::transport::{
     TransportError,
 };
 use crate::{
-    ConfigError, CoordinatorConfig, CoordinatorStats, Request, Response, ShardRouter, WorkerId,
+    ConfigError, CoordinatorConfig, CoordinatorStats, Request, Response, ShardRouter, WalError,
+    WalStore, WorkerId,
 };
 use gridbnb_bigint::UBig;
 use gridbnb_coding::Interval;
 use gridbnb_engine::{IntervalExplorer, Problem, SearchStats, Solution};
 use gridbnb_metrics::{latency_buckets_ns, Counter, Histogram, MetricsRegistry};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -80,10 +79,8 @@ use std::time::{Duration, Instant};
 /// every `compact_every` — the paper's periodic checkpoint of
 /// `INTERVALS` and `SOLUTION`, counted in
 /// [`RunReport::farmer_checkpoints`]. A process killed at any instant
-/// recovers to its exact pre-crash interval sets with
-/// [`crate::WalStore::recover`] — rebuild the router via
-/// [`ShardRouter::restore`] and run again with the same policy; the new
-/// run opens a fresh log epoch on top of the old one.
+/// resumes from its exact pre-crash interval sets when the next campaign
+/// opens on the same backend ([`Farmer::open`]).
 #[derive(Clone, Debug)]
 pub struct DurabilityPolicy {
     /// Where the manifest, snapshots and per-shard log segments live
@@ -440,9 +437,20 @@ pub struct WorkerReport {
 pub struct RunReport {
     /// Best solution found (none if the initial bound was optimal).
     pub solution: Option<Solution>,
-    /// `min(initial upper bound, best found)`: the proven optimum once
-    /// the run completes.
+    /// `min(initial upper bound, best found)` once the campaign has
+    /// terminated; `None` while intervals remain — a run whose workers
+    /// all left early proves nothing.
     pub proven_optimum: Option<u64>,
+    /// Whether the router reached implicit termination: every shard's
+    /// `INTERVALS` is empty.
+    pub terminated: bool,
+    /// Σ unexplored interval length when the campaign ended: zero once
+    /// it has terminated, and for one stopped early exactly what the
+    /// next campaign on the same durable backend recovers.
+    pub remaining: UBig,
+    /// Set when [`Farmer::open`] recovered a committed campaign from the
+    /// durable backend.
+    pub recovery: Option<RecoveryStats>,
     /// Coordinator-side protocol counters, summed over shards.
     pub coordinator_stats: CoordinatorStats,
     /// The same counters per shard, in shard order. Replicability tests
@@ -479,6 +487,22 @@ pub struct RunReport {
     /// asked for one — encode it, diff it against another run's, or
     /// replay it through [`crate::TraceReplayer`].
     pub trace: Option<Arc<RunTrace>>,
+}
+
+/// What recovery replayed when [`Farmer::open`] found a committed
+/// campaign on its backend.
+#[derive(Clone, Debug)]
+pub struct RecoveryStats {
+    /// Complete log records replayed on top of the committed snapshot.
+    pub replayed_records: u64,
+    /// Operations inside those records.
+    pub replayed_ops: u64,
+    /// Torn final records repaired by truncation (a crash mid-append).
+    pub torn_truncations: u64,
+    /// Σ unexplored interval length at the recovery point — compare
+    /// against the stopped campaign's [`RunReport::remaining`] to prove
+    /// zero lost work.
+    pub recovered_length: UBig,
 }
 
 impl RunReport {
@@ -649,23 +673,27 @@ pub fn run<P: Problem>(problem: &P, config: &RuntimeConfig) -> RunReport {
     run_on(problem, root, config)
 }
 
-/// Runs on an explicit root interval: splits it over `config.shards`
-/// locks of a fresh [`ShardRouter`] and hands over to
-/// [`run_with_router`]. To resume from a recovered log, restore the
-/// router yourself ([`ShardRouter::restore`]) and call
-/// [`run_with_router`] directly.
+/// Runs on an explicit root interval: a [`Farmer::open`]ed campaign —
+/// `root` split over `config.shards` locks, or whatever campaign the
+/// durable backend already holds — driven to its end.
 pub fn run_on<P: Problem>(problem: &P, root: Interval, config: &RuntimeConfig) -> RunReport {
     config.assert_valid();
-    let router = ShardRouter::new(root, config.shards, config.coordinator.clone())
-        .expect("invalid coordinator config");
-    run_with_router(problem, router, config)
+    let farmer = Farmer::open(
+        root,
+        config.shards,
+        &config.coordinator,
+        config.durability.as_ref(),
+        config.metrics.as_ref(),
+    )
+    .expect("failed to open the durable operation log");
+    drive(problem, farmer, config)
 }
 
-/// Runs with a pre-built [`ShardRouter`] — fresh, rebuilt from a
-/// recovered log ([`crate::WalStore::recover`]), or restored from
+/// Runs with a pre-built [`ShardRouter`] — fresh, or restored from
 /// snapshot text through the v1 reader
-/// ([`crate::checkpoint::decode_intervals`]). The router's own shard
-/// count applies; `config.shards` is only read by [`run_on`].
+/// ([`crate::checkpoint::decode_intervals`]) — through
+/// [`Farmer::adopt`]. The router's own shard count applies;
+/// `config.shards` is only read by [`run_on`].
 ///
 /// The run is driven on worker threads plus a supervisor, or — under
 /// [`ReplicablePolicy::deterministic`] — by the single-threaded
@@ -677,11 +705,19 @@ pub fn run_with_router<P: Problem>(
     config: &RuntimeConfig,
 ) -> RunReport {
     config.assert_valid();
-    let started = Instant::now();
-    let root_length = router.root().length();
-    let router = &equip_router(router, config);
-    let lock_hold_before = router.lock_hold_ns();
-    let worker_metrics = WorkerMetrics::register(router.metrics());
+    let farmer = Farmer::adopt(router, config.durability.as_ref(), config.metrics.as_ref())
+        .expect("failed to open the durable operation log");
+    drive(problem, farmer, config)
+}
+
+/// Attaches `config.workers` in-process workers to `farmer` — on
+/// threads, or on the logical clock — and returns the farmer's report
+/// with theirs.
+fn drive<P: Problem>(problem: &P, mut farmer: Farmer, config: &RuntimeConfig) -> RunReport {
+    if let Some(policy) = &config.replicable {
+        farmer.router = replicable_rules(farmer.router, policy, config.workers);
+    }
+    let worker_metrics = WorkerMetrics::register(farmer.router.metrics());
     let fresh_ids = AtomicU64::new(config.workers as u64);
     let deterministic = config.replicable.filter(|policy| policy.deterministic);
     let cx = WorkerContext {
@@ -690,119 +726,231 @@ pub fn run_with_router<P: Problem>(
         fresh_ids: &fresh_ids,
         wall_clock: deterministic.is_none(),
     };
-
-    let (workers, housekeeping) = match deterministic {
-        Some(policy) => {
-            let workers = drive_on_logical_clock(problem, router, &cx, policy.seed);
-            let mut housekeeping = Housekeeping::default();
-            housekeeping.finish(router);
-            (workers, housekeeping)
-        }
-        None => drive_on_threads(problem, router, &cx, started),
+    let (workers, report) = match deterministic {
+        Some(policy) => farmer
+            .host_unsupervised(|router| drive_on_logical_clock(problem, router, &cx, policy.seed)),
+        None => farmer.host(&AtomicBool::new(false), |router, started| {
+            spawn_workers(problem, &cx, 0, |_| RouterTransport::new(router, started))
+        }),
     };
-
-    // With no farmer thread, the time the shard locks were held is
-    // where the paper's "farmer" time went.
-    let served = Duration::from_nanos(router.lock_hold_ns() - lock_hold_before);
-    RunReport {
-        proven_optimum: router.cutoff(),
-        solution: router.solution(),
-        coordinator_stats: router.stats(),
-        shard_stats: router.shard_stats(),
-        steals: router.steals(),
-        router_contacts: router.contacts(),
-        workers,
-        wall: started.elapsed(),
-        farmer_busy: housekeeping.busy + served,
-        farmer_checkpoints: housekeeping.compactions,
-        checkpoint_failures: housekeeping.compaction_failures,
-        root_length,
-        trace: router.trace().cloned(),
-    }
+    RunReport { workers, ..report }
 }
 
-/// Attaches what the run's policies ask for, in the one order that
-/// lands every series on the run registry: metrics, then the durable
-/// log, then the replicable rules and the trace.
-fn equip_router(router: ShardRouter, config: &RuntimeConfig) -> ShardRouter {
-    // An injected registry re-homes the router's series so every layer
-    // of the run is scrapeable from the one place.
-    let router = match &config.metrics {
-        Some(registry) => router.with_metrics(registry),
-        None => router,
-    };
-    // Durability opens a fresh log epoch on top of whatever the backend
-    // holds, snapshotting the router's current (possibly recovered)
-    // state, so a run killed at any instant resumes from here plus the
-    // journaled deltas.
-    let router = match &config.durability {
-        Some(policy) => router
-            .with_fresh_wal(Arc::clone(&policy.backend))
-            .expect("failed to open the durable operation log"),
-        None => router,
-    };
-    let Some(policy) = &config.replicable else {
-        return router;
-    };
+/// The replicable rules and, when asked for, the trace, attached after
+/// the farmer has put the router's series and log in place.
+fn replicable_rules(router: ShardRouter, policy: &ReplicablePolicy, workers: usize) -> ShardRouter {
     let router = router.with_replicable(policy.seed);
     if !policy.record_trace {
         return router;
     }
     let meta = TraceMeta {
         seed: policy.seed,
-        workers: config.workers as u64,
+        workers: workers as u64,
         shards: router.shard_count() as u64,
     };
     let trace = Arc::new(RunTrace::new(meta, router.metrics()));
     router.with_trace(trace)
 }
 
-/// The threaded driver: one thread per [`Worker`], each stepping until
-/// done over its own transport, plus the supervisor. The supervisor is
-/// unparked the moment the last worker has joined, so teardown costs a
-/// notification, not a timer.
-fn drive_on_threads<P: Problem>(
-    problem: &P,
-    router: &ShardRouter,
-    cx: &WorkerContext<'_>,
+/// The paper's farmer: the one owner of a campaign's router, its durable
+/// log and its report. It opens the campaign ([`Farmer::open`],
+/// [`Farmer::adopt`]), supervises it while an attachment — worker
+/// threads, the logical clock, a socket acceptor — brings the workers
+/// ([`Farmer::host`]), and concludes it: the terminal compaction and the
+/// [`RunReport`], both for a terminated campaign only.
+pub struct Farmer {
+    router: ShardRouter,
+    compact_every: Option<Duration>,
+    recovery: Option<RecoveryStats>,
+    /// Origin of every `now_ns` the router is served with, and of
+    /// [`RunReport::wall`].
     started: Instant,
-) -> (Vec<WorkerReport>, Housekeeping) {
-    let workers_done = &AtomicBool::new(false);
-    let compact_every = cx.config.durability.as_ref().map(|p| p.compact_every);
+    /// Shard-lock hold already on the router's counter when the campaign
+    /// opened.
+    lock_hold_before: u64,
+}
+
+impl Farmer {
+    /// Opens a campaign over `root` — the one recovery rule. A durable
+    /// backend that holds a committed campaign is recovered (snapshot
+    /// plus log tails, the exact pre-crash interval sets, holders
+    /// cleared) and the log's shard count overrides `shards`: restoring
+    /// into another count would break per-shard segment replay on the
+    /// next recovery. Mid-log corruption is an error; only a torn final
+    /// record is repaired silently. An empty backend, or none, starts
+    /// `root` split over `shards` fresh, with a new log epoch when
+    /// durable. `metrics` re-homes every series of the campaign (`None`:
+    /// the router's own registry).
+    ///
+    /// The caller has validated `shards` and `coordinator`.
+    pub fn open(
+        root: Interval,
+        shards: usize,
+        coordinator: &CoordinatorConfig,
+        durability: Option<&DurabilityPolicy>,
+        metrics: Option<&MetricsRegistry>,
+    ) -> Result<Farmer, WalError> {
+        let (wal, state) = match durability {
+            Some(policy) if WalStore::exists(policy.backend.as_ref())? => {
+                WalStore::recover(Arc::clone(&policy.backend))?
+            }
+            _ => {
+                let router = ShardRouter::new(root, shards, coordinator.clone());
+                return Farmer::adopt(router.expect("a validated config"), durability, metrics);
+            }
+        };
+        let recovery = RecoveryStats {
+            replayed_records: state.replayed_records,
+            replayed_ops: state.replayed_ops,
+            torn_truncations: state.torn_truncations,
+            recovered_length: state.total_length(),
+        };
+        let router = ShardRouter::restore(
+            root,
+            state.shard_intervals,
+            state.solution,
+            coordinator.clone(),
+        )
+        .expect("a validated config");
+        let router = with_registry(router, metrics).with_wal(Arc::new(wal));
+        Ok(Farmer {
+            recovery: Some(recovery),
+            ..Farmer::new(router, durability)
+        })
+    }
+
+    /// Takes over a router the caller built. With a durability policy it
+    /// opens a fresh log epoch on top of whatever the backend holds,
+    /// snapshotting the router's current state.
+    pub fn adopt(
+        router: ShardRouter,
+        durability: Option<&DurabilityPolicy>,
+        metrics: Option<&MetricsRegistry>,
+    ) -> Result<Farmer, WalError> {
+        let router = with_registry(router, metrics);
+        let router = match durability {
+            Some(policy) => router.with_fresh_wal(Arc::clone(&policy.backend))?,
+            None => router,
+        };
+        Ok(Farmer::new(router, durability))
+    }
+
+    fn new(router: ShardRouter, durability: Option<&DurabilityPolicy>) -> Farmer {
+        Farmer {
+            lock_hold_before: router.lock_hold_ns(),
+            router,
+            compact_every: durability.map(|policy| policy.compact_every),
+            recovery: None,
+            started: Instant::now(),
+        }
+    }
+
+    /// Runs `attach` — given the router and the origin of its `now_ns` —
+    /// on the calling thread, beside a supervisor thread that expires
+    /// stale holders and compacts the log until the router terminates or
+    /// `stop` is set. When `attach` returns or panics, `stop` is set and
+    /// the supervisor woken and joined; a panic is then re-raised with
+    /// its own payload, and otherwise the campaign concluded.
+    pub fn host<R>(
+        self,
+        stop: &AtomicBool,
+        attach: impl FnOnce(&ShardRouter, Instant) -> R,
+    ) -> (R, RunReport) {
+        let (attached, housekeeping) = crossbeam::thread::scope(|scope| {
+            let supervisor =
+                scope.spawn(|_| supervise(&self.router, self.compact_every, self.started, stop));
+            let attached = catch_unwind(AssertUnwindSafe(|| attach(&self.router, self.started)));
+            stop.store(true, Ordering::Release);
+            supervisor.thread().unpark();
+            let housekeeping = supervisor.join().expect("supervisor thread panicked");
+            (attached, housekeeping)
+        })
+        .expect("scope panicked");
+        let attached = attached.unwrap_or_else(|panic| resume_unwind(panic));
+        (attached, self.conclude(housekeeping))
+    }
+
+    /// [`Farmer::host`] without a supervisor, for the logical-clock
+    /// driver: no wall-clock expiry, no periodic compaction.
+    fn host_unsupervised<R>(self, attach: impl FnOnce(&ShardRouter) -> R) -> (R, RunReport) {
+        let attached = attach(&self.router);
+        (attached, self.conclude(Housekeeping::default()))
+    }
+
+    /// The terminal compaction and the report, both proving something
+    /// only if the campaign terminated: its backend then holds the proof
+    /// and no segments, while an unfinished campaign's log tail stays the
+    /// crash image the next one replays.
+    fn conclude(self, mut housekeeping: Housekeeping) -> RunReport {
+        let router = &self.router;
+        let terminated = router.is_terminated();
+        if terminated {
+            let t0 = Instant::now();
+            housekeeping.compact(router);
+            housekeeping.busy += t0.elapsed();
+        }
+        // With no farmer thread, the time the shard locks were held is
+        // where the paper's "farmer" time went.
+        let served = Duration::from_nanos(router.lock_hold_ns() - self.lock_hold_before);
+        RunReport {
+            proven_optimum: router.cutoff().filter(|_| terminated),
+            terminated,
+            remaining: router.size(),
+            recovery: self.recovery,
+            solution: router.solution(),
+            coordinator_stats: router.stats(),
+            shard_stats: router.shard_stats(),
+            steals: router.steals(),
+            router_contacts: router.contacts(),
+            workers: Vec::new(),
+            wall: self.started.elapsed(),
+            farmer_busy: housekeeping.busy + served,
+            farmer_checkpoints: housekeeping.compactions,
+            checkpoint_failures: housekeeping.compaction_failures,
+            root_length: router.root().length(),
+            trace: router.trace().cloned(),
+        }
+    }
+}
+
+/// Re-homes the router's series on an injected registry, before the log
+/// registers its own there.
+fn with_registry(router: ShardRouter, metrics: Option<&MetricsRegistry>) -> ShardRouter {
+    match metrics {
+        Some(registry) => router.with_metrics(registry),
+        None => router,
+    }
+}
+
+/// Steps `cx.config.workers` workers on threads of their own, each over
+/// the transport `connect` hands it, until every one is done. A
+/// worker's panic is re-raised with its own payload once the others
+/// have finished.
+fn spawn_workers<P, T, F>(
+    problem: &P,
+    cx: &WorkerContext<'_>,
+    id_base: u64,
+    connect: F,
+) -> Vec<WorkerReport>
+where
+    P: Problem,
+    T: Transport,
+    F: Fn(usize) -> T + Sync,
+{
     crossbeam::thread::scope(|scope| {
-        let supervisor = scope.spawn(move |_| {
-            let mut housekeeping = supervise(router, compact_every, started, workers_done);
-            housekeeping.finish(router);
-            housekeeping
-        });
+        let connect = &connect;
         let handles: Vec<_> = (0..cx.config.workers)
             .map(|index| {
                 scope.spawn(move |_| {
-                    // Bundles go straight into the worker's home shard.
-                    Worker::new(problem, index, 0, cx.config)
-                        .run(&RouterTransport::new(router, started), cx)
+                    Worker::new(problem, index, id_base, cx.config).run(&connect(index), cx)
                 })
             })
             .collect();
-        // Collect panics instead of unwinding immediately: the
-        // supervisor only leaves on termination or this notification,
-        // so a worker panic must still reach it or the scope's implicit
-        // join would hang the run instead of propagating.
-        let mut reports = Vec::with_capacity(handles.len());
-        let mut worker_panic = None;
-        for handle in handles {
-            match handle.join() {
-                Ok(report) => reports.push(report),
-                Err(panic) => worker_panic = Some(panic),
-            }
-        }
-        workers_done.store(true, Ordering::Release);
-        supervisor.thread().unpark();
-        let housekeeping = supervisor.join().expect("supervisor thread panicked");
-        if let Some(panic) = worker_panic {
-            std::panic::resume_unwind(panic);
-        }
-        (reports, housekeeping)
+        let joined: Vec<_> = handles.into_iter().map(|handle| handle.join()).collect();
+        joined
+            .into_iter()
+            .map(|report| report.unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
     })
     .expect("scope panicked")
 }
@@ -881,15 +1029,15 @@ fn drive_on_logical_clock<P: Problem>(
 /// [`RunReport::farmer_busy`], [`RunReport::farmer_checkpoints`] and
 /// [`RunReport::checkpoint_failures`].
 #[derive(Debug, Default)]
-pub struct Housekeeping {
+struct Housekeeping {
     /// Time spent on expiry and compaction.
-    pub(crate) busy: Duration,
+    busy: Duration,
     /// Compactions committed.
-    pub(crate) compactions: u64,
+    compactions: u64,
     /// Compactions that failed; each leaves the previous manifest
     /// committed and is also counted on
     /// `gbnb_wal_compaction_failures_total` by the store.
-    pub(crate) compaction_failures: u64,
+    compaction_failures: u64,
 }
 
 impl Housekeeping {
@@ -899,16 +1047,6 @@ impl Housekeeping {
             Ok(false) => {}
             Err(_) => self.compaction_failures += 1,
         }
-    }
-
-    /// Terminal housekeeping: a final compaction, so a finished
-    /// campaign's backend holds the terminal snapshot (usually empty
-    /// intervals) and no segments — a restart recovers the proof instead
-    /// of redoing work. A no-op without a log.
-    pub fn finish(&mut self, router: &ShardRouter) {
-        let t0 = Instant::now();
-        self.compact(router);
-        self.busy += t0.elapsed();
     }
 }
 
@@ -920,15 +1058,14 @@ const EXPIRY_REREAD: Duration = Duration::from_millis(50);
 /// Shortest supervisor sleep, whatever the compaction period says.
 const SHORTEST_WAIT: Duration = Duration::from_millis(1);
 
-/// The one housekeeping loop, beside the in-process workers and inside
-/// the socket server alike: expire stale holders (the recovery path for
-/// crashed workers) and compact the log every `compact_every` (`None`:
-/// never). It parks until the earliest of those is due and returns once
-/// the router has terminated or `stop` is set — the caller sets it, then
-/// unparks this thread, when its workers or connections are gone.
-/// `started` is the origin of the `now_ns` the router was served with.
-/// Terminal housekeeping is the caller's call ([`Housekeeping::finish`]).
-pub fn supervise(
+/// The farmer's housekeeping loop, whatever attaches the workers: expire
+/// stale holders (the recovery path for crashed workers) and compact the
+/// log every `compact_every` (`None`: never). It parks until the
+/// earliest of those is due and returns once the router has terminated
+/// or `stop` is set — [`Farmer::host`] sets it, then unparks this
+/// thread, when the attachment is done. `started` is the origin of the
+/// `now_ns` the router was served with.
+fn supervise(
     router: &ShardRouter,
     compact_every: Option<Duration>,
     started: Instant,
@@ -980,33 +1117,18 @@ pub fn run_workers<P, T, F>(
 ) -> Vec<WorkerReport>
 where
     P: Problem,
-    T: Transport + Send,
+    T: Transport,
     F: Fn(usize) -> T + Sync,
 {
     config.assert_valid();
     let registry = config.metrics.clone().unwrap_or_default();
-    let cx = &WorkerContext {
+    let cx = WorkerContext {
         config,
         metrics: &WorkerMetrics::register(&registry),
         fresh_ids: &AtomicU64::new(id_base + config.workers as u64),
         wall_clock: true,
     };
-    crossbeam::thread::scope(|scope| {
-        let connect = &connect;
-        let handles: Vec<_> = (0..config.workers)
-            .map(|index| {
-                scope.spawn(move |_| {
-                    let transport = connect(index);
-                    Worker::new(problem, index, id_base, config).run(&transport, cx)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    })
-    .expect("scope panicked")
+    spawn_workers(problem, &cx, id_base, connect)
 }
 
 /// Sends one bundle through the transport, re-sending after a backoff

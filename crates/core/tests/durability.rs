@@ -162,6 +162,31 @@ fn mid_flight_crash_image_recovers_and_finishes() {
     );
 }
 
+/// One recovery rule for every entry point: a durable `run` on a backend
+/// that already holds a finished campaign recovers its proof instead of
+/// exploring the tree again from the root.
+#[test]
+fn run_resumes_the_campaign_its_backend_holds() {
+    let problem = FlowshopProblem::new(
+        generate(9, 5, 20_060_707),
+        BoundMode::Johnson(gridbnb_flowshop::bounds::PairSelection::All),
+    );
+    assert_eq!(solve(&problem, None).best_cost, Some(564));
+    let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
+    let config = fast_config(2).with_durability(backend, Duration::from_millis(5));
+
+    let first = run(&problem, &config);
+    assert_eq!(first.proven_optimum, Some(564));
+    assert!(first.recovery.is_none(), "the backend started empty");
+    assert!(first.total_explored() > 0);
+
+    let second = run(&problem, &config);
+    assert_eq!(second.total_explored(), 0, "the proof was on the backend");
+    assert!(second.recovery.is_some());
+    assert!(second.terminated);
+    assert_eq!(second.proven_optimum, Some(564));
+}
+
 /// A 2-shard router on a fault-injectable WAL, positioned one
 /// `RequestWork` away from a cross-shard steal: w0 holds all of its home
 /// shard's slice, the returned worker has taken (and still holds) all of

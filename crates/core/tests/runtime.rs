@@ -139,6 +139,29 @@ fn crash_without_rejoin_preserves_exactness() {
     assert_eq!(crashes, 2);
 }
 
+/// A campaign whose every worker is gone before the tree is explored
+/// proves nothing: the report says so instead of passing the best
+/// solution found so far off as the optimum.
+#[test]
+fn unfinished_run_proves_nothing() {
+    let problem = FullEnumeration::new(9);
+    let mut config = fast_config(2);
+    config.poll_nodes = 200;
+    config.chaos = Some(ChaosConfig {
+        crashes: (0..2)
+            .map(|worker_index| CrashPlan {
+                worker_index,
+                after_nodes: 1_000,
+                rejoin: false,
+            })
+            .collect(),
+    });
+    let report = run(&problem, &config);
+    assert_eq!(report.proven_optimum, None);
+    assert!(!report.terminated);
+    assert!(report.remaining > UBig::zero());
+}
+
 #[test]
 fn crash_with_rejoin_preserves_exactness() {
     let problem = FullEnumeration::new(9);
@@ -545,6 +568,75 @@ fn empty_worker_powers_fails_fast() {
     let mut config = fast_config(2);
     config.worker_powers = Vec::new();
     let _ = run(&problem, &config);
+}
+
+/// `FullEnumeration(9)` whose `branch` panics with "boom" on its
+/// 5,000th call, whichever worker makes it.
+struct BoomOnBranch {
+    inner: FullEnumeration,
+    calls: AtomicU64,
+}
+
+impl BoomOnBranch {
+    fn new() -> Self {
+        BoomOnBranch {
+            inner: FullEnumeration::new(9),
+            calls: AtomicU64::new(0),
+        }
+    }
+}
+
+impl Problem for BoomOnBranch {
+    type State = <FullEnumeration as Problem>::State;
+
+    fn shape(&self) -> gridbnb_core::TreeShape {
+        self.inner.shape()
+    }
+
+    fn root_state(&self) -> Self::State {
+        self.inner.root_state()
+    }
+
+    fn branch(&self, state: &Self::State, rank: u64) -> Self::State {
+        if self.calls.fetch_add(1, Ordering::Relaxed) == 4_999 {
+            panic!("boom");
+        }
+        self.inner.branch(state, rank)
+    }
+
+    fn lower_bound(&self, state: &Self::State) -> u64 {
+        self.inner.lower_bound(state)
+    }
+
+    fn leaf_cost(&self, state: &Self::State) -> u64 {
+        self.inner.leaf_cost(state)
+    }
+}
+
+/// A worker's panic fails the run with the worker's own message once
+/// the survivor has finished the tree, instead of hanging it.
+#[test]
+#[should_panic(expected = "boom")]
+fn a_panicking_worker_fails_the_run_with_its_own_message() {
+    let _ = run(&BoomOnBranch::new(), &fast_config(2));
+}
+
+/// The same through `run_workers`: the panic payload reaches the caller
+/// unwrapped.
+#[test]
+#[should_panic(expected = "boom")]
+fn a_panicking_worker_fails_run_workers_with_its_own_message() {
+    let problem = BoomOnBranch::new();
+    let router = ShardRouter::new(
+        problem.shape().root_range(),
+        1,
+        CoordinatorConfig::default(),
+    )
+    .unwrap();
+    let started = Instant::now();
+    run_workers(&problem, &fast_config(1), 0, |_| {
+        RouterTransport::new(&router, started)
+    });
 }
 
 #[test]

@@ -10,9 +10,10 @@
 //!   request/response bundles. Big integers ride as the checkpoint
 //!   codec's decimal text, so disk and wire share one exact format.
 //! * [`NetServer`] — a `std::net::TcpListener` front for a
-//!   [`gridbnb_core::ShardRouter`]: a thread per connection, read/write
-//!   timeouts, holder-expiry supervision, graceful drain on implicit
-//!   termination. Each burst of frames buffered on a connection is
+//!   [`gridbnb_core::ShardRouter`] hosted by the runtime's
+//!   [`gridbnb_core::runtime::Farmer`]: a thread per connection,
+//!   read/write timeouts, holder-expiry supervision, graceful drain on
+//!   implicit termination. Each burst of frames buffered on a connection is
 //!   folded into one [`gridbnb_core::ShardRouter::handle_bundle`] call.
 //! * [`MuxClient`] — the client side: one socket per host, pipelining a
 //!   whole fleet's contacts, whose bursts become those shared
@@ -36,5 +37,5 @@ pub use client::{
     query_metrics, query_status, run_workers_over_socket, ClientMode, ClientOptions, MuxClient,
     MuxTransport,
 };
-pub use server::{NetServer, RecoveryStats, ServerConfig, ServerError, ServerHandle, ServerReport};
+pub use server::{NetServer, ServerConfig, ServerError, ServerHandle, ServerReport};
 pub use wire::{Frame, RunStatus};

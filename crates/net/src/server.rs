@@ -21,17 +21,20 @@
 //!   folded into the same coordinator bundle — one
 //!   [`gridbnb_core::ShardRouter::handle_bundle`] call (one lock per
 //!   touched shard) for a burst of frames.
-//! * **Supervisor** — the in-process runtime's housekeeping loop
-//!   ([`gridbnb_core::runtime::supervise`]) on a thread of its own:
-//!   expire stale holders (crash recovery for vanished connections) and
-//!   compact the durable log on its period. A terminated campaign gets
-//!   the terminal compaction too; a stopped one does not, so its log
+//! * **Supervisor** — the server is one more attachment to the
+//!   in-process runtime's [`Farmer`]: the farmer opens the campaign
+//!   (recovering whatever the durable backend holds), runs its
+//!   supervisor beside the acceptor — stale-holder expiry, the crash
+//!   recovery for vanished connections, and periodic log compaction —
+//!   and concludes with the one [`RunReport`]. A terminated campaign
+//!   gets the terminal compaction; a stopped one does not, so its log
 //!   tail stays the crash image a restart must replay.
 //! * **Drain** — one resolution campaign per server, like the paper's
 //!   runs: `serve` returns once the router terminates, the listen
 //!   backlog is empty and the last connection closes — a worker that
 //!   connected just before termination is answered `Terminate`, never
-//!   reset. [`ServerHandle::stop`] forces the same wind-down early.
+//!   reset. [`ServerHandle::stop`] forces the same wind-down early, and
+//!   the acceptor leaving its loop stops the supervisor too.
 //!   In-flight frames are answered before their connections close: a
 //!   connection thread checks the stop flag after every answered burst
 //!   and on every idle read timeout, so even a client that never pauses
@@ -43,15 +46,15 @@
 //! [`ServerReport::protocol_errors`].
 
 use crate::wire::{self, drain_buffered_frames, read_frame, write_frame, Frame, RunStatus};
-use gridbnb_core::runtime::{supervise, DurabilityPolicy};
+use gridbnb_core::runtime::{DurabilityPolicy, Farmer, RunReport};
 use gridbnb_core::{
-    ConfigError, CoordinatorConfig, CoordinatorStats, Interval, Request, ShardRouter,
-    TransportError, UBig, WalError, WalStore,
+    ConfigError, CoordinatorConfig, Interval, Request, ShardRouter, TransportError, WalError,
 };
 use gridbnb_metrics::{latency_buckets_ns, Counter, Histogram, MetricsRegistry};
 use std::io::{self, BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,15 +78,9 @@ pub struct ServerConfig {
     /// Socket write timeout.
     pub write_timeout: Duration,
     /// Durable coordinator state (see
-    /// [`gridbnb_core::runtime::DurabilityPolicy`]). At startup the
-    /// server recovers any campaign committed on the backend — a killed
-    /// server restarted on the same backend resumes exactly where its
-    /// log ends, holders cleared, and the rejoining fleet finishes the
-    /// proof. Mid-log corruption refuses to serve
-    /// ([`ServerError::Durability`]); only a torn final record is
-    /// repaired silently. When the backend is empty a fresh log epoch is
-    /// opened. The recovered log's shard count overrides
-    /// [`ServerConfig::shards`].
+    /// [`gridbnb_core::runtime::DurabilityPolicy`]); the campaign opens
+    /// through [`Farmer::open`], so a killed server restarted on the same
+    /// backend resumes exactly where its log ends.
     pub durability: Option<DurabilityPolicy>,
 }
 
@@ -161,16 +158,14 @@ impl From<io::Error> for ServerError {
     }
 }
 
-/// What a finished [`NetServer::serve`] observed.
+/// What a finished [`NetServer::serve`] observed: the farmer's report
+/// of the campaign, and the wire counters read from the server's
+/// `gbnb_net_*` series.
 #[derive(Clone, Debug)]
 pub struct ServerReport {
-    /// Best solution when the server wound down.
-    pub solution: Option<gridbnb_core::Solution>,
-    /// The solution's cost iff the router terminated (then the whole
-    /// tree is explored and the best solution is proven optimal).
-    pub proven_optimum: Option<u64>,
-    /// Whether the router reached implicit termination.
-    pub terminated: bool,
+    /// The campaign, as the [`Farmer`] concluded it. Its `workers` is
+    /// empty: the fleet reports on its own side of the sockets.
+    pub run: RunReport,
     /// Connections accepted.
     pub connections: u64,
     /// Request-bundle frames served.
@@ -187,48 +182,19 @@ pub struct ServerReport {
     pub queries: u64,
     /// Connections dropped for violating the protocol.
     pub protocol_errors: u64,
-    /// Router contacts (bundle deliveries).
-    pub router_contacts: u64,
-    /// Cross-shard steals.
-    pub steals: u64,
-    /// Aggregate coordinator counters.
-    pub coordinator_stats: CoordinatorStats,
-    /// Σ unexplored interval length when the server wound down: zero
-    /// after a terminated campaign, and — for a server stopped mid-run —
-    /// exactly what a restart on the same durable backend must recover.
-    pub remaining: UBig,
-    /// Set when startup recovered a campaign from a durable log.
-    pub recovery: Option<RecoveryStats>,
-    /// Wall time from bind to drain.
-    pub wall: Duration,
 }
 
-/// What WAL recovery replayed when a server started on a backend that
-/// already held a committed campaign.
-#[derive(Clone, Debug)]
-pub struct RecoveryStats {
-    /// Complete log records replayed on top of the committed snapshot.
-    pub replayed_records: u64,
-    /// Operations inside those records.
-    pub replayed_ops: u64,
-    /// Torn final records repaired by truncation (a crash mid-append).
-    pub torn_truncations: u64,
-    /// Σ unexplored interval length at the recovery point — compare
-    /// against the killed server's [`ServerReport::remaining`] to prove
-    /// zero lost work.
-    pub recovered_length: UBig,
-}
+/// Reads the campaign's fields through to [`ServerReport::run`]. This
+/// exists only so that the benchmark's `campaign/src/workloads.rs` and
+/// `campaign/src/layers.rs`, which read `proven_optimum`, `steals` and
+/// `router_contacts` off a `ServerReport`, keep compiling; new code
+/// reads `report.run`.
+impl Deref for ServerReport {
+    type Target = RunReport;
 
-/// Counters shared between the acceptor and the connection threads.
-#[derive(Debug, Default)]
-struct Counters {
-    connections: AtomicU64,
-    frames: AtomicU64,
-    bundles: AtomicU64,
-    batched_frames: AtomicU64,
-    requests: AtomicU64,
-    queries: AtomicU64,
-    protocol_errors: AtomicU64,
+    fn deref(&self) -> &RunReport {
+        &self.run
+    }
 }
 
 /// The service layer's series, registered on the router's registry so
@@ -237,6 +203,13 @@ struct Counters {
 struct NetMetrics {
     /// `gbnb_net_connections_total` — connections accepted.
     connections: Counter,
+    /// `gbnb_net_bundles_total` — coordinator bundles served.
+    bundles: Counter,
+    /// `gbnb_net_batched_frames_total` — frames served inside another
+    /// frame's bundle.
+    batched_frames: Counter,
+    /// `gbnb_net_requests_total` — worker requests inside served frames.
+    requests: Counter,
     /// `gbnb_net_frames_in_total{kind=...}` — frames received, by kind.
     frames_in_bundle: Counter,
     frames_in_query: Counter,
@@ -258,6 +231,9 @@ impl NetMetrics {
         let buckets = latency_buckets_ns();
         NetMetrics {
             connections: registry.counter("gbnb_net_connections_total", &[]),
+            bundles: registry.counter("gbnb_net_bundles_total", &[]),
+            batched_frames: registry.counter("gbnb_net_batched_frames_total", &[]),
+            requests: registry.counter("gbnb_net_requests_total", &[]),
             frames_in_bundle: registry
                 .counter("gbnb_net_frames_in_total", &[("kind", "request_bundle")]),
             frames_in_query: registry.counter("gbnb_net_frames_in_total", &[("kind", "query")]),
@@ -350,91 +326,54 @@ impl NetServer {
         }
     }
 
-    /// Runs the server to completion: accept, serve, supervise, drain.
-    ///
-    /// With [`ServerConfig::durability`] set, startup first recovers any
-    /// campaign committed on the backend (snapshot + log tails, exact
-    /// pre-crash interval sets) and serves the resumed state; a fresh
-    /// backend opens a new log epoch instead.
+    /// Runs the server to completion: open the campaign
+    /// ([`Farmer::open`]), then host the acceptor on the farmer until
+    /// drain.
     pub fn serve(self) -> Result<ServerReport, ServerError> {
-        let started = Instant::now();
-        let mut recovery = None;
-        let router = match &self.config.durability {
-            Some(policy) => {
-                if WalStore::exists(policy.backend.as_ref()).map_err(ServerError::Io)? {
-                    let (wal, state) = WalStore::recover(Arc::clone(&policy.backend))?;
-                    recovery = Some(RecoveryStats {
-                        replayed_records: state.replayed_records,
-                        replayed_ops: state.replayed_ops,
-                        torn_truncations: state.torn_truncations,
-                        recovered_length: state.total_length(),
-                    });
-                    // The log is authoritative about sharding: restoring
-                    // into a different shard count would break per-shard
-                    // segment replay on the *next* recovery.
-                    ShardRouter::restore(
-                        self.root.clone(),
-                        state.shard_intervals,
-                        state.solution,
-                        self.config.coordinator.clone(),
-                    )?
-                    .with_wal(Arc::new(wal))
-                } else {
-                    ShardRouter::new(
-                        self.root.clone(),
-                        self.config.shards,
-                        self.config.coordinator.clone(),
-                    )?
-                    .with_fresh_wal(Arc::clone(&policy.backend))?
-                }
-            }
-            None => ShardRouter::new(
-                self.root.clone(),
-                self.config.shards,
-                self.config.coordinator.clone(),
-            )?,
-        };
-        let net_metrics = NetMetrics::register(router.metrics());
-        let counters = Counters::default();
-        let live = AtomicUsize::new(0);
+        let farmer = Farmer::open(
+            self.root.clone(),
+            self.config.shards,
+            &self.config.coordinator,
+            self.config.durability.as_ref(),
+            None,
+        )?;
         self.listener.set_nonblocking(true)?;
+        let ((accepted, net), run) = farmer.host(&self.shutdown, |router, started| {
+            let net = NetMetrics::register(router.metrics());
+            (self.accept(router, started, &net), net)
+        });
+        accepted?;
+        Ok(ServerReport {
+            run,
+            connections: net.connections.get(),
+            frames: net.frames_in_bundle.get(),
+            bundles: net.bundles.get(),
+            batched_frames: net.batched_frames.get(),
+            requests: net.requests.get(),
+            queries: net.frames_in_query.get(),
+            protocol_errors: net.decode_errors.get(),
+        })
+    }
 
-        let mut housekeeping = crossbeam::thread::scope(|scope| {
-            let router = &router;
-            let counters = &counters;
-            let live = &live;
-            let config = &self.config;
-            let shutdown = self.shutdown.as_ref();
-            let net_metrics = &net_metrics;
-
-            // Supervisor: the in-process runtime's housekeeping loop —
-            // holder expiry recovers intervals from vanished connections.
-            let compact_every = config.durability.as_ref().map(|p| p.compact_every);
-            let supervisor =
-                scope.spawn(move |_| supervise(router, compact_every, started, shutdown));
-
-            // Acceptor (this thread). Non-blocking so stop/drain are
-            // observed within one poll tick even with no traffic.
-            let mut accept_error = None;
-            loop {
+    /// The acceptor: gives every accepted connection a scoped thread of
+    /// its own until the campaign drains, [`ServerHandle::stop`] is
+    /// called or accepting fails. Non-blocking, so stop and drain are
+    /// observed within one poll tick even with no traffic.
+    fn accept(&self, router: &ShardRouter, started: Instant, net: &NetMetrics) -> io::Result<()> {
+        let live = &AtomicUsize::new(0);
+        let config = &self.config;
+        let shutdown = self.shutdown.as_ref();
+        crossbeam::thread::scope(|scope| {
+            let accepted = loop {
                 if shutdown.load(Ordering::Acquire) {
-                    break;
+                    break Ok(());
                 }
                 match self.listener.accept() {
                     Ok((stream, _)) => {
-                        counters.connections.fetch_add(1, Ordering::Relaxed);
-                        net_metrics.connections.inc();
+                        net.connections.inc();
                         live.fetch_add(1, Ordering::AcqRel);
                         scope.spawn(move |_| {
-                            serve_connection(
-                                stream,
-                                router,
-                                config,
-                                counters,
-                                net_metrics,
-                                shutdown,
-                                started,
-                            );
+                            serve_connection(stream, router, config, net, shutdown, started);
                             live.fetch_sub(1, Ordering::AcqRel);
                         });
                     }
@@ -442,59 +381,21 @@ impl NetServer {
                     // still waiting there is accepted and answered first.
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         if router.is_terminated() && live.load(Ordering::Acquire) == 0 {
-                            break;
+                            break Ok(());
                         }
                         std::thread::sleep(Duration::from_millis(1));
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        accept_error = Some(e);
-                        break;
-                    }
+                    Err(e) => break Err(e),
                 }
-            }
+            };
             // Wind-down: no new connections; connection threads notice
             // the flag after their current burst or within one read
-            // timeout, and the scope joins them. The supervisor is woken
-            // rather than left to sleep out its timer.
+            // timeout, and the scope joins them.
             shutdown.store(true, Ordering::Release);
-            supervisor.thread().unpark();
-            let housekeeping = supervisor.join().expect("supervisor thread panicked");
-            match accept_error {
-                Some(e) => Err(ServerError::Io(e)),
-                None => Ok(housekeeping),
-            }
+            accepted
         })
-        .expect("server scope panicked")?;
-
-        // A *terminated* campaign gets one last compaction after every
-        // connection thread is gone: the backend ends up holding the
-        // terminal snapshot and no segments, so a restart replays nothing. A
-        // server merely stopped mid-campaign skips this — its log tail
-        // is the crash image a restart must replay.
-        let terminated = router.is_terminated();
-        if terminated {
-            housekeeping.finish(&router);
-        }
-        let solution = router.solution();
-        Ok(ServerReport {
-            proven_optimum: solution.as_ref().filter(|_| terminated).map(|s| s.cost),
-            solution,
-            terminated,
-            connections: counters.connections.load(Ordering::Relaxed),
-            frames: counters.frames.load(Ordering::Relaxed),
-            bundles: counters.bundles.load(Ordering::Relaxed),
-            batched_frames: counters.batched_frames.load(Ordering::Relaxed),
-            requests: counters.requests.load(Ordering::Relaxed),
-            queries: counters.queries.load(Ordering::Relaxed),
-            protocol_errors: counters.protocol_errors.load(Ordering::Relaxed),
-            router_contacts: router.contacts(),
-            steals: router.steals(),
-            coordinator_stats: router.stats(),
-            remaining: router.size(),
-            recovery,
-            wall: started.elapsed(),
-        })
+        .expect("server scope panicked")
     }
 }
 
@@ -504,7 +405,6 @@ fn serve_connection(
     stream: TcpStream,
     router: &ShardRouter,
     config: &ServerConfig,
-    counters: &Counters,
     metrics: &NetMetrics,
     shutdown: &AtomicBool,
     started: Instant,
@@ -537,7 +437,6 @@ fn serve_connection(
             Err(TransportError::Closed) => return,
             Err(TransportError::Io(_)) => return,
             Err(TransportError::Protocol(_)) => {
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 metrics.decode_errors.inc();
                 return;
             }
@@ -548,14 +447,13 @@ fn serve_connection(
         match drain_buffered_frames(&mut reader) {
             Ok(more) => frames.extend(more),
             Err(_) => {
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 metrics.decode_errors.inc();
                 return;
             }
         }
         // The burst is answered; a stop request ends the connection
         // here even when the peer never lets a read time out.
-        if serve_frames(frames, &mut writer, router, counters, metrics, started).is_err()
+        if serve_frames(frames, &mut writer, router, metrics, started).is_err()
             || shutdown.load(Ordering::Acquire)
         {
             return;
@@ -569,7 +467,6 @@ fn serve_frames(
     frames: Vec<Frame>,
     writer: &mut BufWriter<TcpStream>,
     router: &ShardRouter,
-    counters: &Counters,
     metrics: &NetMetrics,
     started: Instant,
 ) -> Result<(), ()> {
@@ -582,20 +479,14 @@ fn serve_frames(
     for frame in &frames {
         match frame.kind {
             wire::kind::REQUEST_BUNDLE => {
-                let requests = wire::parse_request_bundle(frame).map_err(|_| {
-                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    metrics.decode_errors.inc();
-                })?;
-                counters.frames.fetch_add(1, Ordering::Relaxed);
+                let requests =
+                    wire::parse_request_bundle(frame).map_err(|_| metrics.decode_errors.inc())?;
                 metrics.frames_in_bundle.inc();
-                counters
-                    .requests
-                    .fetch_add(requests.len() as u64, Ordering::Relaxed);
+                metrics.requests.add(requests.len() as u64);
                 slices.push((frame.seq, requests.len()));
                 combined.extend(requests);
             }
             wire::kind::QUERY => {
-                counters.queries.fetch_add(1, Ordering::Relaxed);
                 metrics.frames_in_query.inc();
                 let t0 = Instant::now();
                 let status = status_of(router);
@@ -618,7 +509,6 @@ fn serve_frames(
             _ => {
                 // A response/status frame from a client is out of
                 // contract.
-                counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 metrics.decode_errors.inc();
                 return Err(());
             }
@@ -626,10 +516,8 @@ fn serve_frames(
     }
 
     if !combined.is_empty() {
-        counters.bundles.fetch_add(1, Ordering::Relaxed);
-        counters
-            .batched_frames
-            .fetch_add(slices.len() as u64 - 1, Ordering::Relaxed);
+        metrics.bundles.inc();
+        metrics.batched_frames.add(slices.len() as u64 - 1);
         let now_ns = started.elapsed().as_nanos() as u64;
         let sent = combined.len();
         let t0 = Instant::now();

@@ -85,6 +85,33 @@ fn flowshop_exact_over_tcp_across_shards_and_modes() {
     }
 }
 
+/// An initial upper bound that is already the optimum leaves the fleet
+/// nothing better to find: the proof is that bound, as `run` reports it.
+#[test]
+fn server_proves_an_initial_bound_that_is_already_optimal() {
+    let problem = flowshop9();
+    let config = ServerConfig {
+        coordinator: CoordinatorConfig {
+            initial_upper_bound: Some(564),
+            ..CoordinatorConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let (addr, server) = spawn_server(&problem, config);
+    run_workers_over_socket(
+        &problem,
+        addr,
+        &campaign_config(2),
+        0,
+        ClientMode::Multiplexed,
+        &ClientOptions::default(),
+    )
+    .expect("client fleet");
+    let report = server.join().expect("server thread");
+    assert!(report.terminated);
+    assert_eq!(report.proven_optimum, Some(564));
+}
+
 /// Overlapped updates over the multiplexed socket into a journaling
 /// server: workers keep exploring while their periodic updates are in
 /// flight, which may duplicate a little work but never lose any. The

@@ -8,8 +8,8 @@
 
 use gridbnb_core::runtime::{ChaosConfig, CrashPlan, DurabilityPolicy, RuntimeConfig};
 use gridbnb_core::{
-    CoordinatorConfig, FileBackend, MemoryBackend, Problem, Request, Response, ShardDirBackend,
-    StorageBackend, Transport, UBig, WorkerId,
+    CoordinatorConfig, Fault, FaultBackend, FileBackend, MemoryBackend, Problem, Request, Response,
+    ShardDirBackend, StorageBackend, Transport, UBig, WorkerId,
 };
 use gridbnb_engine::solve;
 use gridbnb_flowshop::bounds::PairSelection;
@@ -159,6 +159,7 @@ fn kill_and_restart<P: Problem>(
     let restarted = server.join().expect("restarted server thread");
     let recovery = restarted
         .recovery
+        .as_ref()
         .expect("a restart on a populated backend must report recovery");
     assert_eq!(
         recovery.recovered_length, killed.remaining,
@@ -247,4 +248,53 @@ fn restarted_finished_server_answers_a_waiting_worker_terminate() {
     let restarted = serving.join().expect("restarted server thread");
     assert!(restarted.terminated);
     assert!(restarted.recovery.is_some());
+}
+
+/// A durable server reports its compactions — the paper's checkpoints —
+/// like a durable `run`: a healthy backend commits at least the terminal
+/// one, and a backend that fails every write after the log opens is
+/// counted in `checkpoint_failures`, not swallowed, while the proof over
+/// the wire stays exact.
+#[test]
+fn failed_server_compaction_reaches_the_report() {
+    let problem = flowshop9();
+    let expected = solve(&problem, None).best_cost;
+    let serve_on = |backend: Arc<dyn StorageBackend>| {
+        let config = ServerConfig {
+            durability: Some(DurabilityPolicy {
+                backend,
+                compact_every: Duration::from_millis(1),
+            }),
+            ..ServerConfig::default()
+        };
+        let (addr, _handle, server) = spawn_server(&problem, config);
+        run_workers_over_socket(
+            &problem,
+            addr,
+            &campaign_config(2),
+            0,
+            ClientMode::Multiplexed,
+            &ClientOptions::default(),
+        )
+        .expect("fleet");
+        server.join().expect("server thread")
+    };
+
+    let healthy = serve_on(Arc::new(MemoryBackend::new()));
+    assert_eq!(healthy.proven_optimum, expected);
+    assert!(healthy.farmer_checkpoints >= 1);
+    assert_eq!(healthy.checkpoint_failures, 0);
+
+    let failing = Arc::new(FaultBackend::new(MemoryBackend::new()));
+    failing.fail_after(3, u64::MAX, Fault::Error);
+    let report = serve_on(failing);
+    assert_eq!(
+        report.proven_optimum, expected,
+        "the server must stay exact"
+    );
+    assert_eq!(report.farmer_checkpoints, 0, "no compaction can commit");
+    assert!(
+        report.checkpoint_failures > 0,
+        "failed compactions must be counted, not swallowed"
+    );
 }

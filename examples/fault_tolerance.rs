@@ -21,11 +21,8 @@
 //! cargo run --release --example fault_tolerance -- --nug16
 //! ```
 
-use gridbnb::core::runtime::{run, run_with_router, ChaosConfig, CrashPlan, RuntimeConfig};
-use gridbnb::core::{
-    CoordinatorConfig, FileBackend, MetricsRegistry, ShardDirBackend, ShardRouter, StorageBackend,
-    WalStore,
-};
+use gridbnb::core::runtime::{run, ChaosConfig, CrashPlan, RuntimeConfig};
+use gridbnb::core::{FileBackend, MetricsRegistry, ShardDirBackend, StorageBackend};
 use gridbnb::engine::solve;
 use gridbnb::flowshop::bounds::PairSelection;
 use gridbnb::flowshop::{taillard, BoundMode, FlowshopProblem};
@@ -112,23 +109,17 @@ fn demo_crashes_and_checkpoints() {
     files.sort();
     println!("the two files on disk: {}", files.join(", "));
 
-    // Simulate a farmer restart from the files — here the terminal
-    // state, recovered into a router.
-    let (_, state) = WalStore::recover(backend).expect("readable checkpoint");
+    // Simulate a farmer restart from the files: a durable run on the
+    // same backend recovers the terminal state and has nothing left to
+    // explore.
+    let config = RuntimeConfig::new(2).with_durability(backend, Duration::from_millis(5));
+    let resumed = run(&problem, &config);
     println!(
-        "restored checkpoint: {} interval(s), solution {:?}",
-        state.shard_intervals.iter().map(Vec::len).sum::<usize>(),
-        state.solution.as_ref().map(|s| s.cost)
+        "resumed run recovers the checkpoint, explores {} nodes and confirms optimum {:?}",
+        resumed.total_explored(),
+        resumed.proven_optimum
     );
-    let router = ShardRouter::restore(
-        problem_root(&problem),
-        state.shard_intervals,
-        state.solution,
-        CoordinatorConfig::default(),
-    )
-    .expect("valid coordinator config");
-    let resumed = run_with_router(&problem, router, &RuntimeConfig::new(2));
-    println!("resumed run confirms optimum: {:?}", resumed.proven_optimum);
+    assert!(resumed.recovery.is_some());
     assert_eq!(resumed.proven_optimum, expected);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -136,10 +127,9 @@ fn demo_crashes_and_checkpoints() {
 /// Durable-coordinator demo: the campaign journals every interval delta
 /// to a write-ahead log on a directory-per-shard backend; a concurrent
 /// thread keeps copying the directory — each copy is a *crash image*,
-/// the bytes a `kill -9` would leave behind. The last image is then
-/// recovered (torn tail repaired, log tail replayed over the committed
-/// snapshot), a router is rebuilt from the recovered state, and the
-/// resumed run proves the same optimum.
+/// the bytes a `kill -9` would leave behind. A durable run on the last
+/// image recovers it (torn tail repaired, log tail replayed over the
+/// committed snapshot) and proves the same optimum.
 fn demo_durable() {
     let instance = taillard::generate(10, 5, 31_337);
     let problem = FlowshopProblem::new(instance, BoundMode::Johnson(PairSelection::All));
@@ -210,33 +200,26 @@ fn demo_durable() {
     }
     assert_eq!(live_report.proven_optimum, expected);
 
-    // "Restart" from the crash image.
+    // "Restart" from the crash image: a durable run on it recovers the
+    // campaign and finishes it.
     let imaged: Arc<dyn StorageBackend> =
         Arc::new(ShardDirBackend::new(&image_dir).expect("imaged backend"));
-    let (_, state) =
-        WalStore::recover(Arc::clone(&imaged)).expect("every point-in-time image must recover");
+    let mut resumed_config =
+        RuntimeConfig::new(4).with_durability(imaged, Duration::from_millis(10));
+    resumed_config.poll_nodes = 200;
+    let resumed = run(&problem, &resumed_config);
+    let recovery = resumed
+        .recovery
+        .as_ref()
+        .expect("the image holds a campaign");
     println!(
         "recovered image: {} replayed records ({} ops), {} torn tail(s) repaired, \
-         remaining length {}, solution {:?}",
-        state.replayed_records,
-        state.replayed_ops,
-        state.torn_truncations,
-        state.total_length(),
-        state.solution.as_ref().map(|s| s.cost),
+         remaining length {}",
+        recovery.replayed_records,
+        recovery.replayed_ops,
+        recovery.torn_truncations,
+        recovery.recovered_length,
     );
-    let shards = state.shard_intervals.len();
-    let router = ShardRouter::restore(
-        problem_root(&problem),
-        state.shard_intervals,
-        state.solution,
-        CoordinatorConfig::default(),
-    )
-    .expect("restore router");
-    let mut resumed_config = RuntimeConfig::new(4)
-        .with_shards(shards)
-        .with_durability(imaged, Duration::from_millis(10));
-    resumed_config.poll_nodes = 200;
-    let resumed = run_with_router(&problem, router, &resumed_config);
     println!("resumed run confirms optimum: {:?}", resumed.proven_optimum);
     assert_eq!(resumed.proven_optimum, expected);
     std::fs::remove_dir_all(&scratch).ok();
@@ -296,9 +279,4 @@ fn copy_tree(src: &Path, dst: &Path) -> std::io::Result<()> {
         }
     }
     Ok(())
-}
-
-fn problem_root(problem: &FlowshopProblem) -> gridbnb::coding::Interval {
-    use gridbnb::engine::Problem;
-    problem.shape().root_range()
 }
