@@ -8,7 +8,8 @@
 //! * `per_request_update_x1024_threads4/S` — every update is its own
 //!   [`ShardRouter::handle`] contact: one lock acquisition and one full
 //!   round of index maintenance (priority re-key + heartbeat move) per
-//!   op — what the runtime does without coalescing;
+//!   op — the runtime's shape, whose workers send one update per
+//!   contact;
 //! * `bundled64_update_x1024_threads4/S` — the updates ship as bundles
 //!   of 64 through [`ShardRouter::handle_bundle`]: one lock acquisition
 //!   per bundle and one deferred re-key/heartbeat move per touched

@@ -8,11 +8,11 @@
 //! entries, delivered three ways:
 //!
 //! * `per_request_w16x8/S` — every update is its own
-//!   [`ShardRouter::handle`] contact: the runtime's default (no
-//!   coalescing) and the paper's literal protocol — per-op lock and
+//!   [`ShardRouter::handle`] contact: the runtime's shape (one update
+//!   per contact) and the paper's literal protocol — per-op lock and
 //!   index traffic, 128 lock acquisitions per round;
 //! * `per_worker_bundles_w16x8/S` — each worker ships its own
-//!   8-update bundle (coalescing): 16 lock acquisitions per round,
+//!   8-update bundle: 16 lock acquisitions per round,
 //!   per-worker deferred index maintenance;
 //! * `shared_bundle_w16x8/S` — one [`ShardRouter::handle_bundle`] call
 //!   per round carrying all 16 workers' bundles: the shape of the

@@ -98,17 +98,6 @@ pub enum ConfigError {
     ZeroWorkers,
     /// `worker_powers` was empty (it is cycled across workers).
     EmptyWorkerPowers,
-    /// A coalescing policy with `slices_per_contact` of zero.
-    ZeroCoalesceSlices,
-    /// A coalescing silence window at or above the holder timeout: a
-    /// worker using its whole allowed silence would be expired as dead
-    /// and its work redone every window.
-    CoalesceSilenceTooLong {
-        /// The policy's `max_silence`, nanoseconds.
-        silence_ns: u64,
-        /// The coordinator's `holder_timeout_ns` it must stay below.
-        timeout_ns: u64,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -122,17 +111,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptyWorkerPowers => write!(
                 f,
                 "worker_powers must not be empty (it is cycled across workers)"
-            ),
-            ConfigError::ZeroCoalesceSlices => {
-                write!(f, "coalesce.slices_per_contact must be ≥ 1")
-            }
-            ConfigError::CoalesceSilenceTooLong {
-                silence_ns,
-                timeout_ns,
-            } => write!(
-                f,
-                "coalesce.max_silence must stay below coordinator.holder_timeout_ns \
-                 ({silence_ns} ns ≥ {timeout_ns} ns)"
             ),
         }
     }

@@ -19,9 +19,11 @@
 //! it holds no unit; otherwise one exploration slice of
 //! [`RuntimeConfig::poll_nodes`] node visits followed — in this order —
 //! by the fresh-best `UpdateAndReport`, the scripted crash, unit
-//! exhaustion, and the periodic (possibly coalesced) `Update`, exactly
-//! like the paper's B&B processes that "regularly contact the
-//! coordinator to update their interval". It speaks through the
+//! exhaustion, and the periodic `Update` once the contact rule (on
+//! `Worker`) says it is due, like the paper's B&B processes that
+//! "regularly contact the coordinator to update their interval". That
+//! rule prices a contact by its measured cost, so no option sets the
+//! cadence. It speaks through the
 //! [`Transport`] trait, so the same code runs against the in-process
 //! router or a socket ([`run_workers`]). Over a transport
 //! with a real round trip the periodic `Update` is submitted without
@@ -34,8 +36,8 @@
 //! [`ReplicablePolicy::deterministic`] a single-threaded scheduler steps
 //! the *same* workers in a seed-shuffled round-robin over a logical
 //! clock; the only inputs that differ are the transport (one tick per
-//! request) and the clock ([`CoalescePolicy::max_silence`] is
-//! wall-clock-only). That driver has no supervisor: periodic compactions
+//! request) and the clock (on which every slice's periodic `Update` is
+//! due). That driver has no supervisor: periodic compactions
 //! do not happen, the terminal one does. The socket server in
 //! `gridbnb-net` is the third: its acceptor gives every connection a
 //! thread that serves frames from the farmer's router.
@@ -113,31 +115,6 @@ pub struct ChaosConfig {
     pub crashes: Vec<CrashPlan>,
 }
 
-/// Contact-coalescing policy: how many exploration slices a worker
-/// folds into one coordinator contact.
-///
-/// With no policy a worker contacts the coordinator after **every**
-/// `poll_nodes` slice (the paper's behavior — which is exactly how its
-/// farmer ended up handling ~2 M update operations). With a policy, the
-/// worker keeps exploring and ships one combined checkpoint per
-/// `slices_per_contact` slices; an improving solution still flushes
-/// immediately (solution sharing rule 2) as a single
-/// [`Request::UpdateAndReport`], and termination-sensitive requests
-/// (`RequestWork`, `Join`, `Leave`) always flush the buffer — carrying
-/// any unreported solution in the same bundle.
-#[derive(Clone, Debug)]
-pub struct CoalescePolicy {
-    /// Exploration slices folded into one periodic contact (≥ 1; 1 is
-    /// the classic one-contact-per-slice behavior).
-    pub slices_per_contact: u64,
-    /// Deadline flush: a worker holding work never stays silent longer
-    /// than this, whatever the slice count says — it must keep beating
-    /// the coordinator's holder timeout or coalescing would get healthy
-    /// workers expired. Keep it well below
-    /// [`CoordinatorConfig::holder_timeout_ns`].
-    pub max_silence: Duration,
-}
-
 /// Retry policy for transient transport failures: how a worker reacts
 /// when a contact fails with an error whose
 /// [`TransportError::is_transient`] is `true` (I/O hiccups, timeouts).
@@ -212,10 +189,10 @@ pub struct RuntimeConfig {
     /// `1` (the default) is one lock, `> 1` multiplies contact
     /// throughput.
     pub shards: usize,
-    /// Node visits explored between two coordinator contacts.
+    /// Node visits per exploration slice. A worker may contact the
+    /// coordinator after any slice; the contact rule on `Worker`
+    /// decides when its periodic update is due.
     pub poll_nodes: u64,
-    /// Optional contact coalescing (`None` = contact every slice).
-    pub coalesce: Option<CoalescePolicy>,
     /// Coordinator knobs (threshold, timeout, initial upper bound).
     pub coordinator: CoordinatorConfig,
     /// Relative worker powers (cycled if shorter than `workers`);
@@ -249,7 +226,6 @@ impl RuntimeConfig {
             workers,
             shards: 1,
             poll_nodes: 2_000,
-            coalesce: None,
             coordinator: CoordinatorConfig::default(),
             worker_powers: vec![100],
             durability: None,
@@ -318,31 +294,13 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enables contact coalescing at `slices_per_contact` slices per
-    /// periodic contact, with a deadline flush at a quarter of the
-    /// holder timeout (so coalescing can never starve the heartbeat
-    /// that keeps this worker un-expired).
-    pub fn with_coalescing(mut self, slices_per_contact: u64) -> Self {
-        // Strictly proportional — no absolute floor: a floor could meet
-        // or exceed a very short holder timeout, and a worker that used
-        // its whole allowed silence would then be expired as dead. A
-        // tiny quotient just degenerates to contact-every-slice, which
-        // is always safe.
-        let max_silence = Duration::from_nanos((self.coordinator.holder_timeout_ns / 4).max(1));
-        self.coalesce = Some(CoalescePolicy {
-            slices_per_contact: slices_per_contact.max(1),
-            max_silence,
-        });
-        self
-    }
-
-    /// Checks the whole configuration stack — worker/shard counts, the
-    /// coalescing silence window against the holder timeout, and the
-    /// coordinator knobs — through the one shared [`ConfigError`]
-    /// hierarchy. Every construction path (the run entry points here,
-    /// and the socket server in `gridbnb-net`) funnels through these
-    /// same checks, so no entry point can be started with, e.g., a
-    /// silence window at or above the holder timeout.
+    /// Checks the whole configuration stack — worker and shard counts,
+    /// worker powers, and the coordinator knobs — through the one
+    /// shared [`ConfigError`] hierarchy. Every construction path (the
+    /// run entry points here, and the socket server in `gridbnb-net`)
+    /// funnels through these same checks. The contact cadence needs no
+    /// check: the contact rule on `Worker` derives its silence cap from
+    /// the holder timeout, so it always stays below it.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
@@ -352,23 +310,6 @@ impl RuntimeConfig {
         }
         if self.worker_powers.is_empty() {
             return Err(ConfigError::EmptyWorkerPowers);
-        }
-        if let Some(policy) = &self.coalesce {
-            if policy.slices_per_contact == 0 {
-                return Err(ConfigError::ZeroCoalesceSlices);
-            }
-            // The documented invariant behind the silence deadline: a
-            // worker that uses its whole allowed silence must still be
-            // comfortably inside the holder timeout, or coalescing gets
-            // healthy workers expired (and their work redone) every
-            // window.
-            let silence_ns = policy.max_silence.as_nanos() as u64;
-            if silence_ns >= self.coordinator.holder_timeout_ns {
-                return Err(ConfigError::CoalesceSilenceTooLong {
-                    silence_ns,
-                    timeout_ns: self.coordinator.holder_timeout_ns,
-                });
-            }
         }
         self.coordinator.validate()
     }
@@ -401,10 +342,9 @@ pub struct WorkerReport {
     /// Coordinator contacts this thread made: one per request or
     /// request bundle sent, whatever it carried — a periodic update
     /// submitted without waiting for its ack counts when it is sent.
-    /// Over the multiplexed socket, where updates overlap exploration,
-    /// this is roughly one per round trip. With coalescing this
-    /// grows markedly slower than `checkpoint_ops + units` — the
-    /// amortization the batched protocol buys, pinned by a test.
+    /// How many slices one periodic contact covers is the contact
+    /// rule's choice (see `Worker`): about one per round trip over the
+    /// multiplexed socket, where updates overlap exploration.
     pub contacts: u64,
     /// Crashes it simulated.
     pub crashes: u64,
@@ -637,7 +577,8 @@ struct WorkerMetrics {
     /// `gbnb_worker_slice_ns` — exploration slice latency.
     slice_ns: Histogram,
     /// `gbnb_worker_idle_wait_ns` — time a worker spent blocked in one
-    /// contact (transport round-trip, retry backoffs).
+    /// contact (transport round-trip, retry backoffs, a submit's
+    /// encode-and-enqueue) or waiting out an in-flight ack.
     idle_wait_ns: Histogram,
     /// `gbnb_worker_busy_ns_total` — total exploring time.
     busy_ns: Counter,
@@ -973,8 +914,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// * *transport and clock* — contacts go through a
 ///   [`LogicalClockTransport`], whose `now_ns` is a tick counter, so
 ///   holder heartbeats and expiry decisions are functions of contact
-///   order, not wall time (and [`CoalescePolicy::max_silence`], a
-///   wall-clock deadline, does not fire);
+///   order, not wall time, and the contact rule (see `Worker`) makes
+///   every slice's periodic update due;
 /// * *scheduler* — workers are visited in a seed-shuffled round-robin
 ///   instead of by the OS. When a whole round yields only
 ///   [`Step::Blocked`] (the crashed-holder endgame) the clock
@@ -1107,8 +1048,10 @@ fn supervise(
 /// `gridbnb-net` socket server, possibly on another machine), and it
 /// keeps running after these workers leave. Worker ids are offset by
 /// `id_base` so several client processes can join the same coordinator
-/// without colliding; crash plans and coalescing work exactly as in the
-/// in-process runtime.
+/// without colliding. Crash plans and the contact rule (see `Worker`)
+/// work exactly as in the in-process runtime; the rule's silence cap
+/// reads `config.coordinator.holder_timeout_ns`, so give it the
+/// server's timeout.
 pub fn run_workers<P, T, F>(
     problem: &P,
     config: &RuntimeConfig,
@@ -1175,12 +1118,23 @@ fn check_count(sent: usize, responses: Vec<Response>) -> Result<Vec<Response>, T
 
 /// Records the time since `since` as time a worker spent blocked on a
 /// contact while holding work: the whole round trip, retry backoffs,
-/// or waiting out an in-flight ack.
-fn record_blocked(cx: &WorkerContext<'_>, since: Instant) {
-    let waited = since.elapsed().as_nanos() as u64;
-    cx.metrics.idle_wait_ns.observe(waited);
-    cx.metrics.idle_ns.add(waited);
+/// a submit's encode-and-enqueue, or waiting out an in-flight ack.
+/// Returns that time.
+fn record_blocked(cx: &WorkerContext<'_>, since: Instant) -> Duration {
+    let waited = since.elapsed();
+    cx.metrics.idle_wait_ns.observe(waited.as_nanos() as u64);
+    cx.metrics.idle_ns.add(waited.as_nanos() as u64);
+    waited
 }
+
+/// The contact rule's price of a contact (see [`Worker`]): exploration
+/// time owed per unit of the last contact's cost before the next
+/// periodic update is due.
+const EXPLORE_PER_CONTACT_COST: u32 = 32;
+
+/// The contact rule's silence cap (see [`Worker`]): a holder contacts
+/// at least once per this fraction of the holder timeout.
+const SILENCE_DIVISOR: u64 = 4;
 
 /// What every worker of a run shares, whichever driver steps it.
 struct WorkerContext<'a> {
@@ -1188,9 +1142,10 @@ struct WorkerContext<'a> {
     metrics: &'a WorkerMetrics,
     /// Next identity for a crashed worker that rejoins.
     fresh_ids: &'a AtomicU64,
-    /// Whether wall time means anything to the driver: the
-    /// [`CoalescePolicy::max_silence`] deadline only fires when it
-    /// does (never on the logical clock).
+    /// Whether wall time means anything to the driver. Only then does
+    /// the contact rule (see [`Worker`]) weigh measured contact costs;
+    /// on the logical clock every slice's periodic update is due, so
+    /// same-seed runs stay byte-identical.
     wall_clock: bool,
 }
 
@@ -1211,11 +1166,28 @@ enum Step {
 /// driver hands to [`Worker::step`]: a direct call into its home shard
 /// of a [`ShardRouter`], a socket round-trip to a remote server, or
 /// the deterministic driver's logical-clock transport. Every contact
-/// is a request *bundle* (usually of one); with
-/// [`RuntimeConfig::coalesce`] set, periodic checkpoints are folded
-/// across slices, an improvement ships as one combined
-/// [`Request::UpdateAndReport`], and a spent unit's unreported solution
-/// rides the `RequestWork` bundle.
+/// is a request *bundle* (usually of one): an improvement ships as one
+/// combined [`Request::UpdateAndReport`], and a spent unit's unreported
+/// solution rides the `RequestWork` bundle. Both go out at once.
+///
+/// **The contact rule.** Only the periodic `Update` waits for a due
+/// rule, the same for every transport. After a slice that sent nothing
+/// else, it is due when no update is in flight and either
+///
+/// * the worker has explored for at least [`EXPLORE_PER_CONTACT_COST`]
+///   times the cost of its last contact — so contacts take at most about
+///   a 33rd of its time — or
+/// * its silence since that contact has reached
+///   [`CoordinatorConfig::holder_timeout_ns`] divided by
+///   [`SILENCE_DIVISOR`], so a slow transport never lets a live holder
+///   expire.
+///
+/// A contact's cost is the wall time the worker spent inside it, the
+/// time it also records as blocked: the whole round trip (retries
+/// included) of a synchronous contact, or the encode-and-enqueue of a
+/// submitted one. Every contact resets the measurement — work
+/// requests, checkpoints and periodic updates alike. On the logical
+/// clock no cost is measured and every slice's update is due.
 ///
 /// Transient transport failures are retried with backoff
 /// ([`RetryPolicy`]); a permanent failure — or exhausted retries — ends
@@ -1248,8 +1220,11 @@ struct Worker<'p, P: Problem> {
     unit: Option<(IntervalExplorer<'p, P>, UBig)>,
     /// The periodic update whose ack has not arrived yet, if any.
     inflight: Option<Box<dyn PendingContact>>,
-    slices_since_contact: u64,
+    /// When the last contact ended, and what it cost.
     last_contact: Instant,
+    last_contact_cost: Duration,
+    /// Exploration time since the last contact.
+    explored_since_contact: Duration,
     born: Instant,
     report: WorkerReport,
 }
@@ -1270,8 +1245,9 @@ impl<'p, P: Problem> Worker<'p, P> {
             pending_solution: None,
             unit: None,
             inflight: None,
-            slices_since_contact: 0,
             last_contact: Instant::now(),
+            last_contact_cost: Duration::ZERO,
+            explored_since_contact: Duration::ZERO,
             born: Instant::now(),
             report: WorkerReport::default(),
         }
@@ -1313,7 +1289,6 @@ impl<'p, P: Problem> Worker<'p, P> {
         bundle: Vec<Request>,
         cx: &WorkerContext<'_>,
     ) -> Result<Response, TransportError> {
-        self.count_contact(cx);
         let t0 = Instant::now();
         let result = send_with_retry(
             transport,
@@ -1321,14 +1296,29 @@ impl<'p, P: Problem> Worker<'p, P> {
             &cx.config.transport_retry,
             &mut self.report,
         );
-        record_blocked(cx, t0);
+        self.contacted(t0, cx);
         Ok(result?.pop().expect("bundle was non-empty"))
     }
 
-    /// Tallies one contact sent, whether or not its reply is awaited.
-    fn count_contact(&mut self, cx: &WorkerContext<'_>) {
+    /// Closes a contact that began at `t0`, whether or not its reply is
+    /// awaited: tallies it, records the time inside it as blocked, and
+    /// makes that time the cost the contact rule weighs next.
+    fn contacted(&mut self, t0: Instant, cx: &WorkerContext<'_>) {
         self.report.contacts += 1;
         cx.metrics.contacts.inc();
+        self.last_contact_cost = record_blocked(cx, t0);
+        self.last_contact = Instant::now();
+        self.explored_since_contact = Duration::ZERO;
+    }
+
+    /// The contact rule (see [`Worker`]): whether the periodic `Update`
+    /// is due after this slice.
+    fn update_due(&self, cx: &WorkerContext<'_>) -> bool {
+        let silence_cap = cx.config.coordinator.holder_timeout_ns / SILENCE_DIVISOR;
+        self.inflight.is_none()
+            && (!cx.wall_clock
+                || self.explored_since_contact >= self.last_contact_cost * EXPLORE_PER_CONTACT_COST
+                || self.last_contact.elapsed().as_nanos() as u64 >= silence_cap)
     }
 
     /// Termination-sensitive flush: the work request always goes out
@@ -1357,8 +1347,6 @@ impl<'p, P: Problem> Worker<'p, P> {
                 let explorer = IntervalExplorer::new(self.problem, &interval, cutoff);
                 let unit_start = explorer.position().clone();
                 self.unit = Some((explorer, unit_start));
-                self.slices_since_contact = 0;
-                self.last_contact = Instant::now();
                 Step::Advanced
             }
             Ok(Response::Terminate) => Step::Done,
@@ -1384,8 +1372,8 @@ impl<'p, P: Problem> Worker<'p, P> {
 
     /// One exploration slice, then — in this order — the ack of an
     /// in-flight update if it has arrived, the fresh-best report, the
-    /// scripted crash, unit exhaustion, and the periodic (possibly
-    /// coalesced) checkpoint.
+    /// scripted crash, unit exhaustion, and the periodic checkpoint if
+    /// the contact rule says it is due.
     fn explore<T: Transport + ?Sized>(
         &mut self,
         mut explorer: IntervalExplorer<'p, P>,
@@ -1399,7 +1387,7 @@ impl<'p, P: Problem> Worker<'p, P> {
         self.report.busy += slice;
         cx.metrics.slice_ns.observe(slice.as_nanos() as u64);
         cx.metrics.busy_ns.add(slice.as_nanos() as u64);
-        self.slices_since_contact += 1;
+        self.explored_since_contact += slice;
         let mut contacted_this_slice = false;
 
         if let Some(pending) = self.inflight.as_mut() {
@@ -1465,20 +1453,10 @@ impl<'p, P: Problem> Worker<'p, P> {
 
         // Pull-model checkpoint: report the live interval, adopt the
         // intersection, refresh the cutoff (solution sharing rule 3).
-        // Under a coalescing policy only every `slices_per_contact`-th
-        // slice contacts (or the silence deadline forces it). With an
-        // update still in flight the next one waits for its ack, so the
-        // cadence is every slice or one round trip, whichever is longer.
-        let due = !contacted_this_slice
-            && self.inflight.is_none()
-            && match &cx.config.coalesce {
-                None => true,
-                Some(policy) => {
-                    self.slices_since_contact >= policy.slices_per_contact
-                        || (cx.wall_clock && self.last_contact.elapsed() >= policy.max_silence)
-                }
-            };
-        if due && !self.submit_update(&mut explorer, transport, cx) {
+        if !contacted_this_slice
+            && self.update_due(cx)
+            && !self.submit_update(&mut explorer, transport, cx)
+        {
             self.retire(explorer, unit_start, cx);
             return Step::Done;
         }
@@ -1500,15 +1478,11 @@ impl<'p, P: Problem> Worker<'p, P> {
             worker: self.id,
             interval: explorer.current_interval(),
         };
-        self.count_contact(cx);
         let t0 = Instant::now();
-        self.slices_since_contact = 0;
-        self.last_contact = t0;
-        match transport.submit(vec![request]) {
-            Submitted::Ready(result) => {
-                record_blocked(cx, t0);
-                self.land_update(result, explorer, transport, cx)
-            }
+        let submitted = transport.submit(vec![request]);
+        self.contacted(t0, cx);
+        match submitted {
+            Submitted::Ready(result) => self.land_update(result, explorer, transport, cx),
             Submitted::Pending(pending) => {
                 self.inflight = Some(pending);
                 true
@@ -1572,11 +1546,7 @@ impl<'p, P: Problem> Worker<'p, P> {
         cx: &WorkerContext<'_>,
     ) -> bool {
         match self.contact(transport, vec![request], cx) {
-            Ok(response) => {
-                self.slices_since_contact = 0;
-                self.last_contact = Instant::now();
-                self.apply_ack(response, explorer)
-            }
+            Ok(response) => self.apply_ack(response, explorer),
             Err(e) => {
                 self.report.transport_failure = failure_of(e);
                 false

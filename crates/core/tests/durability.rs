@@ -35,63 +35,57 @@ fn fast_config(workers: usize) -> RuntimeConfig {
 /// state committed: recovering the backend afterwards yields empty
 /// intervals (nothing left to explore) and the optimal solution, which
 /// restore into a terminated router — plus live `gbnb_wal_*` series on
-/// the run's registry. At one shard, several, and with coalesced
-/// contacts.
+/// the run's registry. At one shard and several.
 #[test]
 fn durable_run_is_exact_and_commits_terminal_state() {
     let problem = small_flowshop(77);
     let expected = solve(&problem, None).best_cost;
     for shards in [1usize, 2, 3] {
-        for coalescing in [None, Some(4)] {
-            let backend = Arc::new(MemoryBackend::new());
-            let registry = MetricsRegistry::new();
-            let mut config = fast_config(4)
-                .with_shards(shards)
-                .with_metrics(&registry)
-                .with_durability(
-                    Arc::clone(&backend) as Arc<dyn StorageBackend>,
-                    Duration::from_millis(5),
-                );
-            if let Some(slices) = coalescing {
-                config = config.with_coalescing(slices);
-            }
-            let case = format!("S={shards} coalescing={coalescing:?}");
-            let report = run(&problem, &config);
-            assert_eq!(report.proven_optimum, expected, "{case}");
-            assert_eq!(report.checkpoint_failures, 0, "{case}");
-            assert!(
-                report.farmer_checkpoints >= 1,
-                "{case}: the terminal compaction is a checkpoint"
+        let backend = Arc::new(MemoryBackend::new());
+        let registry = MetricsRegistry::new();
+        let config = fast_config(4)
+            .with_shards(shards)
+            .with_metrics(&registry)
+            .with_durability(
+                Arc::clone(&backend) as Arc<dyn StorageBackend>,
+                Duration::from_millis(5),
             );
+        let case = format!("S={shards}");
+        let report = run(&problem, &config);
+        assert_eq!(report.proven_optimum, expected, "{case}");
+        assert_eq!(report.checkpoint_failures, 0, "{case}");
+        assert!(
+            report.farmer_checkpoints >= 1,
+            "{case}: the terminal compaction is a checkpoint"
+        );
 
-            let scrape = registry.render_text();
-            assert!(
-                scrape.contains("gbnb_wal_appends_total"),
-                "{case}: wal series missing from the run registry:\n{scrape}"
-            );
+        let scrape = registry.render_text();
+        assert!(
+            scrape.contains("gbnb_wal_appends_total"),
+            "{case}: wal series missing from the run registry:\n{scrape}"
+        );
 
-            let (_, state) = WalStore::recover(Arc::clone(&backend) as Arc<dyn StorageBackend>)
-                .expect("recover");
-            assert_eq!(
-                state.total_length(),
-                UBig::zero(),
-                "{case}: terminal compaction must commit the fully-explored state"
-            );
-            assert_eq!(state.solution.as_ref().map(|s| s.cost), expected, "{case}");
-            assert_eq!(
-                state.replayed_ops, 0,
-                "{case}: a compacted terminal backend has no log tail to replay"
-            );
-            assert_eq!(state.shard_intervals.len(), shards, "{case}");
-            let restored = ShardRouter::restore(
-                problem.shape().root_range(),
-                state.shard_intervals,
-                state.solution,
-                config.coordinator.clone(),
-            )
-            .expect("restore");
-            assert!(restored.is_terminated(), "{case}");
-        }
+        let (_, state) =
+            WalStore::recover(Arc::clone(&backend) as Arc<dyn StorageBackend>).expect("recover");
+        assert_eq!(
+            state.total_length(),
+            UBig::zero(),
+            "{case}: terminal compaction must commit the fully-explored state"
+        );
+        assert_eq!(state.solution.as_ref().map(|s| s.cost), expected, "{case}");
+        assert_eq!(
+            state.replayed_ops, 0,
+            "{case}: a compacted terminal backend has no log tail to replay"
+        );
+        assert_eq!(state.shard_intervals.len(), shards, "{case}");
+        let restored = ShardRouter::restore(
+            problem.shape().root_range(),
+            state.shard_intervals,
+            state.solution,
+            config.coordinator.clone(),
+        )
+        .expect("restore");
+        assert!(restored.is_terminated(), "{case}");
     }
 }
 

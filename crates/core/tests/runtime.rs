@@ -4,21 +4,24 @@
 //! snapshot text.
 
 use gridbnb_core::runtime::{
-    run, run_with_router, run_workers, ChaosConfig, CrashPlan, RuntimeConfig, WorkerReport,
+    run, run_with_router, run_workers, ChaosConfig, CrashPlan, Farmer, RunReport, RuntimeConfig,
+    WorkerReport,
 };
 use gridbnb_core::{
-    CoordinatorConfig, MemoryBackend, PendingContact, Request, Response, RouterTransport,
-    ShardRouter, StorageBackend, Submitted, Transport, TransportError, UBig, WalStore,
+    CoordinatorConfig, MemoryBackend, MetricsRegistry, PendingContact, Request, Response,
+    RouterTransport, ShardRouter, StorageBackend, Submitted, Transport, TransportError, UBig,
+    WalStore,
 };
 use gridbnb_engine::toy::FullEnumeration;
 use gridbnb_engine::{solve, solve_interval};
 use gridbnb_flowshop::taillard::generate;
 use gridbnb_flowshop::{BoundMode, FlowshopProblem, Problem};
+use gridbnb_metrics::latency_buckets_ns;
 use gridbnb_tsp::{TspInstance, TspProblem};
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn small_flowshop(seed: i64) -> FlowshopProblem {
@@ -201,55 +204,199 @@ fn all_workers_crash_then_rejoin_still_completes() {
     assert_eq!(crashes, 3);
 }
 
+/// One contact as a [`SlowContacts`] transport saw it.
+struct ContactLog {
+    began: Instant,
+    took: Duration,
+    /// Whether the worker held a unit once the reply was in: the reply
+    /// was `Work` or an `UpdateAck`.
+    holds_after: bool,
+}
+
+/// A router transport that sleeps `delay` inside every contact — a
+/// stand-in for a slow link — and logs each contact into `log`.
+struct SlowContacts<'r> {
+    inner: RouterTransport<'r>,
+    delay: Duration,
+    log: &'r Mutex<Vec<ContactLog>>,
+}
+
+impl Transport for SlowContacts<'_> {
+    fn contact(&self, requests: Vec<Request>) -> Result<Vec<Response>, TransportError> {
+        let began = Instant::now();
+        std::thread::sleep(self.delay);
+        let responses = self.inner.contact(requests)?;
+        let holds_after = matches!(
+            responses.last(),
+            Some(Response::Work { .. } | Response::UpdateAck { .. })
+        );
+        self.log.lock().unwrap().push(ContactLog {
+            began,
+            took: began.elapsed(),
+            holds_after,
+        });
+        Ok(responses)
+    }
+}
+
+/// The longest exploration slice the run's registry saw, rounded up to
+/// its histogram bucket (`Duration::MAX` past the last bucket).
+fn longest_slice(registry: &MetricsRegistry) -> Duration {
+    let slices = registry.histogram("gbnb_worker_slice_ns", &[], &latency_buckets_ns());
+    let last = slices.bucket_counts().iter().rposition(|&n| n > 0);
+    match last.map(|i| slices.bounds().get(i)) {
+        Some(Some(&bound)) => Duration::from_nanos(bound),
+        Some(None) => Duration::MAX,
+        None => Duration::ZERO,
+    }
+}
+
+/// Runs `config`'s workers over [`SlowContacts`] transports with
+/// `delay` into `router`, whose clock started at `started`: (reports,
+/// per-worker contact logs).
+fn drive_slow<P: Problem>(
+    problem: &P,
+    config: &RuntimeConfig,
+    router: &ShardRouter,
+    started: Instant,
+    delay: Duration,
+) -> (Vec<WorkerReport>, Vec<Vec<ContactLog>>) {
+    let logs: Vec<Mutex<Vec<ContactLog>>> = (0..config.workers).map(|_| Mutex::default()).collect();
+    let reports = run_workers(problem, config, 0, |index| SlowContacts {
+        inner: RouterTransport::new(router, started),
+        delay,
+        log: &logs[index],
+    });
+    let logs = logs.into_iter().map(|log| log.into_inner().unwrap());
+    (reports, logs.collect())
+}
+
+/// Opens `config`'s campaign over `problem` — durable and metered as
+/// `config` says — and drives it to its end under the farmer's
+/// supervisor with [`SlowContacts`] workers of `delay`: (worker
+/// reports, the farmer's report).
+fn run_slow<P: Problem>(
+    problem: &P,
+    config: &RuntimeConfig,
+    delay: Duration,
+) -> (Vec<WorkerReport>, RunReport) {
+    let farmer = Farmer::open(
+        problem.shape().root_range(),
+        config.shards,
+        &config.coordinator,
+        config.durability.as_ref(),
+        config.metrics.as_ref(),
+    )
+    .unwrap();
+    let ((reports, _), report) = farmer.host(&AtomicBool::new(false), |router, started| {
+        drive_slow(problem, config, router, started, delay)
+    });
+    (reports, report)
+}
+
+/// Slices explored in the run metered by `registry`.
+fn slices(registry: &MetricsRegistry) -> u64 {
+    registry
+        .histogram("gbnb_worker_slice_ns", &[], &latency_buckets_ns())
+        .count()
+}
+
+/// The contact rule on a slow link: a contact that costs ~200 µs buys
+/// 32× that in exploration, so the run makes far fewer contacts than
+/// over a fast link, and the silence cap (a quarter of the 20 ms
+/// holder timeout) still bounds every holder's silence. Under the
+/// supervisor no live holder expires.
 #[test]
-fn coalescing_strictly_reduces_contacts() {
-    // One worker, fixed workload: the exploration is deterministic, so
-    // the per-slice contact count is too. Folding 8 slices per contact
-    // must strictly cut worker contacts while the proof stays exact.
-    let problem = FullEnumeration::new(8);
+fn slow_contacts_follow_the_contact_rule() {
+    let problem = FullEnumeration::new(9);
     let expected = solve(&problem, None).best_cost;
-    let mut config = fast_config(1);
+    let delay = Duration::from_micros(200);
+    let registry = MetricsRegistry::new();
+    let mut config = fast_config(2).with_metrics(&registry);
+    // Short slices keep a holder's silence well inside its timeout
+    // even in an unoptimised build.
     config.poll_nodes = 100;
-    let per_slice = run(&problem, &config);
-    let coalesced_config = config.clone().with_coalescing(8);
-    let coalesced = run(&problem, &coalesced_config);
-    assert_eq!(per_slice.proven_optimum, expected);
-    assert_eq!(coalesced.proven_optimum, expected);
+    let cap = Duration::from_nanos(config.coordinator.holder_timeout_ns / 4);
+    let root = problem.shape().root_range();
+    let contacts = |reports: &[WorkerReport]| reports.iter().map(|w| w.contacts).sum::<u64>();
+
+    let mut contacts_at = Vec::new();
+    for delay in [Duration::ZERO, delay] {
+        let router = ShardRouter::new(root.clone(), 1, config.coordinator.clone()).unwrap();
+        let (reports, logs) = drive_slow(&problem, &config, &router, Instant::now(), delay);
+        assert_eq!(router.solution().map(|s| s.cost), expected);
+        assert!(router.is_terminated());
+        assert!(reports.iter().all(|w| w.transport_failure.is_none()));
+        contacts_at.push(contacts(&reports));
+
+        // While a worker holds a unit its next contact comes, at the
+        // latest, after the cap and the slice that crosses it.
+        let longest_contact = logs.iter().flatten().map(|c| c.took).max().unwrap();
+        let allowed = cap
+            .saturating_add(longest_slice(&registry))
+            .saturating_add(longest_contact);
+        for log in &logs {
+            for pair in log.windows(2) {
+                if pair[0].holds_after {
+                    let gap = pair[1].began - pair[0].began;
+                    assert!(gap <= allowed, "{gap:?} of silence, allowed {allowed:?}");
+                }
+            }
+        }
+    }
+    // Contacting after every slice would make about as many contacts
+    // either way; 32× a ~200 µs contact is dozens of fast contacts.
     assert!(
-        coalesced.total_contacts() < per_slice.total_contacts(),
-        "coalescing must reduce contacts: {} vs {}",
-        coalesced.total_contacts(),
-        per_slice.total_contacts()
+        contacts_at[1] * 4 < contacts_at[0],
+        "slow contacts must be far fewer: {} slow vs {} fast",
+        contacts_at[1],
+        contacts_at[0]
     );
-    // Sanity on the counters themselves: contacts include every unit
-    // request and every checkpoint contact.
-    assert!(per_slice.total_contacts() > per_slice.coordinator_stats.work_allocations);
+
+    // A slow link under the farmer's supervisor, which expires holders
+    // silent for longer than the holder timeout. Timeout and delay are
+    // 5× longer here, so that a scheduler stall on a loaded host cannot
+    // pass for a silent holder; the cap still sets the cadence.
+    let mut supervised = config.clone();
+    supervised.coordinator.holder_timeout_ns *= 5;
+    let farmer = Farmer::open(root, 1, &supervised.coordinator, None, None).unwrap();
+    let ((reports, _), report) = farmer.host(&AtomicBool::new(false), |router, started| {
+        drive_slow(&problem, &supervised, router, started, delay * 5)
+    });
+    assert_eq!(report.proven_optimum, expected);
+    assert!(reports.iter().all(|w| w.transport_failure.is_none()));
+    assert_eq!(report.coordinator_stats.holders_expired, 0);
+    // Contacts count every work request and every checkpoint.
+    assert!(contacts(&reports) > report.coordinator_stats.work_allocations);
 }
 
 #[test]
 fn coalesced_sharded_runtime_stays_exact() {
-    // Coalescing + combined update-and-report + work-request bundles
-    // across the direct-shard transport: the proof must stay exact and
-    // worker-side update counting must still match the coordinator's.
+    // Slices coalesced by the contact rule + combined update-and-report
+    // + work-request bundles across the direct-shard transport: the
+    // proof must stay exact and worker-side update counting must still
+    // match the coordinator's.
     let problem = small_flowshop(55);
     let expected = solve(&problem, None).best_cost;
     for shards in [1usize, 4] {
-        let config = fast_config(4).with_shards(shards).with_coalescing(4);
+        let config = fast_config(4).with_shards(shards);
         let report = run(&problem, &config);
-        assert_eq!(
-            report.proven_optimum, expected,
-            "{shards} shards with coalescing diverged"
-        );
+        assert_eq!(report.proven_optimum, expected, "{shards} shards diverged");
         let updates: u64 = report.workers.iter().map(|w| w.checkpoint_ops).sum();
         assert_eq!(updates, report.coordinator_stats.updates);
     }
 }
 
+/// Crashes while slow contacts make the contact rule fold several
+/// slices into each contact: a crashed holder loses the progress it had
+/// not yet reported, and the rejoin plus the supervisor's holder expiry
+/// must still cover every interval.
 #[test]
 fn coalesced_runtime_survives_crashes() {
     let problem = FullEnumeration::new(9);
     let expected = solve(&problem, None).best_cost;
-    let mut config = fast_config(4).with_shards(4).with_coalescing(6);
+    let registry = MetricsRegistry::new();
+    let mut config = fast_config(4).with_shards(4).with_metrics(&registry);
     config.poll_nodes = 200;
     config.chaos = Some(ChaosConfig {
         crashes: vec![
@@ -265,13 +412,19 @@ fn coalesced_runtime_survives_crashes() {
             },
         ],
     });
-    let report = run(&problem, &config);
+    let (reports, report) = run_slow(&problem, &config, Duration::from_micros(200));
     assert_eq!(
         report.proven_optimum, expected,
         "coalesced crashes lost work"
     );
-    let crashes: u64 = report.workers.iter().map(|w| w.crashes).sum();
+    let crashes: u64 = reports.iter().map(|w| w.crashes).sum();
     assert_eq!(crashes, 2);
+    let contacts: u64 = reports.iter().map(|w| w.contacts).sum();
+    assert!(
+        contacts < slices(&registry),
+        "slices were not coalesced: {contacts} contacts for {} slices",
+        slices(&registry)
+    );
 }
 
 #[test]
@@ -337,7 +490,7 @@ fn sharded_runtime_survives_crashes() {
 }
 
 /// The many-worker stress pin: 16 worker threads drain a 4-shard range
-/// contacting their home shards directly, with coalescing, holder
+/// contacting their home shards directly under the contact rule, holder
 /// expiry armed and every worker scripted to crash early — three in four
 /// rejoin, the rest are gone for good — and the run must still prove the
 /// exact optimum. Which threads the OS lets reach their crash point
@@ -347,7 +500,7 @@ fn sharded_runtime_survives_crashes() {
 fn sixteen_workers_drain_a_sharded_range_with_crashes() {
     let problem = FullEnumeration::new(9);
     let expected = solve(&problem, None).best_cost;
-    let mut config = fast_config(16).with_shards(4).with_coalescing(3);
+    let mut config = fast_config(16).with_shards(4);
     config.poll_nodes = 200;
     config.chaos = Some(ChaosConfig {
         crashes: (0..16)
@@ -382,6 +535,17 @@ fn sharded_heterogeneous_powers_still_exact() {
 /// (`snap-{g}.intervals`, `snap-{g}.solution`) hold no intervals and the
 /// proven solution, and restore into a terminated router.
 fn assert_checkpoint_files_restorable(tag: &str, problem: &FlowshopProblem, config: RuntimeConfig) {
+    assert_checkpoint_files_restorable_by(tag, problem, config, run);
+}
+
+/// [`assert_checkpoint_files_restorable`] with the campaign driven by
+/// `drive` instead of [`run`].
+fn assert_checkpoint_files_restorable_by(
+    tag: &str,
+    problem: &FlowshopProblem,
+    config: RuntimeConfig,
+    drive: impl FnOnce(&FlowshopProblem, &RuntimeConfig) -> RunReport,
+) {
     use gridbnb_core::checkpoint::{decode_sharded_intervals, decode_solution};
     use gridbnb_core::FileBackend;
     let dir = std::env::temp_dir().join(format!("gridbnb-rt-{tag}-{}", std::process::id()));
@@ -391,7 +555,7 @@ fn assert_checkpoint_files_restorable(tag: &str, problem: &FlowshopProblem, conf
     let shards = config.shards;
 
     let expected = solve(problem, None).best_cost;
-    let report = run(problem, &config);
+    let report = drive(problem, &config);
     assert_eq!(report.proven_optimum, expected);
     assert!(report.farmer_checkpoints >= 1);
     assert_eq!(report.checkpoint_failures, 0);
@@ -442,11 +606,23 @@ fn sharded_checkpoint_written_and_restorable() {
 
 #[test]
 fn coalesced_sharded_checkpoint_files_written_and_restorable() {
-    // A live coalesced + sharded run compacting on a short period.
-    assert_checkpoint_files_restorable(
+    // A live sharded run compacting on a short period while slow
+    // contacts make the contact rule fold several slices per contact.
+    let registry = MetricsRegistry::new();
+    let mut config = fast_config(3).with_shards(3).with_metrics(&registry);
+    // Short slices: many fit in the exploration a slow contact buys.
+    config.poll_nodes = 5;
+    assert_checkpoint_files_restorable_by(
         "coalesce-e2e",
         &small_flowshop(88),
-        fast_config(3).with_shards(3).with_coalescing(4),
+        config,
+        |problem, config| run_slow(problem, config, Duration::from_micros(200)).1,
+    );
+    let contacts = registry.snapshot().counter("gbnb_worker_contacts_total");
+    assert!(
+        contacts < slices(&registry),
+        "slices were not coalesced: {contacts} contacts for {} slices",
+        slices(&registry)
     );
 }
 
@@ -456,8 +632,7 @@ fn coalesced_sharded_mid_run_checkpoint_restores_without_losing_intervals() {
     // mid-run, while workers hold units and their progress arrived
     // through coalesced bundles (UpdateAndReport, mixed-worker
     // groups), must recover into a router that (a) lost no interval
-    // length and (b) resumes under coalescing to the globally exact
-    // optimum. Driven deterministically: each worker's explored prefix
+    // length and (b) resumes to the globally exact optimum. Driven deterministically: each worker's explored prefix
     // is solved sequentially and reported, so the compacted state plus
     // the reports is a faithful mid-run snapshot.
     use gridbnb_core::{Request, Response, WorkerId};
@@ -485,7 +660,7 @@ fn coalesced_sharded_mid_run_checkpoint_restores_without_losing_intervals() {
             other => panic!("join failed: {other:?}"),
         };
         // Explore the first third of the unit sequentially, then ship
-        // the progress the way a coalescing worker would: a combined
+        // the progress the way a worker that found a solution does: a combined
         // UpdateAndReport bundle — for the last worker, a mixed-worker
         // bundle pairing its Update with the previous prefix's report.
         let cut = live.begin().add(&live.length().div_rem_u64(3).0);
@@ -536,10 +711,10 @@ fn coalesced_sharded_mid_run_checkpoint_restores_without_losing_intervals() {
     // in-flight interval can be missed).
     assert_eq!(restored.size(), size_at_save);
 
-    // Resume under coalescing + shards: the proof must complete to the
-    // global optimum (explored prefixes are covered by the reported
-    // solutions the snapshot carried).
-    let config = fast_config(4).with_shards(4).with_coalescing(4);
+    // Resume on shards: the proof must complete to the global optimum
+    // (explored prefixes are covered by the reported solutions the
+    // snapshot carried).
+    let config = fast_config(4).with_shards(4);
     let report = run_with_router(&problem, restored, &config);
     assert_eq!(report.proven_optimum, expected, "resumed proof diverged");
 }

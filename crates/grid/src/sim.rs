@@ -426,7 +426,8 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
                     // half the holder timeout — otherwise every batched
                     // worker would be expired mid-window by the sweep and
                     // its whole window of snapshots would hit empty acks
-                    // (the runtime's max_silence clamp, sim-side).
+                    // (the sim-side twin of the silence cap in the
+                    // runtime's contact rule).
                     let max_batch = (config.coordinator.holder_timeout_ns / 2)
                         .checked_div(update_period_ns)
                         .unwrap_or(1)
