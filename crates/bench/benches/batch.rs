@@ -6,10 +6,10 @@
 //! updates) is served two ways at S = 1 and S = 4:
 //!
 //! * `per_request_update_x1024_threads4/S` — every update is its own
-//!   [`ShardRouter::handle`] contact: one lock acquisition and one full
-//!   round of index maintenance (priority re-key + heartbeat move) per
-//!   op — the runtime's shape, whose workers send one update per
-//!   contact;
+//!   [`ShardRouter::handle`] contact, a bundle of one through the same
+//!   serving path: one lock acquisition and one full round of index
+//!   maintenance (priority re-key + heartbeat move) per op — the
+//!   runtime's shape, whose workers send one update per contact;
 //! * `bundled64_update_x1024_threads4/S` — the updates ship as bundles
 //!   of 64 through [`ShardRouter::handle_bundle`]: one lock acquisition
 //!   per bundle and one deferred re-key/heartbeat move per touched
@@ -120,13 +120,13 @@ fn drive_bundled(router: &ShardRouter, clients: &[Client]) {
                     let bundle: Vec<_> = (0..BUNDLE)
                         .map(|k| {
                             let j = chunk * BUNDLE + k;
-                            router.envelope(Request::Update {
+                            Request::Update {
                                 worker: *worker,
                                 interval: Interval::new(
                                     copy.begin().add(&UBig::from(j + 1)),
                                     copy.end().clone(),
                                 ),
-                            })
+                            }
                         })
                         .collect();
                     black_box(router.handle_bundle(bundle, 1_000_000 + chunk));

@@ -8,9 +8,10 @@
 //! entries, delivered three ways:
 //!
 //! * `per_request_w16x8/S` — every update is its own
-//!   [`ShardRouter::handle`] contact: the runtime's shape (one update
-//!   per contact) and the paper's literal protocol — per-op lock and
-//!   index traffic, 128 lock acquisitions per round;
+//!   [`ShardRouter::handle`] contact, a bundle of one through the same
+//!   serving path: the runtime's shape (one update per contact) and the
+//!   paper's literal protocol — per-op lock and index traffic, 128 lock
+//!   acquisitions per round;
 //! * `per_worker_bundles_w16x8/S` — each worker ships its own
 //!   8-update bundle: 16 lock acquisitions per round,
 //!   per-worker deferred index maintenance;
@@ -135,7 +136,7 @@ fn drive_per_worker(router: &ShardRouter, clients: &[Client]) {
     for round in 0..ROUNDS {
         for client in clients {
             let bundle: Vec<_> = (0..PER_WORKER)
-                .map(|k| router.envelope(update_of(client, round, k)))
+                .map(|k| update_of(client, round, k))
                 .collect();
             black_box(router.handle_bundle(bundle, 1_000_000 + round));
         }
@@ -148,7 +149,7 @@ fn drive_shared(router: &ShardRouter, clients: &[Client]) {
     for round in 0..ROUNDS {
         let mut bundle = Vec::with_capacity(clients.len() * PER_WORKER as usize);
         for client in clients {
-            bundle.extend((0..PER_WORKER).map(|k| router.envelope(update_of(client, round, k))));
+            bundle.extend((0..PER_WORKER).map(|k| update_of(client, round, k)));
         }
         black_box(router.handle_bundle(bundle, 1_000_000 + round));
     }

@@ -58,7 +58,7 @@ pub use coordinator::{
     compare_len_per_power, compare_len_per_power_exact, BatchOutcome, ConfigError, Coordinator,
     CoordinatorConfig, CoordinatorStats, Holder, IntervalEntry,
 };
-pub use protocol::{Request, Response, ShardEnvelope, ShardId, WorkerId};
+pub use protocol::{Request, Response, ShardId, WorkerId};
 pub use shard::ShardRouter;
 pub use storage::{
     Fault, FaultBackend, FileBackend, MemoryBackend, ShardDirBackend, StorageBackend,

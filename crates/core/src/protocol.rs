@@ -29,18 +29,6 @@ impl std::fmt::Display for ShardId {
     }
 }
 
-/// A request stamped with the shard that must serve it: the shard-aware
-/// envelope of the sharded protocol surface. [`crate::ShardRouter::envelope`]
-/// resolves a worker's home shard once; executors that queue contacts
-/// per shard (instead of re-hashing on every hop) carry this envelope.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardEnvelope {
-    /// The home shard the router resolved for the requesting worker.
-    pub shard: ShardId,
-    /// The worker request to serve there.
-    pub request: Request,
-}
-
 /// A worker-initiated message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {

@@ -115,33 +115,19 @@ pub struct ChaosConfig {
     pub crashes: Vec<CrashPlan>,
 }
 
-/// Retry policy for transient transport failures: how a worker reacts
-/// when a contact fails with an error whose
-/// [`TransportError::is_transient`] is `true` (I/O hiccups, timeouts).
-/// The worker re-sends the same bundle after an exponentially growing
-/// backoff; permanent errors ([`TransportError::Closed`], protocol
-/// violations) are never retried. Irrelevant for the in-process
-/// transports, which never fail transiently — this exists for the
-/// socket transport in `gridbnb-net`, where a reconnect between two
-/// attempts is routine.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts per contact (the first try included); clamped to
-    /// ≥ 1. The default of 4 rides out a coordinator restart at the
-    /// default backoff without approaching any sane holder timeout.
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles on each further retry.
-    pub base_backoff: Duration,
-}
+/// Attempts per contact that fails transiently
+/// ([`TransportError::is_transient`]: I/O hiccups, timeouts), the first
+/// try included. The worker re-sends the same bundle after a backoff
+/// that starts at [`RETRY_BASE_BACKOFF`] and doubles on each further
+/// retry; permanent errors ([`TransportError::Closed`], protocol
+/// violations) are never retried. Four attempts ride out a coordinator
+/// restart without approaching any sane holder timeout. The in-process
+/// transports never fail transiently; over a socket a reconnect between
+/// two attempts is routine.
+const RETRY_ATTEMPTS: u32 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_millis(1),
-        }
-    }
-}
+/// Backoff before the first retry (see [`RETRY_ATTEMPTS`]).
+const RETRY_BASE_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Replicable-search policy (after Archibald et al., *Replicable
 /// Parallel Branch and Bound Search*): same seed, same search.
@@ -170,9 +156,6 @@ pub struct ReplicablePolicy {
     /// Tie-break seed: rotates the victim scan and the deterministic
     /// scheduler's worker permutation.
     pub seed: u64,
-    /// Record a [`RunTrace`] of every handout, journal delta, steal
-    /// and cutoff broadcast (returned in [`RunReport::trace`]).
-    pub record_trace: bool,
     /// Drive the run on one thread over a logical clock for
     /// byte-identical traces (see the type docs).
     pub deterministic: bool,
@@ -208,9 +191,6 @@ pub struct RuntimeConfig {
     /// single-threaded logical-clock driver producing byte-identical
     /// traces per seed.
     pub replicable: Option<ReplicablePolicy>,
-    /// How workers retry contacts that fail transiently (see
-    /// [`RetryPolicy`]).
-    pub transport_retry: RetryPolicy,
     /// Registry every layer of the run records into (`None` = a private
     /// registry per run, still populated — [`RunReport`] totals come
     /// from the same cells either way). Inject one to scrape worker,
@@ -231,7 +211,6 @@ impl RuntimeConfig {
             durability: None,
             chaos: None,
             replicable: None,
-            transport_retry: RetryPolicy::default(),
             metrics: None,
         }
     }
@@ -243,7 +222,6 @@ impl RuntimeConfig {
     pub fn with_replicable(mut self, seed: u64) -> Self {
         self.replicable = Some(ReplicablePolicy {
             seed,
-            record_trace: true,
             deterministic: true,
         });
         self
@@ -255,7 +233,6 @@ impl RuntimeConfig {
     pub fn with_replicable_threads(mut self, seed: u64) -> Self {
         self.replicable = Some(ReplicablePolicy {
             seed,
-            record_trace: true,
             deterministic: false,
         });
         self
@@ -348,10 +325,10 @@ pub struct WorkerReport {
     pub contacts: u64,
     /// Crashes it simulated.
     pub crashes: u64,
-    /// Contacts re-sent after a transient transport failure (see
-    /// [`RetryPolicy`]), including a periodic update re-sent
-    /// synchronously because its in-flight ack failed; always 0 over the
-    /// in-process transports.
+    /// Contacts re-sent after a transient transport failure (at most
+    /// three retries per contact, backing off from 1 ms and doubling),
+    /// including a periodic update re-sent synchronously because its
+    /// in-flight ack failed; always 0 over the in-process transports.
     pub transport_retries: u64,
     /// The transport error that ended this worker's run, if one did:
     /// `None` means the worker exited cleanly (a `Terminate` reply, a
@@ -423,9 +400,9 @@ pub struct RunReport {
     pub checkpoint_failures: u64,
     /// Length of the root interval (for redundancy accounting).
     pub root_length: UBig,
-    /// The recorded run trace, when [`ReplicablePolicy::record_trace`]
-    /// asked for one — encode it, diff it against another run's, or
-    /// replay it through [`crate::TraceReplayer`].
+    /// The recorded run trace of a replicable run — encode it, diff it
+    /// against another run's, or replay it through
+    /// [`crate::TraceReplayer`].
     pub trace: Option<Arc<RunTrace>>,
 }
 
@@ -609,18 +586,9 @@ impl WorkerMetrics {
 /// Blocks until the whole root interval is explored or eliminated, then
 /// returns the proof-of-optimality report.
 pub fn run<P: Problem>(problem: &P, config: &RuntimeConfig) -> RunReport {
-    let shape = problem.shape();
-    let root = shape.root_range();
-    run_on(problem, root, config)
-}
-
-/// Runs on an explicit root interval: a [`Farmer::open`]ed campaign —
-/// `root` split over `config.shards` locks, or whatever campaign the
-/// durable backend already holds — driven to its end.
-pub fn run_on<P: Problem>(problem: &P, root: Interval, config: &RuntimeConfig) -> RunReport {
     config.assert_valid();
     let farmer = Farmer::open(
-        root,
+        problem.shape().root_range(),
         config.shards,
         &config.coordinator,
         config.durability.as_ref(),
@@ -634,7 +602,7 @@ pub fn run_on<P: Problem>(problem: &P, root: Interval, config: &RuntimeConfig) -
 /// snapshot text through the v1 reader
 /// ([`crate::checkpoint::decode_intervals`]) — through
 /// [`Farmer::adopt`]. The router's own shard count applies;
-/// `config.shards` is only read by [`run_on`].
+/// `config.shards` is only read by [`run`].
 ///
 /// The run is driven on worker threads plus a supervisor, or — under
 /// [`ReplicablePolicy::deterministic`] — by the single-threaded
@@ -677,13 +645,10 @@ fn drive<P: Problem>(problem: &P, mut farmer: Farmer, config: &RuntimeConfig) ->
     RunReport { workers, ..report }
 }
 
-/// The replicable rules and, when asked for, the trace, attached after
-/// the farmer has put the router's series and log in place.
+/// The replicable rules and the trace, attached after the farmer has put
+/// the router's series and log in place.
 fn replicable_rules(router: ShardRouter, policy: &ReplicablePolicy, workers: usize) -> ShardRouter {
     let router = router.with_replicable(policy.seed);
-    if !policy.record_trace {
-        return router;
-    }
     let meta = TraceMeta {
         seed: policy.seed,
         workers: workers as u64,
@@ -1075,23 +1040,21 @@ where
 }
 
 /// Sends one bundle through the transport, re-sending after a backoff
-/// on transient failures per `policy` (retries are tallied into
+/// on transient failures ([`RETRY_ATTEMPTS`]; retries are tallied into
 /// `report`). Checks the one-response-per-request contract on success —
 /// a mismatch is a [`ProtocolError::ResponseCount`], never a panic.
 fn send_with_retry<T: Transport + ?Sized>(
     transport: &T,
     requests: Vec<Request>,
-    policy: &RetryPolicy,
     report: &mut WorkerReport,
 ) -> Result<Vec<Response>, TransportError> {
     let sent = requests.len();
-    let max_attempts = policy.max_attempts.max(1);
-    let mut backoff = policy.base_backoff;
+    let mut backoff = RETRY_BASE_BACKOFF;
     let mut attempt = 1u32;
     loop {
         match transport.contact(requests.clone()) {
             Ok(responses) => return check_count(sent, responses),
-            Err(e) if e.is_transient() && attempt < max_attempts => {
+            Err(e) if e.is_transient() && attempt < RETRY_ATTEMPTS => {
                 report.transport_retries += 1;
                 std::thread::sleep(backoff);
                 backoff = backoff.saturating_mul(2);
@@ -1190,7 +1153,7 @@ enum Step {
 /// clock no cost is measured and every slice's update is due.
 ///
 /// Transient transport failures are retried with backoff
-/// ([`RetryPolicy`]); a permanent failure — or exhausted retries — ends
+/// ([`RETRY_ATTEMPTS`]); a permanent failure — or exhausted retries — ends
 /// the run with the error recorded in
 /// [`WorkerReport::transport_failure`] instead of panicking, so one
 /// flaky socket degrades a run (expiry redistributes the worker's
@@ -1290,12 +1253,7 @@ impl<'p, P: Problem> Worker<'p, P> {
         cx: &WorkerContext<'_>,
     ) -> Result<Response, TransportError> {
         let t0 = Instant::now();
-        let result = send_with_retry(
-            transport,
-            bundle,
-            &cx.config.transport_retry,
-            &mut self.report,
-        );
+        let result = send_with_retry(transport, bundle, &mut self.report);
         self.contacted(t0, cx);
         Ok(result?.pop().expect("bundle was non-empty"))
     }

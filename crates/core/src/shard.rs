@@ -24,6 +24,13 @@
 //!   home shard; all of a worker's contacts (join, update, solution
 //!   report, leave) go there, so the per-worker holder state never
 //!   crosses a lock.
+//! * **One serving path** — every contact is a bundle served by
+//!   [`ShardRouter::handle_bundle`] ([`ShardRouter::handle`] is a bundle
+//!   of one): the router groups the requests by home shard and serves
+//!   each group in one lock section, the same section that serves a
+//!   steal retry. That section alone drains the journal, records trace
+//!   handouts, keeps the termination count and records lock hold,
+//!   live intervals and latency.
 //! * **Work stealing** — when a shard's pool drains while other shards
 //!   still hold work, the router steals the largest donatable interval
 //!   from the most loaded shard ([`Coordinator::steal_largest`]) and
@@ -50,8 +57,8 @@ use crate::storage::StorageBackend;
 use crate::trace::RunTrace;
 use crate::wal::{WalError, WalMetrics, WalOp, WalStore};
 use crate::{
-    BatchOutcome, ConfigError, Coordinator, CoordinatorConfig, CoordinatorStats, Request, Response,
-    ShardEnvelope, ShardId, WorkerId,
+    ConfigError, Coordinator, CoordinatorConfig, CoordinatorStats, Request, Response, ShardId,
+    WorkerId,
 };
 use gridbnb_coding::{Interval, UBig};
 use gridbnb_engine::Solution;
@@ -84,14 +91,15 @@ struct RouterMetrics {
     /// `gbnb_shard_live_intervals{shard}` — interval count after the
     /// last service on that shard (sums to the live `INTERVALS` size).
     shard_live_intervals: Vec<Gauge>,
-    /// `gbnb_coordinator_selection_ns` — single-request service latency
-    /// of `Join` / `RequestWork` (interval selection + partitioning).
+    /// `gbnb_coordinator_selection_ns` — lock hold of a section that
+    /// served one `Join` / `RequestWork` (interval selection +
+    /// partitioning).
     selection_ns: Histogram,
-    /// `gbnb_coordinator_update_ns` — single-request service latency of
-    /// `Update` / `UpdateAndReport` (the eq. 14 intersection path).
+    /// `gbnb_coordinator_update_ns` — lock hold of a section that served
+    /// one `Update` / `UpdateAndReport` (the eq. 14 intersection path).
     update_ns: Histogram,
-    /// `gbnb_coordinator_batch_ns` — per-shard `apply_batch` run
-    /// latency on the bundle path.
+    /// `gbnb_coordinator_batch_ns` — lock hold of a section that served
+    /// more than one request.
     batch_ns: Histogram,
     /// `gbnb_coordinator_expiry_ns` — full expiry-sweep latency.
     expiry_ns: Histogram,
@@ -575,207 +583,91 @@ impl ShardRouter {
     /// The home shard of `worker` (Fibonacci multiplicative hash): every
     /// contact of one worker lands on the same shard.
     pub fn route(&self, worker: WorkerId) -> ShardId {
+        ShardId(self.home(worker) as u32)
+    }
+
+    /// [`ShardRouter::route`] as a shard index.
+    fn home(&self, worker: WorkerId) -> usize {
         let mixed = worker.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ShardId(((mixed >> 32) % self.shards.len() as u64) as u32)
+        ((mixed >> 32) % self.shards.len() as u64) as usize
     }
 
-    /// Stamps a request with its home shard — the shard-aware envelope
-    /// executors can queue per shard.
-    pub fn envelope(&self, request: Request) -> ShardEnvelope {
-        ShardEnvelope {
-            shard: self.route(request.worker()),
-            request,
-        }
-    }
-
-    /// Routes and serves one worker request at injected time `now_ns` —
-    /// the sharded equivalent of [`Coordinator::handle`].
+    /// Serves one worker request at injected time `now_ns`: a bundle of
+    /// one through [`ShardRouter::handle_bundle`].
     pub fn handle(&self, request: Request, now_ns: u64) -> Response {
-        let envelope = self.envelope(request);
-        self.handle_envelope(envelope, now_ns)
+        let mut responses = self.handle_bundle(vec![request], now_ns);
+        responses.pop().expect("a response per request")
     }
 
-    /// Serves an already-routed envelope. A local `Terminate` (the home
-    /// shard drained) is never surfaced while other shards hold work:
-    /// the router steals into the home shard and retries the request,
-    /// so a worker only sees [`Response::Terminate`] at global
-    /// termination. When nothing is stealable yet (every remaining
-    /// interval is held and too short to split) the worker gets
-    /// [`Response::Retry`] instead of a false `Terminate`.
-    pub fn handle_envelope(&self, envelope: ShardEnvelope, now_ns: u64) -> Response {
-        let ShardEnvelope { shard, request } = envelope;
-        let home = shard.0 as usize;
-        assert!(home < self.shards.len(), "envelope for unknown shard");
-        self.metrics.contacts.inc();
-        match request {
-            // Only work requests can draw a local Terminate and loop
-            // through the steal path; re-issuing one costs two u64
-            // copies. Everything else goes through by value, so the hot
-            // update path never clones its Interval.
-            request @ (Request::Join { .. } | Request::RequestWork { .. }) => {
-                let response = self.handle_on(home, request.clone(), now_ns);
-                if let Response::Terminate = response {
-                    self.resolve_drained(home, request, now_ns)
-                } else {
-                    response
-                }
-            }
-            Request::ReportSolution { worker, solution } => {
-                let broadcast = solution.clone();
-                let response =
-                    self.handle_on(home, Request::ReportSolution { worker, solution }, now_ns);
-                self.broadcast_solution(home, &broadcast);
-                response
-            }
-            Request::UpdateAndReport {
-                worker,
-                interval,
-                solution,
-            } => {
-                let broadcast = solution.clone();
-                let response = self.handle_on(
-                    home,
-                    Request::UpdateAndReport {
-                        worker,
-                        interval,
-                        solution,
-                    },
-                    now_ns,
-                );
-                if let Some(solution) = broadcast {
-                    self.broadcast_solution(home, &solution);
-                }
-                response
-            }
-            request => self.handle_on(home, request, now_ns),
-        }
-    }
-
-    /// Serves an already-routed **bundle** in one pass: the envelopes
-    /// are grouped by home shard (stably — per-shard request order is
-    /// bundle order) and each shard's group is folded through
-    /// [`Coordinator::apply_batch`] under **one lock acquisition per
-    /// shard per bundle** (plus one re-acquisition per drained-shard
-    /// steal, a rare endgame event). Responses come back **in input
-    /// order**, each stamped with the shard that served it.
+    /// Serves a bundle of worker requests at injected time `now_ns` — the
+    /// one way a contact is served, whether it carries one request or
+    /// many workers' (the socket server folds a connection's burst into
+    /// one bundle). Responses come back **in input order**.
+    ///
+    /// The router routes each request to its worker's home shard and
+    /// serves each shard's group (stably: per-shard order is bundle
+    /// order; groups in ascending shard order) under **one lock
+    /// acquisition**, plus one re-acquisition per drained-shard steal.
+    /// Inside that section an untraced group of one goes through
+    /// [`Coordinator::handle`], a longer one through
+    /// [`Coordinator::apply_batch`]; with a trace attached the group
+    /// goes one request at a time. Each section counts one contact and
+    /// records its lock hold; one that serves a single request records
+    /// its class latency (`gbnb_coordinator_selection_ns` for
+    /// `Join`/`RequestWork`, `gbnb_coordinator_update_ns` for
+    /// `Update`/`UpdateAndReport`), one that serves more records
+    /// `gbnb_coordinator_batch_ns`.
+    ///
+    /// A local `Terminate` (the home shard drained) is never surfaced
+    /// while other shards hold work: the router steals into the home
+    /// shard and retries the work request, so a worker only sees
+    /// [`Response::Terminate`] at global termination. When nothing is
+    /// stealable yet (every remaining interval is held and too short to
+    /// split) the worker gets [`Response::Retry`] instead.
     ///
     /// Semantics are pinned by a property test: the outcome — responses
     /// *and* coordinator state — is identical to delivering the
-    /// bundle's requests one at a time through
-    /// [`ShardRouter::handle_envelope`] in grouped order (ascending
-    /// shard, per-shard bundle order). At `S = 1` grouping is the
-    /// identity, so a bundle is exactly its sequential replay.
-    /// [`Response::Retry`] can appear inside a bundle reply exactly
-    /// where sequential delivery would produce it: a work request whose
-    /// home shard drained mid-bundle while every other shard's
-    /// remaining interval is held and unsplittable.
-    ///
-    /// Solutions carried by the bundle ([`Request::ReportSolution`] /
-    /// [`Request::UpdateAndReport`]) are merged into their home shard
-    /// in place and broadcast to the other shards between shard runs,
-    /// so every later-run shard hands out cutoffs at least as tight as
-    /// sequential delivery would.
-    pub fn handle_bundle(
-        &self,
-        bundle: Vec<ShardEnvelope>,
-        now_ns: u64,
-    ) -> Vec<(ShardId, Response)> {
+    /// bundle's requests one at a time through [`ShardRouter::handle`]
+    /// in grouped order. At `S = 1` grouping is the identity, so a
+    /// bundle is exactly its sequential replay. Solutions the bundle
+    /// carries ([`Request::ReportSolution`] /
+    /// [`Request::UpdateAndReport`]) are merged into their home shard in
+    /// place and the best is broadcast to the other shards after its
+    /// group, so every later group hands out cutoffs at least as tight
+    /// as sequential delivery would.
+    pub fn handle_bundle(&self, requests: Vec<Request>, now_ns: u64) -> Vec<Response> {
         // An empty bundle — a caller flushing an empty buffer — is
         // free: no shard is contacted, no contact is counted, nothing
         // is allocated (pinned by a unit test).
-        if bundle.is_empty() {
+        let Some(first) = requests.first() else {
             return Vec::new();
+        };
+        let home = self.home(first.worker());
+        if requests.iter().all(|r| self.home(r.worker()) == home) {
+            return self.serve_group(home, requests, now_ns);
         }
-        let total = bundle.len();
-        let mut groups: Vec<Vec<(usize, Request)>> = vec![Vec::new(); self.shards.len()];
-        for (pos, envelope) in bundle.into_iter().enumerate() {
-            let home = envelope.shard.0 as usize;
-            assert!(home < self.shards.len(), "envelope for unknown shard");
-            groups[home].push((pos, envelope.request));
+        let total = requests.len();
+        let mut groups: Vec<(Vec<usize>, Vec<Request>)> =
+            vec![(Vec::new(), Vec::new()); self.shards.len()];
+        for (pos, request) in requests.into_iter().enumerate() {
+            let (positions, group) = &mut groups[self.home(request.worker())];
+            positions.push(pos);
+            group.push(request);
         }
-        let mut out: Vec<Option<(ShardId, Response)>> = (0..total).map(|_| None).collect();
-        for (home, group) in groups.into_iter().enumerate() {
+        let mut out: Vec<Option<Response>> = vec![None; total];
+        for (home, (positions, group)) in groups.into_iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
-            let shard = ShardId(home as u32);
-            // The best solution the group carries, for the cross-shard
-            // broadcast after the run (merging only the minimum is
-            // state-equivalent to broadcasting each in turn).
-            let mut best_report: Option<Solution> = None;
-            for (_, request) in &group {
-                let solution = match request {
-                    Request::ReportSolution { solution, .. } => Some(solution),
-                    Request::UpdateAndReport {
-                        solution: Some(solution),
-                        ..
-                    } => Some(solution),
-                    _ => None,
-                };
-                if let Some(s) = solution {
-                    if best_report.as_ref().is_none_or(|b| s.cost < b.cost) {
-                        best_report = Some(s.clone());
-                    }
-                }
-            }
-            let (mut positions, requests): (Vec<usize>, Vec<Request>) = group.into_iter().unzip();
-            positions.reverse(); // pop() yields original order
-            let mut pending = requests;
-            loop {
-                self.metrics.contacts.inc();
-                self.metrics.shard_contacts[home].inc();
-                let (outcome, live, held_ns) = {
-                    let mut coordinator = self.shards[home].lock().expect("poisoned shard");
-                    // Timed from acquisition: waiting for the lock is
-                    // the caller's idle time, not the shard's busy time
-                    // (held spans of one shard never overlap, so their
-                    // sum is bounded by the wall time).
-                    let t0 = Instant::now();
-                    let was_live = !coordinator.is_terminated();
-                    let outcome = if self.trace.is_some() {
-                        self.apply_group_traced(home, &mut coordinator, pending, now_ns)
-                    } else {
-                        coordinator.apply_batch(pending, now_ns)
-                    };
-                    self.journal_flush(home, &mut coordinator);
-                    // An apply_batch can empty the shard (completions,
-                    // empty intersections) but never refill it, so the
-                    // whole run is at most one live→empty transition.
-                    if was_live && coordinator.is_terminated() {
-                        self.state.fetch_sub(NON_EMPTY_UNIT, Ordering::AcqRel);
-                    }
-                    let live = coordinator.cardinality() as u64;
-                    (outcome, live, t0.elapsed().as_nanos() as u64)
-                };
-                self.metrics.shard_lock_hold[home].observe(held_ns);
-                self.metrics.batch_ns.observe(held_ns);
-                self.metrics.shard_live_intervals[home].set(live);
-                for response in outcome.responses {
-                    let pos = positions.pop().expect("a position per response");
-                    out[pos] = Some((shard, response));
-                }
-                match outcome.stalled {
-                    None => break,
-                    Some((request, rest)) => {
-                        // The home shard drained mid-bundle: steal and
-                        // retry exactly like sequential delivery, then
-                        // resume the tail under a fresh lock.
-                        let response = self.resolve_drained(home, request, now_ns);
-                        let pos = positions.pop().expect("a position for the stalled request");
-                        out[pos] = Some((shard, response));
-                        if rest.is_empty() {
-                            break;
-                        }
-                        pending = rest;
-                    }
-                }
-            }
-            if let Some(solution) = best_report {
-                self.broadcast_solution(home, &solution);
+            for (pos, response) in positions
+                .into_iter()
+                .zip(self.serve_group(home, group, now_ns))
+            {
+                out[pos] = Some(response);
             }
         }
         out.into_iter()
-            .map(|slot| slot.expect("a response for every envelope"))
+            .map(|slot| slot.expect("a response for every request"))
             .collect()
     }
 
@@ -965,111 +857,136 @@ impl ShardRouter {
         Ok(())
     }
 
-    /// Serves `request` on shard `idx`, keeping the non-empty count in
-    /// step with any empty↔non-empty transition (all under the shard's
-    /// lock). The lock-hold span is recorded per shard, and per request
-    /// class (selection vs update) for the single-request path.
-    fn handle_on(&self, idx: usize, request: Request, now_ns: u64) -> Response {
-        let latency = match &request {
-            Request::Join { .. } | Request::RequestWork { .. } => Some(&self.metrics.selection_ns),
-            Request::Update { .. } | Request::UpdateAndReport { .. } => {
+    /// Serves one shard's group in order: lock sections until every
+    /// request is answered, with a drained-shard stall resolved by
+    /// [`ShardRouter::resolve_drained`] between two of them, then the
+    /// cross-shard broadcast of the best solution the group carried
+    /// (merging only the minimum is state-equivalent to broadcasting
+    /// each in turn).
+    fn serve_group(&self, home: usize, requests: Vec<Request>, now_ns: u64) -> Vec<Response> {
+        let best_report = requests
+            .iter()
+            .filter_map(|request| match request {
+                Request::ReportSolution { solution, .. }
+                | Request::UpdateAndReport {
+                    solution: Some(solution),
+                    ..
+                } => Some(solution),
+                _ => None,
+            })
+            .min_by_key(|solution| solution.cost)
+            .cloned();
+        let mut responses = Vec::with_capacity(requests.len());
+        let mut pending = requests;
+        while let Some((stalled, rest)) = self.serve_locked(home, pending, now_ns, &mut responses) {
+            responses.push(self.resolve_drained(home, stalled, now_ns));
+            if rest.is_empty() {
+                break;
+            }
+            pending = rest;
+        }
+        if let Some(solution) = best_report {
+            self.broadcast_solution(home, &solution);
+        }
+        responses
+    }
+
+    /// The one lock section: serves `requests` in order on shard `home`
+    /// under one acquisition, appending their responses to `out` (see
+    /// [`ShardRouter::handle_bundle`] for how a group is applied and
+    /// what is recorded). Before the lock is released it drains the
+    /// shard's journal into the WAL and the trace and keeps the
+    /// non-empty count in step. Returns the stall, if any: a work
+    /// request the drained shard answered with `Terminate` (it has no
+    /// entry in `out`) and the unserved tail.
+    fn serve_locked(
+        &self,
+        home: usize,
+        requests: Vec<Request>,
+        now_ns: u64,
+        out: &mut Vec<Response>,
+    ) -> Option<(Request, Vec<Request>)> {
+        self.metrics.contacts.inc();
+        self.metrics.shard_contacts[home].inc();
+        let latency = match requests.as_slice() {
+            [Request::Join { .. } | Request::RequestWork { .. }] => {
+                Some(&self.metrics.selection_ns)
+            }
+            [Request::Update { .. } | Request::UpdateAndReport { .. }] => {
                 Some(&self.metrics.update_ns)
             }
-            _ => None,
+            [_] => None,
+            _ => Some(&self.metrics.batch_ns),
         };
-        self.metrics.shard_contacts[idx].inc();
-        // Handouts are traced by (worker, assigned interval); only work
-        // requests can draw a `Response::Work`.
-        let requester = match &request {
-            Request::Join { worker, .. } | Request::RequestWork { worker, .. } => Some(*worker),
-            _ => None,
-        };
-        let (response, live, held_ns) = {
-            let mut coordinator = self.shards[idx].lock().expect("poisoned shard");
-            // Timed from acquisition (see `handle_bundle`).
+        let (stalled, live, held_ns) = {
+            let mut coordinator = self.shards[home].lock().expect("poisoned shard");
+            // Timed from acquisition: waiting for the lock is the
+            // caller's idle time, not the shard's busy time (held spans
+            // of one shard never overlap, so their sum is bounded by
+            // the wall time).
             let t0 = Instant::now();
             let was_live = !coordinator.is_terminated();
-            let response = coordinator.handle(request, now_ns);
-            self.journal_flush(idx, &mut coordinator);
-            // Record the handout *after* the contact's deltas, still
-            // under the shard lock: replay then finds the handed
-            // interval among the shard's live entries.
-            if let (Some(trace), Some(worker)) = (&self.trace, requester) {
-                if let Response::Work { interval, .. } = &response {
-                    trace.record_handout(worker.0, idx, interval);
+            let stalled = if self.trace.is_none() && requests.len() > 1 {
+                let outcome = coordinator.apply_batch(requests, now_ns);
+                out.extend(outcome.responses);
+                outcome.stalled
+            } else {
+                // One request at a time. A trace records each request's
+                // deltas, then its handout, before the next one runs:
+                // `apply_batch` drains the journal once per group, and a
+                // later holder's `Update` could shrink a duplicated
+                // entry before an earlier handout is recorded, so replay
+                // would no longer find the handed interval live.
+                let mut queue = requests.into_iter();
+                loop {
+                    let Some(request) = queue.next() else {
+                        break None;
+                    };
+                    // Only work requests can draw a local `Terminate`;
+                    // keeping one for the retry costs two u64 copies,
+                    // and every other request goes through by value.
+                    let retry =
+                        matches!(request, Request::Join { .. } | Request::RequestWork { .. })
+                            .then(|| request.clone());
+                    let response = coordinator.handle(request, now_ns);
+                    if let Some(trace) = &self.trace {
+                        self.journal_flush(home, &mut coordinator);
+                        if let (Some(work), Response::Work { interval, .. }) = (&retry, &response) {
+                            trace.record_handout(work.worker().0, home, interval);
+                        }
+                    }
+                    match (retry, response) {
+                        (Some(request), Response::Terminate) => {
+                            break Some((request, queue.collect()))
+                        }
+                        (_, response) => out.push(response),
+                    }
                 }
-            }
+            };
+            self.journal_flush(home, &mut coordinator);
+            // Serving can empty the shard (completions, empty
+            // intersections) but never refill it, so one section is at
+            // most one live→empty transition.
             if was_live && coordinator.is_terminated() {
                 self.state.fetch_sub(NON_EMPTY_UNIT, Ordering::AcqRel);
             }
             let live = coordinator.cardinality() as u64;
-            (response, live, t0.elapsed().as_nanos() as u64)
+            (stalled, live, t0.elapsed().as_nanos() as u64)
         };
-        self.metrics.shard_lock_hold[idx].observe(held_ns);
+        self.metrics.shard_lock_hold[home].observe(held_ns);
         if let Some(h) = latency {
             h.observe(held_ns);
         }
-        self.metrics.shard_live_intervals[idx].set(live);
-        response
-    }
-
-    /// Per-request twin of [`Coordinator::apply_batch`] used when a
-    /// [`RunTrace`] is attached. The group still runs under **one**
-    /// shard lock acquisition, but each request's journal deltas are
-    /// drained — and its handout recorded — before the next request
-    /// runs. `apply_batch` drains the journal once at the end of the
-    /// group, which is fine for the WAL (op order within one lock
-    /// scope is arbitrary but consistent) yet would break handout
-    /// replay: a later holder's `Update` in the same group can shrink
-    /// a duplicated entry *before* the earlier handout is recorded,
-    /// so replay would no longer find the handed interval live.
-    /// Responses and final coordinator state match `apply_batch` —
-    /// that equivalence is exactly what the bundle-vs-sequential
-    /// property test pins.
-    fn apply_group_traced(
-        &self,
-        home: usize,
-        coordinator: &mut Coordinator,
-        requests: Vec<Request>,
-        now_ns: u64,
-    ) -> BatchOutcome {
-        let trace = self.trace.as_ref().expect("traced group without a trace");
-        let mut responses = Vec::with_capacity(requests.len());
-        let mut queue = requests.into_iter();
-        while let Some(request) = queue.next() {
-            let requester = match &request {
-                Request::Join { worker, .. } | Request::RequestWork { worker, .. } => Some(*worker),
-                _ => None,
-            };
-            let response = coordinator.handle(request.clone(), now_ns);
-            self.journal_flush(home, coordinator);
-            if requester.is_some() && matches!(response, Response::Terminate) {
-                // Same stall contract as `apply_batch`: hand the
-                // drained work request and the unprocessed tail back
-                // to the bundle loop for steal-and-retry.
-                return BatchOutcome {
-                    responses,
-                    stalled: Some((request, queue.collect())),
-                };
-            }
-            if let (Some(worker), Response::Work { interval, .. }) = (requester, &response) {
-                trace.record_handout(worker.0, home, interval);
-            }
-            responses.push(response);
-        }
-        BatchOutcome {
-            responses,
-            stalled: None,
-        }
+        self.metrics.shard_live_intervals[home].set(live);
+        stalled
     }
 
     /// Continuation of a work request whose home shard answered
     /// `Terminate`: steal into the shard and retry until the request is
     /// served, the computation is globally over, or nothing is
-    /// stealable right now (endgame backpressure). Shared by the
-    /// single-request path and the bundle path, so a mid-bundle drain
-    /// resolves exactly like sequential delivery.
-    fn resolve_drained(&self, home: usize, request: Request, now_ns: u64) -> Response {
+    /// stealable right now (endgame backpressure). Each retry is a lock
+    /// section of its own.
+    fn resolve_drained(&self, home: usize, mut request: Request, now_ns: u64) -> Response {
         loop {
             if self.is_terminated() {
                 return Response::Terminate;
@@ -1084,11 +1001,10 @@ impl ShardRouter {
                     Response::Retry
                 };
             }
-            self.metrics.contacts.inc();
-            let response = self.handle_on(home, request.clone(), now_ns);
-            match response {
-                Response::Terminate => continue,
-                response => return response,
+            let mut out = Vec::with_capacity(1);
+            match self.serve_locked(home, vec![request], now_ns, &mut out) {
+                Some((again, _)) => request = again,
+                None => return out.pop().expect("a response for the retried request"),
             }
         }
     }

@@ -8,11 +8,11 @@
 //! state machine — and every exactness test driving it — runs
 //! identically over any of them:
 //!
-//! | impl | where the coordinator lives |
-//! |---|---|
-//! | [`RouterTransport`] | the router (one shard or many), called directly |
-//! | `LogicalClockTransport` (crate-private) | the router, on the deterministic driver's tick counter |
-//! | `gridbnb_net::MuxTransport` | a TCP server, possibly remote |
+//! | impl | where the coordinator lives | how a bundle is served |
+//! |---|---|---|
+//! | [`RouterTransport`] | the router (one shard or many), called directly | one [`ShardRouter::handle_bundle`] call |
+//! | `LogicalClockTransport` (crate-private) | the router, on the deterministic driver's tick counter | one [`ShardRouter::handle`] per request, a tick apart |
+//! | `gridbnb_net::MuxTransport` | a TCP server, possibly remote | the server's [`ShardRouter::handle_bundle`] call for the connection's burst |
 //!
 //! Failures are typed, not sentinel values: a contact returns
 //! [`TransportError`], whose [`TransportError::is_transient`] split
@@ -210,8 +210,9 @@ pub trait PendingContact {
     fn wait(self: Box<Self>) -> Result<Vec<Response>, TransportError>;
 }
 
-/// Direct contacts: each bundle goes straight into the worker's home
-/// shard of a [`ShardRouter`].
+/// Direct contacts: each bundle goes straight into
+/// [`ShardRouter::handle_bundle`], which serves it at the worker's home
+/// shard.
 pub struct RouterTransport<'r> {
     router: &'r ShardRouter,
     started: Instant,
@@ -226,22 +227,9 @@ impl<'r> RouterTransport<'r> {
 }
 
 impl Transport for RouterTransport<'_> {
-    fn contact(&self, mut requests: Vec<Request>) -> Result<Vec<Response>, TransportError> {
+    fn contact(&self, requests: Vec<Request>) -> Result<Vec<Response>, TransportError> {
         let now_ns = self.started.elapsed().as_nanos() as u64;
-        if requests.len() == 1 {
-            let request = requests.pop().expect("one request");
-            return Ok(vec![self.router.handle(request, now_ns)]);
-        }
-        let bundle = requests
-            .into_iter()
-            .map(|r| self.router.envelope(r))
-            .collect();
-        Ok(self
-            .router
-            .handle_bundle(bundle, now_ns)
-            .into_iter()
-            .map(|(_, response)| response)
-            .collect())
+        Ok(self.router.handle_bundle(requests, now_ns))
     }
 }
 

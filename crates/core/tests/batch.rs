@@ -2,12 +2,14 @@
 //! [`Request::UpdateAndReport`], [`Coordinator::apply_batch`], and
 //! [`ShardRouter::handle_bundle`] — including the lock-amortization
 //! claim itself (one contact per shard per bundle, pinned through the
-//! router's contacts counter).
+//! router's contacts counter) and its latency rule (one sample per lock
+//! section, by class or as a batch).
 
 use gridbnb_core::{
-    Coordinator, CoordinatorConfig, Interval, Request, Response, ShardRouter, Solution, UBig,
-    WorkerId,
+    Coordinator, CoordinatorConfig, Interval, MetricsRegistry, Request, Response, ShardRouter,
+    Solution, UBig, WorkerId,
 };
+use gridbnb_metrics::latency_buckets_ns;
 
 fn config() -> CoordinatorConfig {
     CoordinatorConfig {
@@ -47,19 +49,34 @@ fn bundle_of_updates_is_one_contact_per_shard() {
             other => panic!("join failed: {other:?}"),
         }
     }
+    // Each worker's current copy: an update reporting the whole root
+    // is answered with it. The copies are disjoint, so an ack names the
+    // worker it answers.
+    let copy_of = |w: WorkerId| match router.handle(
+        Request::Update {
+            worker: w,
+            interval: root(1_000_000),
+        },
+        1,
+    ) {
+        Response::UpdateAck { interval, .. } => interval,
+        other => panic!("update failed: {other:?}"),
+    };
+    let workers: Vec<WorkerId> = on_zero.iter().chain(&on_one).copied().collect();
+    let copies: Vec<Interval> = workers.iter().map(|&w| copy_of(w)).collect();
+    for (i, a) in copies.iter().enumerate() {
+        assert!(!a.is_empty());
+        assert!(copies[i + 1..].iter().all(|b| !a.overlaps(b)));
+    }
     let before_contacts = router.contacts();
     let before_updates = router.stats().updates;
     // Ten updates across two home shards, delivered as one bundle.
-    let bundle: Vec<_> = on_zero
+    let order: Vec<usize> = (0..workers.len()).cycle().take(10).collect();
+    let bundle: Vec<_> = order
         .iter()
-        .chain(&on_one)
-        .cycle()
-        .take(10)
-        .map(|&w| {
-            router.envelope(Request::Update {
-                worker: w,
-                interval: root(1_000_000),
-            })
+        .map(|&k| Request::Update {
+            worker: workers[k],
+            interval: root(1_000_000),
         })
         .collect();
     let responses = router.handle_bundle(bundle, 1);
@@ -71,19 +88,51 @@ fn bundle_of_updates_is_one_contact_per_shard() {
         "a bundle must take exactly one contact per touched shard"
     );
     assert_eq!(router.stats().updates - before_updates, 10);
-    // Every reply is stamped with the worker's home shard, in input
-    // order.
-    for (i, (shard, response)) in responses.iter().enumerate() {
-        let w = on_zero
-            .iter()
-            .chain(&on_one)
-            .cycle()
-            .nth(i)
-            .copied()
-            .unwrap();
-        assert_eq!(*shard, router.route(w), "reply {i} stamped wrong");
-        assert!(matches!(response, Response::UpdateAck { .. }));
+    // Reply i answers request i: it carries that worker's copy.
+    for (i, (&k, response)) in order.iter().zip(&responses).enumerate() {
+        match response {
+            Response::UpdateAck { interval, .. } => {
+                assert_eq!(*interval, copies[k], "reply {i} answers another request")
+            }
+            other => panic!("reply {i}: expected an update ack, got {other:?}"),
+        }
     }
+}
+
+#[test]
+fn a_lock_section_records_one_latency_sample() {
+    let registry = MetricsRegistry::new();
+    let router = ShardRouter::new(root(1_000_000), 1, config())
+        .unwrap()
+        .with_metrics(&registry);
+    let samples = |family: &str| {
+        registry
+            .histogram(family, &[], &latency_buckets_ns())
+            .count()
+    };
+    let w = WorkerId(1);
+    let _ = router.handle(
+        Request::Join {
+            worker: w,
+            power: 1,
+        },
+        0,
+    );
+    assert_eq!(samples("gbnb_coordinator_selection_ns"), 1);
+    let update = || Request::Update {
+        worker: w,
+        interval: root(1_000_000),
+    };
+    // One update in one bundle, as the socket server serves a lone
+    // frame: a section serving one request records its class.
+    let _ = router.handle_bundle(vec![update()], 1);
+    assert_eq!(samples("gbnb_coordinator_update_ns"), 1);
+    assert_eq!(samples("gbnb_coordinator_batch_ns"), 0);
+    // Two requests to one shard: one section, one batch sample.
+    let _ = router.handle_bundle(vec![update(), update()], 2);
+    assert_eq!(samples("gbnb_coordinator_update_ns"), 1);
+    assert_eq!(samples("gbnb_coordinator_batch_ns"), 1);
+    assert_eq!(samples("gbnb_coordinator_selection_ns"), 1);
 }
 
 #[test]
@@ -205,24 +254,24 @@ fn drained_shard_mid_bundle_steals_and_finishes_the_tail() {
         other => panic!("join failed: {other:?}"),
     }
     let bundle = vec![
-        router.envelope(Request::RequestWork {
+        Request::RequestWork {
             worker: w,
             power: 3,
-        }),
-        router.envelope(Request::Update {
+        },
+        Request::Update {
             worker: w,
             interval: root(1_000),
-        }),
+        },
     ];
     let responses = router.handle_bundle(bundle, 1);
     assert_eq!(responses.len(), 2);
-    let stolen = match &responses[0].1 {
+    let stolen = match &responses[0] {
         Response::Work { interval, .. } => interval.clone(),
         other => panic!("expected stolen work, got {other:?}"),
     };
     assert!(!stolen.is_empty());
     assert_eq!(router.steals(), 1, "the bundle should have stolen once");
-    match &responses[1].1 {
+    match &responses[1] {
         Response::UpdateAck { interval, .. } => {
             // The tail ran after the steal: the ack reflects the
             // freshly assigned (stolen) copy.
@@ -255,15 +304,15 @@ fn retry_can_appear_inside_a_bundle_reply() {
             other => panic!("join failed: {other:?}"),
         }
     }
-    let bundle = vec![router.envelope(Request::RequestWork {
+    let bundle = vec![Request::RequestWork {
         worker: w0,
         power: 1,
-    })];
+    }];
     let responses = router.handle_bundle(bundle, 1);
     assert!(
-        matches!(responses[0].1, Response::Retry),
+        matches!(responses[0], Response::Retry),
         "expected endgame backpressure, got {:?}",
-        responses[0].1
+        responses[0]
     );
     assert!(!router.is_terminated());
 }
@@ -283,11 +332,9 @@ fn batched_heartbeats_land_on_the_bundle_timestamp() {
     // A bundle of heartbeat-only updates at t = 10: the deferred
     // heartbeat maintenance must still move the stamp to 10.
     let bundle: Vec<_> = (0..5)
-        .map(|_| {
-            router.envelope(Request::Update {
-                worker: w,
-                interval: root(1_000),
-            })
+        .map(|_| Request::Update {
+            worker: w,
+            interval: root(1_000),
         })
         .collect();
     let _ = router.handle_bundle(bundle, 10);

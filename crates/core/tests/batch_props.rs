@@ -11,8 +11,8 @@
 //! steals, endgame `Retry` backpressure and all.
 
 use gridbnb_core::{
-    Coordinator, CoordinatorConfig, Interval, Request, Response, ShardEnvelope, ShardRouter,
-    Solution, UBig, WorkerId,
+    Coordinator, CoordinatorConfig, Interval, Request, Response, ShardRouter, Solution, UBig,
+    WorkerId,
 };
 use proptest::prelude::*;
 
@@ -176,9 +176,7 @@ proptest! {
                 continue;
             }
             // Batched delivery.
-            let envelopes: Vec<ShardEnvelope> =
-                requests.iter().map(|r| bundled.envelope(r.clone())).collect();
-            let batched_responses = bundled.handle_bundle(envelopes, now);
+            let batched_responses = bundled.handle_bundle(requests.clone(), now);
             // The documented equivalent: singles in grouped order
             // (stable by home shard), responses re-matched to input
             // positions.
@@ -191,8 +189,7 @@ proptest! {
             }
 
             prop_assert_eq!(batched_responses.len(), requests.len());
-            for (i, (shard, response)) in batched_responses.iter().enumerate() {
-                prop_assert_eq!(*shard, sequential.route(requests[i].worker()));
+            for (i, response) in batched_responses.iter().enumerate() {
                 let expected = grouped_responses[i].as_ref().expect("delivered");
                 prop_assert_eq!(
                     format!("{response:?}"),
@@ -259,10 +256,8 @@ proptest! {
             if requests.is_empty() {
                 continue;
             }
-            let envelopes: Vec<ShardEnvelope> =
-                requests.iter().map(|r| router.envelope(r.clone())).collect();
-            let batched = router.handle_bundle(envelopes, now);
-            for (i, (_, response)) in batched.iter().enumerate() {
+            let batched = router.handle_bundle(requests.clone(), now);
+            for (i, response) in batched.iter().enumerate() {
                 let expected = bare.handle(requests[i].clone(), now);
                 prop_assert_eq!(
                     format!("{response:?}"),
@@ -380,26 +375,26 @@ proptest! {
         let reported = Interval::new(live.begin().add(&adv), live.end().clone());
         let solution = Solution::new(cost, vec![0]);
 
-        let combined_bundle = vec![combined.envelope(Request::UpdateAndReport {
+        let combined_bundle = vec![Request::UpdateAndReport {
             worker: updater,
             interval: reported.clone(),
             solution: Some(solution.clone()),
-        })];
+        }];
         let a = combined.handle_bundle(combined_bundle, 9);
         let split_bundle = vec![
-            split.envelope(Request::ReportSolution {
+            Request::ReportSolution {
                 worker: reporter,
                 solution,
-            }),
-            split.envelope(Request::Update {
+            },
+            Request::Update {
                 worker: updater,
                 interval: reported,
-            }),
+            },
         ];
         let b = split.handle_bundle(split_bundle, 9);
         prop_assert_eq!(
-            format!("{:?}", a.last().unwrap().1),
-            format!("{:?}", b.last().unwrap().1)
+            format!("{:?}", a.last().unwrap()),
+            format!("{:?}", b.last().unwrap())
         );
         prop_assert_eq!(combined.cutoff(), split.cutoff());
         prop_assert_eq!(combined.size(), split.size());

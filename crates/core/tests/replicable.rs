@@ -10,8 +10,8 @@
 
 use gridbnb_core::runtime::{run, ChaosConfig, CrashPlan, RunReport, RuntimeConfig};
 use gridbnb_core::{
-    Interval, MemoryBackend, MetricsRegistry, Request, Response, RunTrace, ShardEnvelope, ShardId,
-    ShardRouter, StorageBackend, TraceMeta, TraceReplayer, UBig, WalStore, WorkerId,
+    Interval, MemoryBackend, MetricsRegistry, Request, Response, RunTrace, ShardId, ShardRouter,
+    StorageBackend, TraceMeta, TraceReplayer, UBig, WalStore, WorkerId,
 };
 use gridbnb_engine::solve;
 use gridbnb_engine::toy::FullEnumeration;
@@ -217,29 +217,31 @@ fn steal_counter_matches_trace_at_every_quiesce_point() {
     ));
     let router = router.with_trace(trace.clone());
 
-    // Worker 0 grabs (and keeps holding) shard 0's whole entry, so every
-    // later steal must split it — the held back half halves each round
-    // instead of the first steal draining shard 0 in one donation.
-    let holder = router.handle_envelope(
-        ShardEnvelope {
-            shard: ShardId(0),
-            request: Request::RequestWork {
-                worker: WorkerId(0),
-                power: 1,
-            },
+    // A worker homed on shard 0 grabs (and keeps holding) its whole
+    // entry, so every later steal by a worker homed on shard 1 must
+    // split it — the held back half halves each round instead of the
+    // first steal draining shard 0 in one donation.
+    let worker_on = |shard: u32| {
+        (0u64..)
+            .map(WorkerId)
+            .find(|&w| router.route(w) == ShardId(shard))
+            .expect("some worker is homed on every shard")
+    };
+    let (holder_id, stealer_id) = (worker_on(0), worker_on(1));
+    let holder = router.handle(
+        Request::RequestWork {
+            worker: holder_id,
+            power: 1,
         },
         1,
     );
     assert!(matches!(holder, Response::Work { .. }));
 
     for (now, round) in (2u64..).zip(0..10) {
-        let response = router.handle_envelope(
-            ShardEnvelope {
-                shard: ShardId(1),
-                request: Request::RequestWork {
-                    worker: WorkerId(1),
-                    power: 1,
-                },
+        let response = router.handle(
+            Request::RequestWork {
+                worker: stealer_id,
+                power: 1,
             },
             now,
         );

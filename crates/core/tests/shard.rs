@@ -97,15 +97,17 @@ fn more_shards_than_numbers_leaves_excess_shards_empty() {
 #[test]
 fn routing_is_stable_and_complete() {
     let router = ShardRouter::new(iv(0, 1000), 4, config(1)).unwrap();
+    let mut homed = vec![0u32; router.shard_count()];
     for w in 0..64 {
         let shard = router.route(WorkerId(w));
         assert_eq!(shard, router.route(WorkerId(w)), "routing must be stable");
         assert!((shard.0 as usize) < router.shard_count());
-        let envelope = router.envelope(Request::Leave {
-            worker: WorkerId(w),
-        });
-        assert_eq!(envelope.shard, shard);
+        homed[shard.0 as usize] += 1;
     }
+    assert!(
+        homed.iter().all(|&n| n > 0),
+        "every shard is someone's home"
+    );
 }
 
 /// Drives `workers` ids against the router until global termination,

@@ -52,26 +52,6 @@ pub struct SimConfig {
     /// many independent coordinators with work stealing between them
     /// (1 = the paper's single farmer).
     pub shards: usize,
-    /// Checkpoint (update) operations delivered per coordinator
-    /// contact. At 1 (the paper's behavior) every periodic update is
-    /// its own simulator event and its own farmer contact; at `B > 1` a
-    /// worker explores `B` update periods per event and delivers the
-    /// `B` interval snapshots as **one** batched contact
-    /// ([`gridbnb_core::ShardRouter::handle_bundle`]) — the coordinator
-    /// still processes the paper's per-op contact *rates* (the
-    /// `updates` counter is comparable), but the simulator pays one
-    /// event and the farmer one lock acquisition per batch. The
-    /// effective batch is clamped so a worker's silence never exceeds
-    /// half the holder timeout (a longer window would get every healthy
-    /// batched worker expired mid-window by the sweep).
-    pub contact_batch: usize,
-    /// Pooled-bounding width of the simulated B&B processes: how many
-    /// sibling states each worker's explorer bounds per
-    /// `lower_bound_batch` call. The rate model does not re-simulate
-    /// node order, so this only drives the derived
-    /// [`SimReport::bound_batches`] model quantity (and documents the
-    /// engine configuration a campaign would run); 1 = scalar bounding.
-    pub pool_width: usize,
     /// Shared metrics registry. When set, the simulated coordinator's
     /// shard/router metrics land here alongside per-kind
     /// `gbnb_sim_events_total` counters for the event loop itself, so
@@ -100,8 +80,6 @@ impl SimConfig {
             farmer_checkpoint_cost_s: 0.5,
             coordinator: CoordinatorConfig::default(),
             shards: 1,
-            contact_batch: 1,
-            pool_width: 1,
             metrics: None,
             sample_period_s: 3_600.0,
             seed: 2006,
@@ -139,10 +117,9 @@ pub struct SimReport {
     /// Worker-side checkpoint (update) operations (paper: 4 094 176 in
     /// total with ~2 M by B&B processes).
     pub checkpoint_ops: u64,
-    /// Total coordinator contacts (lock-acquiring request or bundle
-    /// deliveries). At `contact_batch = 1` every protocol op is its own
-    /// contact; with batching this is the amortized — much smaller —
-    /// number the farmer actually serves.
+    /// Total coordinator contacts (lock-acquiring deliveries): every
+    /// protocol op is its own contact, plus one per drained-shard steal
+    /// retry.
     pub contacts: u64,
     /// Farmer file checkpoints written.
     pub farmer_checkpoints: u64,
@@ -150,16 +127,6 @@ pub struct SimReport {
     pub work_allocations: u64,
     /// Total node visits performed (paper: 6.5·10¹²).
     pub explored_nodes: f64,
-    /// States evaluated by the bounding operator — a *model* quantity:
-    /// the rate simulator does not replay the node order, so this is
-    /// simply [`SimReport::explored_nodes`] (every visit is bounded
-    /// once; fill-time over-count under steals is below the model's
-    /// resolution).
-    pub nodes_bounded: f64,
-    /// `lower_bound_batch` invocations implied by the configured
-    /// [`SimConfig::pool_width`] — a model quantity:
-    /// `nodes_bounded / pool_width`.
-    pub bound_batches: f64,
     /// Fraction of node visits that were redundant (paper: 0.39 %).
     pub redundant_ratio: f64,
     /// Figure 7 series.
@@ -399,19 +366,13 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
             }
             EventKind::Step(w, epoch) => {
                 // 1. Account the exploration slice that just ended and
-                //    choose the message(s), under a scoped borrow of
-                //    the stepping worker. Join and RequestWork are
-                //    termination-sensitive and always go out alone;
-                //    periodic checkpoints coalesce `contact_batch`
-                //    update periods into one batched contact. The
-                //    pre-slice position is kept so the batched
-                //    snapshots can be reconstructed.
-                let (work_request, snapshots, handle_at, batch) = {
+                //    choose the message, under a scoped borrow of the
+                //    stepping worker.
+                let (request, handle_at) = {
                     let worker = &mut workers[w];
                     if worker.done || !worker.online || worker.epoch != epoch {
                         continue;
                     }
-                    let prev_begin = worker.unit.as_ref().map(|u| u.live.begin().clone());
                     if worker.unit.is_some() {
                         let spent = apply_exploration(worker, workload, now);
                         explored_nodes += spent;
@@ -422,97 +383,34 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
                         }
                         None => true,
                     };
-                    // Cap the batch so the extended silence stays within
-                    // half the holder timeout — otherwise every batched
-                    // worker would be expired mid-window by the sweep and
-                    // its whole window of snapshots would hit empty acks
-                    // (the sim-side twin of the silence cap in the
-                    // runtime's contact rule).
-                    let max_batch = (config.coordinator.holder_timeout_ns / 2)
-                        .checked_div(update_period_ns)
-                        .unwrap_or(1)
-                        .max(1);
-                    let batch = (config.contact_batch.max(1) as u64).min(max_batch);
-                    // Farmer handles after the one-way latency.
-                    let handle_at = now + worker.latency_ns;
-                    if !worker.joined || exhausted {
-                        let request = if !worker.joined {
-                            Request::Join {
-                                worker: worker.id,
-                                power: (worker.rate_nodes_per_s / 100.0).max(1.0) as u64,
-                            }
-                        } else {
-                            Request::RequestWork {
-                                worker: worker.id,
-                                power: (worker.rate_nodes_per_s / 100.0).max(1.0) as u64,
-                            }
-                        };
-                        (Some(request), Vec::new(), handle_at, batch)
-                    } else if batch > 1 {
-                        // The slice spanned `batch` update periods;
-                        // reconstruct the periodic snapshots it would
-                        // have sent — begin interpolated from pre-slice
-                        // to current position. Per-op farmer load is
-                        // unchanged (the paper's contact *rates* stay
-                        // comparable), but the simulator pays one event
-                        // and the farmer one lock acquisition.
-                        let unit = worker.unit.as_ref().expect("unit");
-                        let prev = prev_begin.expect("pre-slice begin of a held unit");
-                        let advanced = unit.live.begin().saturating_sub(&prev);
-                        let end = unit.live.end().clone();
-                        let snapshots: Vec<Interval> = (1..=batch)
-                            .map(|i| {
-                                Interval::new(
-                                    prev.add(&advanced.mul_div_floor(i, batch)),
-                                    end.clone(),
-                                )
-                            })
-                            .collect();
-                        (None, snapshots, handle_at, batch)
+                    let power = (worker.rate_nodes_per_s / 100.0).max(1.0) as u64;
+                    let request = if !worker.joined {
+                        Request::Join {
+                            worker: worker.id,
+                            power,
+                        }
+                    } else if exhausted {
+                        Request::RequestWork {
+                            worker: worker.id,
+                            power,
+                        }
                     } else {
-                        let live = worker.unit.as_ref().expect("unit").live.clone();
-                        (None, vec![live], handle_at, batch)
-                    }
+                        checkpoint_ops += 1;
+                        Request::Update {
+                            worker: worker.id,
+                            interval: worker.unit.as_ref().expect("unit").live.clone(),
+                        }
+                    };
+                    worker.joined = true;
+                    // Farmer handles after the one-way latency.
+                    (request, now + worker.latency_ns)
                 };
                 // 2. Deliver: one synchronous contact.
-                let (response, service_total) = if let Some(request) = work_request {
-                    let served = coordinator.handle(request, handle_at);
-                    workers[w].joined = true;
-                    (served, service_ns)
-                } else if batch > 1 {
-                    checkpoint_ops += batch;
-                    let id = workers[w].id;
-                    let bundle: Vec<_> = snapshots
-                        .into_iter()
-                        .map(|interval| {
-                            coordinator.envelope(Request::Update {
-                                worker: id,
-                                interval,
-                            })
-                        })
-                        .collect();
-                    let mut responses = coordinator.handle_bundle(bundle, handle_at);
-                    // The last ack reflects the final snapshot — the
-                    // worker's authoritative post-contact state.
-                    let served = responses.pop().expect("a response per envelope").1;
-                    (served, service_ns * batch)
-                } else {
-                    checkpoint_ops += 1;
-                    let id = workers[w].id;
-                    let interval = snapshots.into_iter().next().expect("one snapshot");
-                    let served = coordinator.handle(
-                        Request::Update {
-                            worker: id,
-                            interval,
-                        },
-                        handle_at,
-                    );
-                    (served, service_ns)
-                };
+                let response = coordinator.handle(request, handle_at);
                 // 3. Apply the reply and schedule the next slice end.
                 let worker = &mut workers[w];
-                farmer_busy_ns += service_total;
-                let resume_at = handle_at + service_total + worker.latency_ns;
+                farmer_busy_ns += service_ns;
+                let resume_at = handle_at + service_ns + worker.latency_ns;
                 match response {
                     Response::Work { interval, .. } => {
                         let u_pos = workload.frac_of(interval.begin());
@@ -553,12 +451,7 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
                     Some(u) => {
                         let available = workload.nodes_between(u.u_pos, u.u_end);
                         let need_s = available / worker.rate_nodes_per_s.max(1e-9);
-                        // With batching the worker stays silent for
-                        // `batch` update periods and reports them all
-                        // at the next contact.
-                        ((need_s * 1e9) as u64)
-                            .min(update_period_ns.saturating_mul(batch))
-                            .max(1)
+                        ((need_s * 1e9) as u64).min(update_period_ns).max(1)
                     }
                     // No unit (fully stolen): ask again immediately.
                     None => 1,
@@ -657,8 +550,6 @@ pub fn simulate(config: &SimConfig, workload: &WorkloadModel) -> SimReport {
         farmer_checkpoints,
         work_allocations: coordinator.stats().work_allocations,
         explored_nodes,
-        nodes_bounded: explored_nodes,
-        bound_batches: explored_nodes / config.pool_width.max(1) as f64,
         redundant_ratio,
         samples,
         coordinator_stats: coordinator.stats(),

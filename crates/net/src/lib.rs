@@ -14,7 +14,9 @@
 //!   [`gridbnb_core::runtime::Farmer`]: a thread per connection,
 //!   read/write timeouts, holder-expiry supervision, graceful drain on
 //!   implicit termination. Each burst of frames buffered on a connection is
-//!   folded into one [`gridbnb_core::ShardRouter::handle_bundle`] call.
+//!   folded into one [`gridbnb_core::ShardRouter::handle_bundle`] call,
+//!   the router's one serving path (an in-process contact takes it
+//!   too).
 //! * [`MuxClient`] — the client side: one socket per host, pipelining a
 //!   whole fleet's contacts, whose bursts become those shared
 //!   coordinator bundles. Its [`MuxTransport`] handles implement

@@ -19,8 +19,11 @@
 //!   whole fleet (a `MuxClient`); after the first blocking read, every
 //!   complete frame already buffered on the connection is drained and
 //!   folded into the same coordinator bundle — one
-//!   [`gridbnb_core::ShardRouter::handle_bundle`] call (one lock per
-//!   touched shard) for a burst of frames.
+//!   [`gridbnb_core::ShardRouter::handle_bundle`] call (one lock section
+//!   per touched shard) for a burst of frames. `handle_bundle` is the
+//!   router's one serving path, so a burst that carries a single
+//!   request records the same per-class latency as an in-process
+//!   contact.
 //! * **Supervisor** — the server is one more attachment to the
 //!   in-process runtime's [`Farmer`]: the farmer opens the campaign
 //!   (recovering whatever the durable backend holds), runs its
@@ -521,12 +524,7 @@ fn serve_frames(
         let now_ns = started.elapsed().as_nanos() as u64;
         let sent = combined.len();
         let t0 = Instant::now();
-        let bundle = combined.into_iter().map(|r| router.envelope(r)).collect();
-        let responses: Vec<_> = router
-            .handle_bundle(bundle, now_ns)
-            .into_iter()
-            .map(|(_, response)| response)
-            .collect();
+        let responses = router.handle_bundle(combined, now_ns);
         metrics
             .service_bundle_ns
             .observe(t0.elapsed().as_nanos() as u64);
