@@ -7,9 +7,11 @@
 //!
 //! * `per_request_update_x1024_threads4/S` — every update is its own
 //!   [`ShardRouter::handle`] contact, a bundle of one through the same
-//!   serving path: one lock acquisition and one full round of index
-//!   maintenance (priority re-key + heartbeat move) per op — the
-//!   runtime's shape, whose workers send one update per contact;
+//!   serving path and a batch of one through the same
+//!   [`Coordinator::apply_batch`]: one lock acquisition and one full
+//!   round of index maintenance (priority re-key + heartbeat move) per
+//!   op — the runtime's shape, whose workers send one update per
+//!   contact;
 //! * `bundled64_update_x1024_threads4/S` — the updates ship as bundles
 //!   of 64 through [`ShardRouter::handle_bundle`]: one lock acquisition
 //!   per bundle and one deferred re-key/heartbeat move per touched

@@ -9,7 +9,8 @@
 //!
 //! * `per_request_w16x8/S` — every update is its own
 //!   [`ShardRouter::handle`] contact, a bundle of one through the same
-//!   serving path: the runtime's shape (one update per contact) and the
+//!   serving path and a batch of one through the same
+//!   `Coordinator::apply_batch`: the runtime's shape (one update per contact) and the
 //!   paper's literal protocol — per-op lock and index traffic, 128 lock
 //!   acquisitions per round;
 //! * `per_worker_bundles_w16x8/S` — each worker ships its own

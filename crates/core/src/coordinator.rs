@@ -507,69 +507,38 @@ impl Coordinator {
         self.journal = None;
     }
 
-    /// Handles one worker request at injected time `now_ns`.
+    /// Handles one worker request at injected time `now_ns`: a batch of
+    /// one through [`Coordinator::apply_batch`], whose stall on a
+    /// drained coordinator is the plain [`Response::Terminate`].
     pub fn handle(&mut self, request: Request, now_ns: u64) -> Response {
-        match request {
-            Request::Join { worker, power } => {
-                // A (re-)joining worker must NOT complete anything: a
-                // crashed-and-restarted process may reuse an id whose old
-                // interval is still unexplored. Detach the id, keep the
-                // intervals.
-                self.detach_worker(worker);
-                self.assign(worker, power.max(1), now_ns)
-            }
-            Request::RequestWork { worker, power } => {
-                // RequestWork is only sent on genuine exhaustion: the
-                // worker's live interval is empty, and the coordinator
-                // copy is always a subset of the live interval, so the
-                // copy is fully explored — drop it.
-                self.complete_unit_of(worker);
-                self.assign(worker, power.max(1), now_ns)
-            }
-            Request::Update { worker, interval } => self.update(worker, interval, now_ns),
-            Request::ReportSolution {
-                worker: _,
-                solution,
-            } => self.report_solution(solution),
-            Request::UpdateAndReport {
-                worker,
-                interval,
-                solution,
-            } => {
-                // Exactly ReportSolution-then-Update, folded into one
-                // contact: the ack's cutoff reflects the merged report.
-                if let Some(solution) = solution {
-                    let _ = self.report_solution(solution);
-                }
-                self.update(worker, interval, now_ns)
-            }
-            Request::Leave { worker } => {
-                self.detach_worker(worker);
-                Response::LeaveAck
-            }
+        let mut outcome = self.apply_batch(vec![request], now_ns);
+        match outcome.stalled {
+            Some(_) => Response::Terminate,
+            None => outcome.responses.pop().expect("a response per request"),
         }
     }
 
-    /// Handles a whole batch of requests at injected time `now_ns` —
-    /// the amortized entry point behind one shard-lock acquisition.
+    /// Handles a batch of requests at injected time `now_ns` — the one
+    /// routine that applies every request, whether one shard-lock
+    /// section serves one of them or many.
     ///
-    /// Semantically this is exactly `requests.map(|r| handle(r, now))`
-    /// (same responses, same final state, same counters — pinned by a
-    /// property test), but the auxiliary indexes are maintained **per
-    /// batch, not per op**: a run of interval-shrinking updates defers
-    /// its priority-set re-keys and heartbeat refreshes, paying one
-    /// `BTreeSet` remove+insert per *touched entry / worker* instead of
-    /// one per request. The paper's dominant load — the ~2 M tiny
-    /// update operations — collapses to interval arithmetic plus O(1)
-    /// map probes per op.
+    /// The auxiliary indexes are maintained **per batch, not per op**:
+    /// a run of interval-shrinking updates defers its priority-set
+    /// re-keys and heartbeat refreshes, paying one `BTreeSet`
+    /// remove+insert per *touched entry / worker* instead of one per
+    /// request. The paper's dominant load — the ~2 M tiny update
+    /// operations — collapses to interval arithmetic plus O(1) map
+    /// probes per op. Responses, final state and counters are those of
+    /// applying the requests as batches of one (pinned by a property
+    /// test).
     ///
     /// Deferred state is flushed before any operation that consults or
     /// restructures the indexes (selection for `Join`/`RequestWork`,
     /// entry removal on an empty intersection or unit completion,
     /// holder detach on `Leave`), so every response is computed against
-    /// exactly the state sequential handling would see.
+    /// exactly the state a batch of one would see.
     ///
-    /// When a work request finds this coordinator drained it returns
+    /// When a work request finds this coordinator drained it draws
     /// [`Response::Terminate`]; a sharded caller must get a chance to
     /// steal before the rest of the batch runs, so the batch **stalls**:
     /// see [`BatchOutcome::stalled`].
@@ -578,41 +547,56 @@ impl Coordinator {
         let mut defer = BatchDefer::default();
         let mut queue = requests.into_iter();
         while let Some(request) = queue.next() {
-            match request {
+            let response = match request {
                 Request::Update { worker, interval } => {
-                    responses.push(self.batched_update(worker, interval, now_ns, &mut defer));
+                    self.batched_update(worker, interval, now_ns, &mut defer)
                 }
                 Request::UpdateAndReport {
                     worker,
                     interval,
                     solution,
                 } => {
+                    // Exactly ReportSolution-then-Update, folded into one
+                    // contact: the ack's cutoff reflects the merged report.
                     if let Some(solution) = solution {
                         let _ = self.report_solution(solution);
                     }
-                    responses.push(self.batched_update(worker, interval, now_ns, &mut defer));
+                    self.batched_update(worker, interval, now_ns, &mut defer)
                 }
                 // A solution report touches only `SOLUTION` and its
                 // counters — no index interaction, nothing to flush.
-                request @ Request::ReportSolution { .. } => {
-                    responses.push(self.handle(request, now_ns));
-                }
-                request @ Request::Leave { .. } => {
+                Request::ReportSolution { solution, .. } => self.report_solution(solution),
+                Request::Leave { worker } => {
                     self.flush_batch(&mut defer);
-                    responses.push(self.handle(request, now_ns));
+                    self.detach_worker(worker);
+                    Response::LeaveAck
                 }
-                request @ (Request::Join { .. } | Request::RequestWork { .. }) => {
+                Request::Join { worker, power } | Request::RequestWork { worker, power } => {
                     self.flush_batch(&mut defer);
-                    let response = self.handle(request.clone(), now_ns);
+                    if matches!(request, Request::Join { .. }) {
+                        // A (re-)joining worker must NOT complete
+                        // anything: a crashed-and-restarted process may
+                        // reuse an id whose old interval is still
+                        // unexplored. Detach the id, keep the intervals.
+                        self.detach_worker(worker);
+                    } else {
+                        // RequestWork is only sent on genuine exhaustion:
+                        // the worker's live interval is empty, and the
+                        // coordinator copy is always a subset of it, so
+                        // the copy is fully explored — drop it.
+                        self.complete_unit_of(worker);
+                    }
+                    let response = self.assign(worker, power.max(1), now_ns);
                     if matches!(response, Response::Terminate) {
                         return BatchOutcome {
                             responses,
                             stalled: Some((request, queue.collect())),
                         };
                     }
-                    responses.push(response);
+                    response
                 }
-            }
+            };
+            responses.push(response);
         }
         self.flush_batch(&mut defer);
         BatchOutcome {
@@ -621,11 +605,12 @@ impl Coordinator {
         }
     }
 
-    /// The batched twin of [`Coordinator::update`]: same response, same
-    /// interval/size arithmetic, but the priority re-key and heartbeat
-    /// refresh are deferred into `defer` (coalescing repeats on the
-    /// same entry/worker). The two removal paths flush first, so they
-    /// run on clean indexes.
+    /// Intersection update (equation 14): the worker's live `[A, B)`
+    /// meets the coordinator copy `[A', B')`; both sides adopt
+    /// `[max(A,A'), min(B,B'))`. O(1) map probes via the holder map: the
+    /// priority re-key and heartbeat refresh are deferred into `defer`
+    /// (coalescing repeats on the same entry/worker). The removal path
+    /// flushes first, so it runs on clean indexes.
     fn batched_update(
         &mut self,
         worker: WorkerId,
@@ -636,6 +621,8 @@ impl Coordinator {
         self.stats.updates += 1;
         let cutoff = self.cutoff();
         let Some(&idx) = self.holder_of.get(&worker) else {
+            // Stale worker (expired or restored coordinator): its unit is
+            // no longer tracked — the empty ack sends it back for work.
             return Response::UpdateAck {
                 interval: Interval::empty(),
                 cutoff,
@@ -654,8 +641,10 @@ impl Coordinator {
         }
         let met = self.entries[idx].interval.intersect(&reported);
         if met.is_empty() {
-            // Removal restructures the entry vector and every index:
-            // re-sync them first, then take the sequential path.
+            // Paper §4.3: "any empty interval of INTERVALS is
+            // automatically removed" — and with it, its holders. Removal
+            // restructures the entry vector and every index: re-sync
+            // them first.
             self.flush_batch(defer);
             self.remove_entry(idx);
             return Response::UpdateAck {
@@ -1085,97 +1074,14 @@ impl Coordinator {
     // Work stealing (sharded coordination)
     // ------------------------------------------------------------------
 
-    /// Donates an interval to a draining peer shard: the returned range
-    /// leaves this coordinator entirely (no copy is kept, preserving
-    /// cross-shard disjointness). Donation tiers, strictly in order —
-    /// an undisturbed donation always beats a bigger disturbing one:
-    ///
-    /// 1. the whole of the longest unassigned entry (nobody's
-    ///    exploration is disturbed, no redundancy is created);
-    /// 2. only when nothing is unassigned, the back half of the longest
-    ///    held entry of length ≥ 2 — exactly like the partitioning
-    ///    operator, the holder keeps the front and learns of the shrink
-    ///    at its next update (the holder's stale tail may be briefly
-    ///    re-explored, the usual shrink-lag redundancy).
-    ///
-    /// An active holder is never detached: stealing a held entry out
-    /// from under its holder would let the same interval ping-pong
-    /// between drained shards faster than anyone completes it. When all
-    /// entries are held and too short to split, this returns `None` and
-    /// the router answers the requester with [`Response::Retry`] — the
-    /// holders (or, for crashed holders, expiry followed by a tier-1
-    /// steal) finish the endgame. Also `None` when `INTERVALS` is empty.
-    /// O(n) scan — stealing only happens when a peer shard drains,
-    /// never on the contact path.
-    pub fn steal_largest(&mut self) -> Option<Interval> {
-        // (tier, donated length, entry) of the best candidate so far —
-        // tier-major, so an unassigned donation of any size wins over a
-        // holder-disturbing split.
-        let mut best: Option<(u8, UBig, usize)> = None;
-        for (idx, e) in self.entries.iter().enumerate() {
-            let len = e.interval.length();
-            let (tier, donated) = if e.holders.is_empty() {
-                (2u8, len)
-            } else if len > UBig::one() {
-                (1u8, len.div_rem_u64(2).0)
-            } else {
-                continue; // held and unsplittable: leave it to its holder
-            };
-            let better = match &best {
-                None => true,
-                Some((b_tier, b_len, _)) => match tier.cmp(b_tier) {
-                    Ordering::Greater => true,
-                    Ordering::Equal => donated > *b_len,
-                    Ordering::Less => false,
-                },
-            };
-            if better {
-                best = Some((tier, donated, idx));
-            }
-        }
-        let (tier, donated, idx) = best?;
-        Some(self.donate(tier, donated, idx))
-    }
-
-    /// Performs the donation a steal scan chose: tier 1 splits the
-    /// entry (holders keep the front, the back half leaves), tier 2
-    /// removes the whole unassigned entry. Shared by
-    /// [`Coordinator::steal_largest`] and
-    /// [`Coordinator::steal_ordered`], which differ only in *which*
-    /// candidate they pick.
-    fn donate(&mut self, tier: u8, donated: UBig, idx: usize) -> Interval {
-        let stolen = if tier == 1 {
-            // Split: holders keep the front, the back half is donated.
-            let cut = self.entries[idx].interval.end().saturating_sub(&donated);
-            let (keep, give) = self.entries[idx].interval.split_at(&cut);
-            debug_assert!(!keep.is_empty() && !give.is_empty());
-            self.remaining = self.remaining.saturating_sub(&donated);
-            if let Some(journal) = self.journal.as_mut() {
-                journal.push(WalOp::Replace {
-                    old: self.entries[idx].interval.clone(),
-                    new: keep.clone(),
-                });
-            }
-            self.with_entry(idx, |e| e.interval = keep);
-            give
-        } else {
-            let interval = self.entries[idx].interval.clone();
-            self.remove_entry(idx);
-            interval
-        };
-        self.stats.steals_donated += 1;
-        stolen
-    }
-
-    /// The candidate [`Coordinator::steal_ordered`] would donate:
-    /// tier-major like [`Coordinator::steal_largest`] (a whole
+    /// The candidate [`Coordinator::steal_ordered`] would donate, as
+    /// `(tier, donated length, entry index)`: tier-major (a whole
     /// unassigned entry always beats a holder-disturbing split), then
-    /// largest donated length, then — the replicable refinement —
-    /// **lowest left endpoint**. Unlike the plain largest-first scan,
-    /// every comparison is a total order on the entry's value, never on
-    /// its position in the contention-dependent `entries` vector, so
-    /// two runs whose coordinators hold the same interval sets always
-    /// donate the same interval.
+    /// largest donated length, then **lowest left endpoint**. Every
+    /// comparison is a total order on the entry's value, never on its
+    /// position in the contention-dependent `entries` vector, so two
+    /// runs whose coordinators hold the same interval sets always donate
+    /// the same interval.
     fn ordered_steal_candidate(&self) -> Option<(u8, UBig, usize)> {
         let mut best: Option<(u8, UBig, usize)> = None;
         for (idx, e) in self.entries.iter().enumerate() {
@@ -1210,9 +1116,8 @@ impl Coordinator {
 
     /// The left endpoint of the interval [`Coordinator::steal_ordered`]
     /// would donate right now, or `None` when nothing is donatable —
-    /// the router's replicable victim scan picks the shard whose
-    /// preview is **lowest** (lowest-left-endpoint-first), replacing
-    /// the load-dependent most-loaded-victim rule.
+    /// the router's victim rule picks the shard whose preview is
+    /// **lowest**.
     pub fn steal_preview(&self) -> Option<UBig> {
         let (tier, donated, idx) = self.ordered_steal_candidate()?;
         let begin = if tier == 1 {
@@ -1224,19 +1129,59 @@ impl Coordinator {
         Some(begin)
     }
 
-    /// Deterministic variant of [`Coordinator::steal_largest`]: donates
-    /// the [`Coordinator::ordered_steal_candidate`], whose selection is
-    /// a pure function of the held interval sets (tier, then length,
-    /// then lowest left endpoint) instead of entry-vector position.
-    /// Tier semantics, journaling and counters are identical to the
-    /// default rule.
+    /// Donates an interval to a draining peer shard: the returned range
+    /// leaves this coordinator entirely (no copy is kept, preserving
+    /// cross-shard disjointness). Donation tiers, strictly in order —
+    /// an undisturbed donation always beats a bigger disturbing one:
+    ///
+    /// 1. the whole of the longest unassigned entry (nobody's
+    ///    exploration is disturbed, no redundancy is created);
+    /// 2. only when nothing is unassigned, the back half of the longest
+    ///    held entry of length ≥ 2 — exactly like the partitioning
+    ///    operator, the holder keeps the front and learns of the shrink
+    ///    at its next update (the holder's stale tail may be briefly
+    ///    re-explored, the usual shrink-lag redundancy).
+    ///
+    /// Equal lengths break toward the lowest left endpoint, so the pick
+    /// is a pure function of the held interval sets, never of
+    /// entry-vector position.
+    ///
+    /// An active holder is never detached: stealing a held entry out
+    /// from under its holder would let the same interval ping-pong
+    /// between drained shards faster than anyone completes it. When all
+    /// entries are held and too short to split, this returns `None` and
+    /// the router answers the requester with [`Response::Retry`] — the
+    /// holders (or, for crashed holders, expiry followed by a whole
+    /// unassigned donation) finish the endgame. Also `None` when
+    /// `INTERVALS` is empty. O(n) scan — stealing only happens when a
+    /// peer shard drains, never on the contact path.
     pub fn steal_ordered(&mut self) -> Option<Interval> {
         let (tier, donated, idx) = self.ordered_steal_candidate()?;
-        Some(self.donate(tier, donated, idx))
+        let stolen = if tier == 1 {
+            // Split: holders keep the front, the back half is donated.
+            let cut = self.entries[idx].interval.end().saturating_sub(&donated);
+            let (keep, give) = self.entries[idx].interval.split_at(&cut);
+            debug_assert!(!keep.is_empty() && !give.is_empty());
+            self.remaining = self.remaining.saturating_sub(&donated);
+            if let Some(journal) = self.journal.as_mut() {
+                journal.push(WalOp::Replace {
+                    old: self.entries[idx].interval.clone(),
+                    new: keep.clone(),
+                });
+            }
+            self.with_entry(idx, |e| e.interval = keep);
+            give
+        } else {
+            let interval = self.entries[idx].interval.clone();
+            self.remove_entry(idx);
+            interval
+        };
+        self.stats.steals_donated += 1;
+        Some(stolen)
     }
 
     /// Adopts a stolen interval as a new unassigned entry — the
-    /// receiving side of [`Coordinator::steal_largest`]. The interval
+    /// receiving side of [`Coordinator::steal_ordered`]. The interval
     /// must lie within this coordinator's root range and be disjoint
     /// from every current entry (guaranteed when it came from a peer
     /// shard administering the same root). Empty intervals are ignored.
@@ -1291,72 +1236,6 @@ impl Coordinator {
             self.solution = Some(solution.clone());
         }
         improves
-    }
-
-    // ------------------------------------------------------------------
-    // Fault tolerance (§4.1)
-    // ------------------------------------------------------------------
-
-    /// Intersection update (equation 14): the worker's live `[A, B)`
-    /// meets the coordinator copy `[A', B')`; both sides adopt
-    /// `[max(A,A'), min(B,B'))`. O(log n) via the holder map.
-    fn update(&mut self, worker: WorkerId, reported: Interval, now_ns: u64) -> Response {
-        self.stats.updates += 1;
-        let cutoff = self.cutoff();
-        let Some(&idx) = self.holder_of.get(&worker) else {
-            // Stale worker (expired or restored coordinator): its unit is
-            // no longer tracked — the empty ack sends it back for work.
-            return Response::UpdateAck {
-                interval: Interval::empty(),
-                cutoff,
-            };
-        };
-        // Refresh the heartbeat.
-        let entry = &mut self.entries[idx];
-        let h = entry
-            .holders
-            .iter_mut()
-            .find(|h| h.worker == worker)
-            .expect("holder map pointed at an entry without the holder");
-        self.heartbeats.remove(&(h.last_contact_ns, worker));
-        h.last_contact_ns = now_ns;
-        self.heartbeats.insert((now_ns, worker));
-
-        let met = entry.interval.intersect(&reported);
-        if met.is_empty() {
-            // Paper §4.3: "any empty interval of INTERVALS is
-            // automatically removed" — and with it, its holders.
-            self.remove_entry(idx);
-            return Response::UpdateAck {
-                interval: Interval::empty(),
-                cutoff,
-            };
-        }
-        if met == entry.interval {
-            // Heartbeat-only update (no progress, nothing stolen): the
-            // key and the running size are unchanged — skip the
-            // re-index and the size arithmetic entirely.
-            return Response::UpdateAck {
-                interval: met,
-                cutoff,
-            };
-        }
-        let old_len = entry.interval.length();
-        let journaled_old = self.journal.is_some().then(|| entry.interval.clone());
-        self.remaining += &met.length();
-        self.remaining = self.remaining.saturating_sub(&old_len);
-        let result = met.clone();
-        self.with_entry(idx, |e| e.interval = met);
-        if let Some(old) = journaled_old {
-            self.journal.as_mut().unwrap().push(WalOp::Replace {
-                old,
-                new: result.clone(),
-            });
-        }
-        Response::UpdateAck {
-            interval: result,
-            cutoff,
-        }
     }
 
     // ------------------------------------------------------------------

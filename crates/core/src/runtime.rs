@@ -132,29 +132,26 @@ const RETRY_BASE_BACKOFF: Duration = Duration::from_millis(1);
 /// Replicable-search policy (after Archibald et al., *Replicable
 /// Parallel Branch and Bound Search*): same seed, same search.
 ///
-/// A replicable run replaces the throughput-tuned heuristics whose
-/// outcome depends on thread timing with **ordered rules** that are
-/// pure functions of the interval state:
-///
-/// * steal victim = the shard whose donatable piece has the lowest
-///   left endpoint (seed-rotated scan breaks exact ties);
-/// * donation = the largest *ordered* candidate
-///   ([`crate::Coordinator::steal_ordered`] — tier, then length, then lowest
-///   left endpoint) instead of entry-vector position.
+/// Every run already steals by **ordered rules** that are pure
+/// functions of the interval state — the victim is the shard whose
+/// donatable piece has the lowest left endpoint, the donation is
+/// [`crate::Coordinator::steal_ordered`] (tier, then length, then
+/// lowest left endpoint). A replicable run adds a recorded
+/// [`RunTrace`] of every state change, handout, steal and cutoff
+/// broadcast, each recorded inside the lock section that produced it.
 ///
 /// With [`ReplicablePolicy::deterministic`] set the run is driven by a
 /// single-threaded scheduler stepping the workers on a logical clock —
 /// two runs with the same seed produce **byte-identical** traces and
 /// identical per-shard counters (the headline property test). With it
-/// clear, the ordered rules and the trace run on real threads: the
-/// trace stays replayable (every event is recorded inside the shard
-/// critical section that produced it), but event *order* may vary
-/// between runs — that's the configuration the throughput benchmark
-/// gates, since byte-identity is impossible with racing threads.
+/// clear, the trace is recorded on real threads: it stays replayable,
+/// but event *order* may vary between runs — that's the configuration
+/// the throughput benchmark gates, since byte-identity is impossible
+/// with racing threads.
 #[derive(Clone, Copy, Debug)]
 pub struct ReplicablePolicy {
-    /// Tie-break seed: rotates the victim scan and the deterministic
-    /// scheduler's worker permutation.
+    /// Seeds the deterministic scheduler's worker permutation; recorded
+    /// in the trace's [`TraceMeta`].
     pub seed: u64,
     /// Drive the run on one thread over a logical clock for
     /// byte-identical traces (see the type docs).
@@ -186,10 +183,9 @@ pub struct RuntimeConfig {
     pub durability: Option<DurabilityPolicy>,
     /// Optional fault injection.
     pub chaos: Option<ChaosConfig>,
-    /// Optional replicable mode (see [`ReplicablePolicy`]): ordered
-    /// steal rules, an event trace, and — when `deterministic` — a
-    /// single-threaded logical-clock driver producing byte-identical
-    /// traces per seed.
+    /// Optional replicable mode (see [`ReplicablePolicy`]): an event
+    /// trace and — when `deterministic` — a single-threaded
+    /// logical-clock driver producing byte-identical traces per seed.
     pub replicable: Option<ReplicablePolicy>,
     /// Registry every layer of the run records into (`None` = a private
     /// registry per run, still populated — [`RunReport`] totals come
@@ -215,10 +211,10 @@ impl RuntimeConfig {
         }
     }
 
-    /// Enables fully deterministic replicable mode: ordered steal
-    /// rules, a recorded [`RunTrace`], and the single-threaded
-    /// logical-clock driver — two runs with the same `seed` produce
-    /// byte-identical traces (see [`ReplicablePolicy`]).
+    /// Enables fully deterministic replicable mode: a recorded
+    /// [`RunTrace`] and the single-threaded logical-clock driver — two
+    /// runs with the same `seed` produce byte-identical traces (see
+    /// [`ReplicablePolicy`]).
     pub fn with_replicable(mut self, seed: u64) -> Self {
         self.replicable = Some(ReplicablePolicy {
             seed,
@@ -227,9 +223,9 @@ impl RuntimeConfig {
         self
     }
 
-    /// Replicable *rules* on real threads: ordered steals and a
-    /// replayable trace, but OS scheduling still orders the events —
-    /// the configuration the trace-overhead benchmark measures.
+    /// A trace on real threads: the run is recorded into a replayable
+    /// [`RunTrace`], but OS scheduling still orders the events — the
+    /// configuration the trace-overhead benchmark measures.
     pub fn with_replicable_threads(mut self, seed: u64) -> Self {
         self.replicable = Some(ReplicablePolicy {
             seed,
@@ -624,7 +620,7 @@ pub fn run_with_router<P: Problem>(
 /// with theirs.
 fn drive<P: Problem>(problem: &P, mut farmer: Farmer, config: &RuntimeConfig) -> RunReport {
     if let Some(policy) = &config.replicable {
-        farmer.router = replicable_rules(farmer.router, policy, config.workers);
+        farmer.router = attach_trace(farmer.router, policy, config.workers);
     }
     let worker_metrics = WorkerMetrics::register(farmer.router.metrics());
     let fresh_ids = AtomicU64::new(config.workers as u64);
@@ -645,10 +641,9 @@ fn drive<P: Problem>(problem: &P, mut farmer: Farmer, config: &RuntimeConfig) ->
     RunReport { workers, ..report }
 }
 
-/// The replicable rules and the trace, attached after the farmer has put
-/// the router's series and log in place.
-fn replicable_rules(router: ShardRouter, policy: &ReplicablePolicy, workers: usize) -> ShardRouter {
-    let router = router.with_replicable(policy.seed);
+/// The replicable run's trace, attached after the farmer has put the
+/// router's series and log in place.
+fn attach_trace(router: ShardRouter, policy: &ReplicablePolicy, workers: usize) -> ShardRouter {
     let meta = TraceMeta {
         seed: policy.seed,
         workers: workers as u64,

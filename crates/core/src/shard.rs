@@ -32,12 +32,15 @@
 //!   handouts, keeps the termination count and records lock hold,
 //!   live intervals and latency.
 //! * **Work stealing** — when a shard's pool drains while other shards
-//!   still hold work, the router steals the largest donatable interval
-//!   from the most loaded shard ([`Coordinator::steal_largest`]) and
-//!   adopts it into the drained shard, where the ordinary selection +
-//!   partitioning operators re-split it among that shard's workers.
-//!   Intervals move between shards but are never copied across them, so
-//!   the global `INTERVALS` stays duplicate-free.
+//!   still hold work, the router steals from the shard whose donatable
+//!   piece has the **lowest left endpoint** ([`Coordinator::steal_preview`],
+//!   [`Coordinator::steal_ordered`]) and adopts it into the drained
+//!   shard, where the ordinary selection + partitioning operators
+//!   re-split it among that shard's workers. Both picks are pure
+//!   functions of the interval sets, never of load history, so a
+//!   replicable run replays them (after Archibald et al.). Intervals
+//!   move between shards but are never copied across them, so the
+//!   global `INTERVALS` stays duplicate-free.
 //! * **Termination** — a shared atomic count of non-empty shards makes
 //!   global termination (`INTERVALS` empty everywhere, §4.3) an O(1)
 //!   query: `Terminate` is only surfaced to a worker once the count
@@ -188,13 +191,6 @@ pub struct ShardRouter {
     /// [`ShardRouter::compact_wal`] periodically folds the log into a
     /// snapshot.
     wal: Option<Arc<WalStore>>,
-    /// Replicable-mode seed, when set via
-    /// [`ShardRouter::with_replicable`]: steal-victim selection and the
-    /// in-shard donation rule switch from the contention-dependent
-    /// most-loaded/largest-first scans to ordered rules keyed by
-    /// interval position (lowest left endpoint first), with the seed
-    /// rotating residual scan-order ties.
-    replicable: Option<u64>,
     /// Run-trace recorder, when attached via
     /// [`ShardRouter::with_trace`]: every service section records its
     /// shard's drained deltas, handouts, steals and cutoff broadcasts
@@ -259,7 +255,6 @@ impl Clone for ShardRouter {
             metrics,
             steal_gate: RwLock::new(()),
             wal: None,
-            replicable: self.replicable,
             // A trace is a run-scoped recording, not shareable state:
             // the clone starts untraced (journaling is already off).
             trace: None,
@@ -324,7 +319,6 @@ impl ShardRouter {
             metrics,
             steal_gate: RwLock::new(()),
             wal: None,
-            replicable: None,
             trace: None,
         })
     }
@@ -387,24 +381,6 @@ impl ShardRouter {
     /// The attached operation log, if any.
     pub fn wal(&self) -> Option<&Arc<WalStore>> {
         self.wal.as_ref()
-    }
-
-    /// Switches steal-victim selection and in-shard donation to the
-    /// replicable ordered rules (see [`ShardRouter::steal_into`]'s
-    /// docs): the victim is the shard whose donatable candidate has the
-    /// **lowest left endpoint** ([`Coordinator::steal_preview`]) and
-    /// the donation is [`Coordinator::steal_ordered`]. `seed` rotates
-    /// the scan's starting shard, breaking residual ties
-    /// deterministically. Builder-style: call before the router is
-    /// shared.
-    pub fn with_replicable(mut self, seed: u64) -> Self {
-        self.replicable = Some(seed);
-        self
-    }
-
-    /// The replicable seed, when ordered scheduling is on.
-    pub fn replicable_seed(&self) -> Option<u64> {
-        self.replicable
     }
 
     /// Attaches a run-trace recorder: turns on delta journaling in
@@ -608,12 +584,11 @@ impl ShardRouter {
     /// serves each shard's group (stably: per-shard order is bundle
     /// order; groups in ascending shard order) under **one lock
     /// acquisition**, plus one re-acquisition per drained-shard steal.
-    /// Inside that section an untraced group of one goes through
-    /// [`Coordinator::handle`], a longer one through
-    /// [`Coordinator::apply_batch`]; with a trace attached the group
-    /// goes one request at a time. Each section counts one contact and
-    /// records its lock hold; one that serves a single request records
-    /// its class latency (`gbnb_coordinator_selection_ns` for
+    /// That section applies its requests with one
+    /// [`Coordinator::apply_batch`] call, traced or not (a traced section
+    /// records the group's deltas, then its handout). Each section
+    /// counts one contact and records its lock hold; one that serves a
+    /// single request records its class latency (`gbnb_coordinator_selection_ns` for
     /// `Join`/`RequestWork`, `gbnb_coordinator_update_ns` for
     /// `Update`/`UpdateAndReport`), one that serves more records
     /// `gbnb_coordinator_batch_ns`.
@@ -918,6 +893,19 @@ impl ShardRouter {
             [_] => None,
             _ => Some(&self.metrics.batch_ns),
         };
+        // A trace records the section's ops, then its handout: the
+        // order of serving the requests one at a time only when no op
+        // follows the handout (a later holder's `Update` could shrink a
+        // duplicated entry first, and replay would no longer find the
+        // handed interval live). Every traced section is one worker's
+        // contact — `RouterTransport` sends `[ReportSolution?,
+        // Join|RequestWork]`, the logical clock single requests — so
+        // its only `Work` reply is its last.
+        debug_assert!(
+            self.trace.is_none() || is_one_workers_contact(&requests),
+            "a traced section serves one worker's contact, work request last"
+        );
+        let worker = requests.first().map(Request::worker);
         let (stalled, live, held_ns) = {
             let mut coordinator = self.shards[home].lock().expect("poisoned shard");
             // Timed from acquisition: waiting for the lock is the
@@ -926,44 +914,14 @@ impl ShardRouter {
             // the wall time).
             let t0 = Instant::now();
             let was_live = !coordinator.is_terminated();
-            let stalled = if self.trace.is_none() && requests.len() > 1 {
-                let outcome = coordinator.apply_batch(requests, now_ns);
-                out.extend(outcome.responses);
-                outcome.stalled
-            } else {
-                // One request at a time. A trace records each request's
-                // deltas, then its handout, before the next one runs:
-                // `apply_batch` drains the journal once per group, and a
-                // later holder's `Update` could shrink a duplicated
-                // entry before an earlier handout is recorded, so replay
-                // would no longer find the handed interval live.
-                let mut queue = requests.into_iter();
-                loop {
-                    let Some(request) = queue.next() else {
-                        break None;
-                    };
-                    // Only work requests can draw a local `Terminate`;
-                    // keeping one for the retry costs two u64 copies,
-                    // and every other request goes through by value.
-                    let retry =
-                        matches!(request, Request::Join { .. } | Request::RequestWork { .. })
-                            .then(|| request.clone());
-                    let response = coordinator.handle(request, now_ns);
-                    if let Some(trace) = &self.trace {
-                        self.journal_flush(home, &mut coordinator);
-                        if let (Some(work), Response::Work { interval, .. }) = (&retry, &response) {
-                            trace.record_handout(work.worker().0, home, interval);
-                        }
-                    }
-                    match (retry, response) {
-                        (Some(request), Response::Terminate) => {
-                            break Some((request, queue.collect()))
-                        }
-                        (_, response) => out.push(response),
-                    }
-                }
-            };
+            let outcome = coordinator.apply_batch(requests, now_ns);
             self.journal_flush(home, &mut coordinator);
+            if let (Some(trace), Some(worker), Some(Response::Work { interval, .. })) =
+                (&self.trace, worker, outcome.responses.last())
+            {
+                trace.record_handout(worker.0, home, interval);
+            }
+            out.extend(outcome.responses);
             // Serving can empty the shard (completions, empty
             // intersections) but never refill it, so one section is at
             // most one live→empty transition.
@@ -971,7 +929,7 @@ impl ShardRouter {
                 self.state.fetch_sub(NON_EMPTY_UNIT, Ordering::AcqRel);
             }
             let live = coordinator.cardinality() as u64;
-            (stalled, live, t0.elapsed().as_nanos() as u64)
+            (outcome.stalled, live, t0.elapsed().as_nanos() as u64)
         };
         self.metrics.shard_lock_hold[home].observe(held_ns);
         if let Some(h) = latency {
@@ -1009,11 +967,15 @@ impl ShardRouter {
         }
     }
 
-    /// Steals the largest donatable interval from the most loaded other
-    /// shard into `dest`. Locks are taken one shard at a time (scan,
-    /// steal, adopt), so no lock ordering issues arise; the price is
-    /// that a concurrent completion can void the scan, in which case
-    /// this returns `false` and the caller re-checks termination.
+    /// Steals into `dest` from the other shard whose donatable piece has
+    /// the lowest left endpoint ([`Coordinator::steal_preview`]); the
+    /// donation is [`Coordinator::steal_ordered`]. Shard intervals are
+    /// disjoint, so two previews never tie and the victim is a pure
+    /// function of the interval sets. Locks are taken one shard at a
+    /// time (scan, steal, adopt), so no lock ordering issues arise; the
+    /// price is that a concurrent completion can void the scan, in
+    /// which case this returns `false` and the caller re-checks
+    /// termination.
     ///
     /// While the stolen interval is between shards it is represented by
     /// an in-flight unit in [`ShardRouter::state`] — taken *before* the
@@ -1026,60 +988,25 @@ impl ShardRouter {
     /// [`ShardRouter::journal_steal`].
     fn steal_into(&self, dest: usize) -> bool {
         let _gate = self.steal_gate.read().expect("poisoned steal gate");
-        let victim = if let Some(seed) = self.replicable {
-            // Replicable rule: the victim is the shard whose would-be
-            // donated piece has the **lowest left endpoint** — a pure
-            // function of the interval sets, independent of load
-            // history. The seed only rotates the scan start, which
-            // fixes how exact-endpoint ties break for a given run.
-            let n = self.shards.len();
-            let start = (seed as usize) % n;
-            let mut best: Option<(usize, UBig)> = None;
-            for step in 0..n {
-                let i = (start + step) % n;
-                if i == dest {
-                    continue;
-                }
-                let coordinator = self.shards[i].lock().expect("poisoned shard");
-                if coordinator.is_terminated() {
-                    continue;
-                }
-                let Some(left) = coordinator.steal_preview() else {
-                    continue;
-                };
-                if best.as_ref().is_none_or(|(_, b)| left < *b) {
-                    best = Some((i, left));
-                }
+        let mut best: Option<(usize, UBig)> = None;
+        for (i, m) in self.shards.iter().enumerate() {
+            if i == dest {
+                continue;
             }
-            best.map(|(i, _)| i)
-        } else {
-            let mut victim: Option<(usize, UBig)> = None;
-            for (i, m) in self.shards.iter().enumerate() {
-                if i == dest {
-                    continue;
-                }
-                let coordinator = m.lock().expect("poisoned shard");
-                if coordinator.is_terminated() {
-                    continue;
-                }
-                let size = coordinator.size();
-                if victim.as_ref().is_none_or(|(_, s)| size > *s) {
-                    victim = Some((i, size));
-                }
+            let Some(left) = m.lock().expect("poisoned shard").steal_preview() else {
+                continue;
+            };
+            if best.as_ref().is_none_or(|(_, b)| left < *b) {
+                best = Some((i, left));
             }
-            victim.map(|(i, _)| i)
-        };
-        let Some(victim) = victim else {
+        }
+        let Some((victim, _)) = best else {
             return false;
         };
         let stolen = {
             let mut coordinator = self.shards[victim].lock().expect("poisoned shard");
             let was_live = !coordinator.is_terminated();
-            let stolen = if self.replicable.is_some() {
-                coordinator.steal_ordered()
-            } else {
-                coordinator.steal_largest()
-            };
+            let stolen = coordinator.steal_ordered();
             if let Some(interval) = &stolen {
                 self.journal_steal(victim, dest, interval, &mut coordinator);
                 // In-flight unit first, so the word stays non-zero even
@@ -1127,4 +1054,14 @@ impl ShardRouter {
             }
         }
     }
+}
+
+/// `true` iff `requests` is one worker's contact whose work request, if
+/// it has one, comes last — the shape every traced lock section serves.
+fn is_one_workers_contact(requests: &[Request]) -> bool {
+    let is_work = |r: &Request| matches!(r, Request::Join { .. } | Request::RequestWork { .. });
+    requests.split_last().is_none_or(|(last, head)| {
+        head.iter()
+            .all(|r| r.worker() == last.worker() && !is_work(r))
+    })
 }

@@ -11,8 +11,13 @@
 //! | impl | where the coordinator lives | how a bundle is served |
 //! |---|---|---|
 //! | [`RouterTransport`] | the router (one shard or many), called directly | one [`ShardRouter::handle_bundle`] call |
-//! | `LogicalClockTransport` (crate-private) | the router, on the deterministic driver's tick counter | one [`ShardRouter::handle`] per request, a tick apart |
+//! | `LogicalClockTransport` (crate-private) | the router, on the deterministic driver's tick counter | one [`ShardRouter::handle`] (a bundle of one) per request, a tick apart |
 //! | `gridbnb_net::MuxTransport` | a TCP server, possibly remote | the server's [`ShardRouter::handle_bundle`] call for the connection's burst |
+//!
+//! Whichever row serves it, each shard's share of a bundle is one lock
+//! section that applies it with one [`crate::Coordinator::apply_batch`]
+//! call, so the pinned replicable digests run the same coordinator code
+//! as every other transport.
 //!
 //! Failures are typed, not sentinel values: a contact returns
 //! [`TransportError`], whose [`TransportError::is_transient`] split

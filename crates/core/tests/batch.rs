@@ -344,6 +344,9 @@ fn batched_heartbeats_land_on_the_bundle_timestamp() {
     assert_eq!(router.expire_stale_holders(10 + timeout + 1), 1);
 }
 
+/// `Coordinator::handle` is a batch of one, so this pins one batch
+/// against the same requests applied as batches of one: deferring the
+/// index maintenance across a batch changes no response or state.
 #[test]
 fn apply_batch_matches_sequential_handling_on_a_mixed_batch() {
     let build = || {

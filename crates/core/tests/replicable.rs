@@ -11,7 +11,8 @@
 use gridbnb_core::runtime::{run, ChaosConfig, CrashPlan, RunReport, RuntimeConfig};
 use gridbnb_core::{
     Interval, MemoryBackend, MetricsRegistry, Request, Response, RunTrace, ShardId, ShardRouter,
-    StorageBackend, TraceMeta, TraceReplayer, UBig, WalStore, WorkerId,
+    Solution, StorageBackend, TraceEvent, TraceMeta, TraceReplayer, UBig, WalOp, WalStore,
+    WorkerId,
 };
 use gridbnb_engine::solve;
 use gridbnb_engine::toy::FullEnumeration;
@@ -205,8 +206,7 @@ fn steal_counter_matches_trace_at_every_quiesce_point() {
         None,
         config,
     )
-    .unwrap()
-    .with_replicable(7);
+    .unwrap();
     let trace = Arc::new(RunTrace::new(
         TraceMeta {
             seed: 7,
@@ -261,6 +261,86 @@ fn steal_counter_matches_trace_at_every_quiesce_point() {
     // exactly the router's live snapshot.
     let mut replayer = TraceReplayer::from_intervals(vec![vec![iv(0, 4096)], Vec::new()]);
     replayer.replay(&trace.events()).expect("mid-run replay");
+    replayer
+        .verify_snapshot(&router.snapshot())
+        .expect("replayed state diverges from the live router");
+}
+
+/// A traced lock section applies a whole contact in one batch, yet
+/// records what serving it one request at a time would: a worker's
+/// `[ReportSolution, RequestWork]` bundle (what `RouterTransport` sends)
+/// records the `Solution` op, then the partition ops, then the handout
+/// — and the trace replays onto the live router.
+#[test]
+fn traced_bundle_records_its_ops_then_its_handout() {
+    let config = gridbnb_core::CoordinatorConfig {
+        duplication_threshold: UBig::from(1u64),
+        holder_timeout_ns: 1_000_000_000,
+        initial_upper_bound: Some(10_000),
+    };
+    let start = vec![vec![iv(0, 4096)]];
+    let router = ShardRouter::restore(iv(0, 4096), start.clone(), None, config).unwrap();
+    let trace = Arc::new(RunTrace::new(
+        TraceMeta {
+            seed: 0,
+            workers: 2,
+            shards: 1,
+        },
+        router.metrics(),
+    ));
+    let router = router.with_trace(trace.clone());
+    // Worker 0 holds the whole root, so worker 1's request splits it.
+    let held = router.handle(
+        Request::RequestWork {
+            worker: WorkerId(0),
+            power: 1,
+        },
+        1,
+    );
+    assert!(matches!(held, Response::Work { .. }));
+    let before = trace.len();
+
+    let solution = Solution::new(99, vec![0]);
+    let responses = router.handle_bundle(
+        vec![
+            Request::ReportSolution {
+                worker: WorkerId(1),
+                solution: solution.clone(),
+            },
+            Request::RequestWork {
+                worker: WorkerId(1),
+                power: 1,
+            },
+        ],
+        2,
+    );
+    assert_eq!(
+        responses[1],
+        Response::Work {
+            interval: iv(2048, 4096),
+            cutoff: Some(99),
+        }
+    );
+    let op = |op| TraceEvent::Op { shard: 0, op };
+    assert_eq!(
+        trace.events()[before..],
+        [
+            op(WalOp::Solution(solution)),
+            op(WalOp::Replace {
+                old: iv(0, 4096),
+                new: iv(0, 2048),
+            }),
+            op(WalOp::Insert(iv(2048, 4096))),
+            TraceEvent::Handout {
+                worker: 1,
+                shard: 0,
+                interval: iv(2048, 4096),
+            },
+        ]
+    );
+
+    let mut replayer = TraceReplayer::from_intervals(start);
+    replayer.replay(&trace.events()).expect("replay");
     replayer
         .verify_snapshot(&router.snapshot())
         .expect("replayed state diverges from the live router");

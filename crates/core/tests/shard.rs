@@ -233,6 +233,40 @@ fn stealing_splits_a_held_interval_without_duplicating_it() {
     router.check_invariants().unwrap();
 }
 
+#[test]
+fn a_drained_shard_steals_the_lowest_left_endpoint_not_the_most_loaded() {
+    // Shard 0 starts drained. Shard 1 holds eight times more than shard
+    // 2, but shard 2's piece starts lower: the one victim rule takes it.
+    let root = iv(0, 10_000);
+    let router = ShardRouter::restore(
+        root,
+        vec![Vec::new(), vec![iv(5_000, 9_000)], vec![iv(100, 600)]],
+        None,
+        config(1),
+    )
+    .unwrap();
+    let stealer = (0u64..)
+        .map(WorkerId)
+        .find(|&w| router.route(w).0 == 0)
+        .expect("some worker is homed on shard 0");
+    let response = router.handle(
+        Request::RequestWork {
+            worker: stealer,
+            power: 1,
+        },
+        1,
+    );
+    match response {
+        Response::Work { interval, .. } => assert_eq!(interval, iv(100, 600)),
+        other => panic!("expected stolen work, got {other:?}"),
+    }
+    assert_eq!(router.steals(), 1);
+    let (shards, _) = router.snapshot();
+    assert_eq!(shards[1], vec![iv(5_000, 9_000)], "the most loaded shard");
+    assert!(shards[2].is_empty(), "the lowest piece left its shard");
+    router.check_invariants().unwrap();
+}
+
 /// Two workers whose home shards differ (S=2 routing is a hash, so
 /// scan).
 fn distinct_home_workers(router: &ShardRouter) -> (WorkerId, WorkerId) {

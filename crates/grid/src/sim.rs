@@ -1,6 +1,6 @@
 //! The discrete-event grid simulator.
 //!
-//! Drives the *real* [`Coordinator`] (the same state machine the thread
+//! Drives the *real* [`ShardRouter`] (the same coordinators the thread
 //! runtime uses) with thousands of simulated volatile heterogeneous
 //! workers speaking the pull-model protocol over simulated network
 //! latencies. Reproduces the shape of the paper's Table 2 (execution
