@@ -33,9 +33,9 @@ impl UBig {
 
     /// `self += small` for a double-limb addend.
     ///
-    /// The pooled explorer tracks sibling offsets as `u128` deltas against
-    /// a per-frame `UBig` base; this is how a delta is folded back in
-    /// without materializing it as a temporary `UBig`.
+    /// The explorer walks in `u128` offsets from one `UBig` base; this is
+    /// how an offset is folded back into the base without materializing
+    /// it as a temporary `UBig`.
     pub fn add_assign_u128(&mut self, small: u128) {
         let (lo, hi) = (small as u64, (small >> 64) as u64);
         if hi == 0 {
@@ -94,6 +94,28 @@ impl UBig {
     /// `max(self - other, 0)`.
     pub fn saturating_sub(&self, other: &UBig) -> UBig {
         self.checked_sub(other).unwrap_or_default()
+    }
+
+    /// `max(self - other, 0)`, saturated to `u128::MAX`, without
+    /// allocating: how far an endpoint lies beyond a base, as an offset.
+    pub fn saturating_sub_u128(&self, other: &UBig) -> u128 {
+        if self <= other {
+            return 0;
+        }
+        let mut borrow = 0u64;
+        let mut out = 0u128;
+        for (i, &limb) in self.limbs.iter().enumerate() {
+            let rhs = other.limbs.get(i).copied().unwrap_or(0);
+            let (d1, b1) = limb.overflowing_sub(rhs);
+            let (d2, b2) = d1.overflowing_sub(borrow);
+            borrow = u64::from(b1 || b2);
+            if i < 2 {
+                out |= u128::from(d2) << (64 * i);
+            } else if d2 != 0 {
+                return u128::MAX;
+            }
+        }
+        out
     }
 
     /// `self -= other`.

@@ -30,6 +30,27 @@ fn from_limbs_normalizes() {
 }
 
 #[test]
+fn saturating_sub_u128_clamps_both_ways() {
+    let two_128 = UBig::pow2(128);
+    assert_eq!(UBig::from(5u64).saturating_sub_u128(&UBig::from(7u64)), 0);
+    assert_eq!(UBig::from(7u64).saturating_sub_u128(&UBig::from(7u64)), 0);
+    assert_eq!(UBig::from(7u64).saturating_sub_u128(&UBig::from(5u64)), 2);
+    // A borrow across the limb boundary.
+    assert_eq!(two_128.saturating_sub_u128(&UBig::one()), u128::MAX);
+    assert_eq!(
+        UBig::pow2(64).saturating_sub_u128(&UBig::from(1u64)),
+        u128::from(u64::MAX)
+    );
+    // Differences of 2¹²⁸ and more saturate.
+    assert_eq!(two_128.saturating_sub_u128(&UBig::zero()), u128::MAX);
+    let mut big = UBig::pow2(200);
+    big.add_assign_u64(9);
+    let mut base = UBig::pow2(200);
+    base.sub_assign_u64(3);
+    assert_eq!(big.saturating_sub_u128(&base), 12);
+}
+
+#[test]
 fn add_with_carry_across_limbs() {
     let a = UBig::from(u64::MAX);
     let b = &a + 1u64;

@@ -122,6 +122,20 @@ proptest! {
     }
 
     #[test]
+    fn saturating_sub_u128_matches_the_full_difference(
+        a in arb_ubig(),
+        b in arb_ubig(),
+        v in any::<u128>(),
+    ) {
+        let full = a.saturating_sub(&b).to_u128().unwrap_or(u128::MAX);
+        prop_assert_eq!(a.saturating_sub_u128(&b), full);
+        // An offset that fits, however wide the base.
+        let mut ahead = a.clone();
+        ahead.add_assign_u128(v);
+        prop_assert_eq!(ahead.saturating_sub_u128(&a), v);
+    }
+
+    #[test]
     fn mul_div_floor_bounds(a in arb_ubig(), num in 0u64.., den in 1u64..) {
         let got = a.mul_div_floor(num, den);
         // got <= a*num/den < got+1, i.e. got*den <= a*num < (got+1)*den

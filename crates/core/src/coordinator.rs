@@ -249,15 +249,20 @@ pub struct BatchOutcome {
 
 /// Deferred index maintenance accumulated across one
 /// [`Coordinator::apply_batch`] call (see the batch section there).
+///
+/// A contact's batch touches a handful of entries and workers, so both
+/// lists are searched linearly: a batch of one pays two pushes, not two
+/// hashed map inserts.
 #[derive(Debug, Default)]
 struct BatchDefer {
-    /// Entry index → the selection key physically in `by_priority`
+    /// Entry index and the selection key physically in `by_priority`
     /// (recorded before the entry's first in-batch mutation; the live
-    /// entry may have shrunk several times since).
-    stale_keys: HashMap<usize, SelectionKey>,
-    /// Worker → the heartbeat stamp physically in `heartbeats`
-    /// (the holder struct already carries the refreshed stamp).
-    stale_beats: HashMap<WorkerId, u64>,
+    /// entry may have shrunk several times since). One pair per entry.
+    stale_keys: Vec<(usize, SelectionKey)>,
+    /// Worker and the heartbeat stamp physically in `heartbeats` (the
+    /// holder struct already carries the refreshed stamp). One pair per
+    /// worker.
+    stale_beats: Vec<(WorkerId, u64)>,
 }
 
 impl BatchDefer {
@@ -636,7 +641,9 @@ impl Coordinator {
                 .iter_mut()
                 .find(|h| h.worker == worker)
                 .expect("holder map pointed at an entry without the holder");
-            defer.stale_beats.entry(worker).or_insert(h.last_contact_ns);
+            if !defer.stale_beats.iter().any(|&(w, _)| w == worker) {
+                defer.stale_beats.push((worker, h.last_contact_ns));
+            }
             h.last_contact_ns = now_ns;
         }
         let met = self.entries[idx].interval.intersect(&reported);
@@ -661,10 +668,11 @@ impl Coordinator {
         }
         // Shrink in place; the selection key physically in the set is
         // recorded (once) so the flush can retire it.
-        defer
-            .stale_keys
-            .entry(idx)
-            .or_insert_with(|| priority_key_of(&self.entries, idx));
+        if !defer.stale_keys.iter().any(|&(i, _)| i == idx) {
+            defer
+                .stale_keys
+                .push((idx, priority_key_of(&self.entries, idx)));
+        }
         let old_len = self.entries[idx].interval.length();
         let journaled_old = self
             .journal
@@ -694,13 +702,13 @@ impl Coordinator {
         if defer.is_empty() {
             return;
         }
-        for (idx, stale) in defer.stale_keys.drain() {
+        for (idx, stale) in defer.stale_keys.drain(..) {
             let removed = self.by_priority.remove(&stale);
             debug_assert!(removed, "deferred key for entry {idx} not in the set");
             let inserted = self.by_priority.insert(priority_key_of(&self.entries, idx));
             debug_assert!(inserted, "duplicate refreshed key for entry {idx}");
         }
-        for (worker, stale) in defer.stale_beats.drain() {
+        for (worker, stale) in defer.stale_beats.drain(..) {
             let idx = *self
                 .holder_of
                 .get(&worker)

@@ -1216,8 +1216,12 @@ fn drive_delayed<P: Problem>(
 #[test]
 fn delayed_acks_are_really_delayed() {
     // The harness above is only as good as its delays: over an
-    // exhaustive 8! search most acks must reach the worker late.
-    let problem = FullEnumeration::new(8);
+    // exhaustive 9! search most acks must reach the worker late. Each
+    // improving leaf is reported through a synchronous contact, about a
+    // dozen per search; the search must run long enough for the
+    // periodic updates, whose acks the harness delays, to outnumber
+    // them.
+    let problem = FullEnumeration::new(9);
     let mut config = RuntimeConfig::new(2);
     config.poll_nodes = 50;
     let (_, root, reports, ledger, _) = drive_delayed(&problem, &config, 1, 7);

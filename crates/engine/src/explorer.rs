@@ -14,16 +14,22 @@
 //!   and a pooled search is node-for-node identical to a scalar one (the
 //!   equivalence is property-tested per problem crate).
 //!
-//! While a frame is pooled, sibling node numbers are tracked as `u128`
-//! deltas against the frame's `UBig` base — possible whenever the parent
-//! subtree weight fits 127 bits, which holds for every depth below the
-//! top few on the instance sizes this workspace runs — so the hot loop
-//! performs no per-sibling big-integer arithmetic at all.
+//! **The anchor.** Node numbers are big integers because a whole tree can
+//! hold far more than 2¹²⁸ leaves (50! for Ta056), but the subtree of a
+//! deep enough node cannot. The anchor depth is the shallowest depth whose
+//! subtree weight fits 127 bits: 0 for every permutation tree up to 33
+//! items, 17 for 50 items. The walk keeps one `UBig` base — the first
+//! number of the anchor-depth node it is in — and holds the position, the
+//! end (clamped to that node) and the child cursor of every frame at or
+//! below the anchor as `u128` offsets from it. The few frames above the
+//! anchor keep `UBig` cursors; their children span whole anchor nodes, so
+//! stepping past one re-bases with one `UBig` operation.
 //!
-//! A visit allocates nothing: child endpoints are computed into one
-//! scratch `UBig` and swapped into place, and the boundary buffers of
-//! popped frames are reused by the frames pushed after them, so a whole
-//! run allocates O(depth) limb buffers however many nodes it visits.
+//! **No big-integer arithmetic per node below the anchor.** A visit there
+//! is `u128` arithmetic and allocates nothing. The `UBig` position is
+//! materialized once per [`IntervalExplorer::run`] return, and the base
+//! moves only when the walk leaves an anchor node, so a whole run
+//! allocates O(depth) buffers however many nodes it visits.
 
 use crate::{Problem, SearchStats, Solution};
 use gridbnb_coding::{Interval, TreeShape, UBig};
@@ -62,10 +68,27 @@ pub enum RunOutcome {
 pub struct IntervalExplorer<'p, P: Problem> {
     problem: &'p P,
     shape: TreeShape,
-    /// Lower endpoint `A`: number of the next node to explore. Monotone.
+    /// Lower endpoint `A` (`base + pos`) as of the last return from
+    /// `run` or `run_to_end`. Monotone.
     position: UBig,
     /// Upper endpoint `B`. Only ever shrinks.
     end: UBig,
+    /// Shallowest depth whose subtree weight fits 127 bits.
+    anchor: usize,
+    /// `weights[i]` is the subtree weight at depth `anchor + i`.
+    weights: Vec<u128>,
+    /// First number of the anchor-depth node the walk is in (or of the
+    /// position itself once the walk is over).
+    base: UBig,
+    /// The live position, as an offset from `base`.
+    pos: u128,
+    /// `min(end − base, weights[0])`: the end as an offset from `base`,
+    /// clamped to the anchor node. The walk leaves the anchor node, or
+    /// finishes, when `pos` reaches it.
+    end_off: u128,
+    /// Cursors of the frames above the anchor, by depth: the number of
+    /// the next child's first leaf. Empty when the anchor is the root.
+    upper: Vec<UBig>,
     /// DFS stack; `stack[0]` is the root.
     stack: Vec<Frame<P::State>>,
     /// Shared SoA arena: one contiguous segment of branched-but-not-yet-
@@ -73,13 +96,6 @@ pub struct IntervalExplorer<'p, P: Problem> {
     pool: FrontierPool<P::State>,
     /// Reusable output buffer for `lower_bound_batch`.
     bound_scratch: Vec<u64>,
-    /// Where child endpoints and pool deltas are computed: a finished
-    /// subtree's end is swapped into `position`, a branched child's into
-    /// its parent's `next_child_lo`, and the displaced buffer becomes
-    /// the next scratch.
-    scratch: UBig,
-    /// `next_child_lo` buffers of popped frames, reused by pushed ones.
-    spare: Vec<UBig>,
     /// Whether frames may enter pooled mode.
     pooling: bool,
     /// Prune threshold: subtrees with `lower_bound >= cutoff` are
@@ -96,13 +112,12 @@ struct Frame<S> {
     depth: usize,
     /// Rank of this node among its siblings (unused for the root).
     rank_in_parent: u64,
-    /// Next child rank to visit (scalar mode only).
+    /// Next child rank to visit.
     next_rank: u64,
-    /// Scalar mode: number (range begin) of the child at `next_rank`,
-    /// advanced by the child weight as ranks are consumed. Pooled mode:
-    /// frozen at the frame's own range begin, the base the pool's `u128`
-    /// deltas are relative to.
-    next_child_lo: UBig,
+    /// Offset from `base` of the first number of the child at
+    /// `next_rank`. Frames above the anchor keep their cursor in
+    /// `upper` instead.
+    next_child_lo: u128,
     mode: FrameMode,
 }
 
@@ -110,17 +125,16 @@ struct Frame<S> {
 enum FrameMode {
     /// Not yet visited; the mode is decided on first visit.
     Fresh,
-    /// Per-child scalar stepping (leaf parents, oversized weights, or
-    /// pooling disabled).
+    /// Per-child scalar stepping (leaf parents, frames above the anchor,
+    /// or pooling disabled).
     Scalar,
     /// Children `[start, end)` of the arena were branched and bounded as
-    /// one batch; `cursor` is the next un-consumed entry and `w` the
-    /// child subtree weight (fits `u128` by mode selection).
+    /// one batch; `cursor` is the next un-consumed entry, the child at
+    /// the frame's `next_rank`.
     Pooled {
         start: usize,
         cursor: usize,
         end: usize,
-        w: u128,
     },
 }
 
@@ -128,9 +142,6 @@ enum FrameMode {
 /// batch kernels see a flat `&[State]` and write a flat `&mut Vec<u64>`.
 struct FrontierPool<S> {
     states: Vec<S>,
-    ranks: Vec<u64>,
-    /// Node-number offsets from the owning frame's base (`k · w`).
-    deltas: Vec<u128>,
     bounds: Vec<u64>,
 }
 
@@ -138,8 +149,6 @@ impl<S> FrontierPool<S> {
     fn new() -> Self {
         FrontierPool {
             states: Vec::new(),
-            ranks: Vec::new(),
-            deltas: Vec::new(),
             bounds: Vec::new(),
         }
     }
@@ -150,8 +159,6 @@ impl<S> FrontierPool<S> {
 
     fn truncate(&mut self, n: usize) {
         self.states.truncate(n);
-        self.ranks.truncate(n);
-        self.deltas.truncate(n);
         self.bounds.truncate(n);
     }
 
@@ -181,37 +188,51 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
         pooled: bool,
     ) -> Self {
         let shape = problem.shape();
+        let leaf_depth = shape.leaf_depth();
+        let anchor = (0..=leaf_depth)
+            .find(|&d| shape.weight_at(d).bit_len() <= 127)
+            .expect("a leaf weighs 1");
+        let weights = (anchor..=leaf_depth)
+            .map(|d| shape.weight_at(d).to_u128().expect("fits below the anchor"))
+            .collect();
         let clamped = interval.intersect(&shape.root_range());
-        let done = clamped.is_empty();
-        let stack = if done {
-            Vec::new()
-        } else {
-            vec![Frame {
-                state: problem.root_state(),
-                depth: 0,
-                rank_in_parent: 0,
-                next_rank: 0,
-                next_child_lo: UBig::zero(),
-                mode: FrameMode::Fresh,
-            }]
+        // The base is the first number of the anchor node holding the
+        // begin: the begin rounded down to a multiple of its weight.
+        let (_, offset) = clamped.begin().div_rem(shape.weight_at(anchor));
+        let mut base = clamped.begin().clone();
+        base.sub_assign(&offset);
+        let root = Frame {
+            state: problem.root_state(),
+            depth: 0,
+            rank_in_parent: 0,
+            next_rank: 0,
+            next_child_lo: 0,
+            mode: FrameMode::Fresh,
         };
-        IntervalExplorer {
+        let mut explorer = IntervalExplorer {
             problem,
-            shape,
             position: clamped.begin().clone(),
             end: clamped.end().clone(),
-            stack,
+            anchor,
+            weights,
+            base,
+            pos: offset.to_u128().expect("below the anchor weight"),
+            end_off: 0,
+            upper: vec![UBig::zero(); anchor],
+            shape,
+            stack: vec![root],
             pool: FrontierPool::new(),
             bound_scratch: Vec::new(),
-            scratch: UBig::zero(),
-            spare: Vec::new(),
             pooling: pooled,
             cutoff: initial_cutoff.unwrap_or(u64::MAX),
             best: None,
             fresh_best: false,
             stats: SearchStats::default(),
-            done,
-        }
+            done: false,
+        };
+        // Finishes an empty interval on the spot.
+        explorer.clamp_end();
+        explorer
     }
 
     /// Whether frames may batch their children through
@@ -288,10 +309,8 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
     /// traversal finishes the moment `position` reaches `end`.
     pub fn shrink_end(&mut self, new_end: &UBig) {
         if *new_end < self.end {
-            self.end = new_end.clone();
-            if self.position >= self.end {
-                self.finish();
-            }
+            self.end.clone_from(new_end);
+            self.clamp_end();
         }
     }
 
@@ -306,14 +325,12 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
     /// Explores at most `node_budget` node visits.
     pub fn run(&mut self, node_budget: u64) -> RunOutcome {
         let mut remaining = node_budget;
-        while remaining > 0 {
-            if self.done {
-                return RunOutcome::Exhausted;
-            }
+        while remaining > 0 && !self.done {
             if self.visit_one() {
                 remaining -= 1;
             }
         }
+        self.sync_position();
         if self.done {
             RunOutcome::Exhausted
         } else {
@@ -326,6 +343,13 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
         while !self.done {
             self.visit_one();
         }
+        self.sync_position();
+    }
+
+    /// Materializes the `UBig` position from the walk's offset.
+    fn sync_position(&mut self) {
+        self.position.clone_from(&self.base);
+        self.position.add_assign_u128(self.pos);
     }
 
     /// Ends the traversal. `position` stays where exploration got to,
@@ -338,28 +362,46 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
         self.pool.clear();
     }
 
+    /// Re-derives `end_off` from `end` and `base`, and finishes once the
+    /// position has reached it.
+    fn clamp_end(&mut self) {
+        self.end_off = self
+            .end
+            .saturating_sub_u128(&self.base)
+            .min(self.weights[0]);
+        if self.pos >= self.end_off {
+            self.finish();
+        }
+    }
+
+    /// Moves the position to `base + to`, the end of a finished or
+    /// eliminated subtree at or below the anchor.
+    #[inline]
+    fn advance(&mut self, to: u128) {
+        debug_assert!(to > self.pos);
+        self.pos = to;
+        if to >= self.end_off {
+            // The anchor node is done, or the end is reached: re-base
+            // onto the position.
+            self.base.add_assign_u128(to);
+            self.pos = 0;
+            self.clamp_end();
+        }
+    }
+
     /// Advances the traversal; returns `true` if a node was visited
     /// (counted against the budget), `false` for bookkeeping moves.
     fn visit_one(&mut self) -> bool {
-        if self.position >= self.end {
-            self.finish();
-            return false;
-        }
-        let Some(frame) = self.stack.last_mut() else {
-            self.finish();
-            return false;
-        };
+        debug_assert!(self.pos < self.end_off, "the walk finishes at the end");
+        let frame = self.stack.last_mut().expect("a live walk has a frame");
         let depth = frame.depth;
         debug_assert!(depth < self.shape.leaf_depth());
         if matches!(frame.mode, FrameMode::Fresh) {
-            // Pool only frames whose children are internal (so leaf
-            // evaluation — and thus every cutoff update — stays strictly
-            // rank-ordered) and whose subtree weight fits the u128 delta
-            // arithmetic. Everything else steps per child.
-            if self.pooling
-                && depth + 1 < self.shape.leaf_depth()
-                && self.shape.weight_at(depth).bit_len() <= 127
-            {
+            // Pool only frames at or below the anchor (their offsets fit
+            // u128) whose children are internal (so leaf evaluation — and
+            // thus every cutoff update — stays strictly rank-ordered).
+            // Everything else steps per child.
+            if self.pooling && depth >= self.anchor && depth + 1 < self.shape.leaf_depth() {
                 self.fill_pool();
             } else {
                 frame.mode = FrameMode::Scalar;
@@ -376,48 +418,25 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
     /// and bounds them in one batch call.
     fn fill_pool(&mut self) {
         let frame_idx = self.stack.len() - 1;
-        let depth = self.stack[frame_idx].depth;
-        let arity = self.shape.arity_at(depth);
-        let parent_weight = self.shape.weight_at(depth);
-        let w = self
-            .shape
-            .weight_at(depth + 1)
-            .to_u128()
-            .expect("child weight fits u128 whenever the parent weight fits 127 bits");
-        // All numbers in the frame's subtree are within parent_weight of
-        // its base, so both deltas below fit u128. They are computed in
-        // the scratch buffer; `sub_assign` panics if the position were
-        // outside the frame's subtree.
-        let base = &self.stack[frame_idx].next_child_lo;
-        self.scratch.clone_from(&self.position);
-        self.scratch.sub_assign(base);
-        let pos_delta = self
-            .scratch
-            .to_u128()
-            .expect("bounded by the parent weight");
-        // First child whose range is not entirely before `position` ...
-        let skip = (pos_delta / w) as u64;
-        // ... through the last child whose range begins before `end`.
-        self.scratch.clone_from(&self.end);
-        self.scratch.sub_assign(base);
-        let last = if self.scratch >= *parent_weight {
-            arity
-        } else {
-            let d = self
-                .scratch
-                .to_u128()
-                .expect("bounded by the parent weight");
-            (d.div_ceil(w) as u64).min(arity)
-        };
+        let frame = &mut self.stack[frame_idx];
+        let arity = self.shape.arity_at(frame.depth);
+        let w = self.weights[frame.depth + 1 - self.anchor];
+        // A fresh frame's cursor is its own first number, at or before
+        // the position and before the (clamped) end. Pool from the first
+        // child not entirely before the position through the last child
+        // that begins before the end.
+        let lo = frame.next_child_lo;
+        let skip = ((self.pos - lo) / w) as u64;
+        let last = (self.end_off - lo).div_ceil(w).min(u128::from(arity)) as u64;
         debug_assert!(skip < last, "a visited frame has an in-interval child");
+        frame.next_rank = skip;
+        frame.next_child_lo = lo + u128::from(skip) * w;
         let start = self.pool.len();
         let problem = self.problem;
         for k in skip..last {
             self.pool
                 .states
                 .push(problem.branch(&self.stack[frame_idx].state, k));
-            self.pool.ranks.push(k);
-            self.pool.deltas.push(u128::from(k) * w);
         }
         let filled = self.pool.len() - start;
         self.bound_scratch.clear();
@@ -438,67 +457,41 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
             start,
             cursor: start,
             end: start + filled,
-            w,
         };
     }
 
     /// Consumes the next entry of the top frame's pool segment.
     fn visit_pooled(&mut self) -> bool {
-        let frame_idx = self.stack.len() - 1;
-        let FrameMode::Pooled {
-            start,
-            cursor,
-            end: seg_end,
-            w,
-        } = self.stack[frame_idx].mode
-        else {
+        let frame = self.stack.last_mut().expect("checked by visit_one");
+        let FrameMode::Pooled { start, cursor, end } = &mut frame.mode else {
             unreachable!("visit_pooled on a non-pooled frame")
         };
-        if cursor == seg_end {
+        let (start, slot) = (*start, *cursor);
+        if slot == *end {
             // Segment drained: release it and pop the frame. Nested
             // frames release their segments first (stack discipline), so
             // the arena tail is exactly ours.
-            debug_assert_eq!(self.pool.len(), seg_end);
+            debug_assert_eq!(self.pool.len(), slot);
             self.pool.truncate(start);
             self.pop_frame();
             return false;
         }
-        let rank = self.pool.ranks[cursor];
-        let delta = self.pool.deltas[cursor];
-        let bound = self.pool.bounds[cursor];
-        let FrameMode::Pooled { cursor: c, .. } = &mut self.stack[frame_idx].mode else {
-            unreachable!()
-        };
-        *c += 1;
+        *cursor += 1;
+        let rank = frame.next_rank;
+        frame.next_rank += 1;
+        frame.next_child_lo += self.weights[frame.depth + 1 - self.anchor];
         self.stats.explored += 1;
         self.stats.bound_calls += 1;
-        let frame = &self.stack[frame_idx];
-        if bound >= self.cutoff {
-            // Elimination operator: the whole subtree is fathomed; its
-            // un-explored numbers [position, child_hi) are done. The
-            // batch-bound contract guarantees this is the same decision
-            // the scalar operator would make against today's (possibly
-            // lower) cutoff.
+        // The batch-bound contract guarantees this is the same decision
+        // the scalar operator would make against today's (possibly
+        // lower) cutoff.
+        if self.pool.bounds[slot] >= self.cutoff {
             self.stats.pruned += 1;
-            self.scratch.clone_from(&frame.next_child_lo);
-            self.scratch.add_assign_u128(delta + w);
-            self.advance_to_scratch();
+            self.pass_child();
         } else {
             self.stats.branched += 1;
-            let mut child_lo = self.spare.pop().unwrap_or_default();
-            child_lo.clone_from(&frame.next_child_lo);
-            child_lo.add_assign_u128(delta);
-            debug_assert!(child_lo <= self.position);
-            let child_depth = frame.depth + 1;
-            let state = self.pool.states[cursor].clone();
-            self.stack.push(Frame {
-                state,
-                depth: child_depth,
-                rank_in_parent: rank,
-                next_rank: 0,
-                next_child_lo: child_lo,
-                mode: FrameMode::Fresh,
-            });
+            let state = self.pool.states[slot].clone();
+            self.push_child(state, rank);
         }
         true
     }
@@ -511,32 +504,18 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
             self.pop_frame();
             return false;
         }
-
-        let child_depth = depth + 1;
         let rank = frame.next_rank;
         frame.next_rank += 1;
-        // child_hi is computed in the scratch buffer and swapped or
-        // copied into place below: no allocation per child.
-        let child_hi = &mut self.scratch;
-        child_hi.clone_from(&frame.next_child_lo);
-        child_hi.add_assign(self.shape.weight_at(child_depth));
-
-        if *child_hi <= self.position {
-            // Entirely before A: already explored (or never ours).
-            std::mem::swap(&mut frame.next_child_lo, child_hi);
-            return false;
-        }
-        if frame.next_child_lo >= self.end {
-            // Entirely past B — and so is everything after in DFS order.
-            self.finish();
+        if self.child_ends_before_position() {
+            // Already explored (or never ours).
             return false;
         }
 
-        let child_state = self.problem.branch(&frame.state, rank);
+        let parent = &self.stack.last().expect("still on top").state;
+        let child_state = self.problem.branch(parent, rank);
         self.stats.explored += 1;
 
-        if child_depth == self.shape.leaf_depth() {
-            frame.next_child_lo.clone_from(child_hi);
+        if depth + 1 == self.shape.leaf_depth() {
             self.stats.leaves += 1;
             let cost = self.problem.leaf_cost(&child_state);
             if cost < self.cutoff {
@@ -545,54 +524,92 @@ impl<'p, P: Problem> IntervalExplorer<'p, P> {
                 self.best = Some(Solution::new(cost, self.leaf_ranks_with(rank)));
                 self.fresh_best = true;
             }
-            self.advance_to_scratch();
+            self.pass_child();
         } else {
             let bound = self.problem.lower_bound_against(&child_state, self.cutoff);
             self.stats.bound_calls += 1;
             self.stats.nodes_bounded += 1;
             if bound >= self.cutoff {
-                // Elimination operator: the whole subtree is fathomed;
-                // its un-explored numbers [position, child_hi) are done.
+                // Elimination operator: the whole subtree is fathomed.
                 self.stats.pruned += 1;
-                frame.next_child_lo.clone_from(&self.scratch);
-                self.advance_to_scratch();
+                self.pass_child();
             } else {
                 self.stats.branched += 1;
-                // The parent's cursor moves on to child_hi; the child's
-                // range begins where the cursor was.
-                let child_hi =
-                    std::mem::replace(&mut self.scratch, self.spare.pop().unwrap_or_default());
-                let child_lo = std::mem::replace(&mut frame.next_child_lo, child_hi);
-                self.stack.push(Frame {
-                    state: child_state,
-                    depth: child_depth,
-                    rank_in_parent: rank,
-                    next_rank: 0,
-                    next_child_lo: child_lo,
-                    mode: FrameMode::Fresh,
-                });
+                self.push_child(child_state, rank);
             }
         }
         true
     }
 
-    /// Moves `position` to the value in `scratch` (the end of a finished
-    /// or eliminated subtree); the old position's buffer becomes the
-    /// scratch.
-    #[inline]
-    fn advance_to_scratch(&mut self) {
-        debug_assert!(self.scratch > self.position);
-        std::mem::swap(&mut self.position, &mut self.scratch);
-        if self.position >= self.end {
-            self.finish();
+    /// Moves the top frame's cursor past its next child, and says whether
+    /// that child's range ends at or before the position. A child that
+    /// does not holds the position: every child before it ended at or
+    /// before the position, and the walk finishes once the position
+    /// reaches the end, so no child begins at or past the end.
+    fn child_ends_before_position(&mut self) -> bool {
+        let frame = self.stack.last_mut().expect("a frame is on top");
+        let depth = frame.depth;
+        if depth >= self.anchor {
+            let lo = frame.next_child_lo;
+            debug_assert!(lo < self.end_off, "no child begins at or past the end");
+            frame.next_child_lo = lo + self.weights[depth + 1 - self.anchor];
+            frame.next_child_lo <= self.pos
+        } else {
+            // Above the anchor a child spans whole anchor nodes, so it
+            // ends at or before the position exactly when it ends at or
+            // before `base`. The child's own cursor starts at its first
+            // number, which is ours before the step.
+            let (above, below) = self.upper.split_at_mut(depth + 1);
+            let cursor = &mut above[depth];
+            debug_assert!(*cursor < self.end, "no child begins at or past the end");
+            if let Some(child_cursor) = below.first_mut() {
+                child_cursor.clone_from(cursor);
+            }
+            cursor.add_assign(self.shape.weight_at(depth + 1));
+            *cursor <= self.base
         }
     }
 
-    /// Pops the top frame, keeping its boundary buffer for reuse.
-    fn pop_frame(&mut self) {
-        if let Some(frame) = self.stack.pop() {
-            self.spare.push(frame.next_child_lo);
+    /// Moves the position past the child the top frame just stepped
+    /// over (a leaf or an eliminated subtree): to the frame's cursor.
+    fn pass_child(&mut self) {
+        let frame = self.stack.last().expect("a frame is on top");
+        if frame.depth >= self.anchor {
+            self.advance(frame.next_child_lo);
+        } else {
+            // The subtree ends on an anchor-node boundary: re-base there.
+            self.base.clone_from(&self.upper[frame.depth]);
+            self.pos = 0;
+            self.clamp_end();
         }
+    }
+
+    /// Descends into the child the top frame just stepped over.
+    fn push_child(&mut self, state: P::State, rank: u64) {
+        let parent = self.stack.last().expect("a frame is on top");
+        let depth = parent.depth + 1;
+        // Below the anchor the child begins one child weight before the
+        // parent's cursor. An anchor-depth child entered from above
+        // begins at `base` (it holds the position), and a child above
+        // the anchor keeps its cursor in `upper`.
+        let next_child_lo = if parent.depth >= self.anchor {
+            parent.next_child_lo - self.weights[depth - self.anchor]
+        } else {
+            0
+        };
+        self.stack.push(Frame {
+            state,
+            depth,
+            rank_in_parent: rank,
+            next_rank: 0,
+            next_child_lo,
+            mode: FrameMode::Fresh,
+        });
+    }
+
+    /// Pops the top frame; the traversal ends with the root's.
+    fn pop_frame(&mut self) {
+        self.stack.pop();
         if self.stack.is_empty() {
             self.finish();
         }

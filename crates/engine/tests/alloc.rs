@@ -73,15 +73,20 @@ fn run_to_end_allocations_do_not_grow_with_the_node_count() {
         let (large, large_nodes) = run_to_end_allocations(8, pooled);
         assert!(large_nodes > 7 * small_nodes);
         // One more tree level may cost a few more buffers (a deeper stack,
-        // a wider pool, one more boundary, one more improving leaf's
-        // solution), never a share of the nodes.
+        // a wider pool, one more improving leaf's solution), never a share
+        // of the nodes.
         assert!(
             large <= small + 8,
             "pooled={pooled}: {small} allocations for {small_nodes} nodes, \
              {large} for {large_nodes}"
         );
+        // The whole 40,320-leaf run reads 32 allocations pooled and 22
+        // scalar: one solution per improving leaf, plus the stack, the
+        // arena and the bound buffer growing by doubling. Below the
+        // anchor a visit touches no `UBig`, so nothing else may appear;
+        // the bound leaves half again as a margin.
         assert!(
-            large < 128,
+            large < 48,
             "pooled={pooled}: {large} allocations for {large_nodes} nodes"
         );
     }
