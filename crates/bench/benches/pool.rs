@@ -3,8 +3,8 @@
 //! children — the amortization the pooled explorer buys at every
 //! internal node. CI gates on the 14×20 Johnson pair (the `fs_proof`
 //! campaign row's instance, bound and incumbent) and on the QAP pair;
-//! the 14×5 `Combined` pair and the end-to-end explorer numbers are
-//! informational.
+//! the 14×5 `Combined` pair, the QAP path pair and the end-to-end
+//! explorer numbers are informational.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridbnb_engine::IntervalExplorer;
@@ -92,6 +92,31 @@ fn bench_kernels(c: &mut Criterion) {
     let pool = sibling_pool(&problem, &[0, 1]);
     let label = format!("nug12_w{}", pool.len());
     bench_pool(c, "qap", &label, &problem, &pool, ub);
+
+    // QAP down the search path: the same pool, then the pool below its
+    // first child under the cutoff, as the depth-first walk bounds them.
+    // The second pool finds the first on the thread's path, extends its
+    // placed sums and starts each LAP from that child's exact duals; the
+    // first repeats its cold build every iteration.
+    let mut out = Vec::new();
+    problem.lower_bound_batch(&pool, ub, &mut out);
+    let survivor = out
+        .iter()
+        .position(|&bound| bound < ub)
+        .expect("a child of the pool survives the greedy cutoff");
+    let child_pool: Vec<_> = (0..problem.shape().arity_at(3))
+        .map(|r| problem.branch(&pool[survivor], r))
+        .collect();
+    let mut group = c.benchmark_group("pool");
+    group.bench_function(BenchmarkId::new("qap_pooled_path", "nug12"), |b| {
+        b.iter(|| {
+            problem.lower_bound_batch(black_box(&pool), ub, &mut out);
+            let parent = out.iter().fold(0u64, |a, &x| a ^ x);
+            problem.lower_bound_batch(black_box(&child_pool), ub, &mut out);
+            out.iter().fold(parent, |a, &x| a ^ x)
+        })
+    });
+    group.finish();
 }
 
 fn bench_explorer(c: &mut Criterion) {

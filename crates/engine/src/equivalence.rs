@@ -10,7 +10,7 @@
 //! budgeted slices, under mid-run `shrink_end`, down to every counter.
 
 use crate::{IntervalExplorer, Problem, SearchStats};
-use gridbnb_coding::{Interval, UBig};
+use gridbnb_coding::{Interval, TreeShape, UBig};
 
 /// Mid-run interference applied identically to both explorers between
 /// `run` slices, exercising the paths a real worker hits.
@@ -52,6 +52,11 @@ impl Default for Interference {
 /// compared: they describe how bounds were computed, not what the search
 /// did.
 ///
+/// Progress is checked too: a walk that visits more than
+/// [`node_budget`] nodes fails instead of spinning. Slices are capped
+/// just above the budget, so a walk that never ends trips the check
+/// after one slice.
+///
 /// Returns the final stats of the pooled run for callers that want to
 /// assert problem-specific facts on top.
 pub fn assert_pooled_matches_scalar<P: Problem>(
@@ -61,7 +66,8 @@ pub fn assert_pooled_matches_scalar<P: Problem>(
     slice: u64,
     interference: Interference,
 ) -> SearchStats {
-    let slice = slice.max(1);
+    let budget = node_budget(&problem.shape(), interval);
+    let slice = slice.clamp(1, budget.saturating_add(1));
     let mut pooled = IntervalExplorer::with_pooling(problem, interval, initial_cutoff, true);
     let mut scalar = IntervalExplorer::with_pooling(problem, interval, initial_cutoff, false);
     let mut slices = 0usize;
@@ -84,14 +90,28 @@ pub fn assert_pooled_matches_scalar<P: Problem>(
             scalar.shrink_end(&new_end);
         }
         assert_lockstep(&pooled, &scalar, slices);
+        assert!(
+            pooled.stats().explored <= budget,
+            "{} nodes visited after slice {slices}, beyond the walk's budget of {budget}",
+            pooled.stats().explored
+        );
         if pooled.is_exhausted() && scalar.is_exhausted() {
             return *pooled.stats();
         }
-        assert!(
-            slices < 10_000_000,
-            "equivalence driver failed to terminate"
-        );
     }
+}
+
+/// The most nodes a correct walk over `interval` can visit:
+/// `len·(d + 1)` for `len` leaves in a tree of leaf depth `d`
+/// (saturating at `u64::MAX`). At each depth the nodes a walk visits
+/// are disjoint and each holds a leaf of the interval, so a depth
+/// contributes at most `len`; the `+ 1` leaves room for the root.
+pub fn node_budget(shape: &TreeShape, interval: &Interval) -> u64 {
+    interval
+        .length()
+        .mul_u64(shape.leaf_depth() as u64 + 1)
+        .to_u64()
+        .unwrap_or(u64::MAX)
 }
 
 fn assert_lockstep<P: Problem>(

@@ -7,11 +7,11 @@
 
 use gridbnb_coding::{Interval, NodePath, TreeShape, UBig};
 use gridbnb_engine::equivalence::{
-    assert_pooled_matches_scalar, assert_pooled_matches_scalar_simple, permille_interval,
-    Interference,
+    assert_pooled_matches_scalar, assert_pooled_matches_scalar_simple, node_budget,
+    permille_interval, Interference,
 };
 use gridbnb_engine::toy::{FullEnumeration, TableAssignment};
-use gridbnb_engine::{solve, solve_interval, IntervalExplorer, Problem};
+use gridbnb_engine::{solve, solve_interval, IntervalExplorer, Problem, RunOutcome};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -51,7 +51,8 @@ impl Problem for WidePermutations {
 /// Explores `interval` pooled and scalar in `slice`-sized budgets,
 /// keeping `keep`/4 of the live remainder after `shrink_after` slices (0 =
 /// never): the position never falls, and the leaves visited are those up
-/// to the final end. Returns how many that is.
+/// to the final end, within the walk's [`node_budget`]. Returns how many
+/// leaves that is.
 fn walk_in_slices<P: Problem>(
     problem: &P,
     interval: &Interval,
@@ -59,13 +60,20 @@ fn walk_in_slices<P: Problem>(
     shrink_after: usize,
     keep: u64,
 ) -> Result<u64, TestCaseError> {
+    let budget = node_budget(&problem.shape(), interval);
     let mut leaves = Vec::new();
     for pooled in [true, false] {
         let mut explorer = IntervalExplorer::with_pooling(problem, interval, None, pooled);
         let mut previous = explorer.position().clone();
         let mut slices = 0;
         while !explorer.is_exhausted() {
-            explorer.run(slice);
+            explorer.run(slice.min(budget.saturating_add(1)));
+            prop_assert!(
+                explorer.stats().explored <= budget,
+                "{} nodes visited, beyond the budget of {}",
+                explorer.stats().explored,
+                budget
+            );
             slices += 1;
             if slices == shrink_after {
                 // Keep keep/4 of the live remainder: never below the
@@ -336,12 +344,20 @@ fn a_pruned_child_above_the_anchor_moves_the_position_by_its_weight() {
     let after = w.mul_u64(2);
     // [39! − k, 2·39! + k): k leaves, the eliminated child, k leaves.
     let interval = Interval::new(before.clone(), &after + k);
+    // A correct walk visits at most the node budget of each run of k
+    // leaves, plus the eliminated child.
+    let budget = node_budget(&shape, &Interval::new(before.clone(), w.clone())) * 2;
     for pooled in [true, false] {
         let mut explorer = IntervalExplorer::with_pooling(&problem, &interval, None, pooled);
         let mut jumped = false;
         while !explorer.is_exhausted() {
             let from = explorer.position().clone();
             explorer.run(1);
+            assert!(
+                explorer.stats().explored <= budget,
+                "pooled={pooled}: {} nodes visited, beyond the budget of {budget}",
+                explorer.stats().explored
+            );
             if explorer.stats().pruned == 1 && !jumped {
                 // One visit: the bound eliminated 39! leaves at once.
                 jumped = true;
@@ -372,14 +388,14 @@ fn a_pruned_child_above_the_anchor_moves_the_position_by_its_weight() {
     explorer.run(1);
     assert_eq!(explorer.stats().pruned, 1);
     assert_eq!(*explorer.position(), after);
-    explorer.run_to_end();
+    assert_eq!(explorer.run(budget), RunOutcome::Exhausted);
     assert_eq!(explorer.stats().leaves, k);
     assert_eq!(*explorer.position(), &after + k);
     // An end inside the eliminated child: the jump overshoots it and the
     // walk ends there, having explored only the leaves before it.
     let short = Interval::new(before.clone(), &w + k);
     let mut explorer = IntervalExplorer::new(&problem, &short, None);
-    explorer.run_to_end();
+    assert_eq!(explorer.run(budget), RunOutcome::Exhausted);
     assert_eq!(explorer.stats().leaves, k);
     assert_eq!(*explorer.position(), after);
     assert!(explorer.current_interval().is_empty());

@@ -29,6 +29,18 @@
 //! sibling pool's children share once, reads each child's cost matrix
 //! from it in O(u²), and stops each child's LAP at the cutoff
 //! ([`crate::lap::lap_bound`]).
+//!
+//! A depth-first search bounds a pool and then, one level down, the pool
+//! below one of its children, so each pool reuses what the one above it
+//! computed through a per-thread [`GlPath`]: it extends its parent
+//! pool's placed sums by one facility instead of re-summing the whole
+//! prefix, and starts each child's LAP from the exact column duals of
+//! the child's parent. The two are not alike. Any start is admissible
+//! for the LAP, so a stale dual costs only tree steps. A stale sum is
+//! not a lower bound at all, so the path is keyed on (problem id,
+//! prefix) and read only under that exact key. The scalar
+//! [`crate::QapProblem`] bound and the screen never touch the path: they
+//! are the references the pooled path is tested against.
 
 use crate::instance::{QapInstance, MAX_N};
 use crate::lap::{lap_bound, solve_lap};
@@ -345,6 +357,111 @@ impl ScreenPool {
     }
 }
 
+/// One thread's record of the Gilmore–Lawler pools along its search
+/// path: slot `d` describes the last pool built below a parent prefix of
+/// `d` facilities.
+///
+/// A slot keeps the pool's key, its placed sums `H(i, a)` (the
+/// interaction of unplaced facility `i` at location `a` with the
+/// prefix, both flow directions) and the final column duals of each
+/// child whose LAP ran to the optimum, which are the children that came
+/// in below the cutoff and may become parents. A pool below prefix `P`
+/// reads slot `|P| − 1`: when that slot's key is `P` without its last
+/// facility, the pool extends its parent's sums by the one facility `P`
+/// adds (O(F·u) instead of O(F·u·|P|)), and starts each child's LAP from
+/// the duals of the child that became `P`. Any other pool, such as the
+/// root, the first pool of a fresh interval or a stolen one, is cold.
+///
+/// **The key is (problem, prefix).** Duals may be stale: any column
+/// potentials start an admissible LAP ([`crate::lap`]). Sums may not: a
+/// sum from another instance, or from another prefix, is not the
+/// interaction it stands for, and the entries built on it are not lower
+/// bounds. So a slot is only read under its exact prefix, and the whole
+/// path is emptied when it is bound to another problem. Only
+/// [`crate::QapProblem`] makes and binds a path, one per thread, under
+/// an id drawn from a global counter (shared by clones, never reused,
+/// unlike an address); an unbound path keeps nothing.
+///
+/// Slots are sized from the instance's `n` (n slots of n² sums and n²
+/// duals, about 51 KiB per thread at n = 13) when the path is first
+/// bound.
+#[derive(Debug)]
+pub struct GlPath {
+    /// The bound problem's id; `0` = unbound.
+    problem: u64,
+    /// The bound problem's size.
+    n: usize,
+    slots: Vec<PathSlot>,
+}
+
+#[derive(Debug)]
+struct PathSlot {
+    /// The pool's parent prefix; meaningful only while `filled`.
+    key: Vec<u16>,
+    filled: bool,
+    /// `placed[i · n + a]` = `H(i, a)` against `key`, for the facilities
+    /// after the children's and the locations free in `key`.
+    placed: Vec<u64>,
+    /// `duals[loc · n + a]` = final potential of column `a` in the LAP of
+    /// the child at `loc`.
+    duals: Vec<i128>,
+    /// Bit `loc` is set when the child at `loc` solved to the optimum.
+    solved: u64,
+}
+
+impl GlPath {
+    /// An unbound, empty path. Allocates nothing.
+    pub(crate) const fn new() -> Self {
+        GlPath {
+            problem: 0,
+            n: 0,
+            slots: Vec::new(),
+        }
+    }
+
+    /// Binds the path to the problem `problem` of size `n`, emptying it
+    /// if it held another problem's pools. `problem` must identify one
+    /// instance for the life of the process.
+    pub(crate) fn bind(&mut self, problem: u64, n: usize) {
+        if self.problem == problem && self.n == n {
+            return;
+        }
+        self.problem = problem;
+        if self.n != n {
+            self.n = n;
+            self.slots = (0..n)
+                .map(|_| PathSlot {
+                    key: Vec::with_capacity(n),
+                    filled: false,
+                    placed: vec![0; n * n],
+                    duals: vec![0; n * n],
+                    solved: 0,
+                })
+                .collect();
+        }
+        for slot in &mut self.slots {
+            slot.filled = false;
+        }
+    }
+
+    /// The slot a pool below `prefix` fills, and its parent's slot when
+    /// that holds `prefix` without its last facility. Nothing on an
+    /// unbound path.
+    fn split(&mut self, prefix: &[u16]) -> (Option<&PathSlot>, Option<&mut PathSlot>) {
+        let d = prefix.len();
+        if self.problem == 0 {
+            return (None, None);
+        }
+        let (above, below) = self.slots.split_at_mut(d);
+        let own = &mut below[0];
+        own.filled = false;
+        let parent = prefix
+            .split_last()
+            .and_then(|(_, grand)| above.last().filter(|slot| slot.filled && slot.key == grand));
+        (parent, Some(own))
+    }
+}
+
 /// The Gilmore–Lawler context of a sibling pool: everything the
 /// children of one parent share, built once, so that a child's
 /// `u × u` cost matrix is O(u²) table reads and its LAP stops at the
@@ -355,10 +472,11 @@ impl ScreenPool {
 /// `loc ∈ F`, leaving `u = |F| − 1` facilities for the other locations.
 /// A child's entry for facility `i > d` at location `a ≠ loc` is
 ///
-/// `c[i][a] = flow(i,i)·dist(a,a) + here(i, a)            (parent part)`
+/// `c[i][a] = flow(i,i)·dist(a,a) + H(i, a)               (parent part)`
 /// `        + flow(d,i)·dist(loc,a) + flow(i,d)·dist(a,loc)  (the child's facility)`
 /// `        + ⟨rows[d+1][i], sort↓(dist(a,·) over F∖{a}) with loc skipped⟩`
 ///
+/// where `H(i, a)` is `i`'s interaction at `a` with the placed prefix.
 /// `a`'s descending row over `F∖{a}` belongs to the parent; the child's
 /// row is the same row with `loc`'s entry left out. With the entry at
 /// position `p` left out, the product is a prefix sum up to `p` plus a
@@ -366,7 +484,12 @@ impl ScreenPool {
 /// facility, `p`), the parent part plus that product, and a child reads
 /// one entry. Equal distances make the skip position ambiguous but not
 /// the product: the remaining sorted row is the same.
-pub struct GlPool {
+///
+/// On a bound [`GlPath`] the pool takes `H` from its parent's pool when
+/// the path holds it, starts each child's LAP from the exact duals of
+/// its own parent, and leaves its sums and its children's duals on the
+/// path for the pools below it.
+pub struct GlPool<'a> {
     /// The facility every child places (the parent's depth `d`).
     facility: usize,
     /// The parent's free locations, ascending; `F = free_count`.
@@ -379,17 +502,30 @@ pub struct GlPool {
     /// facility `d + 1 + fi`'s flow row with `free[ai]`'s distance row
     /// without its entry at position `p`.
     table: Vec<u64>,
+    /// The current child's `u × u` cost matrix, rewritten per child.
+    cost: Vec<u64>,
+    /// The current child's columns: (location, offset of its skip
+    /// position in `table`, distance to and from the child's location).
+    columns: [(usize, usize, u64, u64); MAX_N],
+    /// The current child's start and final column potentials.
+    potentials: [[i128; MAX_N]; 2],
+    /// The parent's final column duals, indexed by location.
+    start: Option<&'a [i128]>,
+    /// This pool's slot on the path.
+    own: Option<&'a mut PathSlot>,
 }
 
-impl GlPool {
+impl<'a> GlPool<'a> {
     /// Builds the context below a parent `prefix` (facility `k` at
     /// `prefix[k]`) whose used-location mask is `parent_used`. `rows`
-    /// must be the instance's [`GlRowCache`].
+    /// must be the instance's [`GlRowCache`]. `path`, when bound, is read
+    /// for the parent's sums and duals and written with this pool's.
     pub fn new(
         instance: &QapInstance,
         rows: &GlRowCache,
         prefix: &[u16],
         parent_used: u64,
+        path: Option<&'a mut GlPath>,
     ) -> Self {
         let n = instance.n();
         let d = prefix.len();
@@ -402,6 +538,18 @@ impl GlPool {
         }
         debug_assert_eq!(free_count, n - d);
         let u = free_count - 1;
+        let (parent, mut own) = path.map_or((None, None), |path| path.split(prefix));
+        // H(i, a) against `prefix`: the parent pool's sums plus the one
+        // facility `prefix` adds to its key, or the whole sum.
+        let placed = |i: usize, a: usize| match (parent, prefix.split_last()) {
+            (Some(parent), Some((&last, _))) => {
+                let (k, last) = (d - 1, last as usize);
+                parent.placed[i * n + a]
+                    + instance.flow(k, i) * instance.dist(last, a)
+                    + instance.flow(i, k) * instance.dist(a, last)
+            }
+            _ => placed_interaction(instance, prefix, i, a),
+        };
         let mut skip = [[0u8; MAX_N]; MAX_N];
         let mut table = Vec::with_capacity(free_count * u * u);
         let flow_rows = rows.rows.get(d + 1).map_or(&[][..], |r| &r[..]);
@@ -420,8 +568,11 @@ impl GlPool {
             }
             for (fi, flows) in flow_rows.iter().enumerate() {
                 let i = d + 1 + fi;
-                let parent_part = instance.flow(i, i) * instance.dist(a, a)
-                    + placed_interaction(instance, prefix, i, a);
+                let h = placed(i, a);
+                if let Some(own) = own.as_deref_mut() {
+                    own.placed[i * n + a] = h;
+                }
+                let parent_part = instance.flow(i, i) * instance.dist(a, a) + h;
                 // suffix[p] = Σ_{k > p} flows[k − 1] · row[k].
                 let mut suffix = [0u64; MAX_N];
                 for p in (0..u.saturating_sub(1)).rev() {
@@ -436,12 +587,28 @@ impl GlPool {
                 }
             }
         }
+        // The duals of the child of `parent` that became `prefix`.
+        let start = parent.zip(prefix.last()).and_then(|(parent, &last)| {
+            let last = last as usize;
+            (parent.solved & (1 << last) != 0).then(|| &parent.duals[last * n..(last + 1) * n])
+        });
+        if let Some(own) = own.as_deref_mut() {
+            own.key.clear();
+            own.key.extend_from_slice(prefix);
+            own.solved = 0;
+            own.filled = true;
+        }
         GlPool {
             facility: d,
             free,
             free_count,
             skip,
             table,
+            cost: Vec::with_capacity(u * u),
+            columns: [(0, 0, 0, 0); MAX_N],
+            potentials: [[0; MAX_N]; 2],
+            start,
+            own,
         }
     }
 
@@ -451,7 +618,7 @@ impl GlPool {
     /// contract: the exact bound when it is below `cutoff`, otherwise
     /// some admissible value `≥ cutoff`.
     pub fn bound(
-        &self,
+        &mut self,
         instance: &QapInstance,
         location: usize,
         child_cost: u64,
@@ -466,21 +633,51 @@ impl GlPool {
             .position(|&l| l as usize == location)
             .expect("the child's location is free in its parent");
         let d = self.facility;
-        let mut cost = [0u64; MAX_N * MAX_N];
-        let mut entry = 0;
+        // The child's columns: the parent's free locations but its own.
+        let others = (0..self.free_count).filter(|&ai| ai != li);
+        for (column, ai) in self.columns.iter_mut().zip(others) {
+            let a = self.free[ai] as usize;
+            let offset = ai * u * u + self.skip[ai][li] as usize;
+            *column = (
+                a,
+                offset,
+                instance.dist(location, a),
+                instance.dist(a, location),
+            );
+        }
+        let columns = &self.columns[..u];
+        self.cost.clear();
         for fi in 0..u {
             let i = d + 1 + fi;
             let (into, out_of) = (instance.flow(d, i), instance.flow(i, d));
-            for ai in (0..self.free_count).filter(|&ai| ai != li) {
-                let a = self.free[ai] as usize;
-                let p = self.skip[ai][li] as usize;
-                cost[entry] = self.table[(ai * u + fi) * u + p]
-                    + into * instance.dist(location, a)
-                    + out_of * instance.dist(a, location);
-                entry += 1;
+            self.cost
+                .extend(columns.iter().map(|&(_, offset, to, from)| {
+                    self.table[offset + fi * u] + into * to + out_of * from
+                }));
+        }
+        let [start, end] = &mut self.potentials;
+        if let Some(duals) = self.start {
+            for (v, &(a, ..)) in start.iter_mut().zip(columns) {
+                *v = duals[a];
             }
         }
-        child_cost + lap_bound(u, &cost[..u * u], cutoff - child_cost)
+        let limit = cutoff - child_cost;
+        let value = lap_bound(
+            u,
+            &self.cost,
+            limit,
+            self.start.is_some().then_some(&start[..u]),
+            self.own.is_some().then_some(&mut end[..u]),
+        );
+        if let Some(own) = self.own.as_deref_mut().filter(|_| value < limit) {
+            let n = instance.n();
+            let duals = &mut own.duals[location * n..(location + 1) * n];
+            for (&v, &(a, ..)) in end.iter().zip(columns) {
+                duals[a] = v;
+            }
+            own.solved |= 1 << location;
+        }
+        child_cost + value
     }
 }
 

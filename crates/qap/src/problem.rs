@@ -2,10 +2,24 @@
 //! interval-coded search tree: depth `d` of the permutation tree assigns
 //! facility `d` to the `rank`-th still-free location.
 
-use crate::bounds::{gilmore_lawler_bound, screen_bound, Bound, GlPool, GlRowCache, ScreenPool};
-use crate::instance::QapInstance;
+use crate::bounds::{
+    gilmore_lawler_bound, screen_bound, Bound, GlPath, GlPool, GlRowCache, ScreenPool,
+};
+use crate::instance::{QapInstance, MAX_N};
 use gridbnb_coding::TreeShape;
 use gridbnb_engine::Problem;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`QapProblem`] ids; `0` is never handed out. Only
+/// uniqueness matters, so the counter publishes nothing else.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's Gilmore–Lawler search path, bound to whichever
+    /// problem last bounded a pool on the thread. Empty until then.
+    static PATH: RefCell<GlPath> = const { RefCell::new(GlPath::new()) };
+}
 
 /// The QAP as a [`Problem`] with a selectable bounding tier.
 #[derive(Clone, Debug)]
@@ -16,13 +30,20 @@ pub struct QapProblem {
     /// evaluation ever re-sorts a flow row (the search places facility
     /// `d` at depth `d`, which is exactly the cache's convention).
     gl_rows: GlRowCache,
+    /// Keys this problem's pools on each thread's [`GlPath`]: unique per
+    /// [`QapProblem::new`], shared by clones (which bound the same
+    /// instance).
+    id: u64,
 }
 
-/// Search state: partial placement and running interaction cost.
+/// Search state: partial placement and running interaction cost. Fixed
+/// size, so branching allocates nothing.
 #[derive(Clone, Debug)]
 pub struct QapState {
     /// `placement[i]` for facilities `i < depth`.
-    placement: Vec<u16>,
+    placement: [u16; MAX_N],
+    /// Placed facilities.
+    depth: u8,
     /// Bitmask of used locations.
     used: u64,
     /// Exact cost of placed–placed interactions.
@@ -37,6 +58,7 @@ impl QapProblem {
             instance,
             bound,
             gl_rows,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -91,6 +113,13 @@ impl QapProblem {
     }
 }
 
+impl QapState {
+    /// `placement[i]` for the placed facilities `i`.
+    fn placement(&self) -> &[u16] {
+        &self.placement[..usize::from(self.depth)]
+    }
+}
+
 fn nth_free(n: usize, used: u64, rank: u64) -> usize {
     let mut seen = 0;
     for l in 0..n {
@@ -113,7 +142,8 @@ impl Problem for QapProblem {
 
     fn root_state(&self) -> QapState {
         QapState {
-            placement: Vec::new(),
+            placement: [0; MAX_N],
+            depth: 0,
             used: 0,
             cost: 0,
         }
@@ -121,20 +151,21 @@ impl Problem for QapProblem {
 
     fn branch(&self, state: &QapState, rank: u64) -> QapState {
         let n = self.instance.n();
-        let facility = state.placement.len();
+        let facility = usize::from(state.depth);
         let location = nth_free(n, state.used, rank);
         let mut cost = state.cost
             + self.instance.flow(facility, facility) * self.instance.dist(location, location);
-        for (other, &loc) in state.placement.iter().enumerate() {
+        for (other, &loc) in state.placement().iter().enumerate() {
             // Both directions of the (symmetric or not) flow matrix.
             cost += self.instance.flow(other, facility)
                 * self.instance.dist(loc as usize, location)
                 + self.instance.flow(facility, other) * self.instance.dist(location, loc as usize);
         }
-        let mut placement = state.placement.clone();
-        placement.push(location as u16);
+        let mut placement = state.placement;
+        placement[facility] = location as u16;
         QapState {
             placement,
+            depth: state.depth + 1,
             used: state.used | (1 << location),
             cost,
         }
@@ -147,9 +178,11 @@ impl Problem for QapProblem {
     /// One child, one pool: the Gilmore–Lawler path builds its parent's
     /// [`GlPool`] and bounds the state as that pool's only child. The
     /// root has no parent; its single evaluation goes through the
-    /// reference [`gilmore_lawler_bound`].
+    /// reference [`gilmore_lawler_bound`]. The pool is built cold, off
+    /// the thread's [`GlPath`]: this is the reference the pooled path is
+    /// checked against.
     fn lower_bound_against(&self, state: &QapState, cutoff: u64) -> u64 {
-        let (placement, used, cost) = (&state.placement, state.used, state.cost);
+        let (placement, used, cost) = (state.placement(), state.used, state.cost);
         match (self.bound, placement.split_last()) {
             (Bound::Screen, _) => screen_bound(&self.instance, placement, used, cost),
             (Bound::GilmoreLawler, None) => {
@@ -160,6 +193,7 @@ impl Problem for QapProblem {
                 &self.gl_rows,
                 prefix,
                 used & !(1 << location),
+                None,
             )
             .bound(&self.instance, location as usize, cost, cutoff),
         }
@@ -170,23 +204,22 @@ impl Problem for QapProblem {
     /// how the pooled explorer builds them), the parent-level context is
     /// built once: [`ScreenPool`] for the screen, [`GlPool`] for
     /// Gilmore–Lawler, whose children each pay an O(u²) cost matrix and
-    /// a LAP that stops at the cutoff. Every value is the scalar one
-    /// below the cutoff and at least the cutoff otherwise, so the
-    /// elimination decisions match the scalar operator exactly.
+    /// a LAP that stops at the cutoff. The Gilmore–Lawler pool runs on
+    /// the thread's [`GlPath`]: it extends its parent pool's placed sums
+    /// and starts each child's LAP from its parent's exact duals when the
+    /// path holds them. Every value is the scalar one below the cutoff
+    /// and at least the cutoff otherwise, so the elimination decisions
+    /// match the scalar operator exactly.
     fn lower_bound_batch(&self, states: &[QapState], cutoff: u64, out: &mut Vec<u64>) {
         out.clear();
         out.reserve(states.len());
         let siblings = states.split_first().and_then(|(first, rest)| {
-            let len = first.placement.len();
-            if len == 0 {
-                return None;
-            }
-            let prefix = &first.placement[..len - 1];
-            let parent_used = first.used & !(1 << first.placement[len - 1]);
+            let (&last, prefix) = first.placement().split_last()?;
+            let parent_used = first.used & !(1 << last);
             let ok = rest.iter().all(|s| {
-                s.placement.len() == len
-                    && &s.placement[..len - 1] == prefix
-                    && s.used == parent_used | (1 << s.placement[len - 1])
+                s.placement()
+                    .split_last()
+                    .is_some_and(|(&last, p)| p == prefix && s.used == parent_used | (1 << last))
             });
             ok.then_some((prefix, parent_used))
         });
@@ -196,7 +229,7 @@ impl Problem for QapProblem {
             }
             return;
         };
-        let location = |s: &QapState| *s.placement.last().expect("validated non-empty") as usize;
+        let location = |s: &QapState| s.placement[prefix.len()] as usize;
         match self.bound {
             Bound::Screen => {
                 let pool = ScreenPool::new(&self.instance, prefix, parent_used);
@@ -206,19 +239,40 @@ impl Problem for QapProblem {
                         .map(|s| pool.bound(&self.instance, location(s), s.cost)),
                 );
             }
-            Bound::GilmoreLawler => {
-                let pool = GlPool::new(&self.instance, &self.gl_rows, prefix, parent_used);
+            Bound::GilmoreLawler => PATH.with_borrow_mut(|path| {
+                path.bind(self.id, self.instance.n());
+                let mut pool = GlPool::new(
+                    &self.instance,
+                    &self.gl_rows,
+                    prefix,
+                    parent_used,
+                    Some(path),
+                );
                 out.extend(
                     states
                         .iter()
                         .map(|s| pool.bound(&self.instance, location(s), s.cost, cutoff)),
                 );
-            }
+            }),
         }
     }
 
     fn leaf_cost(&self, state: &QapState) -> u64 {
-        debug_assert_eq!(state.placement.len(), self.instance.n());
+        debug_assert_eq!(usize::from(state.depth), self.instance.n());
         state.cost
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn clones_share_the_path_key_and_new_problems_take_their_own() {
+        let a = QapProblem::with_default_bound(QapInstance::random(5, 1));
+        let again = QapProblem::with_default_bound(a.instance().clone());
+        assert_ne!(a.id, 0, "0 marks an unbound path");
+        assert_eq!(a.clone().id, a.id);
+        assert_ne!(again.id, a.id);
     }
 }

@@ -1,8 +1,10 @@
 //! Pooled ≡ scalar equivalence on random QAP instances, driving the
 //! `lower_bound_batch` kernel through the engine's lockstep harness
 //! under both bound tiers; the early-exit Gilmore–Lawler kernel's
-//! contract against the reference bound; and search counts recorded
-//! before the pooled kernel replaced the per-child GL solve.
+//! contract against the reference bound; the search path the pooled
+//! kernel carries between pools, across instances on one thread; and
+//! search counts recorded before the pooled kernel replaced the
+//! per-child GL solve.
 
 use gridbnb_engine::equivalence::{
     assert_pooled_matches_scalar, assert_pooled_matches_scalar_simple, permille_interval,
@@ -176,6 +178,78 @@ proptest! {
                 external_cutoff: ub,
             },
         );
+    }
+}
+
+/// Bounds every child of the state reached by `ranks` as one pool and
+/// checks each value against the reference `gilmore_lawler_bound` under
+/// the batch contract. The cutoff is none, or with `split` the median
+/// reference value, so that some children come in below it and some
+/// stop early.
+fn check_pool(problem: &QapProblem, ranks: &[u64], split: bool) -> Result<(), TestCaseError> {
+    let mut parent = problem.root_state();
+    for &r in ranks {
+        parent = problem.branch(&parent, r);
+    }
+    let arity = (problem.instance().n() - ranks.len()) as u64;
+    let children: Vec<_> = (0..arity).map(|r| problem.branch(&parent, r)).collect();
+    let exact: Vec<u64> = (0..arity)
+        .map(|r| {
+            let mut child_ranks = ranks.to_vec();
+            child_ranks.push(r);
+            let placement: Vec<u16> = problem
+                .decode_ranks(&child_ranks)
+                .iter()
+                .map(|&l| l as u16)
+                .collect();
+            let used = placement.iter().fold(0u64, |m, &p| m | (1 << p));
+            let base = placed_cost(problem.instance(), &placement);
+            gilmore_lawler_bound(problem.instance(), &placement, used, base)
+        })
+        .collect();
+    let cutoff = if split {
+        let mut sorted = exact.clone();
+        sorted.sort_unstable();
+        sorted[sorted.len() / 2]
+    } else {
+        u64::MAX
+    };
+    let mut out = Vec::new();
+    problem.lower_bound_batch(&children, cutoff, &mut out);
+    prop_assert_eq!(out.len(), children.len());
+    for (r, (&value, &exact)) in out.iter().zip(&exact).enumerate() {
+        check_contract(value, exact, cutoff, &format!("{ranks:?} + {r}"))?;
+    }
+    Ok(())
+}
+
+/// The search path a thread carries between pools is keyed on the
+/// problem as well as the prefix. Instance A's pool below `[0]` leaves
+/// its placed sums on the path; instance B (same size) then bounds the
+/// pool below `[0, 1]`, whose parent prefix is `[0]` too. Were the path
+/// keyed on the prefix alone, B's entries would be built on A's sums
+/// and its values would not be B's bounds. The same goes for A after
+/// its own pool below `[1]`. A clone of A shares A's path (it bounds the
+/// same instance); a fresh problem of A's instance does not, and is
+/// exact all the same.
+#[test]
+fn the_search_path_never_crosses_problems() {
+    let a = QapProblem::new(QapInstance::nugent_style(2, 4, 1), Bound::GilmoreLawler);
+    let b = QapProblem::new(QapInstance::random(8, 99), Bound::GilmoreLawler);
+    let fresh = QapProblem::new(a.instance().clone(), Bound::GilmoreLawler);
+    let clone = a.clone();
+    for split in [false, true] {
+        for (first, rank, second) in [
+            (&a, 0, &b),
+            (&b, 0, &a),
+            (&a, 1, &a),
+            (&a, 0, &clone),
+            (&a, 0, &fresh),
+        ] {
+            check_pool(first, &[rank], false).unwrap();
+            check_pool(second, &[0, 0], split).unwrap();
+            check_pool(second, &[0, 0, 1], split).unwrap();
+        }
     }
 }
 

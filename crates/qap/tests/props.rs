@@ -97,7 +97,7 @@ proptest! {
 
     /// The Hungarian solver must match exhaustive enumeration exactly,
     /// and its reported assignment must be a permutation evaluating to
-    /// the reported total. The warm-started [`lap_bound`] must reach the
+    /// the reported total. [`lap_bound`] from the reduction must reach the
     /// same optimum; its dual objective must never fall and never exceed
     /// the optimum; and under a limit it must be exact below the limit
     /// and between the limit and the optimum otherwise. `big` draws
@@ -116,12 +116,12 @@ proptest! {
         let optimum = brute_lap(n, &cost);
         prop_assert_eq!(solution.total, optimum);
         let mut duals = Vec::new();
-        let value = lap_bound_observed(n, &cost, u64::MAX, |d| duals.push(d));
+        let value = lap_bound_observed(n, &cost, u64::MAX, None, None, |d| duals.push(d));
         prop_assert_eq!(value, optimum);
         prop_assert!(duals.windows(2).all(|w| w[0] <= w[1]), "dual fell: {:?}", duals);
-        prop_assert_eq!(duals.last().copied(), Some(optimum));
+        prop_assert_eq!(duals.last().copied(), Some(i128::from(optimum)));
         let limit = limit_pick % (optimum.saturating_add(2)).max(1);
-        let stopped = lap_bound(n, &cost, limit);
+        let stopped = lap_bound(n, &cost, limit, None, None);
         prop_assert!(stopped <= optimum, "{} exceeds the optimum {}", stopped, optimum);
         prop_assert!(stopped >= limit || stopped == optimum, "stopped at {} below {}", stopped, limit);
         let mut sorted = solution.assignment.clone();
@@ -134,6 +134,54 @@ proptest! {
             .map(|(row, &col)| cost[row * n + col])
             .sum();
         prop_assert_eq!(evaluated, solution.total);
+    }
+
+    /// Any column potentials start an admissible solve. From zero,
+    /// random or huge start potentials (up to the `big` modulus, either
+    /// sign) [`lap_bound`] must still reach `solve_lap`'s optimum without
+    /// a limit, its dual objective must never fall and never exceed the
+    /// optimum, and under a limit it must be exact below the limit and
+    /// between the limit and the optimum otherwise. The potentials it
+    /// reads back after a full solve are optimal: restarting from them
+    /// with the optimum as the limit stops at the start.
+    #[test]
+    fn lap_from_any_start_matches_the_oracle(
+        n in 1usize..9,
+        seed in proptest::arbitrary::any::<u64>(),
+        big in proptest::arbitrary::any::<bool>(),
+        start_kind in 0u8..3,
+        limit_pick in proptest::arbitrary::any::<u64>(),
+    ) {
+        let mut next = splitmix(seed);
+        let modulus = if big { u64::MAX / n as u64 } else { 10_000 };
+        let cost: Vec<u64> = (0..n * n).map(|_| next() % modulus).collect();
+        let optimum = solve_lap(n, &cost).total;
+        let start: Vec<i128> = (0..n)
+            .map(|_| match start_kind {
+                0 => 0,
+                1 => (next() % 10_000) as i128 - 5_000,
+                _ => {
+                    let v = i128::from(next() % modulus);
+                    if next().is_multiple_of(2) { v } else { -v }
+                }
+            })
+            .collect();
+        let mut duals = Vec::new();
+        let mut end = vec![0i128; n];
+        let value =
+            lap_bound_observed(n, &cost, u64::MAX, Some(&start), Some(&mut end), |d| duals.push(d));
+        prop_assert_eq!(value, optimum);
+        prop_assert!(duals.windows(2).all(|w| w[0] <= w[1]), "dual fell: {:?}", duals);
+        prop_assert!(duals.iter().all(|&d| d <= i128::from(optimum)), "dual above {}: {:?}", optimum, duals);
+        prop_assert_eq!(duals.last().copied(), Some(i128::from(optimum)));
+        let limit = limit_pick % (optimum.saturating_add(2)).max(1);
+        let stopped = lap_bound(n, &cost, limit, Some(&start), None);
+        prop_assert!(stopped <= optimum, "{} exceeds the optimum {}", stopped, optimum);
+        prop_assert!(stopped >= limit || stopped == optimum, "stopped at {} below {}", stopped, limit);
+        let mut steps = 0;
+        let restarted = lap_bound_observed(n, &cost, optimum, Some(&end), None, |_| steps += 1);
+        prop_assert_eq!(restarted, optimum);
+        prop_assert_eq!(steps, 1, "the read-back duals are not optimal");
     }
 
     /// Gilmore–Lawler is admissible at the root: it never exceeds the
@@ -192,7 +240,7 @@ proptest! {
         let n = instance.n();
         for depth in 0..n {
             let (prefix, parent_used, _) = random_prefix(&instance, depth, seed ^ 0x6C0B);
-            let pool = GlPool::new(&instance, &cache, &prefix, parent_used);
+            let mut pool = GlPool::new(&instance, &cache, &prefix, parent_used, None);
             for location in (0..n).filter(|l| parent_used & (1 << l) == 0) {
                 let mut child = prefix.clone();
                 child.push(location as u16);
