@@ -1,9 +1,10 @@
-//! Bounding-operator benchmarks: the one-machine bound vs the Johnson
-//! two-machine bound at Ta056 size (50×20) — the cost/strength
-//! trade-off at the heart of B&B engineering.
+//! Bounding-operator benchmarks: the Johnson two-machine bound over all
+//! machine pairs against its one-machine scalar reference at Ta056 size
+//! (50×20) — the cost/strength trade-off at the heart of B&B
+//! engineering.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gridbnb_flowshop::bounds::{one_machine_bound, JobSet, JohnsonBound, PairSelection};
+use gridbnb_flowshop::bounds::{one_machine_bound, JobSet, JohnsonBound};
 use gridbnb_flowshop::makespan::{makespan, push_job};
 use gridbnb_flowshop::taillard::{generate, ta056};
 use std::hint::black_box;
@@ -26,17 +27,12 @@ fn bench_bounds(c: &mut Criterion) {
                 b.iter(|| one_machine_bound(black_box(inst), black_box(heads), *remaining))
             },
         );
-        for (sel_label, sel) in [
-            ("johnson_all", PairSelection::All),
-            ("johnson_adjacent", PairSelection::AdjacentPlusEnds),
-        ] {
-            let jb = JohnsonBound::new(&instance, &sel);
-            group.bench_with_input(
-                BenchmarkId::new(sel_label, label),
-                &(&heads, remaining),
-                |b, (heads, remaining)| b.iter(|| jb.bound(black_box(heads), *remaining)),
-            );
-        }
+        let jb = JohnsonBound::new(&instance);
+        group.bench_with_input(
+            BenchmarkId::new("johnson_all", label),
+            &(&heads, remaining),
+            |b, (heads, remaining)| b.iter(|| jb.bound(black_box(heads), *remaining)),
+        );
         group.bench_with_input(
             BenchmarkId::new("makespan_full", label),
             &instance,

@@ -6,9 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gridbnb_coding::{Interval, TreeShape};
 use gridbnb_engine::toy::{FullEnumeration, TableAssignment};
 use gridbnb_engine::{solve, solve_interval, IntervalExplorer, Problem, UBig};
-use gridbnb_flowshop::bounds::PairSelection;
 use gridbnb_flowshop::taillard::generate;
-use gridbnb_flowshop::{BoundMode, FlowshopProblem};
+use gridbnb_flowshop::FlowshopProblem;
 use std::hint::black_box;
 
 /// Permutations of 40 items under a zero bound: 40! ≈ 2¹⁵⁹ leaves, so the
@@ -82,12 +81,7 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("assignment_9_bnb", |b| {
         b.iter(|| solve(black_box(&assignment), None))
     });
-    let fs_weak = FlowshopProblem::new(generate(9, 4, 42), BoundMode::OneMachine);
-    group.bench_function("flowshop_9x4_one_machine", |b| {
-        b.iter(|| solve(black_box(&fs_weak), None))
-    });
-    let fs_strong =
-        FlowshopProblem::new(generate(9, 4, 42), BoundMode::Johnson(PairSelection::All));
+    let fs_strong = FlowshopProblem::with_default_bound(generate(9, 4, 42));
     group.bench_function("flowshop_9x4_johnson", |b| {
         b.iter(|| solve(black_box(&fs_strong), None))
     });

@@ -6,9 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridbnb_core::runtime::{run, RuntimeConfig};
 use gridbnb_core::UBig;
 use gridbnb_engine::toy::FullEnumeration;
-use gridbnb_flowshop::bounds::PairSelection;
 use gridbnb_flowshop::taillard::generate;
-use gridbnb_flowshop::{BoundMode, FlowshopProblem};
+use gridbnb_flowshop::FlowshopProblem;
 use std::hint::black_box;
 
 fn bench_runtime(c: &mut Criterion) {
@@ -31,7 +30,7 @@ fn bench_runtime(c: &mut Criterion) {
     }
 
     // A real bound-driven flowshop resolution.
-    let problem = FlowshopProblem::new(generate(10, 5, 77), BoundMode::Johnson(PairSelection::All));
+    let problem = FlowshopProblem::with_default_bound(generate(10, 5, 77));
     for workers in [1usize, 4] {
         group.bench_with_input(
             BenchmarkId::new("flowshop_10x5", workers),

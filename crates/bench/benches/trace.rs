@@ -13,16 +13,15 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gridbnb_core::runtime::{run, RuntimeConfig};
 use gridbnb_core::UBig;
-use gridbnb_flowshop::bounds::PairSelection;
 use gridbnb_flowshop::taillard::generate;
-use gridbnb_flowshop::{BoundMode, FlowshopProblem};
+use gridbnb_flowshop::FlowshopProblem;
 use std::hint::black_box;
 
 const WORKERS: usize = 8;
 const SHARDS: usize = 4;
 
 fn problem() -> FlowshopProblem {
-    FlowshopProblem::new(generate(10, 5, 301), BoundMode::Johnson(PairSelection::All))
+    FlowshopProblem::with_default_bound(generate(10, 5, 301))
 }
 
 fn base_config() -> RuntimeConfig {

@@ -10,16 +10,13 @@ use gridbnb_core::{
 };
 use gridbnb_engine::solve;
 use gridbnb_flowshop::taillard::generate;
-use gridbnb_flowshop::{BoundMode, FlowshopProblem, Problem};
+use gridbnb_flowshop::{FlowshopProblem, Problem};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn small_flowshop(seed: i64) -> FlowshopProblem {
     let instance = generate(9, 4, seed);
-    FlowshopProblem::new(
-        instance,
-        BoundMode::Johnson(gridbnb_flowshop::bounds::PairSelection::All),
-    )
+    FlowshopProblem::with_default_bound(instance)
 }
 
 fn fast_config(workers: usize) -> RuntimeConfig {
@@ -161,10 +158,7 @@ fn mid_flight_crash_image_recovers_and_finishes() {
 /// exploring the tree again from the root.
 #[test]
 fn run_resumes_the_campaign_its_backend_holds() {
-    let problem = FlowshopProblem::new(
-        generate(9, 5, 20_060_707),
-        BoundMode::Johnson(gridbnb_flowshop::bounds::PairSelection::All),
-    );
+    let problem = FlowshopProblem::with_default_bound(generate(9, 5, 20_060_707));
     assert_eq!(solve(&problem, None).best_cost, Some(564));
     let backend: Arc<dyn StorageBackend> = Arc::new(MemoryBackend::new());
     let config = fast_config(2).with_durability(backend, Duration::from_millis(5));

@@ -9,14 +9,11 @@ use gridbnb_core::runtime::{run, RuntimeConfig};
 use gridbnb_core::{MetricsRegistry, MetricsSnapshot, UBig};
 use gridbnb_engine::solve;
 use gridbnb_flowshop::taillard::generate;
-use gridbnb_flowshop::{BoundMode, FlowshopProblem};
+use gridbnb_flowshop::FlowshopProblem;
 
 fn small_flowshop(seed: i64) -> FlowshopProblem {
     let instance = generate(9, 4, seed);
-    FlowshopProblem::new(
-        instance,
-        BoundMode::Johnson(gridbnb_flowshop::bounds::PairSelection::All),
-    )
+    FlowshopProblem::with_default_bound(instance)
 }
 
 fn fast_config(workers: usize) -> RuntimeConfig {

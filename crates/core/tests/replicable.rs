@@ -17,21 +17,18 @@ use gridbnb_core::{
 use gridbnb_engine::solve;
 use gridbnb_engine::toy::FullEnumeration;
 use gridbnb_flowshop::taillard::generate;
-use gridbnb_flowshop::{BoundMode, FlowshopProblem, Problem};
-use gridbnb_qap::{Bound, QapInstance, QapProblem};
+use gridbnb_flowshop::{FlowshopProblem, Problem};
+use gridbnb_qap::{QapInstance, QapProblem};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 fn small_flowshop(seed: i64) -> FlowshopProblem {
     let instance = generate(9, 4, seed);
-    FlowshopProblem::new(
-        instance,
-        BoundMode::Johnson(gridbnb_flowshop::bounds::PairSelection::All),
-    )
+    FlowshopProblem::with_default_bound(instance)
 }
 
 fn small_qap(seed: u64) -> QapProblem {
-    QapProblem::new(QapInstance::nugent_style(3, 3, seed), Bound::GilmoreLawler)
+    QapProblem::with_default_bound(QapInstance::nugent_style(3, 3, seed))
 }
 
 fn replicable_config(workers: usize, shards: usize, seed: u64) -> RuntimeConfig {

@@ -15,7 +15,7 @@ use gridbnb_core::{
 use gridbnb_engine::toy::FullEnumeration;
 use gridbnb_engine::{solve, solve_interval};
 use gridbnb_flowshop::taillard::generate;
-use gridbnb_flowshop::{BoundMode, FlowshopProblem, Problem};
+use gridbnb_flowshop::{FlowshopProblem, Problem};
 use gridbnb_metrics::latency_buckets_ns;
 use gridbnb_tsp::{TspInstance, TspProblem};
 use proptest::prelude::*;
@@ -26,18 +26,12 @@ use std::time::{Duration, Instant};
 
 fn small_flowshop(seed: i64) -> FlowshopProblem {
     let instance = generate(9, 4, seed);
-    FlowshopProblem::new(
-        instance,
-        BoundMode::Johnson(gridbnb_flowshop::bounds::PairSelection::All),
-    )
+    FlowshopProblem::with_default_bound(instance)
 }
 
 /// A 7x3 flowshop: solved in well under a millisecond.
 fn tiny_flowshop() -> FlowshopProblem {
-    FlowshopProblem::new(
-        generate(7, 3, 5),
-        BoundMode::Johnson(gridbnb_flowshop::bounds::PairSelection::All),
-    )
+    FlowshopProblem::with_default_bound(generate(7, 3, 5))
 }
 
 fn fast_config(workers: usize) -> RuntimeConfig {
@@ -1151,10 +1145,7 @@ proptest! {
         crash_after in 0u64..3_000,
     ) {
         let problem = FullEnumeration::new(7);
-        let flowshop = FlowshopProblem::new(
-            generate(8, 3, seed),
-            BoundMode::Johnson(gridbnb_flowshop::bounds::PairSelection::All),
-        );
+        let flowshop = FlowshopProblem::with_default_bound(generate(8, 3, seed));
         let expected = solve(&flowshop, None).best_cost;
         let mut config = RuntimeConfig::new(workers);
         config.poll_nodes = poll;

@@ -1,17 +1,19 @@
 //! Lower bounds for partial flowshop schedules — the bounding operator.
 //!
-//! Two bounds are provided:
+//! The search bounds with one operator, [`JohnsonBound`]: the
+//! two-machine relaxation of Lageweg, Lenstra and Rinnooy Kan over every
+//! machine pair `(k, l)`. For each pair the remaining jobs form a
+//! two-machine flowshop with time lags, solved exactly by Johnson's rule
+//! (Mitten's extension), and the best pair is the bound. This is the
+//! bound the paper and the grid B&B literature run on Taillard instances.
 //!
-//! * [`one_machine_bound`] — the classic single-machine relaxation: each
-//!   machine must still process every unscheduled job after its current
-//!   head, and the last of them still has to traverse the downstream
-//!   machines.
-//! * [`JohnsonBound`] — the two-machine relaxation of Lageweg, Lenstra
-//!   and Rinnooy Kan: for a pair of machines `(k, l)` the remaining jobs
-//!   form a two-machine flowshop with time lags, solved exactly by
-//!   Johnson's rule (Mitten's extension); the best pair gives a much
-//!   stronger bound at a higher evaluation cost. This is the bound family
-//!   used by the grid B&B literature on Taillard instances.
+//! [`one_machine_bound`], the classic single-machine relaxation, stays
+//! as a scalar reference for the property tests; the search does not
+//! call it. Each machine must still process every unscheduled job after
+//! its current head, and the last of them still has to traverse the
+//! downstream machines. With `M ≥ 2` machines the Johnson bound never
+//! falls below it: pair `(k, M−1)` covers machine `k`'s term, and pair
+//! `(0, M−1)` covers the last machine's term and the job term.
 //!
 //! Both bounds are *admissible* (never exceed the true optimum below a
 //! node), which the property tests verify against brute-force enumeration
@@ -129,21 +131,19 @@ pub fn one_machine_bound(instance: &Instance, heads: &[u64], remaining: JobSet) 
     best
 }
 
-/// Which machine pairs the Johnson bound evaluates.
+/// Which machine pairs the Johnson bound evaluates: every pair `(k, l)`
+/// with `k < l`, the only selection. Kept as the argument of
+/// [`crate::BoundMode::Johnson`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PairSelection {
-    /// Every pair `(k, l)` with `k < l` — strongest, O(M²) pairs.
+    /// Every pair `(k, l)` with `k < l`, O(M²) pairs.
     All,
-    /// Adjacent pairs `(m, m+1)` plus the extremal pair `(0, M−1)`.
-    AdjacentPlusEnds,
-    /// An explicit pair list.
-    Custom(Vec<(usize, usize)>),
 }
 
 /// Precomputed two-machine (Johnson) bound of Lageweg–Lenstra–Rinnooy
 /// Kan.
 ///
-/// For each selected pair `(k, l)`, jobs are pre-sorted by Johnson's rule
+/// For each machine pair `(k, l)`, jobs are pre-sorted by Johnson's rule
 /// on `(p(j,k) + lag, lag + p(j,l))` where `lag = Σ_{k<m<l} p(j,m)`.
 /// Restricting a Johnson-sorted list to any subset keeps it
 /// Johnson-sorted, so bound evaluation is a single pass per pair.
@@ -189,42 +189,25 @@ struct Pair {
 }
 
 impl JohnsonBound {
-    /// Precomputes Johnson orders for the selected machine pairs.
+    /// Precomputes Johnson orders for every machine pair. A single
+    /// machine has no pair: its bound is the partial makespan.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range or non-increasing custom pairs, on more
-    /// than 64 jobs, and if a job's total processing time exceeds
-    /// `u32::MAX`.
-    pub fn new(instance: &Instance, selection: &PairSelection) -> Self {
+    /// Panics on more than 64 jobs, and if a job's total processing time
+    /// exceeds `u32::MAX`.
+    pub fn new(instance: &Instance) -> Self {
         let (n, m) = (instance.jobs(), instance.machines());
         assert!(n <= 64, "at most 64 jobs");
-        let pair = |(k, l)| Pair {
-            k,
-            l,
-            start: 0,
-            root: 0,
-        };
-        let mut pairs: Vec<Pair> = match selection {
-            PairSelection::All => (0..m)
-                .flat_map(|k| (k + 1..m).map(move |l| (k, l)))
-                .map(pair)
-                .collect(),
-            PairSelection::AdjacentPlusEnds => {
-                let mut v: Vec<Pair> = (0..m.saturating_sub(1)).map(|k| pair((k, k + 1))).collect();
-                if m >= 3 {
-                    v.push(pair((0, m - 1)));
-                }
-                v
-            }
-            PairSelection::Custom(list) => list
-                .iter()
-                .map(|&(k, l)| {
-                    assert!(k < l && l < m, "invalid machine pair ({k},{l})");
-                    pair((k, l))
-                })
-                .collect(),
-        };
+        let mut pairs = Vec::with_capacity(m * m.saturating_sub(1) / 2);
+        for k in 0..m {
+            pairs.extend((k + 1..m).map(|l| Pair {
+                k,
+                l,
+                start: 0,
+                root: 0,
+            }));
+        }
         // prefix[j·(m+1) + x] = Σ_{y<x} p(j, y): every lag and tail is a
         // difference of two entries.
         let mut prefix = vec![0u64; n * (m + 1)];
@@ -431,83 +414,6 @@ impl JohnsonBound {
     }
 }
 
-/// Shared per-pool aggregates for the one-machine bound.
-///
-/// Sibling children of one search node share the parent's remaining set
-/// `union`; each child schedules exactly one job `t` out of it, so the
-/// per-machine load and min-tail over the child's set `union \ {t}` are
-/// derivable in O(1) from aggregates over `union` (a sum delta and a
-/// top-2 minimum). Aggregation is O(|union| · M) once per pool; each
-/// child evaluation is O(M) instead of O(|union| · M).
-pub struct OneMachinePool {
-    /// `Σ_{j ∈ union} p(j, m)` per machine.
-    loads: Vec<u64>,
-    /// Per machine: the job with the smallest `tail_after`, that tail,
-    /// and the smallest tail among the remaining jobs.
-    min_tails: Vec<(usize, u64, u64)>,
-    /// The job with the largest end-to-end total, that total, and the
-    /// runner-up total (the job-based bound term).
-    max_total: (usize, u64, u64),
-}
-
-impl OneMachinePool {
-    /// Aggregates `union` once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `union` has fewer than two jobs (a single-job union has
-    /// no runner-up aggregates; such pools take the scalar path).
-    pub fn new(instance: &Instance, union: JobSet) -> Self {
-        assert!(union.len() >= 2, "pool aggregation needs at least 2 jobs");
-        let m_count = instance.machines();
-        let mut loads = vec![0u64; m_count];
-        let mut min_tails = vec![(usize::MAX, u64::MAX, u64::MAX); m_count];
-        let mut max_total = (usize::MAX, 0u64, 0u64);
-        for j in union.iter() {
-            let total: u64 = instance.job_row(j).iter().map(|&t| u64::from(t)).sum();
-            if total >= max_total.1 {
-                max_total = (j, total, max_total.1);
-            } else if total > max_total.2 {
-                max_total.2 = total;
-            }
-            let mut tail = total;
-            for (m, load) in loads.iter_mut().enumerate() {
-                let p = u64::from(instance.time(j, m));
-                *load += p;
-                tail -= p; // now tail_after(j, m)
-                let mt = &mut min_tails[m];
-                if tail <= mt.1 {
-                    *mt = (j, tail, mt.1);
-                } else if tail < mt.2 {
-                    mt.2 = tail;
-                }
-            }
-        }
-        OneMachinePool {
-            loads,
-            min_tails,
-            max_total,
-        }
-    }
-
-    /// The one-machine bound of the child that scheduled `excluded`
-    /// (which must be in the union) and now sits at machine `heads` —
-    /// exactly `one_machine_bound(instance, heads, union.without(excluded))`.
-    pub fn bound(&self, instance: &Instance, heads: &[u64], excluded: usize) -> u64 {
-        let m_count = heads.len();
-        let mut best = heads[m_count - 1];
-        for (m, &head) in heads.iter().enumerate() {
-            let load = self.loads[m] - u64::from(instance.time(excluded, m));
-            let (jmin, t1, t2) = self.min_tails[m];
-            let min_tail = if jmin == excluded { t2 } else { t1 };
-            best = best.max(head + load + min_tail);
-        }
-        let (jmax, t1, t2) = self.max_total;
-        let max_total = if jmax == excluded { t2 } else { t1 };
-        best.max(heads[0] + max_total)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,7 +498,7 @@ mod tests {
     #[test]
     fn bounds_admissible_on_tiny_everywhere() {
         let inst = tiny();
-        let johnson = JohnsonBound::new(&inst, &PairSelection::All);
+        let johnson = JohnsonBound::new(&inst);
         let prefixes: Vec<Vec<usize>> = vec![
             vec![],
             vec![0],
@@ -620,7 +526,7 @@ mod tests {
         let heads = vec![0u64; 3];
         let remaining = JobSet::full(3);
         let lb1 = one_machine_bound(&inst, &heads, remaining);
-        let johnson = JohnsonBound::new(&inst, &PairSelection::All);
+        let johnson = JohnsonBound::new(&inst);
         let lb2 = johnson.bound(&heads, remaining);
         assert!(lb2 >= lb1, "Johnson {lb2} weaker than one-machine {lb1}");
     }
@@ -633,7 +539,7 @@ mod tests {
         let remaining = JobSet::empty();
         let exact = makespan(&inst, &schedule);
         assert_eq!(one_machine_bound(&inst, &heads, remaining), exact);
-        let johnson = JohnsonBound::new(&inst, &PairSelection::All);
+        let johnson = JohnsonBound::new(&inst);
         assert_eq!(johnson.bound(&heads, remaining), exact);
     }
 
@@ -642,7 +548,7 @@ mod tests {
         // On a 2-machine instance, the Johnson bound at the root equals
         // the true optimum (Johnson's algorithm is exact for M=2).
         let inst = Instance::new(4, 2, vec![3, 2, 1, 4, 6, 2, 2, 5]);
-        let johnson = JohnsonBound::new(&inst, &PairSelection::All);
+        let johnson = JohnsonBound::new(&inst);
         let root_bound = johnson.bound(&[0, 0], JobSet::full(4));
         let mut jobs: Vec<usize> = (0..4).collect();
         let mut best = u64::MAX;
@@ -654,30 +560,16 @@ mod tests {
 
     #[test]
     fn pair_selection_sizes() {
-        let inst = crate::taillard::generate(10, 6, 12345);
-        assert_eq!(
-            JohnsonBound::new(&inst, &PairSelection::All).pair_count(),
-            15
-        );
-        assert_eq!(
-            JohnsonBound::new(&inst, &PairSelection::AdjacentPlusEnds).pair_count(),
-            6
-        );
-        let custom = PairSelection::Custom(vec![(0, 5), (2, 3)]);
-        assert_eq!(JohnsonBound::new(&inst, &custom).pair_count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid machine pair")]
-    fn custom_pair_validation() {
-        let inst = tiny();
-        let _ = JohnsonBound::new(&inst, &PairSelection::Custom(vec![(2, 1)]));
+        let pairs = |m| JohnsonBound::new(&crate::taillard::generate(10, m, 12345)).pair_count();
+        assert_eq!(pairs(6), 15);
+        assert_eq!(pairs(2), 1);
+        assert_eq!(pairs(1), 0, "one machine has no pair");
     }
 
     #[test]
     fn pairs_are_visited_strongest_first() {
         let inst = crate::taillard::generate(9, 6, 4242);
-        let johnson = JohnsonBound::new(&inst, &PairSelection::All);
+        let johnson = JohnsonBound::new(&inst);
         let heads = [0u64; 6];
         let root = JobSet::full(9);
         assert!(johnson.pairs.windows(2).all(|w| w[0].root >= w[1].root));
@@ -688,15 +580,5 @@ mod tests {
             heads[5],
             "a cutoff the seed already reaches evaluates no pair"
         );
-    }
-
-    #[test]
-    fn all_pairs_dominate_subsets() {
-        let inst = crate::taillard::generate(8, 5, 777);
-        let all = JohnsonBound::new(&inst, &PairSelection::All);
-        let sub = JohnsonBound::new(&inst, &PairSelection::AdjacentPlusEnds);
-        let heads = vec![0u64; 5];
-        let r = JobSet::full(8);
-        assert!(all.bound(&heads, r) >= sub.bound(&heads, r));
     }
 }

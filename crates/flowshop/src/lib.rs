@@ -9,8 +9,9 @@
 //!   seeds), providing **Ta056**, the 50×20 instance the paper solved
 //!   exactly for the first time (optimum 3679);
 //! * [`makespan`] — schedule evaluation and machine-head bookkeeping;
-//! * [`bounds`] — the bounding operator: one-machine bound and the
-//!   Johnson-rule two-machine bound of Lageweg–Lenstra–Rinnooy Kan;
+//! * [`bounds`] — the bounding operator: the Johnson-rule two-machine
+//!   bound of Lageweg–Lenstra–Rinnooy Kan over every machine pair, with
+//!   the one-machine bound as its scalar reference;
 //! * [`neh`] / [`ig`] — NEH constructive heuristic and the Ruiz–Stützle
 //!   iterated greedy, which supplied the paper's initial upper bound
 //!   (3681);

@@ -1,27 +1,19 @@
 //! The `Problem` implementation binding the flowshop substrate to the
 //! interval-coded search tree.
 
-use crate::bounds::{one_machine_bound, JobSet, JohnsonBound, OneMachinePool, PairSelection};
+use crate::bounds::{JobSet, JohnsonBound, PairSelection};
 use crate::makespan::push_job;
 use crate::Instance;
 use gridbnb_coding::TreeShape;
 use gridbnb_engine::Problem;
 
-/// Which bounding operator the search uses.
+/// The bounding operator: the Johnson two-machine bound over every
+/// machine pair, the only one. Kept as the argument of
+/// [`FlowshopProblem::new`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BoundMode {
-    /// The one-machine bound only (cheapest).
-    OneMachine,
-    /// The Johnson two-machine bound over the selected pairs.
+    /// The Johnson two-machine bound over all machine pairs.
     Johnson(PairSelection),
-    /// `max(one-machine, Johnson)` — strongest, for hard instances.
-    Combined(PairSelection),
-}
-
-impl Default for BoundMode {
-    fn default() -> Self {
-        BoundMode::Combined(PairSelection::All)
-    }
 }
 
 /// The permutation flowshop as a [`Problem`] on a permutation tree:
@@ -30,10 +22,9 @@ impl Default for BoundMode {
 #[derive(Clone, Debug)]
 pub struct FlowshopProblem {
     instance: Instance,
-    mode: BoundMode,
     /// Boxed: the pair arena would otherwise more than double the size
     /// of a problem that callers move around by value.
-    johnson: Option<Box<JohnsonBound>>,
+    johnson: Box<JohnsonBound>,
 }
 
 /// Search state: machine heads of the scheduled prefix plus the remaining
@@ -46,41 +37,31 @@ pub struct FlowshopState {
 }
 
 impl FlowshopProblem {
-    /// Binds an instance with the given bounding operator.
+    /// Binds an instance with the Johnson bound over all machine pairs,
+    /// the one value of `mode`.
     ///
     /// # Panics
     ///
     /// Panics if the instance has more than 64 jobs (the remaining-set
-    /// bitmask limit; every Taillard group fits), and in the Johnson
-    /// modes if a job's total processing time exceeds `u32::MAX`.
+    /// bitmask limit; every Taillard group fits), or if a job's total
+    /// processing time exceeds `u32::MAX`.
     pub fn new(instance: Instance, mode: BoundMode) -> Self {
-        assert!(instance.jobs() <= 64, "at most 64 jobs");
-        let johnson = match &mode {
-            BoundMode::OneMachine => None,
-            BoundMode::Johnson(sel) | BoundMode::Combined(sel) => {
-                Some(Box::new(JohnsonBound::new(&instance, sel)))
-            }
-        };
+        let BoundMode::Johnson(PairSelection::All) = mode;
         FlowshopProblem {
+            johnson: Box::new(JohnsonBound::new(&instance)),
             instance,
-            mode,
-            johnson,
         }
     }
 
-    /// Binds with the default (strongest) bound.
+    /// Binds with the Johnson bound over all machine pairs, as
+    /// [`FlowshopProblem::new`] does.
     pub fn with_default_bound(instance: Instance) -> Self {
-        FlowshopProblem::new(instance, BoundMode::default())
+        FlowshopProblem::new(instance, BoundMode::Johnson(PairSelection::All))
     }
 
     /// The underlying instance.
     pub fn instance(&self) -> &Instance {
         &self.instance
-    }
-
-    /// The bound mode in use.
-    pub fn bound_mode(&self) -> &BoundMode {
-        &self.mode
     }
 
     /// Decodes branch ranks (as reported in engine `Solution`s) into the
@@ -149,34 +130,19 @@ impl Problem for FlowshopProblem {
         self.lower_bound_against(state, u64::MAX)
     }
 
-    /// Evaluates the Johnson pairs strongest first and stops at `cutoff`;
-    /// `Combined` runs the one-machine bound first and skips the Johnson
-    /// pass when it already reaches `cutoff`. Below `cutoff` the value is
-    /// the exact bound of the mode.
+    /// Evaluates the Johnson pairs strongest first and stops at `cutoff`.
+    /// Below `cutoff` the value is the exact bound.
     fn lower_bound_against(&self, state: &FlowshopState, cutoff: u64) -> u64 {
-        let (heads, remaining) = (&state.heads, state.remaining);
-        match (&self.mode, &self.johnson) {
-            (BoundMode::Johnson(_), Some(johnson)) => {
-                johnson.bound_against(heads, remaining, cutoff)
-            }
-            (BoundMode::Combined(_), Some(johnson)) => {
-                let lb1 = one_machine_bound(&self.instance, heads, remaining);
-                if lb1 >= cutoff {
-                    return lb1;
-                }
-                lb1.max(johnson.bound_against(heads, remaining, cutoff))
-            }
-            _ => one_machine_bound(&self.instance, heads, remaining),
-        }
+        self.johnson
+            .bound_against(&state.heads, state.remaining, cutoff)
     }
 
     /// Sibling-pool kernel. When the pool is a sibling pool — every
     /// state's remaining set is one shared union minus exactly one job,
     /// which is how the pooled explorer builds them — every child starts
-    /// from a seed (the one-machine bound from per-pool aggregates in
-    /// `OneMachine`/`Combined` mode, the partial makespan in `Johnson`
-    /// mode) and [`JohnsonBound::bound_pool`] then raises the children
-    /// still below `cutoff` pair by pair, retiring each as it reaches it.
+    /// from its partial makespan and [`JohnsonBound::bound_pool`] then
+    /// raises the children still below `cutoff` pair by pair, retiring
+    /// each as it reaches it.
     ///
     /// A value below `cutoff` is the exact scalar bound; a value at or
     /// above it may be smaller than the exact bound but still eliminates
@@ -200,21 +166,10 @@ impl Problem for FlowshopProblem {
             return;
         }
         let excluded = |s: &FlowshopState| (union.0 & !s.remaining.0).trailing_zeros() as usize;
-        if let BoundMode::Johnson(_) = self.mode {
-            let last = self.instance.machines() - 1;
-            out.extend(states.iter().map(|s| s.heads[last]));
-        } else {
-            let ctx = OneMachinePool::new(&self.instance, union);
-            out.extend(
-                states
-                    .iter()
-                    .map(|s| ctx.bound(&self.instance, &s.heads, excluded(s))),
-            );
-        }
-        if let Some(johnson) = &self.johnson {
-            let child = |i: usize| (states[i].heads.as_slice(), excluded(&states[i]));
-            johnson.bound_pool(union, child, cutoff, out);
-        }
+        let last = self.instance.machines() - 1;
+        out.extend(states.iter().map(|s| s.heads[last]));
+        let child = |i: usize| (states[i].heads.as_slice(), excluded(&states[i]));
+        self.johnson.bound_pool(union, child, cutoff, out);
     }
 
     fn leaf_cost(&self, state: &FlowshopState) -> u64 {

@@ -1,7 +1,7 @@
 //! Pooled ≡ scalar equivalence on random flowshop instances, driving the
-//! overridden `lower_bound_batch` kernel (shared one-machine aggregates,
-//! pair-outer/lane-inner Johnson with early exit at the cutoff) through
-//! the engine's lockstep harness; the kernel contract against a plain
+//! overridden `lower_bound_batch` kernel (pair-outer/lane-inner Johnson
+//! over all machine pairs, with early exit at the cutoff) through the
+//! engine's lockstep harness; the kernel contract against a plain
 //! exact Johnson pass; and search counts recorded before the early-exit
 //! kernel replaced the full per-child Johnson pass.
 
@@ -10,46 +10,25 @@ use gridbnb_engine::equivalence::{
     Interference,
 };
 use gridbnb_engine::{solve, SearchStats};
-use gridbnb_flowshop::bounds::{one_machine_bound, JobSet, PairSelection};
+use gridbnb_flowshop::bounds::{JobSet, PairSelection};
 use gridbnb_flowshop::ig::{iterated_greedy, IgParams};
 use gridbnb_flowshop::makespan::push_job;
 use gridbnb_flowshop::{taillard, BoundMode, FlowshopProblem, Instance, Problem};
 use proptest::prelude::*;
 
-/// The machine pairs a selection names, in `(k, l)` order.
-fn pair_list(selection: &PairSelection, m: usize) -> Vec<(usize, usize)> {
-    match selection {
-        PairSelection::All => (0..m)
-            .flat_map(|k| (k + 1..m).map(move |l| (k, l)))
-            .collect(),
-        PairSelection::AdjacentPlusEnds => {
-            let mut v: Vec<_> = (0..m.saturating_sub(1)).map(|k| (k, k + 1)).collect();
-            if m >= 3 {
-                v.push((0, m - 1));
-            }
-            v
-        }
-        PairSelection::Custom(pairs) => pairs.clone(),
-    }
-}
-
-/// The exact Johnson bound by a plain pass per pair in `(k, l)` order:
-/// sort the remaining jobs by Johnson's rule, run the two-machine
-/// recurrence, add the smallest tail — no precomputation, no early exit.
-/// The reference every kernel is checked against.
-fn johnson_reference(
-    instance: &Instance,
-    pairs: &[(usize, usize)],
-    heads: &[u64],
-    remaining: JobSet,
-) -> u64 {
+/// The exact Johnson bound by a plain pass over every machine pair in
+/// `(k, l)` order: sort the remaining jobs by Johnson's rule, run the
+/// two-machine recurrence, add the smallest tail — no precomputation, no
+/// early exit. The reference every kernel is checked against.
+fn johnson_reference(instance: &Instance, heads: &[u64], remaining: JobSet) -> u64 {
     let m = instance.machines();
     let mut best = heads[m - 1];
     if remaining.is_empty() {
         return best;
     }
     let p = |j: usize, x: usize| u64::from(instance.time(j, x));
-    for &(k, l) in pairs {
+    let pairs = (0..m).flat_map(|k| (k + 1..m).map(move |l| (k, l)));
+    for (k, l) in pairs {
         let lag = |j: usize| (k + 1..l).map(|x| p(j, x)).sum::<u64>();
         let mut order: Vec<usize> = remaining.iter().collect();
         order.sort_by_key(|&j| {
@@ -80,16 +59,6 @@ fn lcg(seed: u64) -> impl FnMut() -> u64 {
             .wrapping_add(1_442_695_040_888_963_407);
         s >> 33
     }
-}
-
-fn arb_mode() -> impl Strategy<Value = BoundMode> {
-    prop_oneof![
-        Just(BoundMode::OneMachine),
-        Just(BoundMode::Johnson(PairSelection::AdjacentPlusEnds)),
-        Just(BoundMode::Johnson(PairSelection::All)),
-        Just(BoundMode::Combined(PairSelection::AdjacentPlusEnds)),
-        Just(BoundMode::Combined(PairSelection::All)),
-    ]
 }
 
 /// Checks one bound `v` against the exact value under the batch
@@ -127,17 +96,15 @@ fn check_contract(v: u64, exact: u64, cutoff: u64, what: &str) -> Result<(), Tes
     Ok(())
 }
 
-/// Bounds the `children` of the node reached by `prefix` in every mode,
-/// pooled and scalar, against a cutoff drawn around their exact values
-/// (or `u64::MAX`), and checks each against the reference.
+/// Bounds the `children` of the node reached by `prefix`, pooled and
+/// scalar, against a cutoff drawn around their exact values (or
+/// `u64::MAX`), and checks each against the reference.
 fn check_sibling_pool(
     instance: &Instance,
-    selection: &PairSelection,
     prefix: &[usize],
     children: &[usize],
     cutoff_pick: u64,
 ) -> Result<(), TestCaseError> {
-    let pairs = pair_list(selection, instance.machines());
     let mut heads = vec![0u64; instance.machines()];
     let mut union = JobSet::full(instance.jobs());
     for &j in prefix {
@@ -145,50 +112,37 @@ fn check_sibling_pool(
         union = union.without(j);
     }
     let rank_in = |set: JobSet, j: usize| set.iter().position(|x| x == j).unwrap() as u64;
-    for mode in [
-        BoundMode::OneMachine,
-        BoundMode::Johnson(selection.clone()),
-        BoundMode::Combined(selection.clone()),
-    ] {
-        let problem = FlowshopProblem::new(instance.clone(), mode.clone());
-        let mut parent = problem.root_state();
-        let mut rest = JobSet::full(instance.jobs());
-        for &j in prefix {
-            parent = problem.branch(&parent, rank_in(rest, j));
-            rest = rest.without(j);
-        }
-        let mut states = Vec::new();
-        let mut exact = Vec::new();
-        for &j in children {
-            let mut h = heads.clone();
-            push_job(instance, &mut h, j);
-            let remaining = union.without(j);
-            let lb1 = one_machine_bound(instance, &h, remaining);
-            let lb2 = johnson_reference(instance, &pairs, &h, remaining);
-            exact.push(match mode {
-                BoundMode::OneMachine => lb1,
-                BoundMode::Johnson(_) => lb2,
-                BoundMode::Combined(_) => lb1.max(lb2),
-            });
-            states.push(problem.branch(&parent, rank_in(union, j)));
-        }
-        let lo = exact.iter().min().unwrap().saturating_sub(5);
-        let hi = exact.iter().max().unwrap() + 5;
-        let cutoff = if cutoff_pick.is_multiple_of(5) {
-            u64::MAX
-        } else {
-            lo + cutoff_pick % (hi - lo)
-        };
-        let mut out = Vec::new();
-        problem.lower_bound_batch(&states, cutoff, &mut out);
-        prop_assert_eq!(out.len(), states.len());
-        for (i, state) in states.iter().enumerate() {
-            let what = format!("{mode:?} child {} cutoff {cutoff}", children[i]);
-            check_contract(out[i], exact[i], cutoff, &format!("pooled {what}"))?;
-            let scalar = problem.lower_bound_against(state, cutoff);
-            check_contract(scalar, exact[i], cutoff, &format!("scalar {what}"))?;
-            prop_assert_eq!(problem.lower_bound(state), exact[i], "exact {}", what);
-        }
+    let problem = FlowshopProblem::with_default_bound(instance.clone());
+    let mut parent = problem.root_state();
+    let mut rest = JobSet::full(instance.jobs());
+    for &j in prefix {
+        parent = problem.branch(&parent, rank_in(rest, j));
+        rest = rest.without(j);
+    }
+    let mut states = Vec::new();
+    let mut exact = Vec::new();
+    for &j in children {
+        let mut h = heads.clone();
+        push_job(instance, &mut h, j);
+        exact.push(johnson_reference(instance, &h, union.without(j)));
+        states.push(problem.branch(&parent, rank_in(union, j)));
+    }
+    let lo = exact.iter().min().unwrap().saturating_sub(5);
+    let hi = exact.iter().max().unwrap() + 5;
+    let cutoff = if cutoff_pick.is_multiple_of(5) {
+        u64::MAX
+    } else {
+        lo + cutoff_pick % (hi - lo)
+    };
+    let mut out = Vec::new();
+    problem.lower_bound_batch(&states, cutoff, &mut out);
+    prop_assert_eq!(out.len(), states.len());
+    for (i, state) in states.iter().enumerate() {
+        let what = format!("child {} cutoff {cutoff}", children[i]);
+        check_contract(out[i], exact[i], cutoff, &format!("pooled {what}"))?;
+        let scalar = problem.lower_bound_against(state, cutoff);
+        check_contract(scalar, exact[i], cutoff, &format!("scalar {what}"))?;
+        prop_assert_eq!(problem.lower_bound(state), exact[i], "exact {}", what);
     }
     Ok(())
 }
@@ -196,15 +150,14 @@ fn check_sibling_pool(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Kernel contract: on random instances, pair selections, prefixes,
-    /// child subsets and cutoffs, the pooled and the scalar early-exit
+    /// Kernel contract: on random instances, prefixes, child subsets and
+    /// cutoffs, the pooled and the scalar early-exit
     /// bounds of every child agree with the exact reference.
     #[test]
     fn early_exit_kernels_keep_the_exact_decision(
         jobs in 4usize..11,
         machines in 2usize..9,
         seed in 1i64..100_000_000,
-        selection in 0u8..3,
         pick_seed in any::<u64>(),
         prefix_len in 0usize..9,
         keep_mask in 1u64..1024,
@@ -212,18 +165,6 @@ proptest! {
     ) {
         let instance = taillard::generate(jobs, machines, seed);
         let mut rng = lcg(pick_seed);
-        let selection = match selection {
-            0 => PairSelection::All,
-            1 => PairSelection::AdjacentPlusEnds,
-            _ => {
-                let all = pair_list(&PairSelection::All, machines);
-                let mut chosen: Vec<_> = all.iter().copied().filter(|_| rng() & 1 == 1).collect();
-                if chosen.is_empty() {
-                    chosen.push(all[rng() as usize % all.len()]);
-                }
-                PairSelection::Custom(chosen)
-            }
-        };
         // A random prefix leaving at least two jobs.
         let mut order: Vec<usize> = (0..jobs).collect();
         for i in (1..jobs).rev() {
@@ -236,7 +177,7 @@ proptest! {
             .filter(|j| !prefix.contains(j) && keep_mask >> (j % 10) & 1 == 1)
             .collect();
         prop_assume!(!children.is_empty());
-        check_sibling_pool(&instance, &selection, prefix, &children, cutoff_pick)?;
+        check_sibling_pool(&instance, prefix, &children, cutoff_pick)?;
     }
 
     #[test]
@@ -244,12 +185,11 @@ proptest! {
         jobs in 4usize..8,
         machines in 2usize..5,
         seed in 1i64..100_000_000,
-        mode in arb_mode(),
         a in 0u64..1001,
         b in 0u64..1001,
     ) {
         let instance = taillard::generate(jobs, machines, seed);
-        let problem = FlowshopProblem::new(instance, mode);
+        let problem = FlowshopProblem::with_default_bound(instance);
         let total = problem.shape().root_range().end().clone();
         let interval = permille_interval(&total, a, b);
         assert_pooled_matches_scalar_simple(&problem, &interval, None);
@@ -259,17 +199,16 @@ proptest! {
     fn pooled_matches_scalar_under_steals_and_cutoffs(
         jobs in 5usize..8,
         seed in 1i64..100_000_000,
-        mode in arb_mode(),
         slice in 1u64..50,
         period in 1usize..5,
         initial_ub_slack in 0u64..40,
     ) {
         let instance = taillard::generate(jobs, 3, seed);
-        let problem = FlowshopProblem::new(instance, mode);
+        let problem = FlowshopProblem::with_default_bound(instance);
         let interval = problem.shape().root_range();
         // A plausible-but-imperfect incumbent: the identity schedule's
-        // makespan plus slack, so the cutoff moves mid-run and the
-        // Combined screen actually eliminates children at fill time.
+        // makespan plus slack, so the cutoff moves mid-run and the early
+        // exit actually eliminates children at fill time.
         let identity: Vec<usize> = (0..jobs).collect();
         let ub = gridbnb_flowshop::makespan::makespan(problem.instance(), &identity);
         assert_pooled_matches_scalar(
@@ -290,7 +229,7 @@ proptest! {
 /// Sequential-solve counts of a 12×10 instance from IG+1, recorded at the
 /// parent commit of the early-exit Johnson kernel (full per-child pass
 /// over every pair, `(k, l)` order). Any bound that keeps every
-/// elimination decision reproduces them exactly.
+/// elimination decision reproduces them exactly: both constructors must.
 #[test]
 fn search_counts_match_the_full_pass_kernel() {
     let instance = taillard::generate(12, 10, 2);
@@ -306,15 +245,18 @@ fn search_counts_match_the_full_pass_kernel() {
         nodes_bounded: 18_404,
         bound_batches: 3_061,
     };
-    for mode in [
-        BoundMode::Johnson(PairSelection::All),
-        BoundMode::Combined(PairSelection::All),
+    for (label, problem) in [
+        (
+            "new",
+            FlowshopProblem::new(instance.clone(), BoundMode::Johnson(PairSelection::All)),
+        ),
+        (
+            "with_default_bound",
+            FlowshopProblem::with_default_bound(instance),
+        ),
     ] {
-        let report = solve(
-            &FlowshopProblem::new(instance.clone(), mode.clone()),
-            Some(ub),
-        );
-        assert_eq!(report.stats, expected, "{mode:?}");
+        let report = solve(&problem, Some(ub));
+        assert_eq!(report.stats, expected, "{label}");
         let best = report.best.expect("IG+1 leaves the optimum to find");
         assert_eq!(best.cost, 1135);
         assert_eq!(best.leaf_ranks, [1, 4, 5, 0, 1, 0, 0, 0, 0, 0, 0, 0]);

@@ -3,11 +3,11 @@
 //! brute force.
 
 use gridbnb_engine::solve;
-use gridbnb_flowshop::bounds::{one_machine_bound, JobSet, JohnsonBound, PairSelection};
+use gridbnb_flowshop::bounds::{one_machine_bound, JobSet, JohnsonBound};
 use gridbnb_flowshop::makespan::{makespan, push_job, reverse_makespan};
 use gridbnb_flowshop::neh::neh;
 use gridbnb_flowshop::taillard::generate;
-use gridbnb_flowshop::{BoundMode, FlowshopProblem, Instance};
+use gridbnb_flowshop::{FlowshopProblem, Instance};
 use proptest::prelude::*;
 
 fn arb_instance(max_jobs: usize, max_machines: usize) -> impl Strategy<Value = Instance> {
@@ -112,9 +112,14 @@ proptest! {
         }
         let lb1 = one_machine_bound(&inst, &heads, remaining);
         prop_assert!(lb1 <= best, "one-machine bound {} exceeds exact {}", lb1, best);
-        let jb = JohnsonBound::new(&inst, &PairSelection::All);
+        let jb = JohnsonBound::new(&inst);
         let lb2 = jb.bound(&heads, remaining);
         prop_assert!(lb2 <= best, "johnson bound {} exceeds exact {}", lb2, best);
+        // With two machines or more, the pairs (k, M−1) and (0, M−1)
+        // cover every term of the one-machine bound.
+        if inst.machines() >= 2 {
+            prop_assert!(lb2 >= lb1, "johnson bound {} below one-machine {}", lb2, lb1);
+        }
     }
 
     #[test]
@@ -126,31 +131,14 @@ proptest! {
     #[test]
     fn bnb_matches_brute_force(inst in arb_instance(6, 4)) {
         let expected = brute_optimum(&inst);
-        for mode in [
-            BoundMode::OneMachine,
-            BoundMode::Johnson(PairSelection::All),
-            BoundMode::Combined(PairSelection::AdjacentPlusEnds),
-        ] {
-            let problem = FlowshopProblem::new(inst.clone(), mode.clone());
-            let report = solve(&problem, None);
-            prop_assert_eq!(report.best_cost, Some(expected), "mode {:?}", mode);
-        }
-    }
-
-    #[test]
-    fn stronger_bound_explores_no_more_nodes(inst in arb_instance(7, 5)) {
-        let weak = solve(&FlowshopProblem::new(inst.clone(), BoundMode::OneMachine), None);
-        let strong = solve(
-            &FlowshopProblem::new(inst.clone(), BoundMode::Combined(PairSelection::All)),
-            None,
-        );
-        prop_assert_eq!(weak.best_cost, strong.best_cost);
-        prop_assert!(strong.stats.explored <= weak.stats.explored);
+        let problem = FlowshopProblem::with_default_bound(inst);
+        let report = solve(&problem, None);
+        prop_assert_eq!(report.best_cost, Some(expected));
     }
 
     #[test]
     fn decode_encode_round_trip(inst in arb_instance(8, 3), seed in any::<u64>()) {
-        let problem = FlowshopProblem::new(inst.clone(), BoundMode::OneMachine);
+        let problem = FlowshopProblem::with_default_bound(inst.clone());
         let schedule = arb_schedule(inst.jobs(), seed);
         let ranks = problem.encode_schedule(&schedule);
         prop_assert_eq!(problem.decode_ranks(&ranks), schedule);

@@ -10,24 +10,20 @@ use gridbnb_core::{
 };
 use gridbnb_engine::solve;
 use gridbnb_engine::toy::FullEnumeration;
-use gridbnb_flowshop::bounds::PairSelection;
-use gridbnb_flowshop::{taillard, BoundMode, FlowshopProblem};
+use gridbnb_flowshop::{taillard, FlowshopProblem};
 use gridbnb_net::{
     query_metrics, query_status, run_workers_over_socket, ClientMode, ClientOptions, NetServer,
     ServerConfig, ServerReport,
 };
 use gridbnb_qap::greedy::{greedy_upper_bound, GreedyParams};
-use gridbnb_qap::{Bound, QapInstance, QapProblem};
+use gridbnb_qap::{QapInstance, QapProblem};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn flowshop9() -> FlowshopProblem {
-    FlowshopProblem::new(
-        taillard::generate(9, 5, 20_060_707),
-        BoundMode::Johnson(PairSelection::All),
-    )
+    FlowshopProblem::with_default_bound(taillard::generate(9, 5, 20_060_707))
 }
 
 /// Binds a loopback server for `problem`'s root range and spawns its
@@ -228,7 +224,7 @@ fn metrics_scrape_over_tcp_mid_campaign() {
 fn qap_campaign_exact_over_tcp() {
     let instance = QapInstance::nugent_style(3, 3, 2007);
     let (_, ub) = greedy_upper_bound(&instance, &GreedyParams::default());
-    let problem = QapProblem::new(instance, Bound::GilmoreLawler);
+    let problem = QapProblem::with_default_bound(instance);
     let expected = solve(&problem, Some(ub + 1)).best_cost.expect("optimum");
 
     let config = ServerConfig {

@@ -12,14 +12,13 @@ use gridbnb_core::{
     ShardDirBackend, StorageBackend, Transport, UBig, WorkerId,
 };
 use gridbnb_engine::solve;
-use gridbnb_flowshop::bounds::PairSelection;
-use gridbnb_flowshop::{taillard, BoundMode, FlowshopProblem};
+use gridbnb_flowshop::{taillard, FlowshopProblem};
 use gridbnb_net::{
     query_metrics, query_status, run_workers_over_socket, ClientMode, ClientOptions, MuxClient,
     NetServer, ServerConfig, ServerHandle, ServerReport,
 };
 use gridbnb_qap::greedy::{greedy_upper_bound, GreedyParams};
-use gridbnb_qap::{Bound, QapInstance, QapProblem};
+use gridbnb_qap::{QapInstance, QapProblem};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -27,10 +26,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn flowshop9() -> FlowshopProblem {
-    FlowshopProblem::new(
-        taillard::generate(9, 5, 20_060_707),
-        BoundMode::Johnson(PairSelection::All),
-    )
+    FlowshopProblem::with_default_bound(taillard::generate(9, 5, 20_060_707))
 }
 
 fn campaign_config(workers: usize) -> RuntimeConfig {
@@ -192,7 +188,7 @@ fn killed_flowshop_server_resumes_from_sharded_dirs() {
 fn killed_qap_server_resumes_from_flat_files() {
     let instance = QapInstance::nugent_style(3, 3, 2007);
     let (_, ub) = greedy_upper_bound(&instance, &GreedyParams::default());
-    let problem = QapProblem::new(instance, Bound::GilmoreLawler);
+    let problem = QapProblem::with_default_bound(instance);
     let expected = solve(&problem, Some(ub + 1)).best_cost.expect("optimum");
     let coordinator = CoordinatorConfig {
         initial_upper_bound: Some(ub + 1),

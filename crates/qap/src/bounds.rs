@@ -1,24 +1,23 @@
 //! Lower bounds for partial assignments — the QAP bounding operator.
 //!
-//! Two bound tiers are provided, selected by [`Bound`]:
+//! The search bounds with one operator, the Gilmore–Lawler bound:
 //!
-//! * [`screen_bound`] — the cheap rearrangement screen: exact
-//!   placed–placed cost, the cheapest free location per unplaced
-//!   facility against the placed ones only, and a single global
-//!   rearrangement-inequality product over the pooled remaining flow and
-//!   distance multisets. O(u²) per call (u = unplaced count), no
-//!   allocation-heavy machinery — the first-level filter.
-//! * [`gilmore_lawler_bound`] — the true Gilmore–Lawler bound: for every
-//!   (unplaced facility `i`, free location `a`) pair, an admissible cost
-//!   `c[i][a]` combining the *exact* interaction with placed facilities
-//!   and the rearrangement inner product of `i`'s sorted out-flows
-//!   against `a`'s reverse-sorted distances; the assignment-problem
-//!   minimum of `c` (via [`crate::lap::solve_lap`]) is the bound. Each
-//!   ordered facility pair is counted in exactly one row of `c`, so the
-//!   bound is admissible; because the same assignment must pay both the
-//!   placed part and the per-row products, it **dominates the screen**
-//!   (the screen's two terms are each a further relaxation of the LAP —
-//!   a property test pins this).
+//! * [`gilmore_lawler_bound`] — for every (unplaced facility `i`, free
+//!   location `a`) pair, an admissible cost `c[i][a]` combining the
+//!   *exact* interaction with placed facilities and the rearrangement
+//!   inner product of `i`'s sorted out-flows against `a`'s reverse-sorted
+//!   distances; the assignment-problem minimum of `c` (via
+//!   [`crate::lap::solve_lap`]) is the bound. Each ordered facility pair
+//!   is counted in exactly one row of `c`, so the bound is admissible.
+//! * [`screen_bound`] — a cheaper rearrangement screen, kept as a scalar
+//!   reference for the property tests: exact placed–placed cost, the
+//!   cheapest free location per unplaced facility against the placed
+//!   ones only, and a single global rearrangement-inequality product
+//!   over the pooled remaining flow and distance multisets. Because the
+//!   same assignment must pay both the placed part and the per-row
+//!   products, Gilmore–Lawler **dominates the screen** (the screen's two
+//!   terms are each a further relaxation of the LAP — a property test
+//!   pins this).
 //!
 //! Both bounds take the same partial-state triple the search maintains:
 //! `placement[facility] = location` for the placed prefix, the used-
@@ -39,28 +38,28 @@
 //! for the LAP, so a stale dual costs only tree steps. A stale sum is
 //! not a lower bound at all, so the path is keyed on (problem id,
 //! prefix) and read only under that exact key. The scalar
-//! [`crate::QapProblem`] bound and the screen never touch the path: they
-//! are the references the pooled path is tested against.
+//! [`crate::QapProblem`] bound never touches the path: it is the
+//! reference the pooled path is tested against.
 
 use crate::instance::{QapInstance, MAX_N};
 use crate::lap::{lap_bound, solve_lap};
 
-/// Which bounding tier(s) the search uses.
+/// The bounding operator: the Gilmore–Lawler bound, the only one. Kept
+/// as the argument of [`crate::QapProblem::new`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Bound {
-    /// The rearrangement screen only (cheapest, weakest).
-    Screen,
-    /// The Gilmore–Lawler assignment bound on every node (strongest,
-    /// costliest: one LAP per evaluation, stopped at the cutoff), run
-    /// through [`GlPool`].
+    /// The Gilmore–Lawler assignment bound on every node (one LAP per
+    /// evaluation, stopped at the cutoff), run through [`GlPool`].
     #[default]
     GilmoreLawler,
 }
 
-/// The cheap first-level screen (the crate's original bound): exact
+/// The cheap rearrangement screen (the crate's original bound): exact
 /// placed cost, plus the cheapest free location per unplaced facility
 /// counting placed interactions only, plus the global rearrangement
 /// product of pooled remaining flows against pooled remaining distances.
+/// The search does not call it: it is the weaker reference that
+/// [`gilmore_lawler_bound`] is tested to dominate.
 pub fn screen_bound(instance: &QapInstance, placement: &[u16], used: u64, base_cost: u64) -> u64 {
     let n = instance.n();
     let placed = placement.len();
@@ -227,7 +226,7 @@ impl GlRowCache {
 
 /// Interaction of unplaced `facility` at `location` with every facility
 /// of `prefix` (facility `k` at `prefix[k]`), both flow directions: the
-/// placed part of a Gilmore–Lawler or screen cost entry.
+/// placed part of a Gilmore–Lawler cost entry.
 fn placed_interaction(
     instance: &QapInstance,
     prefix: &[u16],
@@ -242,119 +241,6 @@ fn placed_interaction(
                 + instance.flow(facility, k) * instance.dist(location, pl as usize)
         })
         .sum()
-}
-
-/// Shared screen context for a pool of sibling children: everything in
-/// [`screen_bound`] that depends only on the *parent* — the placed-part
-/// interaction matrix of every unplaced facility at every candidate
-/// location, the pooled flow multiset (already sorted), and the pooled
-/// distance-pair list over the parent's free locations (already sorted,
-/// with endpoints kept so a child can skip the pairs its own location
-/// consumes) — computed once per pool.
-///
-/// A child evaluation is then O(u·F + F²) with **no allocation and no
-/// sorting** (u unplaced facilities, F parent-free locations), against
-/// the scalar screen's O(u·F·placed + F² log F) — the screen becomes
-/// cheap enough to be worth running on every pool entry before deciding
-/// which entries pay for Gilmore–Lawler.
-pub struct ScreenPool {
-    n: usize,
-    /// Children's placement length (parent prefix + 1).
-    placed_next: usize,
-    /// The parent's free locations (each child's own location plus its
-    /// free set).
-    free: Vec<usize>,
-    /// `here[fi · F + ai]` = interaction of unplaced facility
-    /// `placed_next + fi` at `free[ai]` with the parent prefix.
-    here: Vec<u64>,
-    /// Ascending flows over ordered unplaced-facility pairs.
-    flows: Vec<u64>,
-    /// Descending `(dist, a, b)` over ordered parent-free location pairs.
-    dist_pairs: Vec<(u64, u32, u32)>,
-}
-
-impl ScreenPool {
-    /// Builds the context below a parent `prefix` (facility `d` at
-    /// `prefix[d]`) whose used-location mask is `parent_used`.
-    pub fn new(instance: &QapInstance, prefix: &[u16], parent_used: u64) -> Self {
-        let n = instance.n();
-        let placed_next = prefix.len() + 1;
-        let free: Vec<usize> = (0..n).filter(|l| parent_used & (1 << l) == 0).collect();
-        let fcount = free.len();
-        let mut here = vec![0u64; (n - placed_next) * fcount];
-        for (fi, f) in (placed_next..n).enumerate() {
-            for (ai, &loc) in free.iter().enumerate() {
-                here[fi * fcount + ai] = placed_interaction(instance, prefix, f, loc);
-            }
-        }
-        let mut flows: Vec<u64> = Vec::new();
-        for i in placed_next..n {
-            for j in placed_next..n {
-                if i != j {
-                    flows.push(instance.flow(i, j));
-                }
-            }
-        }
-        flows.sort_unstable();
-        let mut dist_pairs: Vec<(u64, u32, u32)> = Vec::with_capacity(fcount * fcount);
-        for &a in &free {
-            for &b in &free {
-                if a != b {
-                    dist_pairs.push((instance.dist(a, b), a as u32, b as u32));
-                }
-            }
-        }
-        dist_pairs.sort_unstable_by_key(|x| std::cmp::Reverse(x.0));
-        ScreenPool {
-            n,
-            placed_next,
-            free,
-            here,
-            flows,
-            dist_pairs,
-        }
-    }
-
-    /// The screen bound of the child that placed the next facility at
-    /// `location` and whose exact placed–placed cost is `child_cost` —
-    /// exactly `screen_bound` of that child state.
-    pub fn bound(&self, instance: &QapInstance, location: usize, child_cost: u64) -> u64 {
-        let fcount = self.free.len();
-        let facility = self.placed_next - 1;
-        let mut bound = child_cost;
-        // placed–unplaced: the parent part is looked up; only the one
-        // new placed facility contributes a fresh term.
-        for (fi, f) in (self.placed_next..self.n).enumerate() {
-            let mut cheapest = u64::MAX;
-            for (ai, &loc) in self.free.iter().enumerate() {
-                if loc == location {
-                    continue;
-                }
-                let h = self.here[fi * fcount + ai]
-                    + instance.flow(facility, f) * instance.dist(location, loc)
-                    + instance.flow(f, facility) * instance.dist(loc, location);
-                cheapest = cheapest.min(h);
-            }
-            if cheapest != u64::MAX {
-                bound += cheapest;
-            }
-        }
-        // unplaced–unplaced rearrangement: walk the pre-sorted distance
-        // pairs, skipping those that touch the child's own location.
-        let mut sum = 0u64;
-        let mut fi = 0usize;
-        for &(d, a, b) in &self.dist_pairs {
-            if fi >= self.flows.len() {
-                break;
-            }
-            if a as usize == location || b as usize == location {
-                continue;
-            }
-            sum += self.flows[fi] * d;
-            fi += 1;
-        }
-        bound + sum
-    }
 }
 
 /// One thread's record of the Gilmore–Lawler pools along its search
@@ -794,41 +680,5 @@ mod tests {
     #[test]
     fn default_bound_is_gilmore_lawler() {
         assert_eq!(Bound::default(), Bound::GilmoreLawler);
-    }
-
-    #[test]
-    fn screen_pool_matches_scalar_screen_exactly() {
-        // Every (parent prefix, child location): the pooled screen must
-        // reproduce `screen_bound` bit-for-bit, because in `Screen` mode
-        // its values are the bound.
-        let inst = QapInstance::nugent_style(2, 3, 7);
-        let n = inst.n();
-        let prefixes: Vec<Vec<u16>> = vec![
-            vec![],
-            vec![4],
-            vec![2, 5],
-            vec![1, 0, 3],
-            vec![3, 4, 1, 5, 0],
-        ];
-        for prefix in prefixes {
-            let parent_used = used_of(&prefix);
-            let parent_cost = placed_cost(&inst, &prefix);
-            let pool = ScreenPool::new(&inst, &prefix, parent_used);
-            for loc in 0..n {
-                if parent_used & (1 << loc) != 0 {
-                    continue;
-                }
-                let mut child = prefix.clone();
-                child.push(loc as u16);
-                let child_used = parent_used | (1 << loc);
-                let child_cost = placed_cost(&inst, &child);
-                assert_eq!(
-                    pool.bound(&inst, loc, child_cost),
-                    screen_bound(&inst, &child, child_used, child_cost),
-                    "screen pool mismatch at {prefix:?} + {loc}"
-                );
-                let _ = parent_cost;
-            }
-        }
     }
 }

@@ -14,11 +14,11 @@
 //!   ([`QapInstance::random`]);
 //! * [`lap`] — an O(n³) Hungarian solver for the linear assignment
 //!   problem, the engine of the real bound;
-//! * [`bounds`] — the bounding tiers: the cheap rearrangement
-//!   [`bounds::screen_bound`] and the true Gilmore–Lawler
+//! * [`bounds`] — the bounding operator: the Gilmore–Lawler
 //!   [`bounds::gilmore_lawler_bound`] (per-pair rearrangement products
-//!   fed into the LAP), selected via [`Bound`]; the search runs GL
-//!   through the per-pool [`bounds::GlPool`] kernel;
+//!   fed into the LAP), which the search runs through the per-pool
+//!   [`bounds::GlPool`] kernel, and the cheaper rearrangement
+//!   [`bounds::screen_bound`] as a scalar reference;
 //! * [`greedy`] — greedy constructive placement + pairwise-exchange
 //!   local search, the QAP analogue of NEH + iterated greedy, supplying
 //!   initial upper bounds;
@@ -65,11 +65,9 @@ mod tests {
         for seed in 0..4 {
             let inst = QapInstance::random(6, seed);
             let expected = inst.brute_optimum();
-            for bound in [Bound::Screen, Bound::GilmoreLawler] {
-                let problem = QapProblem::new(inst.clone(), bound);
-                let report = solve(&problem, None);
-                assert_eq!(report.best_cost, Some(expected), "seed {seed} {bound:?}");
-            }
+            let problem = QapProblem::with_default_bound(inst);
+            let report = solve(&problem, None);
+            assert_eq!(report.best_cost, Some(expected), "seed {seed}");
         }
     }
 
@@ -84,20 +82,6 @@ mod tests {
         assert!(problem.lower_bound(&problem.root_state()) <= optimum);
         let report = solve(&problem, None);
         assert!(report.stats.pruned > 0, "bound should prune");
-    }
-
-    #[test]
-    fn gilmore_lawler_explores_fewer_nodes_than_screen() {
-        let inst = QapInstance::nugent_style(2, 4, 2);
-        let screen = solve(&QapProblem::new(inst.clone(), Bound::Screen), None);
-        let gl = solve(&QapProblem::new(inst, Bound::GilmoreLawler), None);
-        assert_eq!(screen.best_cost, gl.best_cost);
-        assert!(
-            gl.stats.explored < screen.stats.explored,
-            "GL {} nodes vs screen {} nodes",
-            gl.stats.explored,
-            screen.stats.explored
-        );
     }
 
     #[test]

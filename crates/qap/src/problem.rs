@@ -2,9 +2,7 @@
 //! interval-coded search tree: depth `d` of the permutation tree assigns
 //! facility `d` to the `rank`-th still-free location.
 
-use crate::bounds::{
-    gilmore_lawler_bound, screen_bound, Bound, GlPath, GlPool, GlRowCache, ScreenPool,
-};
+use crate::bounds::{gilmore_lawler_bound, Bound, GlPath, GlPool, GlRowCache};
 use crate::instance::{QapInstance, MAX_N};
 use gridbnb_coding::TreeShape;
 use gridbnb_engine::Problem;
@@ -21,11 +19,10 @@ thread_local! {
     static PATH: RefCell<GlPath> = const { RefCell::new(GlPath::new()) };
 }
 
-/// The QAP as a [`Problem`] with a selectable bounding tier.
+/// The QAP as a [`Problem`] bounded by Gilmore–Lawler.
 #[derive(Clone, Debug)]
 pub struct QapProblem {
     instance: QapInstance,
-    bound: Bound,
     /// Per-depth sorted out-flow rows, precomputed once so no GL
     /// evaluation ever re-sorts a flow row (the search places facility
     /// `d` at depth `d`, which is exactly the cache's convention).
@@ -51,18 +48,19 @@ pub struct QapState {
 }
 
 impl QapProblem {
-    /// Binds an instance with the given bounding tier.
+    /// Binds an instance with the Gilmore–Lawler bound, the one value of
+    /// `bound`.
     pub fn new(instance: QapInstance, bound: Bound) -> Self {
+        let Bound::GilmoreLawler = bound;
         let gl_rows = GlRowCache::new(&instance);
         QapProblem {
             instance,
-            bound,
             gl_rows,
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
-    /// Binds with the default (Gilmore–Lawler) bound.
+    /// Binds with the Gilmore–Lawler bound, as [`QapProblem::new`] does.
     pub fn with_default_bound(instance: QapInstance) -> Self {
         QapProblem::new(instance, Bound::default())
     }
@@ -70,11 +68,6 @@ impl QapProblem {
     /// The wrapped instance.
     pub fn instance(&self) -> &QapInstance {
         &self.instance
-    }
-
-    /// The bounding tier in use.
-    pub fn bound_mode(&self) -> Bound {
-        self.bound
     }
 
     /// Decodes engine ranks into a placement vector.
@@ -183,12 +176,9 @@ impl Problem for QapProblem {
     /// checked against.
     fn lower_bound_against(&self, state: &QapState, cutoff: u64) -> u64 {
         let (placement, used, cost) = (state.placement(), state.used, state.cost);
-        match (self.bound, placement.split_last()) {
-            (Bound::Screen, _) => screen_bound(&self.instance, placement, used, cost),
-            (Bound::GilmoreLawler, None) => {
-                gilmore_lawler_bound(&self.instance, placement, used, cost)
-            }
-            (Bound::GilmoreLawler, Some((&location, prefix))) => GlPool::new(
+        match placement.split_last() {
+            None => gilmore_lawler_bound(&self.instance, placement, used, cost),
+            Some((&location, prefix)) => GlPool::new(
                 &self.instance,
                 &self.gl_rows,
                 prefix,
@@ -201,11 +191,10 @@ impl Problem for QapProblem {
 
     /// Pool kernel. When the pool is a sibling pool (every placement is
     /// one shared parent prefix plus a distinct last location, which is
-    /// how the pooled explorer builds them), the parent-level context is
-    /// built once: [`ScreenPool`] for the screen, [`GlPool`] for
-    /// Gilmore–Lawler, whose children each pay an O(u²) cost matrix and
-    /// a LAP that stops at the cutoff. The Gilmore–Lawler pool runs on
-    /// the thread's [`GlPath`]: it extends its parent pool's placed sums
+    /// how the pooled explorer builds them), the parent-level [`GlPool`] is
+    /// built once, and its children each pay an O(u²) cost matrix and a
+    /// LAP that stops at the cutoff. The pool runs on the thread's
+    /// [`GlPath`]: it extends its parent pool's placed sums
     /// and starts each child's LAP from its parent's exact duals when the
     /// path holds them. Every value is the scalar one below the cutoff
     /// and at least the cutoff otherwise, so the elimination decisions
@@ -230,31 +219,21 @@ impl Problem for QapProblem {
             return;
         };
         let location = |s: &QapState| s.placement[prefix.len()] as usize;
-        match self.bound {
-            Bound::Screen => {
-                let pool = ScreenPool::new(&self.instance, prefix, parent_used);
-                out.extend(
-                    states
-                        .iter()
-                        .map(|s| pool.bound(&self.instance, location(s), s.cost)),
-                );
-            }
-            Bound::GilmoreLawler => PATH.with_borrow_mut(|path| {
-                path.bind(self.id, self.instance.n());
-                let mut pool = GlPool::new(
-                    &self.instance,
-                    &self.gl_rows,
-                    prefix,
-                    parent_used,
-                    Some(path),
-                );
-                out.extend(
-                    states
-                        .iter()
-                        .map(|s| pool.bound(&self.instance, location(s), s.cost, cutoff)),
-                );
-            }),
-        }
+        PATH.with_borrow_mut(|path| {
+            path.bind(self.id, self.instance.n());
+            let mut pool = GlPool::new(
+                &self.instance,
+                &self.gl_rows,
+                prefix,
+                parent_used,
+                Some(path),
+            );
+            out.extend(
+                states
+                    .iter()
+                    .map(|s| pool.bound(&self.instance, location(s), s.cost, cutoff)),
+            );
+        });
     }
 
     fn leaf_cost(&self, state: &QapState) -> u64 {

@@ -1,7 +1,7 @@
 //! Pooled ≡ scalar equivalence on random QAP instances, driving the
-//! `lower_bound_batch` kernel through the engine's lockstep harness
-//! under both bound tiers; the early-exit Gilmore–Lawler kernel's
-//! contract against the reference bound; the search path the pooled
+//! `lower_bound_batch` kernel through the engine's lockstep harness; the
+//! early-exit Gilmore–Lawler kernel's contract against the reference
+//! bound; the search path the pooled
 //! kernel carries between pools, across instances on one thread; and
 //! search counts recorded before the pooled kernel replaced the
 //! per-child GL solve.
@@ -13,7 +13,7 @@ use gridbnb_engine::equivalence::{
 use gridbnb_engine::{solve, SearchStats};
 use gridbnb_qap::bounds::gilmore_lawler_bound;
 use gridbnb_qap::greedy::{greedy_upper_bound, GreedyParams};
-use gridbnb_qap::{Bound, Problem, QapInstance, QapProblem};
+use gridbnb_qap::{Problem, QapInstance, QapProblem};
 use proptest::prelude::*;
 
 /// SplitMix64 — the tests' own deterministic stream.
@@ -74,10 +74,6 @@ fn check_contract(v: u64, exact: u64, cutoff: u64, what: &str) -> Result<(), Tes
     Ok(())
 }
 
-fn arb_bound() -> impl Strategy<Value = Bound> {
-    prop_oneof![Just(Bound::Screen), Just(Bound::GilmoreLawler)]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -100,7 +96,7 @@ proptest! {
             (false, _) => QapInstance::random(n, seed),
         };
         let n = instance.n();
-        let problem = QapProblem::new(instance, Bound::GilmoreLawler);
+        let problem = QapProblem::with_default_bound(instance);
         let mut rng = splitmix(pick_seed);
         let depth = prefix_len.min(n - 2);
         let mut ranks: Vec<u64> = (0..depth).map(|d| rng() % (n - d) as u64).collect();
@@ -139,12 +135,11 @@ proptest! {
     fn pooled_matches_scalar_on_random_instances(
         n in 4usize..7,
         seed in 0u64..10_000,
-        bound in arb_bound(),
         a in 0u64..1001,
         b in 0u64..1001,
     ) {
         let instance = QapInstance::random(n, seed);
-        let problem = QapProblem::new(instance, bound);
+        let problem = QapProblem::with_default_bound(instance);
         let total = problem.shape().root_range().end().clone();
         let interval = permille_interval(&total, a, b);
         assert_pooled_matches_scalar_simple(&problem, &interval, None);
@@ -154,16 +149,15 @@ proptest! {
     fn pooled_matches_scalar_on_grids_under_steals_and_cutoffs(
         cols in 2usize..4,
         seed in 0u64..10_000,
-        bound in arb_bound(),
         slice in 1u64..40,
         period in 1usize..5,
     ) {
-        // Structured (grid) instances with a greedy incumbent: the
-        // screen-vs-GL gap is real here, so fill-time screens and
-        // consumption-time cutoffs genuinely diverge in *values* while
-        // the search must stay identical in *decisions*.
+        // Structured (grid) instances with a greedy incumbent: the cutoff
+        // a pool is bounded against at fill time and the one its children
+        // are consumed under genuinely diverge, so early-exit *values*
+        // differ while the search must stay identical in *decisions*.
         let instance = QapInstance::nugent_style(2, cols, seed);
-        let problem = QapProblem::new(instance, bound);
+        let problem = QapProblem::with_default_bound(instance);
         let (_, ub) = gridbnb_qap::greedy::greedy_construct(problem.instance());
         let interval = problem.shape().root_range();
         assert_pooled_matches_scalar(
@@ -234,9 +228,9 @@ fn check_pool(problem: &QapProblem, ranks: &[u64], split: bool) -> Result<(), Te
 /// exact all the same.
 #[test]
 fn the_search_path_never_crosses_problems() {
-    let a = QapProblem::new(QapInstance::nugent_style(2, 4, 1), Bound::GilmoreLawler);
-    let b = QapProblem::new(QapInstance::random(8, 99), Bound::GilmoreLawler);
-    let fresh = QapProblem::new(a.instance().clone(), Bound::GilmoreLawler);
+    let a = QapProblem::with_default_bound(QapInstance::nugent_style(2, 4, 1));
+    let b = QapProblem::with_default_bound(QapInstance::random(8, 99));
+    let fresh = QapProblem::with_default_bound(a.instance().clone());
     let clone = a.clone();
     for split in [false, true] {
         for (first, rank, second) in [
@@ -262,7 +256,7 @@ fn search_counts_match_the_cold_gl_kernel() {
     let instance = QapInstance::nugent_style(2, 5, 3);
     let ub = greedy_upper_bound(&instance, &GreedyParams::default()).1 + 1;
     assert_eq!(ub, 745);
-    let report = solve(&QapProblem::new(instance, Bound::GilmoreLawler), Some(ub));
+    let report = solve(&QapProblem::with_default_bound(instance), Some(ub));
     let expected = SearchStats {
         explored: 8_409,
         branched: 1_330,

@@ -8,7 +8,7 @@
 use gridbnb::bigint::UBig;
 use gridbnb::coding::{fold, unfold, Interval, NodePath, TreeShape};
 use gridbnb::flowshop::taillard::{ta056, TA056_OPTIMAL_SCHEDULE};
-use gridbnb::flowshop::{BoundMode, FlowshopProblem};
+use gridbnb::flowshop::FlowshopProblem;
 
 fn main() {
     // ---- Figures 1-3: weights, numbers, ranges on a small permutation tree.
@@ -61,7 +61,7 @@ fn main() {
     );
 
     // Where does the paper's published optimal schedule live in the tree?
-    let problem = FlowshopProblem::new(ta056(), BoundMode::OneMachine);
+    let problem = FlowshopProblem::with_default_bound(ta056());
     let ranks = problem.encode_schedule(&TA056_OPTIMAL_SCHEDULE);
     let leaf = NodePath::from_ranks(ranks);
     println!(

@@ -24,8 +24,7 @@
 use gridbnb::core::runtime::{run, ChaosConfig, CrashPlan, RuntimeConfig};
 use gridbnb::core::{FileBackend, MetricsRegistry, ShardDirBackend, StorageBackend};
 use gridbnb::engine::solve;
-use gridbnb::flowshop::bounds::PairSelection;
-use gridbnb::flowshop::{taillard, BoundMode, FlowshopProblem};
+use gridbnb::flowshop::{taillard, FlowshopProblem};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,7 +44,7 @@ fn main() {
 
 fn demo_crashes_and_checkpoints() {
     let instance = taillard::generate(10, 5, 31_337);
-    let problem = FlowshopProblem::new(instance, BoundMode::Johnson(PairSelection::All));
+    let problem = FlowshopProblem::with_default_bound(instance);
 
     // Ground truth from a sequential run.
     let expected = solve(&problem, None).best_cost;
@@ -132,7 +131,7 @@ fn demo_crashes_and_checkpoints() {
 /// committed snapshot) and proves the same optimum.
 fn demo_durable() {
     let instance = taillard::generate(10, 5, 31_337);
-    let problem = FlowshopProblem::new(instance, BoundMode::Johnson(PairSelection::All));
+    let problem = FlowshopProblem::with_default_bound(instance);
     let expected = solve(&problem, None).best_cost;
     println!("sequential optimum: {expected:?}");
 
@@ -231,12 +230,12 @@ fn demo_durable() {
 /// and is compacted (checkpointed) the whole way.
 fn demo_nug16() {
     use gridbnb::qap::greedy::{greedy_upper_bound, GreedyParams};
-    use gridbnb::qap::{Bound, QapInstance, QapProblem};
+    use gridbnb::qap::{QapInstance, QapProblem};
 
     let instance = QapInstance::nugent_style(4, 4, 2007);
     let (_, ub) = greedy_upper_bound(&instance, &GreedyParams::default());
     println!("nug16: greedy upper bound {ub}");
-    let problem = QapProblem::new(instance, Bound::GilmoreLawler);
+    let problem = QapProblem::with_default_bound(instance);
 
     let scratch = std::env::temp_dir().join(format!("gridbnb-nug16-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);

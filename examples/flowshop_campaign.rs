@@ -8,10 +8,9 @@
 //! ```
 
 use gridbnb::core::runtime::{run, RuntimeConfig};
-use gridbnb::flowshop::bounds::PairSelection;
 use gridbnb::flowshop::ig::{iterated_greedy, IgParams};
 use gridbnb::flowshop::neh::neh;
-use gridbnb::flowshop::{taillard, BoundMode, FlowshopProblem};
+use gridbnb::flowshop::{taillard, FlowshopProblem};
 use std::time::Instant;
 
 fn main() {
@@ -33,7 +32,7 @@ fn main() {
             },
         );
 
-        let problem = FlowshopProblem::new(instance, BoundMode::Combined(PairSelection::All));
+        let problem = FlowshopProblem::with_default_bound(instance);
         let config = RuntimeConfig::new(4).with_initial_upper_bound(ig_cost + 1);
         let t0 = Instant::now();
         let report = run(&problem, &config);

@@ -11,7 +11,7 @@
 
 use gridbnb::core::runtime::{run, RuntimeConfig};
 use gridbnb::qap::greedy::{greedy_upper_bound, GreedyParams};
-use gridbnb::qap::{Bound, QapInstance, QapProblem};
+use gridbnb::qap::{QapInstance, QapProblem};
 use std::time::Instant;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
         let instance = QapInstance::nugent_style(rows, cols, seed);
         let (_, ub) = greedy_upper_bound(&instance, &GreedyParams::default());
 
-        let problem = QapProblem::new(instance, Bound::GilmoreLawler);
+        let problem = QapProblem::with_default_bound(instance);
         let mut config = RuntimeConfig::new(4)
             .with_shards(2)
             .with_initial_upper_bound(ub + 1);

@@ -6,9 +6,8 @@
 //! ```
 
 use gridbnb::core::runtime::{run, RuntimeConfig};
-use gridbnb::flowshop::bounds::PairSelection;
 use gridbnb::flowshop::neh::neh;
-use gridbnb::flowshop::{makespan::makespan, taillard, BoundMode, FlowshopProblem};
+use gridbnb::flowshop::{makespan::makespan, taillard, FlowshopProblem};
 
 fn main() {
     // A Taillard-style 11×5 instance (exactly solvable in well under a
@@ -26,7 +25,7 @@ fn main() {
     println!("NEH upper bound: {neh_cost} via {neh_schedule:?}");
 
     // 2. Exact resolution on 4 worker threads with the Johnson bound.
-    let problem = FlowshopProblem::new(instance.clone(), BoundMode::Johnson(PairSelection::All));
+    let problem = FlowshopProblem::with_default_bound(instance.clone());
     let config = RuntimeConfig::new(4).with_initial_upper_bound(neh_cost + 1);
     let report = run(&problem, &config);
 

@@ -10,13 +10,12 @@
 use gridbnb::bigint::UBig;
 use gridbnb::core::runtime::{run, RuntimeConfig};
 use gridbnb::engine::solve;
-use gridbnb::flowshop::bounds::PairSelection;
-use gridbnb::flowshop::{taillard, BoundMode, FlowshopProblem};
+use gridbnb::flowshop::{taillard, FlowshopProblem};
 use gridbnb::grid::{paper_pool, simulate, SimConfig, WorkloadModel};
 
 fn main() {
     let instance = taillard::generate(10, 5, 20_077);
-    let problem = FlowshopProblem::new(instance, BoundMode::Johnson(PairSelection::All));
+    let problem = FlowshopProblem::with_default_bound(instance);
     let expected = solve(&problem, None).best_cost;
     println!("sequential optimum: {expected:?}");
 

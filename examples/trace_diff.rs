@@ -16,8 +16,7 @@
 use gridbnb::core::runtime::{run, RunReport, RuntimeConfig};
 use gridbnb::core::{diff_traces, TraceReplayer, UBig};
 use gridbnb::engine::solve;
-use gridbnb::flowshop::bounds::PairSelection;
-use gridbnb::flowshop::{taillard, BoundMode, FlowshopProblem, Problem};
+use gridbnb::flowshop::{taillard, FlowshopProblem, Problem};
 use std::process::ExitCode;
 
 fn flag_value(args: &[String], name: &str) -> Option<u64> {
@@ -50,7 +49,7 @@ fn main() -> ExitCode {
     let cross_seed = args.iter().any(|a| a == "--cross-seed");
 
     let instance = taillard::generate(10, 5, 301);
-    let problem = FlowshopProblem::new(instance, BoundMode::Johnson(PairSelection::All));
+    let problem = FlowshopProblem::with_default_bound(instance);
     let expected = solve(&problem, None).best_cost;
 
     let seed_b = if cross_seed {

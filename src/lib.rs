@@ -25,12 +25,11 @@
 //!
 //! ```
 //! use gridbnb::core::runtime::{run, RuntimeConfig};
-//! use gridbnb::flowshop::{taillard, BoundMode, FlowshopProblem};
-//! use gridbnb::flowshop::bounds::PairSelection;
+//! use gridbnb::flowshop::{taillard, FlowshopProblem};
 //!
 //! // An exactly-solvable Taillard-like instance: 9 jobs × 4 machines.
 //! let instance = taillard::generate(9, 4, 1234);
-//! let problem = FlowshopProblem::new(instance, BoundMode::Johnson(PairSelection::All));
+//! let problem = FlowshopProblem::with_default_bound(instance);
 //! let report = run(&problem, &RuntimeConfig::new(4));
 //! println!(
 //!     "optimum {:?} after {} nodes across {} work units",
@@ -51,12 +50,12 @@
 //! ```
 //! use gridbnb::core::runtime::{run, RuntimeConfig};
 //! use gridbnb::qap::greedy::{greedy_upper_bound, GreedyParams};
-//! use gridbnb::qap::{Bound, QapInstance, QapProblem};
+//! use gridbnb::qap::{QapInstance, QapProblem};
 //!
 //! // Six facilities on a 2×3 grid with Manhattan distances.
 //! let instance = QapInstance::nugent_style(2, 3, 42);
 //! let (_, ub) = greedy_upper_bound(&instance, &GreedyParams::default());
-//! let problem = QapProblem::new(instance, Bound::GilmoreLawler);
+//! let problem = QapProblem::with_default_bound(instance);
 //! let config = RuntimeConfig::new(2)
 //!     .with_shards(2)
 //!     .with_initial_upper_bound(ub + 1);

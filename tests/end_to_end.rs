@@ -5,11 +5,10 @@
 use gridbnb::core::runtime::{run, RuntimeConfig};
 use gridbnb::core::UBig;
 use gridbnb::engine::{solve, solve_interval, Problem};
-use gridbnb::flowshop::bounds::PairSelection;
 use gridbnb::flowshop::ig::{iterated_greedy, IgParams};
 use gridbnb::flowshop::makespan::makespan;
 use gridbnb::flowshop::neh::neh;
-use gridbnb::flowshop::{taillard, BoundMode, FlowshopProblem};
+use gridbnb::flowshop::{taillard, FlowshopProblem};
 use gridbnb::tsp::{TspInstance, TspProblem};
 
 #[test]
@@ -29,22 +28,12 @@ fn flowshop_pipeline_agrees_across_modes() {
     assert_eq!(makespan(&instance, &ig_schedule), ig_cost);
     assert!(ig_cost <= neh_cost);
 
-    // Sequential exact resolution under all bounds.
-    let mut optima = Vec::new();
-    for mode in [
-        BoundMode::OneMachine,
-        BoundMode::Johnson(PairSelection::All),
-        BoundMode::Combined(PairSelection::AdjacentPlusEnds),
-    ] {
-        let problem = FlowshopProblem::new(instance.clone(), mode);
-        optima.push(solve(&problem, None).best_cost.unwrap());
-    }
-    assert!(optima.windows(2).all(|w| w[0] == w[1]), "bounds disagree");
-    let optimum = optima[0];
+    // Sequential exact resolution.
+    let problem = FlowshopProblem::with_default_bound(instance.clone());
+    let optimum = solve(&problem, None).best_cost.unwrap();
     assert!(ig_cost >= optimum);
 
     // Parallel resolution, seeded with the IG bound like the paper.
-    let problem = FlowshopProblem::new(instance.clone(), BoundMode::Johnson(PairSelection::All));
     let report = run(
         &problem,
         &RuntimeConfig::new(4).with_initial_upper_bound(ig_cost + 1),
@@ -64,7 +53,7 @@ fn interval_partition_union_equals_whole_space() {
     // independently (as grid workers would) recovers the global optimum
     // — the foundational property of the coding.
     let instance = taillard::generate(8, 4, 555);
-    let problem = FlowshopProblem::new(instance, BoundMode::Johnson(PairSelection::All));
+    let problem = FlowshopProblem::with_default_bound(instance);
     let full = solve(&problem, None);
     let root = problem.shape().root_range();
     for parts in [2u64, 5, 16] {
@@ -88,10 +77,7 @@ fn interval_partition_union_equals_whole_space() {
 #[test]
 fn tsp_and_flowshop_share_the_same_machinery() {
     // The identical runtime solves both problem types in one process.
-    let fs = FlowshopProblem::new(
-        taillard::generate(8, 4, 99),
-        BoundMode::Johnson(PairSelection::All),
-    );
+    let fs = FlowshopProblem::with_default_bound(taillard::generate(8, 4, 99));
     let tsp = TspProblem::new(TspInstance::random_euclidean(8, 99));
     let fs_expected = solve(&fs, None).best_cost;
     let tsp_expected = solve(&tsp, None).best_cost;
@@ -106,7 +92,7 @@ fn ta056_artifacts_are_coherent() {
     // The Ta056 objects all exist and interoperate at full 50! scale,
     // regardless of the seed-provenance caveat (see flowshop tests).
     let instance = taillard::ta056();
-    let problem = FlowshopProblem::new(instance.clone(), BoundMode::OneMachine);
+    let problem = FlowshopProblem::with_default_bound(instance.clone());
     let shape = problem.shape();
     assert_eq!(*shape.total_leaves(), UBig::factorial(50));
 
@@ -130,10 +116,7 @@ fn ta056_artifacts_are_coherent() {
 fn explorer_partial_run_on_ta056_scale_tree() {
     // Actually explore a tiny interval of the real Ta056 tree: 50!-sized
     // positions, real bounds, real branching.
-    let problem = FlowshopProblem::new(
-        taillard::ta056(),
-        BoundMode::Johnson(PairSelection::AdjacentPlusEnds),
-    );
+    let problem = FlowshopProblem::with_default_bound(taillard::ta056());
     let shape = problem.shape();
     let begin = shape.total_leaves().div_rem_u64(7).0;
     let end = &begin + &UBig::from(5_000u64);
